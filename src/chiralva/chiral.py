@@ -18,24 +18,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ContractError
 from .exact import Q, binom, inv_factorial
 from .report import CheckReport
 from .vertex import (
     VAData,
     Vector,
+    accumulate,
     apply_d,
+    check_table_shape,
+    closure_witness,
+    contract,
     d_kill_bound,
     d_power,
+    merge_window,
+    mode_left,
+    mode_vec,
+    pair_name,
     unit,
     vadd,
     vis_zero,
     vscale,
-    vsub,
     vzero,
-    _associativity_witness,
-    _locality_witness,
 )
 
+# Sections map a derivative degree k (DiagSection) or a pair of degrees
+# (k, l) (Diag3Section) to a nonzero vector; one section algebra serves both.
 DiagSection = dict  # k -> Vector
 Diag3Section = dict  # (k, l) -> Vector
 
@@ -61,6 +69,10 @@ class ChiralData:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        check_table_shape(self.rank, self.basis_names, self.d_cols, {**self.m0, **self.overrides})
+        for key in self.overrides:
+            if key[3] < 1:
+                raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
         clean = {k: v for k, v in self.m0.items() if not vis_zero(v)}
         object.__setattr__(self, "m0", clean)
 
@@ -125,11 +137,7 @@ class ChiralData:
 def diag_add(s: DiagSection, t: DiagSection) -> DiagSection:
     out = dict(s)
     for k, v in t.items():
-        acc = vadd(out.get(k, vzero(len(v))), v)
-        if vis_zero(acc):
-            out.pop(k, None)
-        else:
-            out[k] = acc
+        accumulate(out, k, v)
     return out
 
 
@@ -138,29 +146,33 @@ def diag_scale(c, s: DiagSection) -> DiagSection:
 
 
 def diag_eq(s: DiagSection, t: DiagSection) -> bool:
-    keys = set(s) | set(t)
-    for k in keys:
+    for k in set(s) | set(t):
         sv, tv = s.get(k), t.get(k)
-        if sv is None:
-            if not vis_zero(tv):
-                return False
-        elif tv is None:
-            if not vis_zero(sv):
+        if sv is None or tv is None:
+            if not vis_zero(tv if sv is None else sv):
                 return False
         elif sv != tv:
             return False
     return True
 
 
+def diag_contract(x: Vector, section) -> dict:
+    """sum_p x_p * section(p): `contract` lifted to sections of either kind.
+    A callable, so that section(p) is computed only where x_p != 0."""
+    out: dict = {}
+    for p, c in enumerate(x):
+        if not c.is_zero():
+            out = diag_add(out, diag_scale(c, section(p)))
+    return out
+
+
 def diag_mul_z12(s: DiagSection) -> DiagSection:
     """Multiplication by (z1 - z2): layer k receives -(k+1) times layer k+1."""
-    out = {}
+    out: DiagSection = {}
     for k, v in s.items():
         if k >= 1:
-            val = vscale(Q(-k), v)
-            if not vis_zero(val):
-                out[k - 1] = vadd(out.get(k - 1, vzero(len(v))), val)
-    return {k: v for k, v in out.items() if not vis_zero(v)}
+            accumulate(out, k - 1, vscale(Q(-k), v))
+    return out
 
 
 def diag_apply_d1(s: DiagSection) -> DiagSection:
@@ -174,33 +186,9 @@ def diag_apply_d2(A: ChiralData, s: DiagSection) -> DiagSection:
     va = A.va_view()
     out: DiagSection = {}
     for k, v in s.items():
-        dv = apply_d(va, v)
-        if not vis_zero(dv):
-            out[k] = vadd(out.get(k, vzero(A.rank)), dv)
-            if vis_zero(out[k]):
-                del out[k]
-        neg = vscale(Q(-1), v)
-        acc = vadd(out.get(k + 1, vzero(A.rank)), neg)
-        if vis_zero(acc):
-            out.pop(k + 1, None)
-        else:
-            out[k + 1] = acc
+        accumulate(out, k, apply_d(va, v))
+        accumulate(out, k + 1, vscale(Q(-1), v))
     return out
-
-
-def diag3_add(s: Diag3Section, t: Diag3Section) -> Diag3Section:
-    out = dict(s)
-    for k, v in t.items():
-        acc = vadd(out.get(k, vzero(len(v))), v)
-        if vis_zero(acc):
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return out
-
-
-def diag3_scale(c, s: Diag3Section) -> Diag3Section:
-    return {k: vscale(c, v) for k, v in s.items()} if c else {}
 
 
 def diag3_transpose(s: Diag3Section) -> Diag3Section:
@@ -209,56 +197,13 @@ def diag3_transpose(s: Diag3Section) -> Diag3Section:
     return {(l, k): v for (k, l), v in s.items()}
 
 
-def diag3_eq(s: Diag3Section, t: Diag3Section) -> bool:
-    keys = set(s) | set(t)
-    for k in keys:
-        sv = s.get(k)
-        tv = t.get(k)
-        if sv is None:
-            if not vis_zero(tv):
-                return False
-        elif tv is None:
-            if not vis_zero(sv):
-                return False
-        elif sv != tv:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the morphism on generators
 
 
-def _b_mode_left(A: ChiralData, iu: int, n: int, x: Vector, m: int) -> Vector:
-    """B^n_m(e_iu, x) by bilinearity in the second slot."""
-    out = vzero(A.rank)
-    for p, c in enumerate(x):
-        if not c.is_zero():
-            out = vadd(out, vscale(c, A.b_layer(iu, n, p, m)))
-    return out
-
-
-def _b_mode_vec(A: ChiralData, x: Vector, n: int, iw: int, m: int) -> Vector:
-    """B^n_m(x, e_iw) by bilinearity in the first slot."""
-    out = vzero(A.rank)
-    for p, c in enumerate(x):
-        if not c.is_zero():
-            out = vadd(out, vscale(c, A.b_layer(p, n, iw, m)))
-    return out
-
-
 def mu_eval(A: ChiralData, g: ChiralGenerator) -> DiagSection:
     """The section mu((z1-z2)^n (u (x) v)), bilinear over Q[z]."""
-    out: DiagSection = {}
-    for i, ci in enumerate(g.u):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(g.v):
-            if cj.is_zero():
-                continue
-            sec = A.basis_section(i, g.n, j)
-            out = diag_add(out, diag_scale(ci * cj, sec))
-    return out
+    return diag_contract(g.u, lambda i: diag_contract(g.v, lambda j: A.basis_section(i, g.n, j)))
 
 
 def sigma12_triple(m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector):
@@ -278,42 +223,52 @@ def _signed_inv_factorial(k: int):
 
 def _double_left(A: ChiralData, iu: int, j0: int, iv: int, j1: int, iw: int):
     """(B0^{j0}(e_iu, e_iv))-modes composed at j1 against e_iw; None if zero."""
-    key = ("dl", iu, j0, iv, j1, iw)
-    if key in A._cache:
-        return A._cache[key]
     inner = A.m0.get((iu, j0, iv))
-    out = None
-    if inner is not None:
-        acc = vzero(A.rank)
-        for p, c in enumerate(inner):
-            if not c.is_zero():
-                entry = A.m0.get((p, j1, iw))
-                if entry is not None:
-                    acc = vadd(acc, vscale(c, entry))
-        if not vis_zero(acc):
-            out = acc
-    A._cache[key] = out
-    return out
+    if inner is None:
+        return None
+    key = ("dl", iu, j0, iv, j1, iw)
+    if key not in A._cache:
+        val = mode_vec(A.va_view(), inner, j1, iw)
+        A._cache[key] = None if vis_zero(val) else val
+    return A._cache[key]
 
 
 def _double_right(A: ChiralData, iu: int, j0: int, iv: int, j1: int, iw: int):
     """e_iu-modes at j0 applied to (B0^{j1}(e_iv, e_iw)); None if zero."""
-    key = ("dr", iu, j0, iv, j1, iw)
-    if key in A._cache:
-        return A._cache[key]
     inner = A.m0.get((iv, j1, iw))
-    out = None
-    if inner is not None:
-        acc = vzero(A.rank)
-        for p, c in enumerate(inner):
-            if not c.is_zero():
-                entry = A.m0.get((iu, j0, p))
-                if entry is not None:
-                    acc = vadd(acc, vscale(c, entry))
-        if not vis_zero(acc):
-            out = acc
-    A._cache[key] = out
-    return out
+    if inner is None:
+        return None
+    key = ("dr", iu, j0, iv, j1, iw)
+    if key not in A._cache:
+        val = mode_left(A.va_view(), iu, j0, inner)
+        A._cache[key] = None if vis_zero(val) else val
+    return A._cache[key]
+
+
+# The two term rules below give the same value whenever the family is the
+# recursion closed form.  The closed form reads every term as a scalar times
+# a cached double contraction of the m = 0 layer and is much faster; only
+# the layer rule sees explicit m >= 1 layers, so it runs whenever any exist.
+
+
+def _left_term(A: ChiralData, iu, n1, k, iv, n2, l, iw):
+    """B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector); None if zero."""
+    if not A.overrides:
+        dbl = _double_left(A, iu, n1 + k, iv, n2 + l, iw)
+        return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
+    inner = A.b_layer(iu, n1, iv, k)
+    outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.rank)})
+    return None if vis_zero(outer) else (1, outer)
+
+
+def _right_term(A: ChiralData, iu, n1, k, iv, n2, l, iw):
+    """B^{n1}_k(e_iu, B^{n2}_l(e_iv, e_iw)) as (scalar, vector); None if zero."""
+    if not A.overrides:
+        dbl = _double_right(A, iu, n1 + k, iv, n2 + l, iw)
+        return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
+    inner = A.b_layer(iv, n2, iw, l)
+    outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.rank)})
+    return None if vis_zero(outer) else (1, outer)
 
 
 def _compose_left_basis(
@@ -328,52 +283,17 @@ def _compose_left_basis(
         return hit
     lo, hi = rng
     out: Diag3Section = {}
-    if not A.overrides:
-        # closed-form fast path: every term is a scalar times a cached
-        # double contraction of the m = 0 layer
-        for i in range(max(0, lo - m1), hi - m1 + 1):
-            j0 = m1 + i
-            if (iu, j0, iv) not in A.m0:
-                continue
-            for k in range(0, hi - m2 - m3 + i + 1):
-                c0 = binom(m3 + k, i)
-                if not c0:
-                    continue
-                c0 = c0 * _signed_inv_factorial(k)
-                n2 = m2 + m3 + k - i
-                for l in range(max(0, lo - n2), hi - n2 + 1):
-                    dbl = _double_left(A, iu, j0, iv, n2 + l, iw)
-                    if dbl is None:
-                        continue
-                    coeff = c0 * _signed_inv_factorial(l)
-                    key = (k, l)
-                    acc = vadd(out.get(key, vzero(A.rank)), vscale(coeff, dbl))
-                    if vis_zero(acc):
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
-        A._cache[memo] = out
-        return out
     for i in range(max(0, lo - m1), hi - m1 + 1):
         for k in range(0, hi - m2 - m3 + i + 1):
-            n1 = m1 + i - k
-            inner = A.b_layer(iu, n1, iv, k)
-            if vis_zero(inner):
-                continue
-            n2 = m2 + m3 + k - i
             c = binom(m3 + k, i)
             if not c:
                 continue
+            n2 = m2 + m3 + k - i
             for l in range(max(0, lo - n2), hi - n2 + 1):
-                outer = _b_mode_vec(A, inner, n2, iw, l)
-                if vis_zero(outer):
-                    continue
-                key = (k, l)
-                acc = vadd(out.get(key, vzero(A.rank)), vscale(c, outer))
-                if vis_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                term = _left_term(A, iu, m1 + i - k, k, iv, n2, l, iw)
+                if term is not None:
+                    scalar, vec = term
+                    accumulate(out, (k, l), vscale(c * scalar, vec))
     A._cache[memo] = out
     return out
 
@@ -390,29 +310,6 @@ def _compose_right_basis(
         return hit
     lo, hi = rng
     out: Diag3Section = {}
-    if not A.overrides:
-        for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
-            c = (-1) ** i * binom(m1, i)
-            if not c:
-                continue
-            n1 = m1 + m3 - i
-            n2 = m2 + i
-            for l in range(max(0, lo - n2), hi - n2 + 1):
-                j1 = n2 + l
-                cl = c * _signed_inv_factorial(l)
-                for k in range(max(0, lo - n1), hi - n1 + 1):
-                    dbl = _double_right(A, iu, n1 + k, iv, j1, iw)
-                    if dbl is None:
-                        continue
-                    coeff = cl * _signed_inv_factorial(k)
-                    key = (k, l)
-                    acc = vadd(out.get(key, vzero(A.rank)), vscale(coeff, dbl))
-                    if vis_zero(acc):
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
-        A._cache[memo] = out
-        return out
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
         if not c:
@@ -420,37 +317,18 @@ def _compose_right_basis(
         n1 = m1 + m3 - i
         n2 = m2 + i
         for l in range(max(0, lo - n2), hi - n2 + 1):
-            inner = A.b_layer(iv, n2, iw, l)
-            if vis_zero(inner):
-                continue
             for k in range(max(0, lo - n1), hi - n1 + 1):
-                outer = _b_mode_left(A, iu, n1, inner, k)
-                if vis_zero(outer):
-                    continue
-                key = (k, l)
-                acc = vadd(out.get(key, vzero(A.rank)), vscale(c, outer))
-                if vis_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                term = _right_term(A, iu, n1, k, iv, n2, l, iw)
+                if term is not None:
+                    scalar, vec = term
+                    accumulate(out, (k, l), vscale(c * scalar, vec))
     A._cache[memo] = out
     return out
 
 
 def _bilinear3(A: ChiralData, core, m1, m2, m3, u: Vector, v: Vector, w: Vector) -> Diag3Section:
-    out: Diag3Section = {}
-    for iu, cu in enumerate(u):
-        if cu.is_zero():
-            continue
-        for iv, cv in enumerate(v):
-            if cv.is_zero():
-                continue
-            for iw, cw in enumerate(w):
-                if cw.is_zero():
-                    continue
-                part = core(A, m1, m2, m3, iu, iv, iw)
-                out = diag3_add(out, diag3_scale(cu * cv * cw, part))
-    return out
+    return diag_contract(u, lambda iu: diag_contract(v, lambda iv: diag_contract(
+        w, lambda iw: core(A, m1, m2, m3, iu, iv, iw))))
 
 
 def compose_left(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector) -> Diag3Section:
@@ -469,37 +347,11 @@ def compose_right(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector
 # axiom checkers
 
 
-def _pair_name(A: ChiralData, i: int, j: int) -> str:
-    return f"u={A.basis_names[i]}, v={A.basis_names[j]}"
-
-
-def _merge_window(lo: int, hi: int, extra) -> tuple[int, int]:
-    if extra is None:
-        return lo, hi
-    return min(lo, extra[0]), max(hi, extra[1])
-
-
 def _sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
     ns = set(range(lo, hi + 1))
     for (_, n, _, _) in A.overrides:
         ns.update((n - 1, n, n + 1))
     return sorted(ns)
-
-
-def _vec_section_left(A: ChiralData, x: Vector, n: int, j: int) -> DiagSection:
-    out: DiagSection = {}
-    for p, c in enumerate(x):
-        if not c.is_zero():
-            out = diag_add(out, diag_scale(c, A.basis_section(p, n, j)))
-    return out
-
-
-def _vec_section_right(A: ChiralData, i: int, n: int, x: Vector) -> DiagSection:
-    out: DiagSection = {}
-    for p, c in enumerate(x):
-        if not c.is_zero():
-            out = diag_add(out, diag_scale(c, A.basis_section(i, n, p)))
-    return out
 
 
 def dmodule_parts(A: ChiralData, window=None) -> dict:
@@ -520,7 +372,7 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
     if rng is None and window is None:
         return parts
     lo, hi = rng if rng else (0, -1)
-    lo, hi = _merge_window(lo - 2, hi + 1, window)
+    lo, hi = merge_window(lo - 2, hi + 1, window)
     va = A.va_view()
     dus = [apply_d(va, unit(A.rank, i)) for i in range(A.rank)]
     for i in range(A.rank):
@@ -528,13 +380,14 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
             for n in _sweep_ns(A, lo, hi):
                 s_n = A.basis_section(i, n, j)
                 s_n1 = A.basis_section(i, n + 1, j)
-                where = f"({_pair_name(A, i, j)}, n={n})"
+                where = f"({pair_name(A, i, j)}, n={n})"
                 if parts["a"]["passed"] and not diag_eq(s_n1, diag_mul_z12(s_n)):
                     parts["a"].update(passed=False, witness=where)
                 if parts["b"]["passed"]:
                     lhs = diag_apply_d1(s_n1)
                     rhs = diag_add(
-                        diag_scale(Q(n + 1), s_n), _vec_section_left(A, dus[i], n + 1, j)
+                        diag_scale(Q(n + 1), s_n),
+                        diag_contract(dus[i], lambda p: A.basis_section(p, n + 1, j)),
                     )
                     if not diag_eq(lhs, rhs):
                         parts["b"].update(passed=False, witness=where)
@@ -542,7 +395,7 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
                     lhs = diag_apply_d2(A, s_n1)
                     rhs = diag_add(
                         diag_scale(Q(-(n + 1)), s_n),
-                        _vec_section_right(A, i, n + 1, dus[j]),
+                        diag_contract(dus[j], lambda p: A.basis_section(i, n + 1, p)),
                     )
                     if not diag_eq(lhs, rhs):
                         parts["c"].update(passed=False, witness=where)
@@ -579,7 +432,7 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     lo0, hi0 = rng if rng else (0, -1)
     va = A.va_view()
     kill = d_kill_bound(va) if va.structure else 1
-    lo, hi = _merge_window(lo0 - kill - 1, hi0 + 1, window)
+    lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     for i in range(A.rank):
         for j in range(A.rank):
             for n in _sweep_ns(A, lo, hi):
@@ -595,7 +448,7 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                 if not diag_eq(route, target):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
-                        f"({_pair_name(A, i, j)}, n={n})",
+                        f"({pair_name(A, i, j)}, n={n})",
                     )
                 extraction = vzero(A.rank)
                 sign = Q(-1) if n % 2 == 0 else Q(1)  # (-1)^{n+1}
@@ -604,7 +457,7 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                 if extraction != A.b_layer(i, n, j, 0):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
-                        f"m=0 extraction at ({_pair_name(A, i, j)}, n={n})",
+                        f"m=0 extraction at ({pair_name(A, i, j)}, n={n})",
                     )
     return CheckReport(
         name, label, True,
@@ -623,7 +476,7 @@ def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo, hi = rng if rng else (0, -1)
     span = hi - lo + 1
-    blo, bhi = _merge_window(lo - span, hi + span, window)
+    blo, bhi = merge_window(lo - span, hi + span, window)
     names = A.basis_names
     swept = 0
     for m1 in range(blo, bhi + 1):
@@ -644,19 +497,16 @@ def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
                             perm = diag3_transpose(
                                 _compose_right_basis(A, p1, p2, p3, iv, iu, iw)
                             )
-                            rhs = diag3_add(right, diag3_scale(-sign, perm))
+                            rhs = diag_add(right, diag_scale(-sign, perm))
                             swept += 1
-                            if not diag3_eq(left, rhs):
+                            if not diag_eq(left, rhs):
                                 return CheckReport(
                                     name, label, False,
                                     f"window (m1,m2,m3) in [{blo}..{bhi}]^3",
                                     f"(u={names[iu]}, v={names[iv]}, w={names[iw]}, "
                                     f"m1={m1}, m2={m2}, m3={m3})",
                                 )
-    va = A.va_view()
-    witness = None
-    if va.structure:
-        witness = _locality_witness(va, lo, hi) or _associativity_witness(va, lo, hi)
+    witness = closure_witness(A.va_view(), lo, hi)
     if witness is not None:
         return CheckReport(
             name, label, False,

@@ -20,13 +20,13 @@ from .chiral import (
     check_all_chiral,
     compose_left,
     compose_right,
-    diag3_add,
-    diag3_scale,
     diag3_transpose,
+    diag_add,
+    diag_scale,
     sigma12_triple,
 )
 from .deltaparse import parse_expression
-from .equivalence import chiral_to_va, roundtrip_check, va_to_chiral
+from .equivalence import axiom_suite, chiral_to_va, roundtrip_check, va_to_chiral
 from .errors import ChiralvaError, ContractError, ParseError
 from .exact import Q, format_q
 from .formal import (
@@ -122,17 +122,27 @@ def _cmd_check_chiral(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_to_chiral(args) -> int:
-    va = _expect_kind(_load(args.path), VAData, args.path)
-    checks = check_all_va(va)
-    lines = [f"to-chiral: {args.path}"]
-    lines += [c.headline() for c in checks]
-    if not all_passed(checks):
-        lines.append("result: FAIL (input rejected, axiom failure above)")
-        _emit(args, lines, checks, False, "to-chiral")
+def _checked_input(args, command: str, cls=None):
+    """Load the input and run its axiom suite.  Returns (data, lines, checks),
+    with data None once a failing suite has been reported."""
+    data = _load(args.path)
+    if cls is not None:
+        _expect_kind(data, cls, args.path)
+    checks = list(axiom_suite(data))
+    lines = [f"{command}: {args.path}"] + [c.headline() for c in checks]
+    if all_passed(checks):
+        return data, lines, checks
+    lines.append("result: FAIL (input rejected, axiom failure above)")
+    _emit(args, lines, checks, False, command)
+    return None, lines, checks
+
+
+def _cmd_translate(args, cls) -> int:
+    """to-chiral (cls VAData) and to-va (cls ChiralData)."""
+    data, lines, checks = _checked_input(args, args.command, cls)
+    if data is None:
         return EXIT_FAIL
-    chiral = va_to_chiral(va, checked=False)
-    text = serialize.dumps(chiral)
+    text = serialize.dumps(va_to_chiral(data) if cls is VAData else chiral_to_va(data))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -140,46 +150,19 @@ def _cmd_to_chiral(args) -> int:
     else:
         lines.append(text.rstrip("\n"))
     lines.append("result: PASS")
-    _emit(args, lines, checks, True, "to-chiral")
-    return EXIT_PASS
-
-
-def _cmd_to_va(args) -> int:
-    ca = _expect_kind(_load(args.path), ChiralData, args.path)
-    checks = check_all_chiral(ca)
-    lines = [f"to-va: {args.path}"]
-    lines += [c.headline() for c in checks]
-    if not all_passed(checks):
-        lines.append("result: FAIL (input rejected, axiom failure above)")
-        _emit(args, lines, checks, False, "to-va")
-        return EXIT_FAIL
-    va = chiral_to_va(ca, checked=False)
-    text = serialize.dumps(va)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        lines.append(f"written: {args.out}")
-    else:
-        lines.append(text.rstrip("\n"))
-    lines.append("result: PASS")
-    _emit(args, lines, checks, True, "to-va")
+    _emit(args, lines, checks, True, args.command)
     return EXIT_PASS
 
 
 def _cmd_roundtrip(args) -> int:
-    data = _load(args.path)
-    checks = check_all_va(data) if isinstance(data, VAData) else check_all_chiral(data)
-    lines = [f"roundtrip: {args.path}"]
-    lines += [c.headline() for c in checks]
-    if not all_passed(checks):
-        lines.append("result: FAIL (input rejected, axiom failure above)")
-        _emit(args, lines, checks, False, "roundtrip")
+    data, lines, checks = _checked_input(args, "roundtrip")
+    if data is None:
         return EXIT_FAIL
     tr = roundtrip_check(data)
     lines.append(tr.headline())
     lines.append("roundtrip: EXACT" if tr.passed else "roundtrip: MISMATCH")
     lines.append(f"result: {'PASS' if tr.passed else 'FAIL'}")
-    checks = checks + [CheckReport("roundtrip", "roundtrip", tr.passed, tr.direction, tr.witness)]
+    checks.append(CheckReport("roundtrip", "roundtrip", tr.passed, tr.direction, tr.witness))
     _emit(args, lines, checks, tr.passed, "roundtrip")
     return EXIT_PASS if tr.passed else EXIT_FAIL
 
@@ -297,7 +280,7 @@ def _cmd_compose_diff(args) -> int:
     right = compose_right(ca, m1, m2, m3, u, v, w)
     sign, p1, p2, p3, pu, pv, pw = sigma12_triple(m1, m2, m3, u, v, w)
     perm = diag3_transpose(compose_right(ca, p1, p2, p3, pu, pv, pw))
-    diff = diag3_add(diag3_add(left, diag3_scale(Q(-1), right)), diag3_scale(sign, perm))
+    diff = diag_add(diag_add(left, diag_scale(Q(-1), right)), diag_scale(sign, perm))
     names = ca.basis_names
     lines = [
         f"compose-diff: {args.path} (m1,m2,m3)=({m1},{m2},{m3}) "
@@ -353,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--out", help="write the canonical chiral-algebra JSON here")
     _add_common(p, with_window=False)
-    p.set_defaults(func=_cmd_to_chiral)
+    p.set_defaults(func=lambda args: _cmd_translate(args, VAData))
 
     p = sub.add_parser("to-va", help="translate a chiral algebra to a vertex algebra")
     p.add_argument("path")
     p.add_argument("--out", help="write the canonical vertex-algebra JSON here")
     _add_common(p, with_window=False)
-    p.set_defaults(func=_cmd_to_va)
+    p.set_defaults(func=lambda args: _cmd_translate(args, ChiralData))
 
     p = sub.add_parser("roundtrip", help="verify both translation roundtrips are exact")
     p.add_argument("path")

@@ -69,12 +69,29 @@ def vconst(rank: int, coords) -> Vector:
         out[i] = c if isinstance(c, Poly) else Poly.const(c)
     return tuple(out)
 
-def matvec_cols(cols: tuple[Vector, ...], x: Vector) -> Vector:
-    out = vzero(len(cols[0])) if cols else ()
-    for k, c in enumerate(x):
+def contract(x: Vector, entries: dict) -> Vector:
+    """sum_p x_p * entries[p], the one bilinear contraction; a coordinate p
+    absent from the sparse map `entries` contributes zero."""
+    out = None
+    for p, e in entries.items():
+        c = x[p]
         if not c.is_zero():
-            out = vadd(out, vscale(c, cols[k]))
-    return out
+            out = vscale(c, e) if out is None else vadd(out, vscale(c, e))
+    return vzero(len(x)) if out is None else out
+
+
+def matvec_cols(cols: tuple[Vector, ...], x: Vector) -> Vector:
+    return contract(x, dict(enumerate(cols)))
+
+
+def accumulate(out: dict, key, vec: Vector) -> None:
+    """out[key] += vec in place; keys whose sum is zero are dropped."""
+    prev = out.get(key)
+    acc = vec if prev is None else vadd(prev, vec)
+    if vis_zero(acc):
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
 def format_vector(x: Vector, basis: tuple[str, ...]) -> str:
@@ -91,6 +108,23 @@ def format_vector(x: Vector, basis: tuple[str, ...]) -> str:
 # the data type
 
 
+def check_table_shape(rank: int, basis_names, d_cols, entries: dict) -> None:
+    """Reject a table that does not fit its rank: distinct basis names, a
+    rank x rank D, and stored vectors of length rank at keys (i, n, j, ...)
+    whose basis indices i and j are in range.  Shared by both table kinds."""
+    if len(basis_names) != rank or len(d_cols) != rank:
+        raise ContractError("basis names and D columns must match the rank")
+    if len(set(basis_names)) != rank:
+        raise ContractError(f"basis names must be distinct, got {list(basis_names)}")
+    if any(len(col) != rank for col in d_cols):
+        raise ContractError("D must be a rank x rank matrix")
+    for key, val in entries.items():
+        if not (0 <= key[0] < rank and 0 <= key[2] < rank):
+            raise ContractError(f"structure index out of range: {key}")
+        if len(val) != rank:
+            raise ContractError(f"structure value at {key} has wrong length")
+
+
 @dataclass(frozen=True, eq=False)
 class VAData:
     """Structure constants, derivation matrix, and declared support bounds."""
@@ -102,21 +136,18 @@ class VAData:
     d_cols: tuple[Vector, ...]  # D(e_j) = d_cols[j]
     support: dict = field(default_factory=dict)  # (i, j) -> (n_min, n_max)
     _cache: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False)  # (i, n) -> {j: entry}
+    _cols: dict = field(default_factory=dict, init=False, repr=False)  # (n, j) -> {i: entry}
 
     def __post_init__(self):
         if self.coeff_ring not in COEFF_RINGS:
             raise ContractError(f"coeff_ring must be one of {COEFF_RINGS}")
-        if len(self.basis_names) != self.rank or len(self.d_cols) != self.rank:
-            raise ContractError("basis names and D columns must match the rank")
-        clean = {}
-        for (i, n, j), val in self.structure.items():
-            if not (0 <= i < self.rank and 0 <= j < self.rank):
-                raise ContractError(f"structure index out of range: {(i, n, j)}")
-            if len(val) != self.rank:
-                raise ContractError(f"structure value at {(i, n, j)} has wrong length")
-            if not vis_zero(val):
-                clean[(i, n, j)] = val
+        check_table_shape(self.rank, self.basis_names, self.d_cols, self.structure)
+        clean = {k: v for k, v in self.structure.items() if not vis_zero(v)}
         object.__setattr__(self, "structure", clean)
+        for (i, n, j), val in clean.items():
+            self._rows.setdefault((i, n), {})[j] = val
+            self._cols.setdefault((n, j), {})[i] = val
         if self.coeff_ring == "Q":
             entries = list(self.d_cols) + list(self.structure.values())
             for vec in entries:
@@ -167,54 +198,23 @@ def equal_tables(v1: VAData, v2: VAData) -> tuple[bool, str | None]:
 
 def vertex_coeff(V: VAData, u: Vector, n: int, v: Vector) -> Vector:
     """The mode coefficient u_n v, extended bilinearly over the coefficient ring."""
-    out = vzero(V.rank)
-    for i, ci in enumerate(u):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(v):
-            if cj.is_zero():
-                continue
-            entry = V.structure.get((i, n, j))
-            if entry is not None:
-                out = vadd(out, vscale(ci * cj, entry))
-    return out
+    return contract(u, {i: mode_left(V, i, n, v) for i in range(V.rank)})
 
 
 def mode_left(V: VAData, i: int, n: int, x: Vector) -> Vector:
     """(e_i)_n x for a basis operator index."""
-    out = vzero(V.rank)
-    for j, cj in enumerate(x):
-        if cj.is_zero():
-            continue
-        entry = V.structure.get((i, n, j))
-        if entry is not None:
-            out = vadd(out, vscale(cj, entry))
-    return out
+    return contract(x, V._rows.get((i, n), {}))
 
 
 def mode_vec(V: VAData, x: Vector, n: int, j: int) -> Vector:
     """x_n e_j for a vector-valued operator."""
-    out = vzero(V.rank)
-    for i, ci in enumerate(x):
-        if ci.is_zero():
-            continue
-        entry = V.structure.get((i, n, j))
-        if entry is not None:
-            out = vadd(out, vscale(ci, entry))
-    return out
+    return contract(x, V._cols.get((n, j), {}))
 
 
 def apply_d(V: VAData, u: Vector) -> Vector:
-    """D(u); over Q[z] this is the derivation rule, over Q the matrix action."""
-    out = vzero(V.rank)
-    for j, c in enumerate(u):
-        if c.is_zero():
-            continue
-        dc = c.derivative()
-        if not dc.is_zero():
-            out = vadd(out, tuple(dc if k == j else PZERO for k in range(V.rank)))
-        out = vadd(out, vscale(c, V.d_cols[j]))
-    return out
+    """D(u) = u' + D-matrix . u: the derivation rule over Q[z]; over Q the
+    coordinates are constant and the derivative term vanishes."""
+    return vadd(tuple(c.derivative() for c in u), matvec_cols(V.d_cols, u))
 
 
 def d_power(V: VAData, u: Vector, k: int) -> Vector:
@@ -252,14 +252,16 @@ def d_kill_bound(V: VAData) -> int:
 # axiom checkers
 
 
-def _merge_window(lo: int, hi: int, extra: tuple[int, int] | None) -> tuple[int, int]:
+def merge_window(lo: int, hi: int, extra: tuple[int, int] | None) -> tuple[int, int]:
+    """The computed window [lo..hi], widened (never narrowed) by a user window."""
     if extra is None:
         return lo, hi
     return min(lo, extra[0]), max(hi, extra[1])
 
 
-def _pair_name(V: VAData, i: int, j: int) -> str:
-    return f"u={V.basis_names[i]}, v={V.basis_names[j]}"
+def pair_name(T, i: int, j: int) -> str:
+    """Witness text for a basis pair of a VAData or ChiralData table."""
+    return f"u={T.basis_names[i]}, v={T.basis_names[j]}"
 
 
 def check_truncation(V: VAData) -> CheckReport:
@@ -271,7 +273,7 @@ def check_truncation(V: VAData) -> CheckReport:
         i, n, j = key
         bounds = V.support.get((i, j))
         if bounds is None or not (bounds[0] <= n <= bounds[1]):
-            witness = f"({_pair_name(V, i, j)}, n={n})"
+            witness = f"({pair_name(V, i, j)}, n={n})"
             return CheckReport(
                 "truncation", "trunc", False,
                 "declared support bounds", witness,
@@ -292,7 +294,7 @@ def check_d_derivative(V: VAData, window: tuple[int, int] | None = None) -> Chec
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
-    lo, hi = _merge_window(a - 1, b + 1, window)
+    lo, hi = merge_window(a - 1, b + 1, window)
     du = [apply_d(V, unit(V.rank, i)) for i in range(V.rank)]
     for i in range(V.rank):
         for j in range(V.rank):
@@ -302,7 +304,7 @@ def check_d_derivative(V: VAData, window: tuple[int, int] | None = None) -> Chec
                 if lhs != rhs:
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
-                        f"({_pair_name(V, i, j)}, n={n})",
+                        f"({pair_name(V, i, j)}, n={n})",
                     )
     return CheckReport(
         name, label, True,
@@ -323,7 +325,7 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
     kill = d_kill_bound(V) if V.structure else 1
-    lo, hi = _merge_window(a - kill, b + 1, window)
+    lo, hi = merge_window(a - kill, b + 1, window)
     for i in range(V.rank):
         for j in range(V.rank):
             for m in range(lo, hi + 1):
@@ -338,7 +340,7 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
                 if lhs != rhs:
                     return CheckReport(
                         name, label, False, f"window m in [{lo}..{hi}]",
-                        f"({_pair_name(V, i, j)}, m={m})",
+                        f"({pair_name(V, i, j)}, m={m})",
                     )
     return CheckReport(
         name, label, True,
@@ -424,13 +426,7 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
                             continue
                         p, q = -l - 1, -n - 1
                         for j in range(K + 1):
-                            c = binom(K, j)
-                            key = (p + j, q + K - j)
-                            acc = vadd(lhs.get(key, vzero(V.rank)), vscale(c, val))
-                            if vis_zero(acc):
-                                lhs.pop(key, None)
-                            else:
-                                lhs[key] = acc
+                            accumulate(lhs, (p + j, q + K - j), vscale(binom(K, j), val))
                 rhs: dict = {}
                 for m in range(a, b + 1):
                     for n2 in range(a, b + 1):
@@ -439,13 +435,7 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
                             continue
                         p2, q2 = -m - 1, -n2 - 1
                         for j in range(K + p2 + 1):
-                            c = binom(K + p2, j)
-                            key = (j, q2 + K + p2 - j)
-                            acc = vadd(rhs.get(key, vzero(V.rank)), vscale(c, val))
-                            if vis_zero(acc):
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = acc
+                            accumulate(rhs, (j, q2 + K + p2 - j), vscale(binom(K + p2, j), val))
                 for key in sorted(set(lhs) | set(rhs)):
                     if lhs.get(key, vzero(V.rank)) != rhs.get(key, vzero(V.rank)):
                         names = V.basis_names
@@ -454,6 +444,15 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
                             f"(u={names[iu]}, v={names[iv]}, w={names[iw]})"
                         )
     return None
+
+
+def closure_witness(V: VAData, a: int, b: int) -> str | None:
+    """First failure of the two certificates that close the Jacobi identity
+    over Z^3 for a table supported in [a..b]: operator commutativity, then
+    the composition identity.  None when both hold."""
+    if not V.structure:
+        return None
+    return _locality_witness(V, a, b) or _associativity_witness(V, a, b)
 
 
 def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckReport:
@@ -465,7 +464,7 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
     span = b - a + 1
-    lo, hi = _merge_window(a - span - 1, b + span + 1, window)
+    lo, hi = merge_window(a - span - 1, b + span + 1, window)
     swept = 0
     for l in range(lo, hi + 1):
         for m in range(lo, hi + 1):
@@ -485,9 +484,7 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
                                     f"(u={names[iu]}, v={names[iv]}, w={names[iw]}, "
                                     f"l={l}, m={m}, n={n})",
                                 )
-    witness = _locality_witness(V, a, b) if V.structure else None
-    if witness is None and V.structure:
-        witness = _associativity_witness(V, a, b)
+    witness = closure_witness(V, a, b)
     if witness is not None:
         return CheckReport(
             name, label, False,
@@ -526,19 +523,15 @@ def make_commutative_va(
     """
     rank = len(basis_names)
     names = basis_names
+    mult_rows: dict = {}  # i -> {j: e_i e_j}
+    for (i, j), vec in mult.items():
+        if not (0 <= i < rank and 0 <= j < rank):
+            raise ContractError(f"product table index out of range: {(i, j)}")
+        mult_rows.setdefault(i, {})[j] = vec
 
     def prod(x: Vector, y: Vector) -> Vector:
-        out = vzero(rank)
-        for i, ci in enumerate(x):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(y):
-                if cj.is_zero():
-                    continue
-                entry = mult.get((i, j))
-                if entry is not None:
-                    out = vadd(out, vscale(ci * cj, entry))
-        return out
+        return contract(x, {i: contract(y, row) for i, row in mult_rows.items()
+                            if not x[i].is_zero()})
 
     def dmat(x: Vector) -> Vector:
         return matvec_cols(d_cols, x)

@@ -10,7 +10,6 @@ from chiralva.chiral import (
     check_dmodule_morphism,
     compose_left,
     compose_right,
-    diag3_eq,
     diag_add,
     diag_apply_d1,
     diag_apply_d2,
@@ -23,7 +22,7 @@ from chiralva.chiral import (
 )
 from chiralva.equivalence import va_to_chiral
 from chiralva.exact import Poly, Q, binom, inv_factorial
-from chiralva.fixtures import a3_va
+from chiralva.fixtures import a3_basis_changed, a3_va
 from chiralva.vertex import apply_d, d_power, tensor_with_ox, unit, vadd, vis_zero, vscale, vzero
 
 
@@ -259,7 +258,7 @@ def test_compose_linearity_in_w():
             expect[key] = val
         for key, val in scaled.items():
             expect[key] = vadd(expect.get(key, vzero(3)), vscale(Q(3), val))
-        assert diag3_eq(combined, {k: v for k, v in expect.items() if not vis_zero(v)})
+        assert diag_eq(combined, {k: v for k, v in expect.items() if not vis_zero(v)})
 
 
 def test_compose_right_examples_and_oracle():
@@ -279,6 +278,32 @@ def test_compose_right_examples_and_oracle():
                             oracle_right_layer(m1, m2, m3, OB[iu], OB[iv], OB[0], k, l)
                         )
                         assert sec.get((k, l), vzero(3)) == expect
+
+
+def test_closed_form_and_layer_rules_compose_alike():
+    # One redundant override equal to its closed form switches both
+    # compositions to the layer rule without changing the family, so the
+    # two term rules must give the same sections.
+    for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
+        A = va_to_chiral(V, checked=False)
+        i, n, j = min(A.m0)
+        layer = A.b_layer(i, n - 1, j, 1)
+        assert not vis_zero(layer)
+        redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
+                               {(i, n - 1, j, 1): layer})
+        nonempty = 0
+        for m1 in range(-3, 1):
+            for m2 in range(-3, 1):
+                for m3 in range(-3, 1):
+                    for iu in range(A.rank):
+                        for iv in range(A.rank):
+                            for iw in range(A.rank):
+                                gens = (unit(A.rank, iu), unit(A.rank, iv), unit(A.rank, iw))
+                                for core in (compose_left, compose_right):
+                                    closed = core(A, m1, m2, m3, *gens)
+                                    assert core(redundant, m1, m2, m3, *gens) == closed
+                                    nonempty += bool(closed)
+        assert nonempty > 0
 
 
 def test_sigma12_triple_bookkeeping():
@@ -338,4 +363,4 @@ def test_compose_trilinearity_over_polynomials():
         scaled = core(A, -2, -1, -1, fu, gv, t)
         plain = core(A, -2, -1, -1, t, one, t)
         expect = {k: tuple(Q(2) * z * c for c in v) for k, v in plain.items()}
-        assert diag3_eq(scaled, expect)
+        assert diag_eq(scaled, expect)

@@ -127,6 +127,51 @@ def test_parse_and_contract_errors_exit_2(tmp_path):
     assert main(["check-chiral", str(FIXTURES / "a3.json")]) == 2
 
 
+def _edited_fixture(tmp_path, name, edit):
+    doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_chiral_override_index_out_of_range_exits_2(tmp_path, capsys):
+    def edit(doc):
+        doc["B"].append({"i": 7, "j": 0, "n": -1, "m": 1, "value": [["1"], [], []]})
+        doc["recursion_determined"] = False
+
+    path = _edited_fixture(tmp_path, "a3_chiral.json", edit)
+    for command in ("check-chiral", "roundtrip", "to-va"):
+        code, err = _run_cli_err(capsys, command, path)
+        assert code == 2, command
+        assert "out of range" in err
+
+
+def test_chiral_negative_layer_exits_2(tmp_path, capsys):
+    def edit(doc):
+        doc["B"].append({"i": 1, "j": 0, "n": -1, "m": -1, "value": [["1"], [], []]})
+
+    path = _edited_fixture(tmp_path, "a3_chiral.json", edit)
+    code, err = _run_cli_err(capsys, "check-chiral", path)
+    assert code == 2
+    assert "m >= 1" in err
+
+
+def test_duplicate_basis_names_exit_2(tmp_path, capsys):
+    def edit(doc):
+        doc["basis_names"] = ["1", "t", "t"]
+
+    for command, name in (("check-va", "a3.json"), ("check-chiral", "a3_chiral.json")):
+        code, err = _run_cli_err(capsys, command, _edited_fixture(tmp_path, name, edit))
+        assert code == 2, command
+        assert "distinct" in err
+
+
 def test_window_override_widens():
     code, out = run_cli("check-va", str(FIXTURES / "a3.json"), "--window=-7:3")
     assert code == 0
