@@ -17,6 +17,7 @@ the well-definedness checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import ContractError
 from .exact import Q, binom, inv_factorial
@@ -31,10 +32,10 @@ from .vertex import (
     contract,
     d_kill_bound,
     d_power,
+    iterated_modes,
     merge_window,
-    mode_left,
-    mode_vec,
     pair_name,
+    triple_name,
     unit,
     vadd,
     vis_zero,
@@ -221,50 +222,29 @@ def _signed_inv_factorial(k: int):
     return f if k % 2 == 0 else -f
 
 
-def _double_left(A: ChiralData, iu: int, j0: int, iv: int, j1: int, iw: int):
-    """(B0^{j0}(e_iu, e_iv))-modes composed at j1 against e_iw; None if zero."""
-    inner = A.m0.get((iu, j0, iv))
-    if inner is None:
-        return None
-    key = ("dl", iu, j0, iv, j1, iw)
-    if key not in A._cache:
-        val = mode_vec(A.va_view(), inner, j1, iw)
-        A._cache[key] = None if vis_zero(val) else val
-    return A._cache[key]
-
-
-def _double_right(A: ChiralData, iu: int, j0: int, iv: int, j1: int, iw: int):
-    """e_iu-modes at j0 applied to (B0^{j1}(e_iv, e_iw)); None if zero."""
-    inner = A.m0.get((iv, j1, iw))
-    if inner is None:
-        return None
-    key = ("dr", iu, j0, iv, j1, iw)
-    if key not in A._cache:
-        val = mode_left(A.va_view(), iu, j0, inner)
-        A._cache[key] = None if vis_zero(val) else val
-    return A._cache[key]
-
-
 # The two term rules below give the same value whenever the family is the
 # recursion closed form.  The closed form reads every term as a scalar times
-# a cached double contraction of the m = 0 layer and is much faster; only
-# the layer rule sees explicit m >= 1 layers, so it runs whenever any exist.
+# an iterated mode of the m = 0 layer from the triple's `iterated_modes`
+# table and is much faster; only the layer rule sees explicit m >= 1
+# layers, so it runs whenever any exist (`modes` is None then).
 
 
-def _left_term(A: ChiralData, iu, n1, k, iv, n2, l, iw):
-    """B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector); None if zero."""
-    if not A.overrides:
-        dbl = _double_left(A, iu, n1 + k, iv, n2 + l, iw)
+def _left_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
+    """B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector); None if zero.
+    `modes` is the triple's table of (u_p v)_q w."""
+    if modes is not None:
+        dbl = modes.get((n1 + k, n2 + l))
         return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
     inner = A.b_layer(iu, n1, iv, k)
     outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.rank)})
     return None if vis_zero(outer) else (1, outer)
 
 
-def _right_term(A: ChiralData, iu, n1, k, iv, n2, l, iw):
-    """B^{n1}_k(e_iu, B^{n2}_l(e_iv, e_iw)) as (scalar, vector); None if zero."""
-    if not A.overrides:
-        dbl = _double_right(A, iu, n1 + k, iv, n2 + l, iw)
+def _right_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
+    """B^{n1}_k(e_iu, B^{n2}_l(e_iv, e_iw)) as (scalar, vector); None if zero.
+    `modes` is the triple's table of u_p (v_q w)."""
+    if modes is not None:
+        dbl = modes.get((n1 + k, n2 + l))
         return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
     inner = A.b_layer(iv, n2, iw, l)
     outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.rank)})
@@ -282,6 +262,7 @@ def _compose_left_basis(
     if hit is not None:
         return hit
     lo, hi = rng
+    left = None if A.overrides else iterated_modes(A.va_view(), iu, iv, iw)[0]
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         for k in range(0, hi - m2 - m3 + i + 1):
@@ -290,7 +271,7 @@ def _compose_left_basis(
                 continue
             n2 = m2 + m3 + k - i
             for l in range(max(0, lo - n2), hi - n2 + 1):
-                term = _left_term(A, iu, m1 + i - k, k, iv, n2, l, iw)
+                term = _left_term(A, left, iu, m1 + i - k, k, iv, n2, l, iw)
                 if term is not None:
                     scalar, vec = term
                     accumulate(out, (k, l), vscale(c * scalar, vec))
@@ -309,6 +290,7 @@ def _compose_right_basis(
     if hit is not None:
         return hit
     lo, hi = rng
+    right = None if A.overrides else iterated_modes(A.va_view(), iu, iv, iw)[1]
     out: Diag3Section = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -318,7 +300,7 @@ def _compose_right_basis(
         n2 = m2 + i
         for l in range(max(0, lo - n2), hi - n2 + 1):
             for k in range(max(0, lo - n1), hi - n1 + 1):
-                term = _right_term(A, iu, n1, k, iv, n2, l, iw)
+                term = _right_term(A, right, iu, n1, k, iv, n2, l, iw)
                 if term is not None:
                     scalar, vec = term
                     accumulate(out, (k, l), vscale(c * scalar, vec))
@@ -477,35 +459,26 @@ def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
     lo, hi = rng if rng else (0, -1)
     span = hi - lo + 1
     blo, bhi = merge_window(lo - span, hi + span, window)
-    names = A.basis_names
     swept = 0
-    for m1 in range(blo, bhi + 1):
-        for m2 in range(blo, bhi + 1):
-            for m3 in range(blo, bhi + 1):
-                if m1 + m2 + m3 > 2 * hi:
-                    continue  # every layer of every composition is empty here
-                for iu in range(A.rank):
-                    for iv in range(A.rank):
-                        for iw in range(A.rank):
-                            left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
-                            right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
-                            sign, p1, p2, p3, *_ = sigma12_triple(
-                                m1, m2, m3, unit(A.rank, iu), unit(A.rank, iv), unit(A.rank, iw)
-                            )
-                            # the composition computed on swapped coordinates
-                            # returns its derivative degrees transposed
-                            perm = diag3_transpose(
-                                _compose_right_basis(A, p1, p2, p3, iv, iu, iw)
-                            )
-                            rhs = diag_add(right, diag_scale(-sign, perm))
-                            swept += 1
-                            if not diag_eq(left, rhs):
-                                return CheckReport(
-                                    name, label, False,
-                                    f"window (m1,m2,m3) in [{blo}..{bhi}]^3",
-                                    f"(u={names[iu]}, v={names[iv]}, w={names[iw]}, "
-                                    f"m1={m1}, m2={m2}, m3={m3})",
-                                )
+    for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
+        if m1 + m2 + m3 > 2 * hi:
+            continue  # every layer of every composition is empty here
+        for iu, iv, iw in product(range(A.rank), repeat=3):
+            left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
+            right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
+            sign, p1, p2, p3, *_ = sigma12_triple(
+                m1, m2, m3, unit(A.rank, iu), unit(A.rank, iv), unit(A.rank, iw)
+            )
+            # the composition computed on swapped coordinates returns its
+            # derivative degrees transposed
+            perm = diag3_transpose(_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
+            rhs = diag_add(right, diag_scale(-sign, perm))
+            swept += 1
+            if not diag_eq(left, rhs):
+                return CheckReport(
+                    name, label, False, f"window (m1,m2,m3) in [{blo}..{bhi}]^3",
+                    f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})",
+                )
     witness = closure_witness(A.va_view(), lo, hi)
     if witness is not None:
         return CheckReport(

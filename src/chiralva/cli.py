@@ -84,10 +84,6 @@ def _emit(args, lines, checks, passed, command) -> None:
             fh.write(text)
 
 
-def _load(path):
-    return serialize.load_path(path)
-
-
 def _expect_kind(data, cls, path):
     if not isinstance(data, cls):
         want = "vertex-algebra" if cls is VAData else "chiral-algebra"
@@ -99,33 +95,25 @@ def _expect_kind(data, cls, path):
 # subcommands
 
 
-def _cmd_check_va(args) -> int:
-    va = _expect_kind(_load(args.path), VAData, args.path)
-    checks = check_all_va(va, _parse_window(args.window))
-    lines = [f"check-va: {args.path}"]
-    lines += [c.headline() for c in checks]
-    ok = all_passed(checks)
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _emit(args, lines, checks, ok, "check-va")
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
-def _cmd_check_chiral(args) -> int:
-    ca = _expect_kind(_load(args.path), ChiralData, args.path)
-    checks = check_all_chiral(ca, _parse_window(args.window))
-    lines = [f"check-chiral: {args.path}"]
+def _cmd_check(args, cls) -> int:
+    """check-va (cls VAData) and check-chiral (cls ChiralData); only the
+    chiral report lists each check's detail lines."""
+    data = _expect_kind(serialize.load_path(args.path), cls, args.path)
+    run = check_all_va if cls is VAData else check_all_chiral
+    checks = run(data, _parse_window(args.window))
+    lines = [f"{args.command}: {args.path}"]
     for c in checks:
-        lines.extend(c.lines())
+        lines += [c.headline()] if cls is VAData else c.lines()
     ok = all_passed(checks)
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _emit(args, lines, checks, ok, "check-chiral")
+    _emit(args, lines, checks, ok, args.command)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _checked_input(args, command: str, cls=None):
     """Load the input and run its axiom suite.  Returns (data, lines, checks),
     with data None once a failing suite has been reported."""
-    data = _load(args.path)
+    data = serialize.load_path(args.path)
     if cls is not None:
         _expect_kind(data, cls, args.path)
     checks = list(axiom_suite(data))
@@ -272,7 +260,7 @@ def _format_diag3(section, names) -> list[str]:
 
 
 def _cmd_compose_diff(args) -> int:
-    ca = _expect_kind(_load(args.path), ChiralData, args.path)
+    ca = _expect_kind(serialize.load_path(args.path), ChiralData, args.path)
     m1, m2, m3 = args.m1, args.m2, args.m3
     iu, iv, iw = (_basis_index(ca, n) for n in (args.u, args.v, args.w))
     u, v, w = unit(ca.rank, iu), unit(ca.rank, iv), unit(ca.rank, iw)
@@ -325,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-va", help="run the four vertex-algebra axiom checkers")
     p.add_argument("path")
     _add_common(p)
-    p.set_defaults(func=_cmd_check_va)
+    p.set_defaults(func=lambda args: _cmd_check(args, VAData))
 
     p = sub.add_parser("check-chiral", help="run the three chiral-algebra checkers")
     p.add_argument("path")
     _add_common(p)
-    p.set_defaults(func=_cmd_check_chiral)
+    p.set_defaults(func=lambda args: _cmd_check(args, ChiralData))
 
     p = sub.add_parser("to-chiral", help="translate a vertex algebra to a chiral algebra")
     p.add_argument("path")

@@ -101,8 +101,3 @@ def roundtrip_check(x) -> TranslationReport:
     if isinstance(x, ChiralData):
         return roundtrip_chiral(x)
     raise ContractError("roundtrip_check expects VAData or ChiralData")
-
-
-def roundtrip_report(x) -> CheckReport:
-    tr = roundtrip_check(x)
-    return CheckReport("roundtrip", "roundtrip", tr.passed, tr.direction, tr.witness)

@@ -58,14 +58,32 @@ def _matrix_to_obj(cols: tuple[Vector, ...]) -> list[list[list[str]]]:
 
 
 def _obj_to_matrix(obj, rank: int) -> tuple[Vector, ...]:
-    if not isinstance(obj, list) or len(obj) != rank:
+    if not (isinstance(obj, list) and len(obj) == rank
+            and all(isinstance(row, list) and len(row) == rank for row in obj)):
         raise ParseError(f"D must be a {rank}x{rank} matrix of polynomials")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list) or len(row) != rank:
-            raise ParseError(f"D must be a {rank}x{rank} matrix of polynomials")
-        rows.append([list_to_poly(entry) for entry in row])
-    return tuple(tuple(rows[i][j] for i in range(rank)) for j in range(rank))
+    return tuple(zip(*[[list_to_poly(entry) for entry in row] for row in obj]))  # columns
+
+
+def _int_field(entry, key: str) -> int:
+    """A field that must be a JSON integer: floats, booleans and strings are
+    rejected, never coerced."""
+    val = entry[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ParseError(f"field {key!r} must be an integer, got {val!r}")
+    return val
+
+
+def _put_new(table: dict, key, value, what: str) -> None:
+    if key in table:
+        raise ParseError(f"duplicate {what} entry {key!r}")
+    table[key] = value
+
+
+def _unique_members(pairs) -> dict:
+    obj: dict = {}
+    for key, val in pairs:
+        _put_new(obj, key, val, "JSON member")
+    return obj
 
 
 def canonical_json(obj) -> str:
@@ -103,20 +121,19 @@ def va_to_obj(V: VAData) -> dict:
 
 def obj_to_va(obj) -> VAData:
     try:
-        rank = int(obj["rank"])
+        rank = _int_field(obj, "rank")
         ring = obj["coeff_ring"]
         names = tuple(str(x) for x in obj["basis_names"])
         d_cols = _obj_to_matrix(obj["D"], rank)
         structure = {}
         for entry in obj["structure"]:
-            key = (int(entry["i"]), int(entry["n"]), int(entry["j"]))
-            structure[key] = list_to_vector(entry["value"], rank)
+            key = (_int_field(entry, "i"), _int_field(entry, "n"), _int_field(entry, "j"))
+            _put_new(structure, key, list_to_vector(entry["value"], rank), "structure")
         support = {}
         for entry in obj.get("support_bounds", []):
-            support[(int(entry["i"]), int(entry["j"]))] = (
-                int(entry["n_min"]),
-                int(entry["n_max"]),
-            )
+            key = (_int_field(entry, "i"), _int_field(entry, "j"))
+            bounds = (_int_field(entry, "n_min"), _int_field(entry, "n_max"))
+            _put_new(support, key, bounds, "support_bounds")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed vertex-algebra document: {exc}") from None
     return VAData(rank, ring, names, structure, d_cols, support)
@@ -147,18 +164,18 @@ def chiral_to_obj(A: ChiralData) -> dict:
 
 def obj_to_chiral(obj) -> ChiralData:
     try:
-        rank = int(obj["rank"])
+        rank = _int_field(obj, "rank")
         names = tuple(str(x) for x in obj["basis_names"])
         d_cols = _obj_to_matrix(obj["D"], rank)
         m0 = {}
         overrides = {}
         for entry in obj["B"]:
-            i, j, n, m = int(entry["i"]), int(entry["j"]), int(entry["n"]), int(entry["m"])
+            i, j, n, m = (_int_field(entry, k) for k in ("i", "j", "n", "m"))
             value = list_to_vector(entry["value"], rank)
             if m == 0:
-                m0[(i, n, j)] = value
+                _put_new(m0, (i, n, j), value, "B")
             else:
-                overrides[(i, n, j, m)] = value
+                _put_new(overrides, (i, n, j, m), value, "B")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed chiral-algebra document: {exc}") from None
     return ChiralData(rank, names, m0, d_cols, overrides)
@@ -178,9 +195,11 @@ def dumps(x) -> str:
 
 def loads(text: str):
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("document must be an object with a 'kind' field")
     kind = obj["kind"]

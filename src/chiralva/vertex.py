@@ -24,6 +24,7 @@ symbolically:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import (
     ContractError,
@@ -53,9 +54,6 @@ def vis_zero(x: Vector) -> bool:
 
 def vadd(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
 
 def vscale(c, x: Vector) -> Vector:
     return tuple(c * a for a in x)
@@ -138,11 +136,15 @@ class VAData:
     _cache: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False)  # (i, n) -> {j: entry}
     _cols: dict = field(default_factory=dict, init=False, repr=False)  # (n, j) -> {i: entry}
+    _span: tuple | None = field(default=None, init=False, repr=False)  # global_support()
 
     def __post_init__(self):
         if self.coeff_ring not in COEFF_RINGS:
             raise ContractError(f"coeff_ring must be one of {COEFF_RINGS}")
         check_table_shape(self.rank, self.basis_names, self.d_cols, self.structure)
+        for (i, j) in self.support:
+            if not (0 <= i < self.rank and 0 <= j < self.rank):
+                raise ContractError(f"support bounds index out of range: {(i, j)}")
         clean = {k: v for k, v in self.structure.items() if not vis_zero(v)}
         object.__setattr__(self, "structure", clean)
         for (i, n, j), val in clean.items():
@@ -159,16 +161,15 @@ class VAData:
                 lo, hi = derived.get((i, j), (n, n))
                 derived[(i, j)] = (min(lo, n), max(hi, n))
             object.__setattr__(self, "support", derived)
+        ns = [n for (_, n, _) in clean]
+        object.__setattr__(self, "_span", (min(ns), max(ns)) if ns else None)
 
     def mode(self, i: int, n: int, j: int) -> Vector:
         return self.structure.get((i, n, j)) or vzero(self.rank)
 
     def global_support(self) -> tuple[int, int] | None:
         """(min n, max n) over all stored entries; None for an empty table."""
-        if not self.structure:
-            return None
-        ns = [n for (_, n, _) in self.structure]
-        return min(ns), max(ns)
+        return self._span
 
     def max_degree(self) -> int:
         degs = [c.degree for v in self.structure.values() for c in v]
@@ -264,6 +265,11 @@ def pair_name(T, i: int, j: int) -> str:
     return f"u={T.basis_names[i]}, v={T.basis_names[j]}"
 
 
+def triple_name(T, i: int, j: int, k: int) -> str:
+    """Witness text for a basis triple of a VAData or ChiralData table."""
+    return f"{pair_name(T, i, j)}, w={T.basis_names[k]}"
+
+
 def check_truncation(V: VAData) -> CheckReport:
     """Every stored entry respects the declared per-pair bounds, and every
     pair has a finite upper bound (finiteness is built into the table)."""
@@ -349,62 +355,86 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
     )
 
 
+def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
+    """The iterated modes of a basis triple, ({(p, q): (u_p v)_q w},
+    {(p, q): u_p (v_q w)}) for p, q in the global support, nonzero entries
+    only; off that square both vanish.  Computed once per triple and object:
+    the Jacobi sweep, both closure certificates and the chiral compositions
+    all read these tables."""
+    key = ("modes", iu, iv, iw)
+    hit = V._cache.get(key)
+    if hit is not None:
+        return hit
+    left: dict = {}
+    right: dict = {}
+    a, b = V.global_support() or (0, -1)
+    for p, q in product(range(a, b + 1), repeat=2):
+        uv = V.structure.get((iu, p, iv))
+        if uv is not None:
+            accumulate(left, (p, q), mode_vec(V, uv, q, iw))
+        vw = V.structure.get((iv, q, iw))
+        if vw is not None:
+            accumulate(right, (p, q), mode_left(V, iu, p, vw))
+    V._cache[key] = left, right
+    return left, right
+
+
+def _instance_tables(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict, dict]:
+    """The three tables one Jacobi instance reads: (u_p v)_q w, u_p (v_q w)
+    and v_p (u_q w)."""
+    return (*iterated_modes(V, iu, iv, iw), iterated_modes(V, iv, iu, iw)[1])
+
+
+def _jacobi_terms(a: int, b: int, l: int, m: int, n: int) -> tuple[list, list, list]:
+    """The (l, m, n) component Jacobi identity
+
+        sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
+          = sum_i (-1)^i binom(l, i) u_{m+l-i} (v_{n+i} w)
+            - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
+
+    as one list of (table key, exact int coefficient) per sum, the last sign
+    folded in.  Keys off the support square [a..b]^2 read zero and are left
+    out, as are zero binomials."""
+    left = [((l + i, m + n - i), c) for i in range(max(0, a - l), b - l + 1)
+            if a <= m + n - i <= b and (c := int(binom(m, i)))]
+    right_uv = [((m + l - i, n + i), c) for i in range(max(0, a - n), b - n + 1)
+                if a <= m + l - i <= b and (c := (-1) ** i * int(binom(l, i)))]
+    right_vu = [((n + l - i, m + i), c) for i in range(max(0, a - m), b - m + 1)
+                if a <= n + l - i <= b and (c := (-1) ** ((l + i + 1) % 2) * int(binom(l, i)))]
+    return left, right_uv, right_vu
+
+
+def _combine(table: dict, terms: list, acc):
+    """acc + sum c * table[key] over the terms; None stands for zero."""
+    for key, c in terms:
+        val = table.get(key)
+        if val is not None:
+            acc = vscale(c, val) if acc is None else vadd(acc, vscale(c, val))
+    return acc
+
+
+def _jacobi_sides(tables, terms, zero: Vector) -> tuple[Vector, Vector]:
+    left, right_uv, right_vu = tables
+    lhs = _combine(left, terms[0], None)
+    rhs = _combine(right_vu, terms[2], _combine(right_uv, terms[1], None))
+    return lhs or zero, rhs or zero
+
+
 def jacobi_instance(V: VAData, iu: int, iv: int, iw: int, l: int, m: int, n: int):
     """Left and right sides of the component Jacobi identity; finite i-sums."""
-    rng = V.global_support()
-    if rng is None:
-        z = vzero(V.rank)
-        return z, z
-    a, b = rng
-    lhs = vzero(V.rank)
-    for i in range(max(0, a - l), b - l + 1):
-        c = binom(m, i)
-        if not c:
-            continue
-        inner = V.structure.get((iu, l + i, iv))
-        if inner is not None:
-            term = mode_vec(V, inner, m + n - i, iw)
-            if not vis_zero(term):
-                lhs = vadd(lhs, vscale(c, term))
-    rhs = vzero(V.rank)
-    for i in range(max(0, a - n), b - n + 1):
-        c = (-1) ** i * binom(l, i)
-        if not c:
-            continue
-        inner = V.structure.get((iv, n + i, iw))
-        if inner is not None:
-            term = mode_left(V, iu, m + l - i, inner)
-            if not vis_zero(term):
-                rhs = vadd(rhs, vscale(c, term))
-    sgn = 1 if l % 2 == 0 else -1
-    for i in range(max(0, a - m), b - m + 1):
-        c = (-1) ** i * binom(l, i)
-        if not c:
-            continue
-        inner = V.structure.get((iu, m + i, iw))
-        if inner is not None:
-            term = mode_left(V, iv, n + l - i, inner)
-            if not vis_zero(term):
-                rhs = vsub(rhs, vscale(sgn * c, term))
-    return lhs, rhs
+    terms = _jacobi_terms(*(V.global_support() or (0, -1)), l, m, n)
+    return _jacobi_sides(_instance_tables(V, iu, iv, iw), terms, vzero(V.rank))
 
 
 def _locality_witness(V: VAData, a: int, b: int) -> str | None:
     # u_m (v_n w) = v_n (u_m w) on the support square; both sides are zero
     # off the square, so this is the whole operator-commutativity statement.
-    for iu in range(V.rank):
-        for iv in range(V.rank):
-            for iw in range(V.rank):
-                for m in range(a, b + 1):
-                    for n in range(a, b + 1):
-                        left = mode_left(V, iu, m, V.mode(iv, n, iw))
-                        right = mode_left(V, iv, n, V.mode(iu, m, iw))
-                        if left != right:
-                            names = V.basis_names
-                            return (
-                                f"commutativity at (u={names[iu]}, v={names[iv]}, "
-                                f"w={names[iw]}, m={m}, n={n})"
-                            )
+    for iu, iv, iw in product(range(V.rank), repeat=3):
+        uv = iterated_modes(V, iu, iv, iw)[1]
+        vu = iterated_modes(V, iv, iu, iw)[1]
+        for m, n in product(range(a, b + 1), repeat=2):
+            if uv.get((m, n)) != vu.get((n, m)):
+                return f"commutativity at ({triple_name(V, iu, iv, iw)}, m={m}, n={n})"
     return None
 
 
@@ -415,34 +445,22 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
     # commutativity this is equivalent to the Jacobi identity for every
     # integer index triple.
     K = max(0, b + 1)
-    for iu in range(V.rank):
-        for iv in range(V.rank):
-            for iw in range(V.rank):
-                lhs: dict = {}
-                for l in range(a, b + 1):
-                    for n in range(a, b + 1):
-                        val = mode_vec(V, V.mode(iu, l, iv), n, iw)
-                        if vis_zero(val):
-                            continue
-                        p, q = -l - 1, -n - 1
-                        for j in range(K + 1):
-                            accumulate(lhs, (p + j, q + K - j), vscale(binom(K, j), val))
-                rhs: dict = {}
-                for m in range(a, b + 1):
-                    for n2 in range(a, b + 1):
-                        val = mode_left(V, iu, m, V.mode(iv, n2, iw))
-                        if vis_zero(val):
-                            continue
-                        p2, q2 = -m - 1, -n2 - 1
-                        for j in range(K + p2 + 1):
-                            accumulate(rhs, (j, q2 + K + p2 - j), vscale(binom(K + p2, j), val))
-                for key in sorted(set(lhs) | set(rhs)):
-                    if lhs.get(key, vzero(V.rank)) != rhs.get(key, vzero(V.rank)):
-                        names = V.basis_names
-                        return (
-                            f"composition identity at exponents {key} for "
-                            f"(u={names[iu]}, v={names[iv]}, w={names[iw]})"
-                        )
+    zero = vzero(V.rank)
+    for iu, iv, iw in product(range(V.rank), repeat=3):
+        left, right = iterated_modes(V, iu, iv, iw)
+        lhs: dict = {}
+        for (l, n), val in left.items():
+            p, q = -l - 1, -n - 1
+            for j in range(K + 1):
+                accumulate(lhs, (p + j, q + K - j), vscale(binom(K, j), val))
+        rhs: dict = {}
+        for (m, n2), val in right.items():
+            p2, q2 = -m - 1, -n2 - 1
+            for j in range(K + p2 + 1):
+                accumulate(rhs, (j, q2 + K + p2 - j), vscale(binom(K + p2, j), val))
+        for key in sorted(set(lhs) | set(rhs)):
+            if lhs.get(key, zero) != rhs.get(key, zero):
+                return f"composition identity at exponents {key} for ({triple_name(V, iu, iv, iw)})"
     return None
 
 
@@ -465,25 +483,23 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     a, b = rng if rng else (0, -1)
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
+    triples = list(product(range(V.rank), repeat=3))
+    tables: dict = {}  # triple -> its _instance_tables, fetched on first use
+    zero = vzero(V.rank)
     swept = 0
-    for l in range(lo, hi + 1):
-        for m in range(lo, hi + 1):
-            for n in range(lo, hi + 1):
-                if not (2 * a <= l + m + n <= 2 * b):
-                    continue  # every term of every side is zero off these slices
-                for iu in range(V.rank):
-                    for iv in range(V.rank):
-                        for iw in range(V.rank):
-                            lhs, rhs = jacobi_instance(V, iu, iv, iw, l, m, n)
-                            swept += 1
-                            if lhs != rhs:
-                                names = V.basis_names
-                                return CheckReport(
-                                    name, label, False,
-                                    f"window (l,m,n) in [{lo}..{hi}]^3",
-                                    f"(u={names[iu]}, v={names[iv]}, w={names[iw]}, "
-                                    f"l={l}, m={m}, n={n})",
-                                )
+    for l, m, n in product(range(lo, hi + 1), repeat=3):
+        if not (2 * a <= l + m + n <= 2 * b):
+            continue  # every term of every side is zero off these slices
+        terms = _jacobi_terms(a, b, l, m, n)
+        for triple in triples:
+            tabs = tables.get(triple) or tables.setdefault(triple, _instance_tables(V, *triple))
+            lhs, rhs = _jacobi_sides(tabs, terms, zero)
+            swept += 1
+            if lhs != rhs:
+                return CheckReport(
+                    name, label, False, f"window (l,m,n) in [{lo}..{hi}]^3",
+                    f"({triple_name(V, *triple)}, l={l}, m={m}, n={n})",
+                )
     witness = closure_witness(V, a, b)
     if witness is not None:
         return CheckReport(

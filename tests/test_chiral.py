@@ -23,7 +23,19 @@ from chiralva.chiral import (
 from chiralva.equivalence import va_to_chiral
 from chiralva.exact import Poly, Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va
-from chiralva.vertex import apply_d, d_power, tensor_with_ox, unit, vadd, vis_zero, vscale, vzero
+from chiralva.vertex import (
+    apply_d,
+    d_power,
+    iterated_modes,
+    mode_left,
+    mode_vec,
+    tensor_with_ox,
+    unit,
+    vadd,
+    vis_zero,
+    vscale,
+    vzero,
+)
 
 
 def a3_chiral() -> ChiralData:
@@ -304,6 +316,29 @@ def test_closed_form_and_layer_rules_compose_alike():
                                     assert core(redundant, m1, m2, m3, *gens) == closed
                                     nonempty += bool(closed)
         assert nonempty > 0
+
+
+def test_closed_form_double_contractions_match_direct_contraction():
+    # The closed-form rule reads B^{j1}_0(B^{j0}_0(u, v), w) and
+    # B^{j0}_0(u, B^{j1}_0(v, w)) from the shared iterated-mode tables;
+    # contract them directly from the m = 0 layer instead.
+    for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
+        A = va_to_chiral(V, checked=False)
+        va = A.va_view()
+        lo, hi = A.effective_support()
+        hits = 0
+        for iu in range(A.rank):
+            for iv in range(A.rank):
+                for iw in range(A.rank):
+                    left, right = iterated_modes(va, iu, iv, iw)
+                    for j0 in range(lo - 2, hi + 3):
+                        for j1 in range(lo - 2, hi + 3):
+                            double_left = mode_vec(va, A.m0.get((iu, j0, iv), vzero(A.rank)), j1, iw)
+                            double_right = mode_left(va, iu, j0, A.m0.get((iv, j1, iw), vzero(A.rank)))
+                            assert left.get((j0, j1), vzero(A.rank)) == double_left
+                            assert right.get((j0, j1), vzero(A.rank)) == double_right
+                            hits += not vis_zero(double_left)
+        assert hits > 0
 
 
 def test_sigma12_triple_bookkeeping():

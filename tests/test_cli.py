@@ -189,3 +189,76 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_malformed_json_exits_2_without_traceback(tmp_path, capsys):
+    # an infinite rank used to raise OverflowError, deep nesting RecursionError
+    infinite = _write(tmp_path, "inf.json", '{"kind": "vertex-algebra", "rank": Infinity}')
+    deep = _write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    code, err = _run_cli_err(capsys, "check-va", infinite)
+    assert code == 2 and "must be an integer" in err
+    for command in ("check-va", "check-chiral", "roundtrip"):
+        code, err = _run_cli_err(capsys, command, deep)
+        assert code == 2, command
+        assert "nests too deeply" in err
+
+
+def test_non_integer_fields_exit_2(tmp_path, capsys):
+    def set_rank(value):
+        return lambda doc: doc.update(rank=value)
+
+    def set_n(doc):
+        doc["structure"][0]["n"] = -1.5
+
+    def set_m(doc):
+        doc["B"][0]["m"] = 0.0
+
+    def set_n_max(doc):
+        doc["support_bounds"][0]["n_max"] = "-1"
+
+    cases = [("check-va", "a3.json", set_rank(3.5)), ("check-va", "a3.json", set_rank(True)),
+             ("check-va", "a3.json", set_n), ("check-va", "a3.json", set_n_max),
+             ("check-chiral", "a3_chiral.json", set_rank(False)),
+             ("check-chiral", "a3_chiral.json", set_m)]
+    for command, name, edit in cases:
+        code, err = _run_cli_err(capsys, command, _edited_fixture(tmp_path, name, edit))
+        assert code == 2, (command, name)
+        assert "must be an integer" in err
+
+
+def test_duplicate_entries_exit_2(tmp_path, capsys):
+    def dup_structure(doc):
+        doc["structure"].append({**doc["structure"][0], "value": [["2"], [], []]})
+
+    def dup_support(doc):
+        doc["support_bounds"].append(doc["support_bounds"][0])
+
+    def dup_b(doc):
+        doc["B"].append({**doc["B"][0], "value": [["2"], [], []]})
+
+    for command, name, edit in (("check-va", "a3.json", dup_structure),
+                                ("check-va", "a3.json", dup_support),
+                                ("check-chiral", "a3_chiral.json", dup_b)):
+        code, err = _run_cli_err(capsys, command, _edited_fixture(tmp_path, name, edit))
+        assert code == 2, name
+        assert "duplicate" in err
+
+    text = (FIXTURES / "a3.json").read_text(encoding="utf-8")
+    twice = _write(tmp_path, "twice.json", text.replace('"rank": 3', '"rank": 3, "rank": 4', 1))
+    code, err = _run_cli_err(capsys, "check-va", twice)
+    assert code == 2 and "duplicate" in err
+
+
+def test_support_bounds_outside_the_basis_exit_2(tmp_path, capsys):
+    def outside(doc):
+        doc["support_bounds"].append({"i": 9, "j": 9, "n_min": -1, "n_max": -1})
+
+    code, err = _run_cli_err(capsys, "check-va", _edited_fixture(tmp_path, "a3.json", outside))
+    assert code == 2
+    assert "out of range" in err

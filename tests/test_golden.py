@@ -1,19 +1,27 @@
-"""Byte-for-byte golden reports for the CLI on the shipped fixtures.
+"""Byte-for-byte golden reports for the CLI on the shipped fixtures and on
+one criterion-7 mutant per corpus algebra.
 
 Criterion 9 only checks that two runs agree with each other; these goldens
-pin the exact bytes.  Re-record them on purpose only:
+pin the exact bytes, and the mutant reports pin which witness each checker
+finds first.  Re-record them on purpose only:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import json
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from chiralva import serialize
 from chiralva.cli import main
+from chiralva.equivalence import va_to_chiral
+from chiralva.fixtures import corpus
+from chiralva.vertex import bump_structure_constant
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -35,6 +43,37 @@ CASES = (
         ["compose-diff", "fixtures/a3_chiral.json", "-1", "-1", "-1", "1", "t", "1"], 0)]
 )
 
+# One criterion-7 mutant per corpus algebra, as (algebra, mutation site): the
+# first site of `mutation_sites(V, 30)` whose VA Jacobi check fails in the
+# sweep (trivial-rank1 has none, so its first site).
+MUTANTS = (
+    ("a3", (0, -1, 0, 0)),
+    ("trivial-rank1", (0, -1, 0, 0)),
+    ("a3-basis-change", (0, -2, 0, 0)),
+    ("random-0", (0, -1, 0, 0)),
+    ("random-1", (0, -1, 0, 0)),
+    ("random-2", (0, -1, 0, 0)),
+    ("random-3", (0, -1, 0, 0)),
+    ("random-4", (0, -1, 0, 0)),
+)
+
+# (golden file stem, argv, algebra, site); argv paths are relative to the
+# directory the mutant files are written to
+MUTANT_CASES = [
+    (f"{cmd}__{name}__{'_'.join(map(str, site))}",
+     [cmd, f"mutants/{name}.{ext}.json", "--format", "json"], name, site)
+    for name, site in MUTANTS
+    for cmd, ext in (("check-va", "va"), ("check-chiral", "ch"))
+]
+
+
+def write_mutant(directory: Path, name: str, site) -> None:
+    mutant = bump_structure_constant(dict(corpus())[name], *site)
+    (directory / "mutants").mkdir(exist_ok=True)
+    (directory / "mutants" / f"{name}.va.json").write_text(serialize.dumps(mutant), encoding="utf-8")
+    chiral = serialize.dumps(va_to_chiral(mutant, checked=False))
+    (directory / "mutants" / f"{name}.ch.json").write_text(chiral, encoding="utf-8")
+
 
 def run(argv) -> tuple[int, str]:
     buf = io.StringIO()
@@ -51,6 +90,15 @@ def test_golden_report(monkeypatch, stem, argv, code):
     assert out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("stem,argv,name,site", MUTANT_CASES, ids=[c[0] for c in MUTANT_CASES])
+def test_golden_mutant_report(monkeypatch, tmp_path, stem, argv, name, site):
+    write_mutant(tmp_path, name, site)
+    monkeypatch.chdir(tmp_path)
+    got_code, out = run(argv)
+    assert got_code == (0 if json.loads(out)["passed"] else 1)
+    assert out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     import os
 
@@ -62,3 +110,11 @@ if __name__ == "__main__":
             sys.exit(f"{stem}: exit {got_code}, expected {code}")
         (GOLDEN / f"{stem}.txt").write_text(out, encoding="utf-8")
         print(f"recorded {stem}")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for stem, argv, name, site in MUTANT_CASES:
+            write_mutant(Path(tmp), name, site)
+            _code, out = run(argv)
+            (GOLDEN / f"{stem}.txt").write_text(out, encoding="utf-8")
+            print(f"recorded {stem}")
+        os.chdir(ROOT)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,8 +11,8 @@ from chiralva.errors import (
     NotNilpotent,
     UnsupportedAlgebra,
 )
-from chiralva.exact import PZERO, Poly, Q
-from chiralva.fixtures import a3_va, trivial_rank1
+from chiralva.exact import PZERO, Poly, Q, binom
+from chiralva.fixtures import a3_va, corpus, trivial_rank1, truncated_poly_va
 from chiralva.vertex import (
     VAData,
     apply_d,
@@ -21,13 +22,19 @@ from chiralva.vertex import (
     check_jacobi,
     check_skew_symmetry,
     check_truncation,
+    iterated_modes,
     jacobi_instance,
     make_commutative_va,
+    mode_left,
+    mode_vec,
     mutation_sites,
     tensor_with_ox,
     unit,
+    vadd,
     vconst,
     vertex_coeff,
+    vis_zero,
+    vscale,
     vzero,
 )
 
@@ -321,3 +328,109 @@ def test_jacobi_sweep_failure_implies_certificate_failure():
         )
         if sweep_fails:
             assert cert_fails, trial
+
+
+def test_support_bounds_must_name_basis_pairs():
+    v = a3_va()
+    with pytest.raises(ContractError, match="out of range"):
+        VAData(3, "Q", v.basis_names, dict(v.structure), v.d_cols, {(9, 9): (-1, -1)})
+
+
+# ---------------------------------------------------------------------------
+# reference Jacobi instance: contracts directly with mode_vec / mode_left, so
+# it does not read the shared iterated-mode tables the checkers use
+
+
+@functools.cache
+def _support(V):
+    ns = [n for (_, n, _) in V.structure]
+    return min(ns), max(ns)
+
+
+def reference_jacobi_instance(V, iu, iv, iw, l, m, n):
+    a, b = _support(V)
+    sgn = 1 if l % 2 == 0 else -1
+    lhs = rhs = vzero(V.rank)
+    for i in range(max(0, a - l), b - l + 1):
+        inner = V.structure.get((iu, l + i, iv))
+        if inner is not None:
+            lhs = vadd(lhs, vscale(binom(m, i), mode_vec(V, inner, m + n - i, iw)))
+    for i in range(max(0, a - n), b - n + 1):
+        inner = V.structure.get((iv, n + i, iw))
+        if inner is not None:
+            rhs = vadd(rhs, vscale((-1) ** i * binom(l, i), mode_left(V, iu, m + l - i, inner)))
+    for i in range(max(0, a - m), b - m + 1):
+        inner = V.structure.get((iu, m + i, iw))
+        if inner is not None:
+            term = mode_left(V, iv, n + l - i, inner)
+            rhs = vadd(rhs, vscale(-sgn * (-1) ** i * binom(l, i), term))
+    return lhs, rhs
+
+
+def sweep_instances(V):
+    """Every (u, v, w, l, m, n) of check_jacobi's default sweep, in order."""
+    a, b = _support(V)
+    span = b - a + 1
+    window = range(a - span - 1, b + span + 2)
+    for l in window:
+        for m in window:
+            for n in window:
+                if 2 * a <= l + m + n <= 2 * b:
+                    for iu in range(V.rank):
+                        for iv in range(V.rank):
+                            for iw in range(V.rank):
+                                yield iu, iv, iw, l, m, n
+
+
+def _criterion_7_mutants(per_algebra):
+    for _name, V in corpus():
+        for site in mutation_sites(V, 30)[:per_algebra]:
+            yield bump_structure_constant(V, *site)
+
+
+LADDER_4 = tensor_with_ox(truncated_poly_va(4, [Q(0), Q(0), Q(1), Q(1, 2)]))
+
+
+@pytest.mark.parametrize("V", [a3_va(), LADDER_4], ids=["a3", "ladder-4"])
+def test_table_driven_jacobi_matches_reference_on_every_instance(V):
+    count = 0
+    for inst in sweep_instances(V):
+        assert jacobi_instance(V, *inst) == reference_jacobi_instance(V, *inst), inst
+        count += 1
+    report = check_jacobi(V)
+    assert report.passed
+    assert f"({count} instances)" in report.window
+
+
+def test_table_driven_jacobi_matches_reference_on_mutants():
+    mutants = list(_criterion_7_mutants(3))
+    assert len(mutants) >= 20
+    for mutant in mutants:
+        first_failure = None
+        for inst in sweep_instances(mutant):
+            got = jacobi_instance(mutant, *inst)
+            assert got == reference_jacobi_instance(mutant, *inst), inst
+            if first_failure is None and got[0] != got[1]:
+                first_failure = inst
+        report = check_jacobi(mutant)
+        if first_failure is not None:
+            names = [mutant.basis_names[i] for i in first_failure[:3]]
+            l, m, n = first_failure[3:]
+            assert report.witness == (f"(u={names[0]}, v={names[1]}, w={names[2]}, "
+                                      f"l={l}, m={m}, n={n})")
+
+
+def test_iterated_mode_tables_match_direct_contraction():
+    for V in (a3_va(), LADDER_4, *_criterion_7_mutants(1)):
+        a, b = _support(V)
+        for iu in range(V.rank):
+            for iv in range(V.rank):
+                for iw in range(V.rank):
+                    left, right = iterated_modes(V, iu, iv, iw)
+                    for p in range(a - 1, b + 2):
+                        for q in range(a - 1, b + 2):
+                            want_l = mode_vec(V, V.mode(iu, p, iv), q, iw)
+                            want_r = mode_left(V, iu, p, V.mode(iv, q, iw))
+                            assert left.get((p, q), vzero(V.rank)) == want_l
+                            assert right.get((p, q), vzero(V.rank)) == want_r
+                    assert not any(vis_zero(x) for x in (*left.values(), *right.values()))
