@@ -73,6 +73,13 @@ def _int_field(entry, key: str) -> int:
     return val
 
 
+def _basis_names(obj) -> tuple[str, ...]:
+    names = obj["basis_names"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ParseError(f"basis_names must be a list of strings, got {names!r:.80}")
+    return tuple(names)
+
+
 def _put_new(table: dict, key, value, what: str) -> None:
     if key in table:
         raise ParseError(f"duplicate {what} entry {key!r}")
@@ -123,7 +130,7 @@ def obj_to_va(obj) -> VAData:
     try:
         rank = _int_field(obj, "rank")
         ring = obj["coeff_ring"]
-        names = tuple(str(x) for x in obj["basis_names"])
+        names = _basis_names(obj)
         d_cols = _obj_to_matrix(obj["D"], rank)
         structure = {}
         for entry in obj["structure"]:
@@ -165,7 +172,7 @@ def chiral_to_obj(A: ChiralData) -> dict:
 def obj_to_chiral(obj) -> ChiralData:
     try:
         rank = _int_field(obj, "rank")
-        names = tuple(str(x) for x in obj["basis_names"])
+        names = _basis_names(obj)
         d_cols = _obj_to_matrix(obj["D"], rank)
         m0 = {}
         overrides = {}

@@ -1,8 +1,18 @@
 import random
+from itertools import product
 
+import pytest
+
+from chiralva import chiral
 from chiralva.chiral import (
     ChiralData,
     ChiralGenerator,
+    _chiral_jacobi,
+    _compose_left_basis,
+    _compose_right_basis,
+    _generator_sweep,
+    _key_terms,
+    _keyed_sweep,
     bump_b_entry,
     check_all_chiral,
     check_chiral_jacobi,
@@ -10,6 +20,7 @@ from chiralva.chiral import (
     check_dmodule_morphism,
     compose_left,
     compose_right,
+    diag3_transpose,
     diag_add,
     diag_apply_d1,
     diag_apply_d2,
@@ -22,13 +33,16 @@ from chiralva.chiral import (
 )
 from chiralva.equivalence import va_to_chiral
 from chiralva.exact import Poly, Q, binom, inv_factorial
-from chiralva.fixtures import a3_basis_changed, a3_va
+from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
 from chiralva.vertex import (
     apply_d,
+    bump_structure_constant,
     d_power,
     iterated_modes,
     mode_left,
     mode_vec,
+    merge_window,
+    mutation_sites,
     tensor_with_ox,
     unit,
     vadd,
@@ -399,3 +413,125 @@ def test_compose_trilinearity_over_polynomials():
         plain = core(A, -2, -1, -1, t, one, t)
         expect = {k: tuple(Q(2) * z * c for c in v) for k, v in plain.items()}
         assert diag_eq(scaled, expect)
+
+
+# ---------------------------------------------------------------------------
+# the keyed chiral-Jacobi sweep
+
+
+def _box(A: ChiralData, window=None):
+    lo, hi = A.effective_support()
+    span = hi - lo + 1
+    return (*merge_window(lo - span, hi + span, window), lo, hi)
+
+
+@pytest.mark.parametrize("name", ["a3", "random-2"])
+def test_composition_entries_are_keyed_sums(name):
+    # Entry (k, l) of each composition at (m1, m2, m3) is eps(k) eps(l) times
+    # the matching sum of `_key_terms` at (m1, m3+k, m2+l): the left
+    # composition is the left sum, the right composition minus the right
+    # sum, and the transposed swapped term (-1)^m1 times the swapped sum.
+    # random-2 is covered at m2 = blo only, which is where every key of the
+    # sweep is first read.
+    A = va_to_chiral(dict(corpus())[name], checked=False)
+    va = A.va_view()
+    blo, bhi, lo, hi = _box(A)
+    zero = vzero(A.rank)
+    m2s = range(blo, bhi + 1) if name == "a3" else (blo,)
+    eps = [(-1) ** k * inv_factorial(k) for k in range(3 * (bhi - blo) + 1)]
+    nonzero = 0
+    for iu, iv, iw in product(range(A.rank), repeat=3):
+        tables = (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
+        sums: dict = {}  # key -> its three keyed sums (None for zero), once per triple
+        for m1, m2, m3 in product(range(blo, bhi + 1), m2s, range(blo, bhi + 1)):
+            if m1 + m2 + m3 > 2 * hi:
+                continue
+            sign = (-1) ** (m1 % 2)
+            expect: tuple = ({}, {}, {})  # the left, right and transposed swapped sections
+            top = 2 * hi - m1 - m2 - m3  # k + l above this reads no key of the slice
+            for k, l in product(range(top + 1), repeat=2):
+                if k + l > top:
+                    continue
+                key = (m1, m3 + k, m2 + l)
+                if key not in sums:
+                    out = [zero, zero, zero]
+                    for t, at, c in _key_terms(lo, hi, *key):
+                        if at in tables[t]:
+                            out[t] = vadd(out[t], vscale(c, tables[t][at]))
+                    sums[key] = [None if vis_zero(x) else x for x in out]
+                for t, c in ((0, 1), (1, -1), (2, sign)):
+                    if sums[key][t] is not None:
+                        expect[t][(k, l)] = vscale(c * eps[k] * eps[l], sums[key][t])
+            left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
+            right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
+            swapped = _compose_right_basis(A, m1, m3, m2, iv, iu, iw)
+            where = (iu, iv, iw, m1, m2, m3)
+            assert diag_eq(left, expect[0]), where
+            assert diag_eq(right, expect[1]), where
+            assert diag_eq(diag3_transpose(swapped), expect[2]), where
+            nonzero += sum(map(len, expect))
+    assert nonzero > 0
+
+
+ORACLE_CASES = [(name, None) for name in
+                ("a3", "trivial-rank1", "random-0", "random-1", "random-3", "ladder-3")]
+ORACLE_CASES.append(("a3", (-3, 4)))
+
+
+@pytest.mark.parametrize("name,window", ORACLE_CASES, ids=lambda x: str(x).replace(" ", ""))
+def test_keyed_sweep_matches_generator_loop(name, window):
+    # The generator loop, kept for families with explicit layers, is the
+    # oracle: same report, and the closed-form count is the number of
+    # generators it sweeps.
+    if name == "ladder-3":
+        V = tensor_with_ox(truncated_poly_va(3, [0, 0, 1, Q(1, 2)]))
+    else:
+        V = dict(corpus())[name]
+    A = va_to_chiral(V, checked=False)
+    swept = []
+
+    def generator_sweep(*box):
+        swept.append(_generator_sweep(*box))
+        return swept[-1]
+
+    keyed = _chiral_jacobi(A, window, _keyed_sweep)
+    assert keyed.passed
+    assert keyed == check_chiral_jacobi(A, window)
+    assert keyed == _chiral_jacobi(A, window, generator_sweep)
+    assert swept == [_keyed_sweep(A, *_box(A, window))]
+    assert swept[0][1] > 0
+
+
+@pytest.mark.parametrize("window", [None, (-3, 4)])
+def test_keyed_sweep_reads_each_reachable_key_once(monkeypatch, window):
+    # A generator (m1, m2, m3) of the box reads the keys (m1, m3+k, m2+l);
+    # the keyed sweep must read exactly the keys some generator reaches, each
+    # once.  Keys with no term read zero on both sides and may be skipped.
+    A = va_to_chiral(dict(corpus())["a3"], checked=False)
+    blo, bhi, lo, hi = _box(A, window)
+    calls = []
+
+    def recording(*args):
+        calls.append(args[2:])
+        return _key_terms(*args)
+
+    monkeypatch.setattr(chiral, "_key_terms", recording)
+    assert chiral._keyed_sweep(A, blo, bhi, lo, hi)[0] is None
+    assert len(calls) == len(set(calls))
+    reached = set()
+    for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
+        top = 2 * hi - m1 - m2 - m3
+        reached |= {(m1, m3 + k, m2 + l) for k in range(top + 1) for l in range(top + 1 - k)}
+    assert {key for key in calls if _key_terms(lo, hi, *key)} == \
+        {key for key in reached if _key_terms(lo, hi, *key)}
+
+
+def test_keyed_sweep_matches_generator_loop_on_mutants():
+    reports = 0
+    for _name, V in corpus():
+        for site in mutation_sites(V, 30):
+            A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
+            keyed = _chiral_jacobi(A, None, _keyed_sweep)
+            assert keyed == _chiral_jacobi(A, None, _generator_sweep), (_name, site)
+            reports += 1
+    assert reports == 211

@@ -3,6 +3,8 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from chiralva import serialize
 from chiralva.cli import main
 from chiralva.equivalence import va_to_chiral
@@ -170,6 +172,17 @@ def test_duplicate_basis_names_exit_2(tmp_path, capsys):
         code, err = _run_cli_err(capsys, command, _edited_fixture(tmp_path, name, edit))
         assert code == 2, command
         assert "distinct" in err
+
+
+@pytest.mark.parametrize("command,name", [("check-va", "a3.json"), ("check-chiral", "a3_chiral.json")])
+def test_non_string_basis_names_exit_2(tmp_path, capsys, command, name):
+    # names used to be coerced with str(), so these loaded as None, 1, {'x': 2}
+    def edit(doc):
+        doc["basis_names"] = [None, 1, {"x": 2}]
+
+    code, err = _run_cli_err(capsys, command, _edited_fixture(tmp_path, name, edit))
+    assert code == 2
+    assert "basis_names must be a list of strings" in err
 
 
 def test_window_override_widens():

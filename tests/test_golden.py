@@ -1,5 +1,6 @@
-"""Byte-for-byte golden reports for the CLI on the shipped fixtures and on
-one criterion-7 mutant per corpus algebra.
+"""Byte-for-byte golden reports for the CLI on the shipped fixtures, on
+one criterion-7 mutant per corpus algebra, and on built inputs for paths the
+corpus does not reach (explicit B layers, a widened chiral window).
 
 Criterion 9 only checks that two runs agree with each other; these goldens
 pin the exact bytes, and the mutant reports pin which witness each checker
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from chiralva import serialize
+from chiralva.chiral import ChiralData, bump_b_entry
 from chiralva.cli import main
 from chiralva.equivalence import va_to_chiral
 from chiralva.fixtures import corpus
@@ -75,6 +77,47 @@ def write_mutant(directory: Path, name: str, site) -> None:
     (directory / "mutants" / f"{name}.ch.json").write_text(chiral, encoding="utf-8")
 
 
+def layer_bumped_a3() -> ChiralData:
+    """a3 with +1 on one coordinate of its m = 1 layer B^{-1}_1(t, 1): an
+    explicit layer that breaks the recursion."""
+    return bump_b_entry(va_to_chiral(dict(corpus())["a3"], checked=False), 1, -1, 0, 1, 0)
+
+
+def redundant_layer_trivial() -> ChiralData:
+    """trivial-rank1 with one explicit m = 1 layer equal to its closed form:
+    the same family, checked on the explicit-layer path."""
+    A = va_to_chiral(dict(corpus())["trivial-rank1"], checked=False)
+    i, n, j = min(A.m0)
+    layer = {(i, n - 1, j, 1): A.b_layer(i, n - 1, j, 1)}
+    return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, layer)
+
+
+def a3_chiral_fixture() -> ChiralData:
+    return serialize.load_path(ROOT / "fixtures" / "a3_chiral.json")
+
+
+def a3_chiral_mutant() -> ChiralData:
+    return va_to_chiral(bump_structure_constant(dict(corpus())["a3"], 0, -1, 0, 0), checked=False)
+
+
+# (golden file stem, argv, function that builds the input written to `input.json` in
+# the directory the command runs in, expected exit code)
+BUILT_CASES = (
+    ("check-chiral__a3__layer_1_-1_0_1_0",
+     ["check-chiral", "input.json", "--format", "json"], layer_bumped_a3, 1),
+    ("check-chiral__trivial-rank1__redundant_layer",
+     ["check-chiral", "input.json", "--format", "json"], redundant_layer_trivial, 0),
+    ("check-chiral__a3_chiral__window_-8_2",
+     ["check-chiral", "input.json", "--window=-8:2"], a3_chiral_fixture, 0),
+    ("check-chiral__a3__0_-1_0_0__window_-8_2",
+     ["check-chiral", "input.json", "--window=-8:2"], a3_chiral_mutant, 1),
+)
+
+
+def write_built(directory: Path, build) -> None:
+    (directory / "input.json").write_text(serialize.dumps(build()), encoding="utf-8")
+
+
 def run(argv) -> tuple[int, str]:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -99,6 +142,15 @@ def test_golden_mutant_report(monkeypatch, tmp_path, stem, argv, name, site):
     assert out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("stem,argv,build,code", BUILT_CASES, ids=[c[0] for c in BUILT_CASES])
+def test_golden_built_report(monkeypatch, tmp_path, stem, argv, build, code):
+    write_built(tmp_path, build)
+    monkeypatch.chdir(tmp_path)
+    got_code, out = run(argv)
+    assert got_code == code
+    assert out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     import os
 
@@ -115,6 +167,13 @@ if __name__ == "__main__":
         for stem, argv, name, site in MUTANT_CASES:
             write_mutant(Path(tmp), name, site)
             _code, out = run(argv)
+            (GOLDEN / f"{stem}.txt").write_text(out, encoding="utf-8")
+            print(f"recorded {stem}")
+        for stem, argv, build, code in BUILT_CASES:
+            write_built(Path(tmp), build)
+            got_code, out = run(argv)
+            if got_code != code:
+                sys.exit(f"{stem}: exit {got_code}, expected {code}")
             (GOLDEN / f"{stem}.txt").write_text(out, encoding="utf-8")
             print(f"recorded {stem}")
         os.chdir(ROOT)
