@@ -51,16 +51,16 @@ EXIT_ERROR = 2
 
 DELTA_SUITE_SEED = 20240
 
-def _parse_window(text: str | None) -> tuple[int, int] | None:
+def _parse_window(text: str | None, flag: str = "--window") -> tuple[int, int] | None:
     if text is None:
         return None
     try:
         lo, hi = text.split(":")
         window = (int(lo), int(hi))
     except ValueError:
-        raise ContractError(f"--window expects lo:hi, got {text!r}") from None
+        raise ContractError(f"{flag} expects lo:hi, got {text!r}") from None
     if window[0] > window[1]:
-        raise ContractError(f"--window range is empty: {text!r}")
+        raise ContractError(f"{flag} range is empty: {text!r}")
     return window
 
 
@@ -210,7 +210,7 @@ def _delta_suite_reports(lo: int, hi: int) -> tuple[list[str], list[CheckReport]
 def _cmd_delta_suite(args) -> int:
     lo, hi = (-6, 6)
     if args.box:
-        lo, hi = _parse_window(args.box)
+        lo, hi = _parse_window(args.box, "--box")
     lines = [f"delta-suite: exponent box [{lo}..{hi}] per variable"]
     if args.lhs or args.rhs:
         if not (args.lhs and args.rhs):

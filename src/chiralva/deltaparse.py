@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 from .exact import Q
 from .formal import DeltaAtom, Deriv, Expr, IotaPow, Product, Sum, mono
 
@@ -92,7 +92,7 @@ def _parse_signed_var(ts: _Tokens) -> tuple[int, str]:
     return sign, tok
 
 
-def _parse_delta(ts: _Tokens) -> DeltaAtom:
+def _parse_delta(ts: _Tokens) -> tuple:
     ts.expect("(")
     if ts.peek() == "(":
         ts.next()
@@ -113,10 +113,19 @@ def _parse_delta(ts: _Tokens) -> DeltaAtom:
     else:
         den = _parse_signed_var(ts)
     ts.expect(")")
-    return DeltaAtom(num, den)
+    return num, den
+
+
+def _atom(node, col: int, *args) -> Expr:
+    """Build a delta or iota atom; a violated precondition is a parse error."""
+    try:
+        return node(*args)
+    except ContractError as exc:  # delta(x1/x1), iota(x2,x2)^1
+        raise ParseError(str(exc), 1, col) from None
 
 
 def _parse_factor(ts: _Tokens) -> Expr:
+    col = ts.col()
     tok = ts.peek()
     if tok is None:
         raise ParseError("unexpected end of expression", 1, ts.col())
@@ -127,7 +136,7 @@ def _parse_factor(ts: _Tokens) -> Expr:
         return inner
     if tok == "delta":
         ts.next()
-        return _parse_delta(ts)
+        return _atom(DeltaAtom, col, *_parse_delta(ts))
     if tok == "iota":
         ts.next()
         ts.expect("(")
@@ -136,7 +145,7 @@ def _parse_factor(ts: _Tokens) -> Expr:
         _, second = _parse_signed_var(ts)
         ts.expect(")")
         ts.expect("^")
-        return IotaPow(first, second, _parse_int(ts))
+        return _atom(IotaPow, col, first, second, _parse_int(ts))
     if tok == "deriv":
         ts.next()
         ts.expect("(")
@@ -157,9 +166,12 @@ def _parse_factor(ts: _Tokens) -> Expr:
         num = int(tok)
         if ts.peek() == "/":
             ts.next()
+            col = ts.col()
             den = ts.next()
             if not den.isdigit():
                 raise ParseError(f"expected a denominator, got {den!r}", 1, ts.col())
+            if int(den) == 0:
+                raise ParseError("zero denominator", 1, col)
             return mono(coeff=Q(num, int(den)))
         return mono(coeff=num)
     raise ParseError(f"unexpected token {tok!r}", 1, ts.col())
@@ -193,7 +205,10 @@ def _parse_expr(ts: _Tokens) -> Expr:
 def parse_expression(text: str) -> Expr:
     """Parse the surface syntax into an expression tree."""
     ts = _Tokens(text)
-    expr = _parse_expr(ts)
+    try:
+        expr = _parse_expr(ts)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 1, ts.col()) from None
     if ts.peek() is not None:
         raise ParseError(f"trailing input starting at {ts.peek()!r}", 1, ts.col())
     return expr

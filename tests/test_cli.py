@@ -275,3 +275,20 @@ def test_support_bounds_outside_the_basis_exit_2(tmp_path, capsys):
     code, err = _run_cli_err(capsys, "check-va", _edited_fixture(tmp_path, "a3.json", outside))
     assert code == 2
     assert "out of range" in err
+
+
+def test_delta_suite_zero_denominator_exits_2(capsys):
+    # used to end in a ZeroDivisionError traceback from the parser
+    code, err = _run_cli_err(capsys, "delta-suite", "--lhs", "1/0", "--rhs", "x1")
+    assert code == 2
+    assert err == "parse error: line 1, column 3: zero denominator\n"
+
+
+@pytest.mark.parametrize("box,message", [
+    ("--box=a:b", "--box expects lo:hi, got 'a:b'"),
+    ("--box=5:-5", "--box range is empty: '5:-5'"),
+])
+def test_delta_suite_box_errors_name_the_box_flag(capsys, box, message):
+    code, err = _run_cli_err(capsys, "delta-suite", box)
+    assert code == 2
+    assert err == f"contract error: {message}\n"

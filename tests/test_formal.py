@@ -5,10 +5,12 @@ import pytest
 from chiralva.errors import ContractError, IllFormedProduct, UnsupportedInput
 from chiralva.exact import Q, binom
 from chiralva.formal import (
+    DeltaAtom,
     Deriv,
     ExponentBox,
     IotaPow,
     LaurentWindow,
+    Monomial,
     Product,
     Sum,
     check_identity,
@@ -19,8 +21,11 @@ from chiralva.formal import (
     identity_three_term,
     identity_two_term,
     iota_expand,
+    jacobi_delta_terms,
     mono,
+    support_bounds,
 )
+from chiralva.formal import _count_deltas, _product_terms
 
 
 def box2(lo=-5, hi=5):
@@ -241,3 +246,322 @@ def test_expansion_is_box_independent():
         big = expand(expr, ExponentBox.cube(("x1", "x2"), -7, 7))
         restricted = {k: v for k, v in big.coeffs.items() if small.contains(k)}
         assert restricted == inner.coeffs, expr
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the earlier gather evaluator, kept here as a test-only
+# reference.  It evaluates the infinite factor of every product term at each
+# key of the box by a closed form, in Fractions, so it shares no evaluation
+# code with `expand`, only the structural helpers `support_bounds`,
+# `_product_terms` and `_count_deltas`.
+
+def _ref_is_finite(expr):
+    return all(lo != float("-inf") and hi != float("inf") for lo, hi in support_bounds(expr).values())
+
+
+def _ref_sign_pow(s, e):
+    return 1 if s == 1 or e % 2 == 0 else -1
+
+
+def _ref_pointwise(expr, key):
+    if isinstance(expr, DeltaAtom):
+        used = [v for _, v in (*expr.num, expr.den)]
+        if any(e for v, e in key.items() if v not in used):
+            return Q(0)
+        e_den = key.get(expr.den[1], 0)
+        n = -e_den
+        if len(expr.num) == 1:
+            s1, v1 = expr.num[0]
+            if key.get(v1, 0) != n:
+                return Q(0)
+            return Q(_ref_sign_pow(s1, n) * _ref_sign_pow(expr.den[0], e_den))
+        (s1, v1), (s2, v2) = expr.num
+        m = key.get(v2, 0)
+        if m < 0 or key.get(v1, 0) != n - m:
+            return Q(0)
+        sign = _ref_sign_pow(s1, n - m) * _ref_sign_pow(s2, m) * _ref_sign_pow(expr.den[0], e_den)
+        return sign * binom(n, m)
+    if isinstance(expr, IotaPow):
+        if any(e for v, e in key.items() if v not in (expr.first, expr.second)):
+            return Q(0)
+        m = key.get(expr.second, 0)
+        if m < 0 or key.get(expr.first, 0) != expr.n - m:
+            return Q(0)
+        return (-1) ** m * binom(expr.n, m)
+    if isinstance(expr, Deriv):
+        shifted = dict(key)
+        shifted[expr.var] = key.get(expr.var, 0) + 1
+        return shifted[expr.var] * _ref_pointwise(expr.body, shifted)
+    if isinstance(expr, Monomial):
+        if all(key.get(v, 0) == e for v, e in expr.exps) and all(
+            e == 0 for v, e in key.items() if v not in dict(expr.exps)
+        ):
+            return expr.coeff
+        return Q(0)
+    if isinstance(expr, Product):
+        finite = [f for f in expr.factors if _ref_is_finite(f)]
+        infinite = [f for f in expr.factors if not _ref_is_finite(f)]
+        if len(infinite) > 1:
+            raise IllFormedProduct("a product may contain at most one factor of infinite support")
+        variables = tuple(sorted(key))
+        table = {(0,) * len(variables): Q(1)}
+        if finite:
+            table = _ref_complete_table(Product(tuple(finite)), variables)
+        if not infinite:
+            return table.get(tuple(key[v] for v in variables), Q(0))
+        total = Q(0)
+        for fkey, fval in table.items():
+            rest = {v: key[v] - e for v, e in zip(variables, fkey)}
+            total += fval * _ref_pointwise(infinite[0], rest)
+        return total
+    assert isinstance(expr, Sum)
+    return sum((_ref_pointwise(t, key) for t in expr.terms), Q(0))
+
+
+def _ref_accumulate(out, key, val):
+    new = out.get(key, Q(0)) + val
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
+def _ref_complete_table(expr, variables):
+    idx = {v: i for i, v in enumerate(variables)}
+    zero = (0,) * len(variables)
+
+    def at(pairs):
+        key = list(zero)
+        for v, e in pairs:
+            key[idx[v]] = e
+        return tuple(key)
+
+    if isinstance(expr, Monomial):
+        return {at(expr.exps): expr.coeff} if expr.coeff else {}
+    if isinstance(expr, IotaPow):
+        return {
+            at(((expr.first, expr.n - m), (expr.second, m))): (-1) ** m * binom(expr.n, m)
+            for m in range(expr.n + 1)
+        }
+    out = {}
+    if isinstance(expr, Sum):
+        for t in expr.terms:
+            for key, val in _ref_complete_table(t, variables).items():
+                _ref_accumulate(out, key, val)
+        return out
+    if isinstance(expr, Product):
+        out = {zero: Q(1)}
+        for f in expr.factors:
+            nxt = {}
+            for k1, v1 in out.items():
+                for k2, v2 in _ref_complete_table(f, variables).items():
+                    _ref_accumulate(nxt, tuple(a + b for a, b in zip(k1, k2)), v1 * v2)
+            out = nxt
+        return out
+    i = idx[expr.var]
+    for key, val in _ref_complete_table(expr.body, variables).items():
+        if key[i]:
+            _ref_accumulate(out, key[:i] + (key[i] - 1,) + key[i + 1 :], key[i] * val)
+    return out
+
+
+def reference_expand(expr, box):
+    """Coefficients of `expr` on `box` by per-key gathering (the old `expand`)."""
+    extra = set(support_bounds(expr)) - set(box.variables)
+    if extra:
+        raise ContractError(f"expression uses variables {sorted(extra)} not in the box")
+    if isinstance(expr, Deriv):
+        inner = reference_expand(expr.body, box.grown(expr.var, 1))
+        i = box.index(expr.var)
+        out = {}
+        for key in box.keys():
+            val = (key[i] + 1) * inner.get(key[:i] + (key[i] + 1,) + key[i + 1 :], Q(0))
+            if val:
+                out[key] = val
+        return out
+    acc = {}
+    if isinstance(expr, Sum):
+        for t in expr.terms:
+            for key, val in reference_expand(t, box).items():
+                _ref_accumulate(acc, key, val)
+        return acc
+    for factors in _product_terms(expr):
+        if sum(_count_deltas(f) for f in factors) > 1:
+            raise IllFormedProduct("a product may contain at most one delta atom")
+        finite = [f for f in factors if _ref_is_finite(f)]
+        infinite = [f for f in factors if not _ref_is_finite(f)]
+        if len(infinite) > 1:
+            raise IllFormedProduct("a product may contain at most one factor of infinite support")
+        table = {(0,) * len(box.variables): Q(1)}
+        if finite:
+            table = _ref_complete_table(Product(tuple(finite)), box.variables)
+        if not infinite:
+            for key, val in table.items():
+                if box.contains(key):
+                    _ref_accumulate(acc, key, val)
+            continue
+        for key in box.keys():
+            total = Q(0)
+            for fkey, fval in table.items():
+                rest = {v: k - f for v, k, f in zip(box.variables, key, fkey)}
+                total += fval * _ref_pointwise(infinite[0], rest)
+            if total:
+                _ref_accumulate(acc, key, total)
+    return acc
+
+
+def _outcome(evaluate, expr, box):
+    try:
+        return dict(evaluate(expr, box))
+    except ContractError as exc:  # IllFormedProduct included
+        return (type(exc), str(exc))
+
+
+def _load_delta_templates():
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [pair for template in module.IDENTITY_TEMPLATES for pair in template]
+
+
+@pytest.mark.parametrize("hi", [4, 6])
+def test_expand_matches_reference_on_delta_window_templates(hi):
+    from chiralva.deltaparse import parse_expression
+
+    pairs = _load_delta_templates()
+    assert len(pairs) == 15
+    for lhs, rhs in pairs:
+        exprs = [parse_expression(lhs), parse_expression(rhs)]
+        used = set().union(*(support_bounds(e) for e in exprs))
+        box = ExponentBox.cube(tuple(v for v in ("x0", "x1", "x2") if v in used), -hi, hi)
+        for expr in exprs:
+            assert expand(expr, box).coeffs == reference_expand(expr, box), (expr, hi)
+
+
+def _random_any_expression(rng, depth):
+    """Atoms, sums, products and derivatives over x0, x1, x2, ill-formed ones
+    included: products may hold several deltas or infinite factors."""
+    names = ("x0", "x1", "x2")
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(4)
+        if kind == 0:
+            exps = {v: rng.randint(-2, 2) for v in rng.sample(names, rng.randint(0, 3))}
+            return mono(exps, Q(rng.randint(-2, 3), rng.randint(1, 2)))
+        if kind == 1:
+            first, second = rng.sample(names, 2)
+            return IotaPow(first, second, rng.randint(-3, 3))
+        sign = lambda: rng.choice((1, -1))  # noqa: E731
+        if kind == 2:
+            v1, v3 = rng.sample(names, 2)
+            return delta_ratio(v1, v3, sign(), sign())
+        v1, v2, v3 = rng.sample(names, 3)
+        return delta_binomial(v1, v2, v3, sign(), sign(), sign())
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Sum(tuple(_random_any_expression(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    if kind == 1:
+        return Product(tuple(_random_any_expression(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    return Deriv(rng.choice(names), _random_any_expression(rng, depth - 1))
+
+
+def test_expand_matches_reference_on_random_expressions():
+    rng = random.Random(7)
+    box = box3(-3, 3)
+    kinds = {}
+    for _ in range(2000):
+        expr = _random_any_expression(rng, rng.randint(0, 3))
+        got = _outcome(lambda e, b: expand(e, b).coeffs, expr, box)
+        want = _outcome(reference_expand, expr, box)
+        assert got == want, expr
+        kind = want[1] if isinstance(want, tuple) else bool(want)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # nonzero and zero results and both ill-formed messages, each in quantity
+    assert len(kinds) == 4 and min(kinds.values()) > 40, kinds
+
+
+def test_ill_formed_products_match_reference():
+    b = box3(-3, 3)
+    pole = IotaPow("x1", "x2", -1)
+    flip = IotaPow("x2", "x1", -1)
+    delta = delta_ratio("x1", "x2")
+    zero = mono(coeff=0)
+    cases = [
+        # the infinite-factor check runs before a zero finite factor is seen
+        (Product((zero, pole, flip)), "a product may contain at most one factor of infinite support"),
+        # sums are distributed before deltas are counted
+        (Product((delta, Sum((delta, mono())))), "a product may contain at most one delta atom"),
+        (Product((mono(), Deriv("x1", Product((delta, Sum((delta, mono()))))))),
+         "a product may contain at most one delta atom"),
+        # inside an infinite factor a product is not distributed
+        (Product((mono(), Deriv("x1", Product((pole, Sum((delta, mono()))))))),
+         "a product may contain at most one factor of infinite support"),
+        # an infinite factor met only through a zero finite factor is never evaluated
+        (Product((zero, Deriv("x1", Product((pole, flip))))), None),
+    ]
+    for expr, message in cases:
+        want = (IllFormedProduct, message) if message else {}
+        assert _outcome(reference_expand, expr, b) == want
+        assert _outcome(lambda e, box: expand(e, box).coeffs, expr, b) == want
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: sympy series (a test-only tool, never a runtime
+# dependency of the package)
+
+
+def _sympy_window(expr, symbols, box):
+    """Coefficients of a sympy Laurent polynomial that fall inside `box`."""
+    import sympy
+
+    out = {}
+    for term, coeff in sympy.expand(expr).as_coefficients_dict().items():
+        powers = term.as_powers_dict()
+        key = tuple(int(powers.get(s, 0)) for s in symbols)
+        if box.contains(key):
+            out[key] = out.get(key, Q(0)) + Q(int(coeff.p), int(coeff.q))
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", range(-4, 5))
+def test_iota_expand_matches_sympy_series(n):
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    b = box2(-6, 6)
+    series = sympy.series((x1 - x2) ** n, x2, 0, 7).removeO()
+    assert iota_expand("x1", "x2", n, b).coeffs == _sympy_window(series, (x1, x2), b)
+
+
+def test_delta_identities_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    x0, x1, x2 = symbols = sympy.symbols("x0 x1 x2")
+    lo, hi = -4, 4
+    b = box3(lo, hi)
+
+    def delta(prefix, num, second, den):
+        # prefix * sum over n of num^n (den)^-n, num^n expanded in nonnegative
+        # powers of `second`; n runs over every den exponent the box can hold
+        ns = range(-hi - 1, -lo)
+        return prefix * sum(
+            sympy.series(num**n, second, 0, hi + 1).removeO() * den ** (-n) for n in ns
+        )
+
+    t1 = delta(1 / x0, x1 - x2, x2, x0)
+    t2 = delta(1 / x0, x2 - x1, x1, -x0)
+    t3 = delta(1 / x2, x1 - x0, x0, x2)
+    two = delta(1 / x1, x2 + x0, x0, x1)
+    three_lhs = _sympy_window(t1 - t2, symbols, b)
+    assert three_lhs == _sympy_window(t3, symbols, b) != {}
+    assert _sympy_window(two, symbols, b) == _sympy_window(t3, symbols, b)
+
+    f1, f2, f3 = jacobi_delta_terms()
+    assert expand(Sum((f1, Product((mono(coeff=-1), f2)))), b).coeffs == three_lhs
+    assert expand(f3, b).coeffs == _sympy_window(t3, symbols, b)
+    lhs_two = Product((mono({"x1": -1}), delta_binomial("x2", "x0", "x1", s2=1)))
+    assert expand(lhs_two, b).coeffs == _sympy_window(two, symbols, b)
+    assert identity_two_term(b).passed and identity_three_term(b).passed
