@@ -413,7 +413,7 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo0, hi0 = rng if rng else (0, -1)
     va = A.va_view()
-    kill = d_kill_bound(va) if va.structure else 1
+    kill = d_kill_bound(va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     for i in range(A.rank):
         for j in range(A.rank):

@@ -3,7 +3,8 @@
 Scalars are rationals (`fractions.Fraction`, re-exported as `Q`), kept in
 lowest terms with positive denominator by the stdlib.  Polynomials are dense
 coefficient tuples in one variable `z`, low degree first, with no trailing
-zeros; they model the regular functions on the affine line.
+zeros; they model the regular functions on the affine line.  A coefficient
+is an `int` when it is integral and a `Fraction` otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from functools import lru_cache
 Q = Fraction
 
 QZERO = Q(0)
-QONE = Q(1)
 
 
 @lru_cache(maxsize=None)
@@ -39,11 +39,11 @@ def inv_factorial(k: int) -> Fraction:
     return Q(1, f)
 
 
-def _as_q(x) -> Fraction:
+def _as_q(x) -> int | Fraction:
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Q(x)
+        return x
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -77,9 +77,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else QZERO
-
     def derivative(self) -> "Poly":
         return Poly(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:], 0)))
 
@@ -102,7 +99,7 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return PZERO
-            out = [QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a:
                     for j, b in enumerate(other.coeffs):

@@ -19,6 +19,12 @@ symbolically:
   polynomial identities (operator commutativity and a substitution
   identity for iterated modes); the checker verifies both, which closes
   the argument over all of Z^3.
+
+The Jacobi sweep scatters: each nonzero iterated-mode entry at (p, q) is
+added, times its exact integer binomial, to every window instance that
+reads it, all on the slice l+m+n = p+q.  It runs one l at a time, and the
+least (m, n, triple) of the first failing l is the witness: the first
+failure in (l, m, n, triple) order.
 """
 
 from __future__ import annotations
@@ -226,27 +232,30 @@ def d_power(V: VAData, u: Vector, k: int) -> Vector:
     return u
 
 
-def d_kill_bound(V: VAData) -> int:
-    """Smallest K with D^K = 0 on every stored table value.
-
-    Tables whose values are not annihilated within the structural cap are
-    outside the finitely checkable class and rejected.
-    """
+def d_orbits(V: VAData) -> dict:
+    """{key: [w, Dw, D^2 w, ...]} for every stored value w, up to its last
+    nonzero power; computed once per object.  Tables whose values are not
+    annihilated within the structural cap are out of scope and rejected."""
+    if "orbits" in V._cache:
+        return V._cache["orbits"]
     cap = V.rank * (V.max_degree() + 2) + 4
-    worst = 1
+    hit = {}
     for key in sorted(V.structure):
-        w = V.structure[key]
-        k = 0
-        while not vis_zero(w):
-            w = apply_d(V, w)
-            k += 1
-            if k > cap:
+        orbit = hit[key] = [V.structure[key]]
+        while not vis_zero(w := apply_d(V, orbit[-1])):
+            if len(orbit) == cap:
                 raise UnsupportedAlgebra(
                     "derivation is not nilpotent on the structure table "
                     f"(entry {key} survives D^{cap}); such algebras are out of scope"
                 )
-        worst = max(worst, k)
-    return worst
+            orbit.append(w)
+    V._cache["orbits"] = hit
+    return hit
+
+
+def d_kill_bound(V: VAData) -> int:
+    """Smallest K with D^K = 0 on every stored table value (at least 1)."""
+    return max([1, *map(len, d_orbits(V).values())])
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +339,19 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
-    kill = d_kill_bound(V) if V.structure else 1
+    kill = d_kill_bound(V)
     lo, hi = merge_window(a - kill, b + 1, window)
+    orbits = d_orbits(V)
     for i in range(V.rank):
         for j in range(V.rank):
             for m in range(lo, hi + 1):
                 lhs = V.mode(i, m, j)
                 rhs = vzero(V.rank)
                 for k in range(max(0, a - m), b - m + 1):
-                    w = V.structure.get((j, k + m, i))
-                    if w is None:
-                        continue
-                    sign = Q(1) if (k + m + 1) % 2 == 0 else Q(-1)
-                    rhs = vadd(rhs, vscale(sign * inv_factorial(k), d_power(V, w, k)))
+                    orbit = orbits.get((j, k + m, i), ())
+                    if k < len(orbit):
+                        sign = Q(1) if (k + m + 1) % 2 == 0 else Q(-1)
+                        rhs = vadd(rhs, vscale(sign * inv_factorial(k), orbit[k]))
                 if lhs != rhs:
                     return CheckReport(
                         name, label, False, f"window m in [{lo}..{hi}]",
@@ -379,51 +388,51 @@ def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     return left, right
 
 
-def _instance_tables(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict, dict]:
-    """The three tables one Jacobi instance reads: (u_p v)_q w, u_p (v_q w)
-    and v_p (u_q w)."""
-    return (*iterated_modes(V, iu, iv, iw), iterated_modes(V, iv, iu, iw)[1])
+def _scalars(table: dict) -> list:
+    """An iterated-mode table as [(p, q, [((coord, deg), nonzero scalar), ...])]."""
+    return [(p, q, [((c, d), x) for c, poly in enumerate(vec) for d, x in enumerate(poly.coeffs) if x])
+            for (p, q), vec in table.items()]
 
 
-def _jacobi_terms(a: int, b: int, l: int, m: int, n: int) -> tuple[list, list, list]:
-    """The (l, m, n) component Jacobi identity
+def _jacobi_slice(l: int, lo: int, hi: int, reach: list) -> dict:
+    """lhs - rhs of the component Jacobi identity
 
         sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
           = sum_i (-1)^i binom(l, i) u_{m+l-i} (v_{n+i} w)
             - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
 
-    as one list of (table key, exact int coefficient) per sum, the last sign
-    folded in.  Keys off the support square [a..b]^2 read zero and are left
-    out, as are zero binomials."""
-    left = [((l + i, m + n - i), c) for i in range(max(0, a - l), b - l + 1)
-            if a <= m + n - i <= b and (c := int(binom(m, i)))]
-    right_uv = [((m + l - i, n + i), c) for i in range(max(0, a - n), b - n + 1)
-                if a <= m + l - i <= b and (c := (-1) ** i * int(binom(l, i)))]
-    right_vu = [((n + l - i, m + i), c) for i in range(max(0, a - m), b - m + 1)
-                if a <= n + l - i <= b and (c := (-1) ** ((l + i + 1) % 2) * int(binom(l, i)))]
-    return left, right_uv, right_vu
+    on the slice l, as {((m, n, triple), (coord, deg)): exact scalar} over
+    (m, n) in [lo..hi]^2, zero where the terms cancel.  Each table entry at
+    (p, q) is scattered to the points that read it, all with l+m+n = p+q."""
+    acc: dict = {}
 
+    def put(m: int, n: int, triple, c: int, scalars) -> None:
+        if c:
+            for cd, x in scalars:
+                key = ((m, n, triple), cd)
+                acc[key] = acc.get(key, 0) + c * x
 
-def _combine(table: dict, terms: list, acc):
-    """acc + sum c * table[key] over the terms; None stands for zero."""
-    for key, c in terms:
-        val = table.get(key)
-        if val is not None:
-            acc = vscale(c, val) if acc is None else vadd(acc, vscale(c, val))
+    for triple, left, right_uv, right_vu in reach:
+        for p, q, xs in left:  # (u_p v)_q w: i = p - l, n = p + q - l - m
+            s, i = p + q - l, p - l
+            if i >= 0:
+                for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
+                    put(m, s - m, triple, int(binom(m, i)), xs)
+        for p, q, xs in right_uv:  # u_p (v_q w): i = q - n, m = p + q - l - n
+            s = p + q - l
+            for n in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
+                put(s - n, n, triple, (-1) ** ((q - n + 1) % 2) * int(binom(l, q - n)), xs)
+        for p, q, xs in right_vu:  # v_p (u_q w): i = q - m, n = p + q - l - m
+            s = p + q - l
+            for m in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
+                put(m, s - m, triple, (-1) ** ((l + q - m) % 2) * int(binom(l, q - m)), xs)
     return acc
 
 
-def _jacobi_sides(tables, terms, zero: Vector) -> tuple[Vector, Vector]:
-    left, right_uv, right_vu = tables
-    lhs = _combine(left, terms[0], None)
-    rhs = _combine(right_vu, terms[2], _combine(right_uv, terms[1], None))
-    return lhs or zero, rhs or zero
-
-
-def jacobi_instance(V: VAData, iu: int, iv: int, iw: int, l: int, m: int, n: int):
-    """Left and right sides of the component Jacobi identity; finite i-sums."""
-    terms = _jacobi_terms(*(V.global_support() or (0, -1)), l, m, n)
-    return _jacobi_sides(_instance_tables(V, iu, iv, iw), terms, vzero(V.rank))
+def _slice_points(lo: int, hi: int, s_lo: int, s_hi: int) -> int:
+    """#{(l, m, n) in [lo..hi]^3 : s_lo <= l+m+n <= s_hi}, one n-interval per (l, m)."""
+    return sum(max(0, min(hi, s_hi - l - m) - max(lo, s_lo - l - m) + 1)
+               for l, m in product(range(lo, hi + 1), repeat=2))
 
 
 def _locality_witness(V: VAData, a: int, b: int) -> str | None:
@@ -483,29 +492,23 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     a, b = rng if rng else (0, -1)
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
-    triples = list(product(range(V.rank), repeat=3))
-    tables: dict = {}  # triple -> its _instance_tables, fetched on first use
-    zero = vzero(V.rank)
-    swept = 0
-    for l, m, n in product(range(lo, hi + 1), repeat=3):
-        if not (2 * a <= l + m + n <= 2 * b):
-            continue  # every term of every side is zero off these slices
-        terms = _jacobi_terms(a, b, l, m, n)
-        for triple in triples:
-            tabs = tables.get(triple) or tables.setdefault(triple, _instance_tables(V, *triple))
-            lhs, rhs = _jacobi_sides(tabs, terms, zero)
-            swept += 1
-            if lhs != rhs:
-                return CheckReport(
-                    name, label, False, f"window (l,m,n) in [{lo}..{hi}]^3",
-                    f"({triple_name(V, *triple)}, l={l}, m={m}, n={n})",
-                )
+    reach = [(t, *map(_scalars, (*iterated_modes(V, *t), iterated_modes(V, t[1], t[0], t[2])[1])))
+             for t in product(range(V.rank), repeat=3)]
+    for l in range(lo, hi + 1):
+        failing = [key for key, x in _jacobi_slice(l, lo, hi, reach).items() if x]
+        if failing:  # the first failing instance in (l, m, n, triple) order
+            (m, n, triple), _ = min(failing)
+            return CheckReport(
+                name, label, False, f"window (l,m,n) in [{lo}..{hi}]^3",
+                f"({triple_name(V, *triple)}, l={l}, m={m}, n={n})",
+            )
     witness = closure_witness(V, a, b)
     if witness is not None:
         return CheckReport(
             name, label, False,
             f"window (l,m,n) in [{lo}..{hi}]^3 plus closure certificates", witness,
         )
+    swept = V.rank ** 3 * _slice_points(lo, hi, 2 * a, 2 * b)
     return CheckReport(
         name, label, True,
         f"window (l,m,n) in [{lo}..{hi}]^3 with l+m+n in [{2*a}..{2*b}] "

@@ -1,8 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralva.exact import Poly, Q, binom
+from chiralva.exact import Poly, Q, binom, format_poly
+from chiralva.serialize import dumps
+from chiralva.vertex import VAData
 
 
 def test_binom_examples():
@@ -71,3 +76,69 @@ def test_poly_normalization():
     assert Poly((0, 0)).coeffs == ()
     assert Poly((0, 1)).degree == 1
     assert Poly().degree == -1
+
+
+# ---------------------------------------------------------------------------
+# integral coefficients are stored as int, others as Fraction; a reference
+# in Fractions only fixes the values, equality, hashing and rendering
+
+_SCALAR = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+_COEFFS = st.lists(_SCALAR, max_size=5)
+
+
+def _ref(cs):
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_add(a, b, sign=1):
+    width = max(len(a), len(b))
+    a, b = a + (0,) * (width - len(a)), b + (0,) * (width - len(b))
+    return _ref([x + sign * y for x, y in zip(a, b)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _fraction_poly(ref):
+    # a Poly holding the reference Fractions as they are, bypassing __init__
+    p = object.__new__(Poly)
+    p.coeffs = ref
+    return p
+
+
+def _assert_normal(p, ref):
+    assert p.coeffs == ref and hash(p) == hash(ref)
+    for c in p.coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+    assert format_poly(p) == format_poly(_fraction_poly(ref))
+    dumped = [dumps(VAData(1, "Q[z]", ("e",), {(0, -1, 0): (x,)}, ((Poly(),),)))
+              for x in (p, _fraction_poly(ref))]
+    assert dumped[0] == dumped[1]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_COEFFS, _COEFFS, _SCALAR)
+def test_integral_coefficients_stay_int(xs, ys, c):
+    p, q = Poly(xs), Poly(ys)
+    rp, rq = _ref(xs), _ref(ys)
+    _assert_normal(p, rp)
+    _assert_normal(q, rq)
+    _assert_normal(p + q, _ref_add(rp, rq))
+    _assert_normal(p - q, _ref_add(rp, rq, -1))
+    _assert_normal(p * q, _ref_mul(rp, rq))
+    _assert_normal(p.derivative(), _ref([k * a for k, a in enumerate(rp)][1:]))
+    _assert_normal(p * c, _ref([Fraction(c) * a for a in rp]))
+    _assert_normal(c * p, _ref([Fraction(c) * a for a in rp]))
+    assert (p == q) == (rp == rq)
+    assert p == _fraction_poly(rp)

@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import product
 
 import pytest
 
@@ -13,8 +14,10 @@ from chiralva.errors import (
 )
 from chiralva.exact import PZERO, Poly, Q, binom
 from chiralva.fixtures import a3_va, corpus, trivial_rank1, truncated_poly_va
+from chiralva.report import CheckReport
 from chiralva.vertex import (
     VAData,
+    _slice_points,
     apply_d,
     bump_structure_constant,
     check_all_va,
@@ -22,13 +25,18 @@ from chiralva.vertex import (
     check_jacobi,
     check_skew_symmetry,
     check_truncation,
+    closure_witness,
+    d_kill_bound,
+    d_orbits,
+    d_power,
     iterated_modes,
-    jacobi_instance,
     make_commutative_va,
+    merge_window,
     mode_left,
     mode_vec,
     mutation_sites,
     tensor_with_ox,
+    triple_name,
     unit,
     vadd,
     vconst,
@@ -247,8 +255,9 @@ def test_non_nilpotent_derivation_detected():
     ident = (unit(1, 0),)
     table = {(0, -1, 0): unit(1, 0)}
     v = VAData(1, "Q", ("e",), table, ident)
-    with pytest.raises(UnsupportedAlgebra):
-        check_skew_symmetry(v)
+    for _ in range(2):  # a rejected table leaves no partial D-orbits behind
+        with pytest.raises(UnsupportedAlgebra, match=r"survives D\^6"):
+            check_skew_symmetry(v)
 
 
 def test_mutation_sensitivity_every_nonzero_constant():
@@ -298,11 +307,7 @@ def test_jacobi_sweep_failure_implies_certificate_failure():
     # Z^3, so they must fail as well
     import random as _random
 
-    from chiralva.vertex import (
-        _associativity_witness,
-        _locality_witness,
-        jacobi_instance,
-    )
+    from chiralva.vertex import _associativity_witness, _locality_witness
 
     rng = _random.Random(23)
     v0 = a3_va()
@@ -334,6 +339,154 @@ def test_support_bounds_must_name_basis_pairs():
     v = a3_va()
     with pytest.raises(ContractError, match="out of range"):
         VAData(3, "Q", v.basis_names, dict(v.structure), v.d_cols, {(9, 9): (-1, -1)})
+
+
+# ---------------------------------------------------------------------------
+# gather Jacobi sweep: each (l, m, n) instance sums its signed binomials times
+# lookups in the three iterated-mode tables.  check_jacobi scatters instead;
+# this per-instance form is kept here as its oracle.
+
+
+def _jacobi_terms(a, b, l, m, n):
+    """The (l, m, n) component Jacobi identity
+
+        sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
+          = sum_i (-1)^i binom(l, i) u_{m+l-i} (v_{n+i} w)
+            - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
+
+    as one list of (table key, exact int coefficient) per sum, the last sign
+    folded in.  Keys off the support square [a..b]^2 read zero and are left
+    out, as are zero binomials."""
+    left = [((l + i, m + n - i), c) for i in range(max(0, a - l), b - l + 1)
+            if a <= m + n - i <= b and (c := int(binom(m, i)))]
+    right_uv = [((m + l - i, n + i), c) for i in range(max(0, a - n), b - n + 1)
+                if a <= m + l - i <= b and (c := (-1) ** i * int(binom(l, i)))]
+    right_vu = [((n + l - i, m + i), c) for i in range(max(0, a - m), b - m + 1)
+                if a <= n + l - i <= b and (c := (-1) ** ((l + i + 1) % 2) * int(binom(l, i)))]
+    return left, right_uv, right_vu
+
+
+def _combine(table, terms, acc):
+    """acc + sum c * table[key] over the terms; None stands for zero."""
+    for key, c in terms:
+        val = table.get(key)
+        if val is not None:
+            acc = vscale(c, val) if acc is None else vadd(acc, vscale(c, val))
+    return acc
+
+
+def _jacobi_sides(tables, terms, zero):
+    left, right_uv, right_vu = tables
+    lhs = _combine(left, terms[0], None)
+    rhs = _combine(right_vu, terms[2], _combine(right_uv, terms[1], None))
+    return lhs or zero, rhs or zero
+
+
+def _instance_tables(V, iu, iv, iw):
+    """(u_p v)_q w, u_p (v_q w) and v_p (u_q w): the tables an instance reads."""
+    return (*iterated_modes(V, iu, iv, iw), iterated_modes(V, iv, iu, iw)[1])
+
+
+def jacobi_instance(V, iu, iv, iw, l, m, n):
+    """Left and right sides of the component Jacobi identity; finite i-sums."""
+    terms = _jacobi_terms(*(V.global_support() or (0, -1)), l, m, n)
+    return _jacobi_sides(_instance_tables(V, iu, iv, iw), terms, vzero(V.rank))
+
+
+def gather_check_jacobi(V, window=None):
+    """check_jacobi as a gather over every (l, m, n, triple) of the window,
+    in that order, with the same window, certificates and report text."""
+    name, label = "jacobi", "jac-comp"
+    rng = V.global_support()
+    if rng is None and window is None:
+        return CheckReport(name, label, True, "empty table, vacuous")
+    a, b = rng if rng else (0, -1)
+    span = b - a + 1
+    lo, hi = merge_window(a - span - 1, b + span + 1, window)
+    tables = {t: _instance_tables(V, *t) for t in product(range(V.rank), repeat=3)}
+    zero = vzero(V.rank)
+    swept = 0
+    for l, m, n in product(range(lo, hi + 1), repeat=3):
+        if not (2 * a <= l + m + n <= 2 * b):
+            continue
+        terms = _jacobi_terms(a, b, l, m, n)
+        for triple, tabs in tables.items():
+            lhs, rhs = _jacobi_sides(tabs, terms, zero)
+            swept += 1
+            if lhs != rhs:
+                return CheckReport(
+                    name, label, False, f"window (l,m,n) in [{lo}..{hi}]^3",
+                    f"({triple_name(V, *triple)}, l={l}, m={m}, n={n})",
+                )
+    witness = closure_witness(V, a, b)
+    if witness is not None:
+        return CheckReport(
+            name, label, False,
+            f"window (l,m,n) in [{lo}..{hi}]^3 plus closure certificates", witness,
+        )
+    return CheckReport(
+        name, label, True,
+        f"window (l,m,n) in [{lo}..{hi}]^3 with l+m+n in [{2*a}..{2*b}] "
+        f"({swept} instances); off-slice terms vanish by support arithmetic; "
+        "commutativity and composition certificates close the identity over Z^3",
+    )
+
+
+SCATTER_CASES = [
+    ("a3", a3_va(), None),
+    ("a3-window", a3_va(), (-9, 4)),
+    *((f"ladder-{k}", tensor_with_ox(truncated_poly_va(k, [Q(0), Q(0), Q(1), Q(1, 2)])), None)
+      for k in (4, 5)),
+    ("empty-window", VAData(1, "Q", ("e",), {}, (vzero(1),)), (-2, 3)),
+    *((name, V, None) for name, V in corpus()),
+]
+SCATTER_IDS = [case[0] for case in SCATTER_CASES]
+
+
+@pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
+def test_scatter_jacobi_matches_gather(name, V, window):
+    assert check_jacobi(V, window) == gather_check_jacobi(V, window)
+
+
+def test_scatter_jacobi_matches_gather_on_every_criterion_7_mutant():
+    mutants = list(_criterion_7_mutants(30))
+    assert len(mutants) == 211
+    failing = 0
+    for mutant in mutants:
+        want = gather_check_jacobi(mutant)
+        assert check_jacobi(mutant) == want, want
+        failing += not want.passed
+    assert failing > 150
+
+
+@pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
+def test_instance_count_closed_form_matches_enumeration(name, V, window):
+    a, b = V.global_support() or (0, -1)
+    span = b - a + 1
+    lo, hi = merge_window(a - span - 1, b + span + 1, window)
+    counted = sum(1 for l, m, n in product(range(lo, hi + 1), repeat=3)
+                  if 2 * a <= l + m + n <= 2 * b)
+    assert _slice_points(lo, hi, 2 * a, 2 * b) == counted
+
+
+def test_instance_count_closed_form_edge_windows():
+    for lo, hi, s_lo, s_hi in [(0, 0, 0, 0), (0, 0, 1, 1), (-3, 2, 5, 6), (-3, 2, -9, -9),
+                               (-3, 2, -10, -10), (-4, 4, -2, -3), (-5, 5, -100, 100)]:
+        counted = sum(1 for p in product(range(lo, hi + 1), repeat=3) if s_lo <= sum(p) <= s_hi)
+        assert _slice_points(lo, hi, s_lo, s_hi) == counted
+
+
+def test_skew_orbits_match_d_power_and_kill_bound():
+    for V in (a3_va(), LADDER_4, *_criterion_7_mutants(1)):
+        orbits = d_orbits(V)
+        assert d_orbits(V) is orbits  # computed once per object
+        assert set(orbits) == set(V.structure)
+        for key, orbit in orbits.items():
+            for k in range(len(orbit) + 2):
+                want = d_power(V, V.structure[key], k)
+                assert (orbit[k] if k < len(orbit) else vzero(V.rank)) == want
+            assert not any(vis_zero(w) for w in orbit)
+        assert d_kill_bound(V) == max([1, *(len(o) for o in orbits.values())])
 
 
 # ---------------------------------------------------------------------------
