@@ -31,7 +31,6 @@ from .vertex import (
     closure_witness,
     contract,
     d_kill_bound,
-    d_power,
     iterated_modes,
     merge_window,
     pair_name,
@@ -405,41 +404,34 @@ def check_dmodule_morphism(A: ChiralData, window=None) -> CheckReport:
 
 def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     """mu o sigma_12 = -mu on generators: swap the arguments, flip the sign
-    of the exponent parity, and re-express the d2-indexed family in d1 form;
-    also checks the m = 0 extraction identity."""
+    of the exponent parity, and re-express the d2-indexed family in d1 form.
+
+    The swapped section sum_m d2^m B^n_m(v, u) is summed in one Horner pass,
+    so d2 is applied once per layer.  Its degree 0 is the m = 0 extraction
+    identity (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v), since d2 sends
+    degree 0 to D at degree 0 and explicit layers have m >= 1."""
     name, label = "chiral-skew", "sigma12"
     rng = A.effective_support()
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo0, hi0 = rng if rng else (0, -1)
-    va = A.va_view()
-    kill = d_kill_bound(va)
+    kill = d_kill_bound(A.va_view())
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     for i in range(A.rank):
         for j in range(A.rank):
             for n in _sweep_ns(A, lo, hi):
                 sec_vu = A.basis_section(j, n, i)
-                sign_n = Q(1) if n % 2 == 0 else Q(-1)
                 route: DiagSection = {}
-                for m in sorted(sec_vu):
-                    img: DiagSection = {0: sec_vu[m]}
-                    for _ in range(m):
-                        img = diag_apply_d2(A, img)
-                    route = diag_add(route, diag_scale(sign_n, img))
-                target = diag_scale(Q(-1), A.basis_section(i, n, j))
-                if not diag_eq(route, target):
+                for m in range(max(sec_vu, default=-1), -1, -1):
+                    route = diag_apply_d2(A, route)
+                    if m in sec_vu:
+                        accumulate(route, 0, sec_vu[m])
+                if n % 2:
+                    route = diag_scale(Q(-1), route)
+                if not diag_eq(route, diag_scale(Q(-1), A.basis_section(i, n, j))):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
                         f"({pair_name(A, i, j)}, n={n})",
-                    )
-                extraction = vzero(A.rank)
-                sign = Q(-1) if n % 2 == 0 else Q(1)  # (-1)^{n+1}
-                for m in sorted(sec_vu):
-                    extraction = vadd(extraction, vscale(sign, d_power(va, sec_vu[m], m)))
-                if extraction != A.b_layer(i, n, j, 0):
-                    return CheckReport(
-                        name, label, False, f"window n in [{lo}..{hi}]",
-                        f"m=0 extraction at ({pair_name(A, i, j)}, n={n})",
                     )
     return CheckReport(
         name, label, True,
@@ -477,10 +469,10 @@ def _key_terms(lo: int, hi: int, m1: int, M: int, N: int) -> list:
     ((u_p v)_q w, u_p (v_q w), v_p (u_q w)), from the expansions of (z1-z3)^M in
     powers of z1-z2 and of (z1-z2)^m1 in powers of z2-z3; keys off [lo..hi]^2
     read zero and are left out."""
-    terms = [(0, (m1 + i, M + N - i), int(binom(M, i)))
+    terms = [(0, (m1 + i, M + N - i), binom(M, i))
              for i in range(max(0, lo - m1), hi - m1 + 1) if lo <= M + N - i <= hi]
     for t, a, b, sign in ((1, M, N, -1), (2, N, M, (-1) ** (m1 % 2))):  # right: uv - (-1)^m1 vu
-        terms += [(t, (m1 + a - i, b + i), sign * (-1) ** i * int(binom(m1, i)))
+        terms += [(t, (m1 + a - i, b + i), sign * (-1) ** i * binom(m1, i))
                   for i in range(max(0, lo - b), hi - b + 1) if lo <= m1 + a - i <= hi]
     return [term for term in terms if term[2]]
 

@@ -9,6 +9,7 @@ is an `int` when it is integral and a `Fraction` otherwise.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,18 +18,13 @@ Q = Fraction
 QZERO = Q(0)
 
 
-@lru_cache(maxsize=None)
-def binom(n: int, m: int) -> Fraction:
+def binom(n: int, m: int) -> int:
     """Generalized binomial coefficient n(n-1)...(n-m+1)/m! for integer n, m >= 0."""
     if m < 0:
         raise ValueError(f"binom requires m >= 0, got m={m}")
-    num = 1
-    for k in range(m):
-        num *= n - k
-    den = 1
-    for k in range(2, m + 1):
-        den *= k
-    return Q(num, den)
+    if n >= 0:
+        return math.comb(n, m)
+    return (-1) ** m * math.comb(m - n - 1, m)
 
 
 @lru_cache(maxsize=None)

@@ -26,14 +26,7 @@ from .vertex import (
 
 def a3_va() -> VAData:
     """Q[t]/(t^3) with D = t^2 d/dt, basis (1, t, t2)."""
-    names = ("1", "t", "t2")
-    mult = {}
-    for i in range(3):
-        for j in range(3):
-            if i + j < 3:
-                mult[(i, j)] = unit(3, i + j)
-    d_cols = (vzero(3), vconst(3, [0, 0, 1]), vzero(3))  # D(t) = t^2
-    return make_commutative_va(mult, d_cols, names)
+    return truncated_poly_va(3, [0, 0, 1])
 
 
 def trivial_rank1() -> VAData:
@@ -105,9 +98,10 @@ def elementary_rational_matrix(rank: int, seed: int) -> tuple[tuple[Vector, ...]
     (columns of P, columns of P^-1) built from elementary shears.
 
     Entries stay constant: a base change with nonconstant polynomial entries
-    cannot preserve the axioms under the plain Q[z]-bilinear reading of the
-    mode table, because the derivation rule injects derivative terms that
-    plain bilinearity does not see.
+    does not preserve the axioms under the Q[z]-bilinear reading of the mode
+    table that this package uses, because the derivation rule injects
+    derivative terms that plain bilinearity does not see.  This is a
+    property of that reading, not of the algebras.
     """
     rng = random.Random(seed)
     ident = tuple(unit(rank, i) for i in range(rank))

@@ -27,12 +27,11 @@ divergent coefficient sum.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, IllFormedProduct, UnsupportedInput
-from .exact import Q, QZERO
+from .exact import Q, QZERO, binom
 
 VARIABLES = ("x0", "x1", "x2")
 
@@ -315,9 +314,8 @@ def _atom(expr: Expr, box: ExponentBox) -> dict:
     for n in ns:
         mhi = min(hi2, n - lo1) if n < 0 else min(hi2, n - lo1, n)
         for m in range(max(0, lo2, n - hi1), mhi + 1):
-            # binom(n, m) = (-1)^m comb(m - n - 1, m) for n < 0
-            val = math.comb(n, m) if n >= 0 else math.comb(m - n - 1, m)
-            odd = ((s1 < 0) * (n - m) + (s2 < 0) * m + (s3 < 0) * n + (n < 0) * m) % 2
+            val = binom(n, m)
+            odd = ((s1 < 0) * (n - m) + (s2 < 0) * m + (s3 < 0) * n) % 2
             exps = (n - m, m, -n, 0)
             out[tuple(exps[j] for j in where)] = -val if odd else val
     return out

@@ -224,14 +224,6 @@ def apply_d(V: VAData, u: Vector) -> Vector:
     return vadd(tuple(c.derivative() for c in u), matvec_cols(V.d_cols, u))
 
 
-def d_power(V: VAData, u: Vector, k: int) -> Vector:
-    for _ in range(k):
-        if vis_zero(u):
-            return u
-        u = apply_d(V, u)
-    return u
-
-
 def d_orbits(V: VAData) -> dict:
     """{key: [w, Dw, D^2 w, ...]} for every stored value w, up to its last
     nonzero power; computed once per object.  Tables whose values are not
@@ -417,15 +409,15 @@ def _jacobi_slice(l: int, lo: int, hi: int, reach: list) -> dict:
             s, i = p + q - l, p - l
             if i >= 0:
                 for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
-                    put(m, s - m, triple, int(binom(m, i)), xs)
+                    put(m, s - m, triple, binom(m, i), xs)
         for p, q, xs in right_uv:  # u_p (v_q w): i = q - n, m = p + q - l - n
             s = p + q - l
             for n in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
-                put(s - n, n, triple, (-1) ** ((q - n + 1) % 2) * int(binom(l, q - n)), xs)
+                put(s - n, n, triple, (-1) ** ((q - n + 1) % 2) * binom(l, q - n), xs)
         for p, q, xs in right_vu:  # v_p (u_q w): i = q - m, n = p + q - l - m
             s = p + q - l
             for m in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
-                put(m, s - m, triple, (-1) ** ((l + q - m) % 2) * int(binom(l, q - m)), xs)
+                put(m, s - m, triple, (-1) ** ((l + q - m) % 2) * binom(l, q - m), xs)
     return acc
 
 
@@ -579,22 +571,13 @@ def make_commutative_va(
                     f"D(xy) = {format_vector(lhs, names)} but "
                     f"(Dx)y + x(Dy) = {format_vector(rhs, names)}"
                 )
-    kill = 0
-    for i in range(rank):
-        w = unit(rank, i)
-        k = 0
-        while not vis_zero(w):
-            w = dmat(w)
-            k += 1
-            if k > rank:
-                raise NotNilpotent(f"witness basis vector {names[i]}: D^{rank} != 0")
-        kill = max(kill, k)
-
     structure = {}
     for i in range(rank):
         w = unit(rank, i)
         k = 0
         while not vis_zero(w):
+            if k == rank:
+                raise NotNilpotent(f"witness basis vector {names[i]}: D^{rank} != 0")
             for j in range(rank):
                 val = vscale(inv_factorial(k), prod(w, unit(rank, j)))
                 if not vis_zero(val):

@@ -13,6 +13,7 @@ from chiralva.chiral import (
     _generator_sweep,
     _key_terms,
     _keyed_sweep,
+    _sweep_ns,
     bump_b_entry,
     check_all_chiral,
     check_chiral_jacobi,
@@ -34,15 +35,17 @@ from chiralva.chiral import (
 from chiralva.equivalence import va_to_chiral
 from chiralva.exact import Poly, Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
+from chiralva.report import CheckReport
 from chiralva.vertex import (
     apply_d,
     bump_structure_constant,
-    d_power,
+    d_kill_bound,
     iterated_modes,
     mode_left,
     mode_vec,
     merge_window,
     mutation_sites,
+    pair_name,
     tensor_with_ox,
     unit,
     vadd,
@@ -50,6 +53,7 @@ from chiralva.vertex import (
     vscale,
     vzero,
 )
+from test_vertex import d_power
 
 
 def a3_chiral() -> ChiralData:
@@ -535,3 +539,99 @@ def test_keyed_sweep_matches_generator_loop_on_mutants():
             assert keyed == _chiral_jacobi(A, None, _generator_sweep), (_name, site)
             reports += 1
     assert reports == 211
+
+
+# ---------------------------------------------------------------------------
+# reference chiral skew check: every power of d2 rebuilt from scratch per
+# layer, and the m = 0 extraction identity checked separately afterwards
+
+
+def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
+    name, label = "chiral-skew", "sigma12"
+    rng = A.effective_support()
+    if rng is None and window is None:
+        return CheckReport(name, label, True, "empty table, vacuous")
+    lo0, hi0 = rng if rng else (0, -1)
+    va = A.va_view()
+    kill = d_kill_bound(va)
+    lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
+    for i in range(A.rank):
+        for j in range(A.rank):
+            for n in _sweep_ns(A, lo, hi):
+                sec_vu = A.basis_section(j, n, i)
+                sign_n = Q(1) if n % 2 == 0 else Q(-1)
+                route = {}
+                for m in sorted(sec_vu):
+                    img = {0: sec_vu[m]}
+                    for _ in range(m):
+                        img = diag_apply_d2(A, img)
+                    route = diag_add(route, diag_scale(sign_n, img))
+                target = diag_scale(Q(-1), A.basis_section(i, n, j))
+                if not diag_eq(route, target):
+                    return CheckReport(
+                        name, label, False, f"window n in [{lo}..{hi}]",
+                        f"({pair_name(A, i, j)}, n={n})",
+                    )
+                extraction = vzero(A.rank)
+                sign = Q(-1) if n % 2 == 0 else Q(1)  # (-1)^{n+1}
+                for m in sorted(sec_vu):
+                    extraction = vadd(extraction, vscale(sign, d_power(va, sec_vu[m], m)))
+                if extraction != A.b_layer(i, n, j, 0):
+                    return CheckReport(
+                        name, label, False, f"window n in [{lo}..{hi}]",
+                        f"m=0 extraction at ({pair_name(A, i, j)}, n={n})",
+                    )
+    return CheckReport(
+        name, label, True,
+        f"window n in [{lo}..{hi}]; every generator bundles the component "
+        f"identities at m >= n, and terms vanish below the window "
+        f"(support [{lo0}..{hi0}], D-kill bound {kill})",
+    )
+
+
+@pytest.mark.parametrize("window", [None, (-9, 4)], ids=["default", "window-9:4"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_horner_skew_matches_reference_on_corpus(name, window):
+    A = va_to_chiral(dict(corpus())[name], checked=False)
+    assert check_chiral_skew(A, window) == reference_check_chiral_skew(A, window)
+
+
+def test_horner_skew_matches_reference_on_every_criterion_7_mutant():
+    reports = failing = 0
+    for _name, V in corpus():
+        for site in mutation_sites(V, 30):
+            A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
+            want = reference_check_chiral_skew(A)
+            assert check_chiral_skew(A) == want, (_name, site)
+            reports += 1
+            failing += not want.passed
+    assert reports == 211 and failing > 0
+
+
+def test_horner_skew_matches_reference_on_explicit_layer_mutants():
+    # one bumped explicit layer m in {1, 2} at every (i, n, j) around the
+    # support: the sweep then also visits n - 1, n, n + 1
+    reports = failing = 0
+    for name in ("a3", "trivial-rank1", "a3-basis-change"):
+        A = va_to_chiral(dict(corpus())[name], checked=False)
+        lo, hi = A.effective_support()
+        for i, j, n, m in product(range(A.rank), range(A.rank), range(lo - 2, hi + 1), (1, 2)):
+            B = bump_b_entry(A, i, n, j, m, (i + j) % A.rank)
+            want = reference_check_chiral_skew(B)
+            assert check_chiral_skew(B) == want, (name, i, n, j, m)
+            reports += 1
+            failing += not want.passed
+    assert (reports, failing) == (150, 139)
+
+
+@pytest.mark.parametrize("name", ["a3", "a3-basis-change"])
+def test_d2_power_at_degree_zero_is_d_power(name):
+    # the lemma that makes the m = 0 extraction identity degree 0 of the
+    # section comparison: d2 sends degree 0 to D at degree 0
+    A = va_to_chiral(dict(corpus())[name], checked=False)
+    va = A.va_view()
+    for x in A.m0.values():
+        img = {0: x}
+        for m in range(d_kill_bound(va) + 2):
+            assert img.get(0, vzero(A.rank)) == d_power(va, x, m), (x, m)
+            img = diag_apply_d2(A, img)

@@ -1,0 +1,62 @@
+"""Dead-code guard over the package source, with the stdlib `ast` only.
+
+Fails when a module-level import of a package module (other than
+`__init__.py`, which re-exports) is never referenced in that module, or
+when a module-level `_private` function or class is referenced nowhere in
+the package besides its own definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chiralva"
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _bound_names(node):
+    """Names a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _loaded_names(tree) -> Counter:
+    """Every identifier the module reads: bare names and attribute names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        loaded = _loaded_names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: {bound}" for bound in _bound_names(node) if not loaded[bound]]
+    assert not unused, unused
+
+
+def test_every_private_definition_is_referenced():
+    loaded = Counter()
+    imported = Counter()
+    for tree in MODULES.values():
+        loaded += _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+    dead = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                private = node.name.startswith("_") and not node.name.startswith("__")
+                if private and not loaded[node.name] and not imported[node.name]:
+                    dead.append(f"{name}: {node.name}")
+    assert not dead, dead

@@ -19,6 +19,15 @@ def test_binom_examples():
         assert binom(n, 0) == 1
 
 
+def test_binom_is_the_exact_falling_factorial_integer():
+    for n in range(-30, 31):
+        falling = Fraction(1)
+        for m in range(31):
+            got = binom(n, m)
+            assert type(got) is int and got == falling, (n, m)
+            falling = falling * (n - m) / (m + 1)  # n(n-1)...(n-m)/(m+1)!
+
+
 def test_binom_rejects_negative_lower_index():
     with pytest.raises(ValueError):
         binom(3, -1)

@@ -17,6 +17,7 @@ from chiralva.fixtures import a3_va, corpus, trivial_rank1, truncated_poly_va
 from chiralva.report import CheckReport
 from chiralva.vertex import (
     VAData,
+    Vector,
     _slice_points,
     apply_d,
     bump_structure_constant,
@@ -28,7 +29,6 @@ from chiralva.vertex import (
     closure_witness,
     d_kill_bound,
     d_orbits,
-    d_power,
     iterated_modes,
     make_commutative_va,
     merge_window,
@@ -45,6 +45,15 @@ from chiralva.vertex import (
     vscale,
     vzero,
 )
+
+def d_power(V: VAData, u: Vector, k: int) -> Vector:
+    """D^k u by k plain applications of D: the reference for `d_orbits`."""
+    for _ in range(k):
+        if vis_zero(u):
+            return u
+        u = apply_d(V, u)
+    return u
+
 
 # ---------------------------------------------------------------------------
 # independent oracle for A3 = Q[t]/(t^3), D = t^2 d/dt, as a commutative
@@ -223,8 +232,14 @@ def test_make_commutative_va_error_taxonomy():
         make_commutative_va(mult, (vzero(2), vzero(2)), ("a", "b"))
 
     # zero product admits any matrix as a derivation; the identity is not nilpotent
-    with pytest.raises(NotNilpotent):
+    with pytest.raises(NotNilpotent, match=r"^witness basis vector a: D\^2 != 0$"):
         make_commutative_va({}, (unit(2, 0), unit(2, 1)), ("a", "b"))
+    # D a = 0 but D b = b: the witness is the first basis vector that survives
+    with pytest.raises(NotNilpotent, match=r"^witness basis vector b: D\^2 != 0$"):
+        make_commutative_va({}, (vzero(2), unit(2, 1)), ("a", "b"))
+    # the shift a -> b -> c -> 0 is nilpotent of index exactly the rank
+    shift = make_commutative_va({}, (unit(3, 1), unit(3, 2), vzero(3)), ("a", "b", "c"))
+    assert shift.rank == 3 and shift.structure == {}
 
 
 def test_trivial_rank1_structure():
