@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ContractError
-from .exact import Q, binom, inv_factorial
+from .exact import binom, inv_factorial
 from .report import CheckReport
 from .vertex import (
     VAData,
@@ -37,9 +37,7 @@ from .vertex import (
     triple_name,
     unit,
     vadd,
-    vis_zero,
     vscale,
-    vzero,
 )
 
 # Sections map a derivative degree k (DiagSection) or a pair of degrees
@@ -73,7 +71,7 @@ class ChiralData:
         for key in self.overrides:
             if key[3] < 1:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
-        clean = {k: v for k, v in self.m0.items() if not vis_zero(v)}
+        clean = {k: v for k, v in self.m0.items() if v}
         object.__setattr__(self, "m0", clean)
 
     def va_view(self) -> VAData:
@@ -103,12 +101,7 @@ class ChiralData:
         if over is not None:
             self._cache[key] = over
             return over
-        base = self.m0.get((i, m + n, j))
-        if base is None:
-            val = vzero(self.rank)
-        else:
-            sign = Q(1) if m % 2 == 0 else Q(-1)
-            val = vscale(sign * inv_factorial(m), base)
+        val = vscale(_signed_inv_factorial(m), self.m0.get((i, m + n, j), {}))
         self._cache[key] = val
         return val
 
@@ -121,10 +114,10 @@ class ChiralData:
                 lo, hi = rng
                 for m in range(max(0, lo - n), hi - n + 1):
                     val = self.b_layer(i, n, j, m)
-                    if not vis_zero(val):
+                    if val:
                         out[m] = val
                 for (oi, on, oj, om), val in self.overrides.items():
-                    if (oi, on, oj) == (i, n, j) and om not in out and not vis_zero(val):
+                    if (oi, on, oj) == (i, n, j) and om not in out and val:
                         out[om] = val
             self._cache[key] = out
         return self._cache[key]
@@ -146,23 +139,21 @@ def diag_scale(c, s: DiagSection) -> DiagSection:
 
 
 def diag_eq(s: DiagSection, t: DiagSection) -> bool:
-    for k in set(s) | set(t):
-        sv, tv = s.get(k), t.get(k)
-        if sv is None or tv is None:
-            if not vis_zero(tv if sv is None else sv):
-                return False
-        elif sv != tv:
-            return False
-    return True
+    """Sections hold no zero vectors, so equal sections are equal maps."""
+    return s == t
 
 
 def diag_contract(x: Vector, section) -> dict:
     """sum_p x_p * section(p): `contract` lifted to sections of either kind.
-    A callable, so that section(p) is computed only where x_p != 0."""
+    A callable, so that section(p) is computed once per coordinate p of x,
+    and only where x_p != 0."""
+    coords: dict = {}
+    for (p, d), c in x.items():
+        coords.setdefault(p, {})[(p, d)] = c
     out: dict = {}
-    for p, c in enumerate(x):
-        if not c.is_zero():
-            out = diag_add(out, diag_scale(c, section(p)))
+    for p, x_p in coords.items():
+        for k, v in section(p).items():
+            accumulate(out, k, contract(x_p, {p: v}))
     return out
 
 
@@ -171,7 +162,7 @@ def diag_mul_z12(s: DiagSection) -> DiagSection:
     out: DiagSection = {}
     for k, v in s.items():
         if k >= 1:
-            accumulate(out, k - 1, vscale(Q(-k), v))
+            accumulate(out, k - 1, vscale(-k, v))
     return out
 
 
@@ -187,7 +178,7 @@ def diag_apply_d2(A: ChiralData, s: DiagSection) -> DiagSection:
     out: DiagSection = {}
     for k, v in s.items():
         accumulate(out, k, apply_d(va, v))
-        accumulate(out, k + 1, vscale(Q(-1), v))
+        accumulate(out, k + 1, vscale(-1, v))
     return out
 
 
@@ -212,7 +203,7 @@ def sigma12_triple(m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector):
     (z1-z2)^{m1}(z2-z3)^{m2}(z1-z3)^{m3}(u(x)v(x)w)
       -> (-1)^{m1} (z1-z2)^{m1}(z2-z3)^{m3}(z1-z3)^{m2}(v(x)u(x)w).
     """
-    sign = Q(1) if m1 % 2 == 0 else Q(-1)
+    sign = 1 if m1 % 2 == 0 else -1
     return sign, m1, m3, m2, v, u, w
 
 
@@ -236,7 +227,7 @@ def _left_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
         return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
     inner = A.b_layer(iu, n1, iv, k)
     outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.rank)})
-    return None if vis_zero(outer) else (1, outer)
+    return (1, outer) if outer else None
 
 
 def _right_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
@@ -247,7 +238,7 @@ def _right_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
         return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
     inner = A.b_layer(iv, n2, iw, l)
     outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.rank)})
-    return None if vis_zero(outer) else (1, outer)
+    return (1, outer) if outer else None
 
 
 def _compose_left_basis(
@@ -355,7 +346,7 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
     lo, hi = rng if rng else (0, -1)
     lo, hi = merge_window(lo - 2, hi + 1, window)
     va = A.va_view()
-    dus = [apply_d(va, unit(A.rank, i)) for i in range(A.rank)]
+    dus = [apply_d(va, unit(i)) for i in range(A.rank)]
     for i in range(A.rank):
         for j in range(A.rank):
             for n in _sweep_ns(A, lo, hi):
@@ -367,7 +358,7 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
                 if parts["b"]["passed"]:
                     lhs = diag_apply_d1(s_n1)
                     rhs = diag_add(
-                        diag_scale(Q(n + 1), s_n),
+                        diag_scale(n + 1, s_n),
                         diag_contract(dus[i], lambda p: A.basis_section(p, n + 1, j)),
                     )
                     if not diag_eq(lhs, rhs):
@@ -375,7 +366,7 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
                 if parts["c"]["passed"]:
                     lhs = diag_apply_d2(A, s_n1)
                     rhs = diag_add(
-                        diag_scale(Q(-(n + 1)), s_n),
+                        diag_scale(-(n + 1), s_n),
                         diag_contract(dus[j], lambda p: A.basis_section(i, n + 1, p)),
                     )
                     if not diag_eq(lhs, rhs):
@@ -427,8 +418,8 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                     if m in sec_vu:
                         accumulate(route, 0, sec_vu[m])
                 if n % 2:
-                    route = diag_scale(Q(-1), route)
-                if not diag_eq(route, diag_scale(Q(-1), A.basis_section(i, n, j))):
+                    route = diag_scale(-1, route)
+                if not diag_eq(route, diag_scale(-1, A.basis_section(i, n, j))):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
                         f"({pair_name(A, i, j)}, n={n})",
@@ -451,9 +442,7 @@ def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
         for iu, iv, iw in product(range(A.rank), repeat=3):
             left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
             right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
-            sign, p1, p2, p3, *_ = sigma12_triple(
-                m1, m2, m3, unit(A.rank, iu), unit(A.rank, iv), unit(A.rank, iw)
-            )
+            sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
             # the composition computed on swapped coordinates returns its
             # derivative degrees transposed
             perm = diag3_transpose(_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
@@ -490,11 +479,11 @@ def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
         for iu, iv, iw in product(range(A.rank), repeat=3):
             tables = (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
             for terms in keys:
-                acc = vzero(A.rank)
+                acc: dict = {}
                 for t, key, c in terms:
-                    if key in tables[t]:
-                        acc = vadd(acc, vscale(c, tables[t][key]))
-                if not vis_zero(acc):
+                    for cd, x in tables[t].get(key, {}).items():
+                        acc[cd] = acc.get(cd, 0) + c * x
+                if any(acc.values()):
                     return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
     box = product(range(blo, bhi + 1), repeat=2)  # count the generators (m1, m2, m3)
     return None, A.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
@@ -544,19 +533,15 @@ def check_all_chiral(A: ChiralData, window=None) -> list[CheckReport]:
 def bump_b_entry(A: ChiralData, i: int, n: int, j: int, m: int, coord: int) -> ChiralData:
     """Copy with +1 on one coordinate of B^n_m(e_i, e_j).
 
-    For m = 0 this perturbs the stored layer; for m >= 1 it installs an
-    explicit override, which breaks the recursion on purpose.
+    The +1 is at degree 0.  For m = 0 this perturbs the stored layer; for
+    m >= 1 it installs an explicit override, which breaks the recursion on
+    purpose.
     """
-    from .exact import PONE
-
+    bump = {(coord, 0): 1}
     if m == 0:
         m0 = dict(A.m0)
-        vec = list(m0.get((i, n, j), vzero(A.rank)))
-        vec[coord] = vec[coord] + PONE
-        m0[(i, n, j)] = tuple(vec)
+        m0[(i, n, j)] = vadd(m0.get((i, n, j), {}), bump)
         return ChiralData(A.rank, A.basis_names, m0, A.d_cols, dict(A.overrides))
     overrides = dict(A.overrides)
-    vec = list(overrides.get((i, n, j, m), A.b_layer(i, n, j, m)))
-    vec[coord] = vec[coord] + PONE
-    overrides[(i, n, j, m)] = tuple(vec)
+    overrides[(i, n, j, m)] = vadd(overrides.get((i, n, j, m), A.b_layer(i, n, j, m)), bump)
     return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, overrides)

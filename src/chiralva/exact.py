@@ -1,10 +1,15 @@
-"""Exact scalar and univariate polynomial arithmetic.
+"""Exact scalar arithmetic, and one polynomial value type.
 
 Scalars are rationals (`fractions.Fraction`, re-exported as `Q`), kept in
-lowest terms with positive denominator by the stdlib.  Polynomials are dense
-coefficient tuples in one variable `z`, low degree first, with no trailing
-zeros; they model the regular functions on the affine line.  A coefficient
-is an `int` when it is integral and a `Fraction` otherwise.
+lowest terms with positive denominator by the stdlib.  A coefficient is an
+`int` when it is integral and a `Fraction` otherwise, so integral tables
+never pay for Fraction arithmetic.
+
+Vectors over Q[z] are not built from polynomials: `vertex` stores a vector
+as one sparse map {(coord, deg): scalar} of the coefficients of z^deg e_coord,
+with no zero entries, and does its arithmetic on those scalars.  `Poly`, a
+normalized low-degree-first tuple in one variable z, remains the public
+value type of a single polynomial, and `format_poly` prints one.
 """
 
 from __future__ import annotations
@@ -28,11 +33,10 @@ def binom(n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def inv_factorial(k: int) -> Fraction:
-    f = 1
-    for j in range(2, k + 1):
-        f *= j
-    return Q(1, f)
+def inv_factorial(k: int) -> int | Fraction:
+    """1/k!, an `int` for k <= 1."""
+    f = math.factorial(k)
+    return 1 if f == 1 else Q(1, f)
 
 
 def _as_q(x) -> int | Fraction:
@@ -54,57 +58,10 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def z(cls) -> "Poly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:], 0)))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return PZERO
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Poly(out)
-        c = _as_q(other)
-        return Poly(tuple(c * a for a in self.coeffs))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -116,22 +73,18 @@ class Poly:
         return bool(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Poly({format_poly(self)})"
-
-
-PZERO = Poly()
-PONE = Poly((1,))
+        return f"Poly({format_poly(enumerate(self.coeffs))})"
 
 
 def format_q(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def format_poly(p: Poly, var: str = "z") -> str:
-    if p.is_zero():
-        return "0"
+def format_poly(terms, var: str = "z") -> str:
+    """Render (degree, coefficient) pairs, in increasing degree, as a
+    polynomial in `var`; zero coefficients are skipped."""
     parts = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in terms:
         if c == 0:
             continue
         if k == 0:
@@ -139,6 +92,8 @@ def format_poly(p: Poly, var: str = "z") -> str:
         else:
             head = "" if c == 1 else ("-" if c == -1 else format_q(c) + "*")
             parts.append(f"{head}{var}" + (f"^{k}" if k > 1 else ""))
+    if not parts:
+        return "0"
     out = parts[0]
     for part in parts[1:]:
         out += " - " + part[1:] if part.startswith("-") else " + " + part

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .exact import Poly, Q
+from .exact import Q
 from .vertex import (
     VAData,
     Vector,
@@ -19,8 +19,8 @@ from .vertex import (
     tensor_with_ox,
     transform_basis,
     unit,
-    vconst,
-    vzero,
+    vadd,
+    vscale,
 )
 
 
@@ -31,8 +31,8 @@ def a3_va() -> VAData:
 
 def trivial_rank1() -> VAData:
     """The field Q with zero derivation: 1_{-1} 1 = 1 is the only constant."""
-    mult = {(0, 0): unit(1, 0)}
-    return make_commutative_va(mult, (vzero(1),), ("1",))
+    mult = {(0, 0): unit(0)}
+    return make_commutative_va(mult, ({},), ("1",))
 
 
 def truncated_poly_va(order: int, deriv_coeffs: list) -> VAData:
@@ -46,15 +46,15 @@ def truncated_poly_va(order: int, deriv_coeffs: list) -> VAData:
     for i in range(order):
         for j in range(order):
             if i + j < order:
-                mult[(i, j)] = unit(order, i + j)
+                mult[(i, j)] = unit(i + j)
     d_cols = []
     for i in range(order):
-        col = [Q(0)] * order
+        col: Vector = {}
         # D(t^i) = i t^{i-1} sum_k c_k t^k
         for k, c in enumerate(deriv_coeffs):
             if c and i >= 1 and i - 1 + k < order:
-                col[i - 1 + k] += i * c
-        d_cols.append(vconst(order, col))
+                col = vadd(col, vscale(i * c, unit(i - 1 + k)))
+        d_cols.append(col)
     return make_commutative_va(mult, tuple(d_cols), names)
 
 
@@ -62,10 +62,11 @@ def square_zero_va(d_entries: tuple) -> VAData:
     """Q + (Q s + Q t) with s^2 = st = t^2 = 0 and a nilpotent derivation on
     the radical given by the 2x2 matrix d_entries = (a, b, c, d)."""
     names = ("1", "s", "t")
-    mult = {(0, 0): unit(3, 0), (0, 1): unit(3, 1), (1, 0): unit(3, 1),
-            (0, 2): unit(3, 2), (2, 0): unit(3, 2)}
+    mult = {(0, 0): unit(0), (0, 1): unit(1), (1, 0): unit(1),
+            (0, 2): unit(2), (2, 0): unit(2)}
     a, b, c, d = d_entries
-    d_cols = (vzero(3), vconst(3, [0, a, c]), vconst(3, [0, b, d]))
+    d_cols = ({}, vadd(vscale(a, unit(1)), vscale(c, unit(2))),
+              vadd(vscale(b, unit(1)), vscale(d, unit(2))))
     return make_commutative_va(mult, tuple(d_cols), names)
 
 
@@ -104,25 +105,24 @@ def elementary_rational_matrix(rank: int, seed: int) -> tuple[tuple[Vector, ...]
     property of that reading, not of the algebras.
     """
     rng = random.Random(seed)
-    ident = tuple(unit(rank, i) for i in range(rank))
+    ident = tuple(unit(i) for i in range(rank))
 
     def apply_shear(cols, i, j, f):
         # column operation: col_j += f * col_i
         out = list(cols)
-        out[j] = tuple(out[j][k] + f * out[i][k] for k in range(rank))
+        out[j] = vadd(out[j], vscale(f, out[i]))
         return tuple(out)
 
     shears = []
     for _ in range(max(3, rank + 1)):
         i, j = rng.sample(range(rank), 2)
-        c = Q(rng.randint(-2, 2), rng.randint(1, 2)) or Q(1)
-        shears.append((i, j, Poly.const(c)))
+        shears.append((i, j, Q(rng.randint(-2, 2), rng.randint(1, 2)) or Q(1)))
     p_cols = ident
     for i, j, f in shears:
         p_cols = apply_shear(p_cols, i, j, f)
     p_inv = ident
     for i, j, f in reversed(shears):
-        p_inv = apply_shear(p_inv, i, j, -1 * f)
+        p_inv = apply_shear(p_inv, i, j, -f)
     return p_cols, p_inv
 
 

@@ -4,64 +4,88 @@ Rationals serialize as lowest-terms "p/q" strings, polynomials as
 coefficient lists low degree first, structure entries as sorted lists, and
 documents with sorted keys and a trailing newline, so serialization is
 byte-deterministic and parse . serialize is the identity on canonical form.
+A coefficient must be a JSON string matching -?[0-9]+(/[0-9]+)? with a
+nonzero denominator; anything else is a ParseError.  Coefficient lists are
+read straight into the sparse {(coord, deg): scalar} vectors of `vertex`
+and written straight out of them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .chiral import ChiralData
 from .errors import ParseError
-from .exact import Poly, Q, format_q
+from .exact import Q, format_q
 from .vertex import VAData, Vector
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
-def rational_to_str(c: Fraction) -> str:
+
+def rational_to_str(c: int | Fraction) -> str:
     return format_q(c)
 
 
-def str_to_rational(s: str) -> Fraction:
+def str_to_rational(s) -> int | Fraction:
+    """A strict coefficient literal: an int when integral, else a Fraction."""
+    if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):
+        raise ParseError(f"bad rational literal {s!r}: expected a string p or p/q in ASCII digits")
+    p, _, q = s.partition("/")
     try:
-        if "/" in s:
-            p, q = s.split("/")
-            return Q(int(p), int(q))
-        return Q(int(s))
+        if not q:
+            return int(p)
+        x = Q(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
+    return x.numerator if x.denominator == 1 else x
 
 
-def poly_to_list(p: Poly) -> list[str]:
-    return [rational_to_str(c) for c in p.coeffs]
-
-
-def list_to_poly(items) -> Poly:
+def _read_poly(items, coord: int, out: Vector) -> None:
+    """Put the coefficient list of coordinate `coord` into the sparse vector `out`."""
     if not isinstance(items, list):
         raise ParseError(f"polynomial must be a coefficient list, got {type(items).__name__}")
-    return Poly(tuple(str_to_rational(str(c)) for c in items))
+    for deg, item in enumerate(items):
+        x = str_to_rational(item)
+        if x:
+            out[(coord, deg)] = x
 
 
-def vector_to_list(v: Vector) -> list[list[str]]:
-    return [poly_to_list(c) for c in v]
+def vector_to_list(v: Vector, rank: int) -> list[list[str]]:
+    out: list[list[str]] = [[] for _ in range(rank)]
+    for (c, d), x in sorted(v.items()):
+        row = out[c]
+        row += ["0"] * (d - len(row))
+        row.append(format_q(x))
+    return out
 
 
 def list_to_vector(items, rank: int) -> Vector:
     if not isinstance(items, list) or len(items) != rank:
         raise ParseError(f"vector must be a list of {rank} polynomials")
-    return tuple(list_to_poly(c) for c in items)
+    out: Vector = {}
+    for coord, poly in enumerate(items):
+        _read_poly(poly, coord, out)
+    return out
 
 
 def _matrix_to_obj(cols: tuple[Vector, ...]) -> list[list[list[str]]]:
     # row-major: obj[i][j] is the coefficient of e_i in D(e_j)
     rank = len(cols)
-    return [[poly_to_list(cols[j][i]) for j in range(rank)] for i in range(rank)]
+    lists = [vector_to_list(col, rank) for col in cols]
+    return [[lists[j][i] for j in range(rank)] for i in range(rank)]
 
 
 def _obj_to_matrix(obj, rank: int) -> tuple[Vector, ...]:
     if not (isinstance(obj, list) and len(obj) == rank
             and all(isinstance(row, list) and len(row) == rank for row in obj)):
         raise ParseError(f"D must be a {rank}x{rank} matrix of polynomials")
-    return tuple(zip(*[[list_to_poly(entry) for entry in row] for row in obj]))  # columns
+    cols: list[Vector] = [{} for _ in range(rank)]
+    for i, row in enumerate(obj):
+        for j, entry in enumerate(row):
+            _read_poly(entry, i, cols[j])
+    return tuple(cols)
 
 
 def _int_field(entry, key: str) -> int:
@@ -107,7 +131,7 @@ def va_to_obj(V: VAData) -> dict:
             "i": i,
             "n": n,
             "j": j,
-            "value": vector_to_list(V.structure[(i, n, j)]),
+            "value": vector_to_list(V.structure[(i, n, j)], V.rank),
         }
         for (i, n, j) in sorted(V.structure)
     ]
@@ -152,12 +176,13 @@ def obj_to_va(obj) -> VAData:
 
 def chiral_to_obj(A: ChiralData) -> dict:
     entries = [
-        {"i": i, "j": j, "n": n, "m": 0, "value": vector_to_list(A.m0[(i, n, j)])}
+        {"i": i, "j": j, "n": n, "m": 0, "value": vector_to_list(A.m0[(i, n, j)], A.rank)}
         for (i, n, j) in sorted(A.m0)
     ]
     for (i, n, j, m) in sorted(A.overrides):
         entries.append(
-            {"i": i, "j": j, "n": n, "m": m, "value": vector_to_list(A.overrides[(i, n, j, m)])}
+            {"i": i, "j": j, "n": n, "m": m,
+             "value": vector_to_list(A.overrides[(i, n, j, m)], A.rank)}
         )
     return {
         "kind": "chiral-algebra",

@@ -4,6 +4,12 @@ A table stores the basis modes u_n v for (i, n, j) with n in a finite
 range; absence means zero.  Coefficients live in Q or Q[z]; over Q[z] the
 operator D acts by D(f.e_i) = f'.e_i + f.D(e_i).
 
+A vector of Q[z]^r is one sparse map {(coord, deg): scalar}, the scalar
+being the coefficient of z^deg e_coord, with no zero entries: the zero
+vector is {}, and multiplying by a polynomial coordinate shifts degrees.
+Over Q every degree is 0.  Table values, D columns and every intermediate
+result of both checkers are such maps; this is the only vector type.
+
 Axioms are quantified over all integers, so each checker sweeps a finite
 index window derived from the support bounds and justifies the complement
 symbolically:
@@ -40,48 +46,48 @@ from .errors import (
     NotNilpotent,
     UnsupportedAlgebra,
 )
-from .exact import PZERO, PONE, Poly, Q, binom, inv_factorial, format_poly
+from .exact import binom, format_poly, inv_factorial
 from .report import CheckReport
 
-Vector = tuple[Poly, ...]
+Vector = dict  # {(coord, deg): int | Fraction}, no zero entries
 
 COEFF_RINGS = ("Q", "Q[z]")
 
 
 # ---------------------------------------------------------------------------
-# vectors over Q[z]^r
+# sparse vectors over Q[z]^r: a coefficient is an int when integral, and an
+# accumulator `_clean`s its sums once, at the end
 
 
-def vzero(rank: int) -> Vector:
-    return (PZERO,) * rank
+def _clean(acc: dict) -> Vector:
+    return {k: x if type(x) is int or x.denominator != 1 else x.numerator
+            for k, x in acc.items() if x}
 
-def vis_zero(x: Vector) -> bool:
-    return all(c.is_zero() for c in x)
+
+def unit(i: int) -> Vector:
+    return {(i, 0): 1}
 
 def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
+    out = dict(x)
+    for k, b in y.items():
+        out[k] = out.get(k, 0) + b
+    return _clean(out)
 
 def vscale(c, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-def unit(rank: int, i: int) -> Vector:
-    return tuple(PONE if k == i else PZERO for k in range(rank))
-
-def vconst(rank: int, coords) -> Vector:
-    out = [PZERO] * rank
-    for i, c in enumerate(coords):
-        out[i] = c if isinstance(c, Poly) else Poly.const(c)
-    return tuple(out)
+    return _clean({k: c * a for k, a in x.items()}) if c else {}
 
 def contract(x: Vector, entries: dict) -> Vector:
-    """sum_p x_p * entries[p], the one bilinear contraction; a coordinate p
+    """sum_p x_p * entries[p], the one bilinear contraction: the scalar at
+    (p, d) scales entries[p] and shifts its degrees by d.  A coordinate p
     absent from the sparse map `entries` contributes zero."""
-    out = None
-    for p, e in entries.items():
-        c = x[p]
-        if not c.is_zero():
-            out = vscale(c, e) if out is None else vadd(out, vscale(c, e))
-    return vzero(len(x)) if out is None else out
+    acc: dict = {}
+    for (p, d), c in x.items():
+        e = entries.get(p)
+        if e:
+            for (q, f), y in e.items():
+                k = (q, f + d)
+                acc[k] = acc.get(k, 0) + c * y
+    return _clean(acc)
 
 
 def matvec_cols(cols: tuple[Vector, ...], x: Vector) -> Vector:
@@ -92,19 +98,20 @@ def accumulate(out: dict, key, vec: Vector) -> None:
     """out[key] += vec in place; keys whose sum is zero are dropped."""
     prev = out.get(key)
     acc = vec if prev is None else vadd(prev, vec)
-    if vis_zero(acc):
-        out.pop(key, None)
-    else:
+    if acc:
         out[key] = acc
+    else:
+        out.pop(key, None)
 
 
 def format_vector(x: Vector, basis: tuple[str, ...]) -> str:
+    coords: dict = {}
+    for (c, d), a in sorted(x.items()):
+        coords.setdefault(c, []).append((d, a))
     parts = []
-    for c, name in zip(x, basis):
-        if c.is_zero():
-            continue
-        s = format_poly(c)
-        parts.append(name if s == "1" else f"({s})*{name}")
+    for c, terms in coords.items():
+        s = format_poly(terms)
+        parts.append(basis[c] if s == "1" else f"({s})*{basis[c]}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -112,21 +119,29 @@ def format_vector(x: Vector, basis: tuple[str, ...]) -> str:
 # the data type
 
 
+def _off_shape(vec: Vector, rank: int):
+    """The first key of `vec` off the coordinates 0..rank-1 or at a negative
+    degree; None when every key fits."""
+    return next(((c, d) for c, d in vec if not (0 <= c < rank and d >= 0)), None)
+
+
 def check_table_shape(rank: int, basis_names, d_cols, entries: dict) -> None:
     """Reject a table that does not fit its rank: distinct basis names, a
-    rank x rank D, and stored vectors of length rank at keys (i, n, j, ...)
-    whose basis indices i and j are in range.  Shared by both table kinds."""
+    rank x rank D, and stored vectors with keys (coord, deg), 0 <= coord <
+    rank and deg >= 0, at keys (i, n, j, ...) whose basis indices i and j
+    are in range.  Shared by both table kinds."""
     if len(basis_names) != rank or len(d_cols) != rank:
         raise ContractError("basis names and D columns must match the rank")
     if len(set(basis_names)) != rank:
         raise ContractError(f"basis names must be distinct, got {list(basis_names)}")
-    if any(len(col) != rank for col in d_cols):
+    if any(_off_shape(col, rank) for col in d_cols):
         raise ContractError("D must be a rank x rank matrix")
     for key, val in entries.items():
         if not (0 <= key[0] < rank and 0 <= key[2] < rank):
             raise ContractError(f"structure index out of range: {key}")
-        if len(val) != rank:
-            raise ContractError(f"structure value at {key} has wrong length")
+        bad = _off_shape(val, rank)
+        if bad:
+            raise ContractError(f"structure value at {key} has an entry off the shape: {bad}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +166,13 @@ class VAData:
         for (i, j) in self.support:
             if not (0 <= i < self.rank and 0 <= j < self.rank):
                 raise ContractError(f"support bounds index out of range: {(i, j)}")
-        clean = {k: v for k, v in self.structure.items() if not vis_zero(v)}
+        clean = {k: v for k, v in self.structure.items() if v}
         object.__setattr__(self, "structure", clean)
         for (i, n, j), val in clean.items():
             self._rows.setdefault((i, n), {})[j] = val
             self._cols.setdefault((n, j), {})[i] = val
-        if self.coeff_ring == "Q":
-            entries = list(self.d_cols) + list(self.structure.values())
-            for vec in entries:
-                if any(not c.is_constant() for c in vec):
-                    raise ContractError("coeff_ring Q admits constant coordinates only")
+        if self.coeff_ring == "Q" and self.max_degree() > 0:
+            raise ContractError("coeff_ring Q admits constant coordinates only")
         if not self.support:
             derived = {}
             for (i, n, j) in self.structure:
@@ -171,16 +183,14 @@ class VAData:
         object.__setattr__(self, "_span", (min(ns), max(ns)) if ns else None)
 
     def mode(self, i: int, n: int, j: int) -> Vector:
-        return self.structure.get((i, n, j)) or vzero(self.rank)
+        return self.structure.get((i, n, j), {})
 
     def global_support(self) -> tuple[int, int] | None:
         """(min n, max n) over all stored entries; None for an empty table."""
         return self._span
 
     def max_degree(self) -> int:
-        degs = [c.degree for v in self.structure.values() for c in v]
-        degs += [c.degree for v in self.d_cols for c in v]
-        return max(degs, default=0)
+        return max((d for v in (*self.structure.values(), *self.d_cols) for _, d in v), default=0)
 
 
 def equal_tables(v1: VAData, v2: VAData) -> tuple[bool, str | None]:
@@ -219,9 +229,11 @@ def mode_vec(V: VAData, x: Vector, n: int, j: int) -> Vector:
 
 
 def apply_d(V: VAData, u: Vector) -> Vector:
-    """D(u) = u' + D-matrix . u: the derivation rule over Q[z]; over Q the
-    coordinates are constant and the derivative term vanishes."""
-    return vadd(tuple(c.derivative() for c in u), matvec_cols(V.d_cols, u))
+    """D(u) = u' + D-matrix . u: the derivation rule over Q[z], where the
+    derivative sends (c, d) to (c, d-1) times d; over Q every degree is 0
+    and the derivative term vanishes."""
+    derivative = {(p, d - 1): d * c for (p, d), c in u.items() if d}
+    return vadd(derivative, matvec_cols(V.d_cols, u))
 
 
 def d_orbits(V: VAData) -> dict:
@@ -234,7 +246,7 @@ def d_orbits(V: VAData) -> dict:
     hit = {}
     for key in sorted(V.structure):
         orbit = hit[key] = [V.structure[key]]
-        while not vis_zero(w := apply_d(V, orbit[-1])):
+        while w := apply_d(V, orbit[-1]):
             if len(orbit) == cap:
                 raise UnsupportedAlgebra(
                     "derivation is not nilpotent on the structure table "
@@ -302,12 +314,12 @@ def check_d_derivative(V: VAData, window: tuple[int, int] | None = None) -> Chec
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
     lo, hi = merge_window(a - 1, b + 1, window)
-    du = [apply_d(V, unit(V.rank, i)) for i in range(V.rank)]
+    du = [apply_d(V, unit(i)) for i in range(V.rank)]
     for i in range(V.rank):
         for j in range(V.rank):
             for n in range(lo, hi + 1):
                 lhs = mode_vec(V, du[i], n + 1, j)
-                rhs = vscale(Q(-(n + 1)), V.mode(i, n, j))
+                rhs = vscale(-(n + 1), V.mode(i, n, j))
                 if lhs != rhs:
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
@@ -338,11 +350,11 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
         for j in range(V.rank):
             for m in range(lo, hi + 1):
                 lhs = V.mode(i, m, j)
-                rhs = vzero(V.rank)
+                rhs: Vector = {}
                 for k in range(max(0, a - m), b - m + 1):
                     orbit = orbits.get((j, k + m, i), ())
                     if k < len(orbit):
-                        sign = Q(1) if (k + m + 1) % 2 == 0 else Q(-1)
+                        sign = 1 if (k + m + 1) % 2 == 0 else -1
                         rhs = vadd(rhs, vscale(sign * inv_factorial(k), orbit[k]))
                 if lhs != rhs:
                     return CheckReport(
@@ -380,12 +392,6 @@ def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     return left, right
 
 
-def _scalars(table: dict) -> list:
-    """An iterated-mode table as [(p, q, [((coord, deg), nonzero scalar), ...])]."""
-    return [(p, q, [((c, d), x) for c, poly in enumerate(vec) for d, x in enumerate(poly.coeffs) if x])
-            for (p, q), vec in table.items()]
-
-
 def _jacobi_slice(l: int, lo: int, hi: int, reach: list) -> dict:
     """lhs - rhs of the component Jacobi identity
 
@@ -398,23 +404,23 @@ def _jacobi_slice(l: int, lo: int, hi: int, reach: list) -> dict:
     (p, q) is scattered to the points that read it, all with l+m+n = p+q."""
     acc: dict = {}
 
-    def put(m: int, n: int, triple, c: int, scalars) -> None:
+    def put(m: int, n: int, triple, c: int, vec: Vector) -> None:
         if c:
-            for cd, x in scalars:
+            for cd, x in vec.items():
                 key = ((m, n, triple), cd)
                 acc[key] = acc.get(key, 0) + c * x
 
     for triple, left, right_uv, right_vu in reach:
-        for p, q, xs in left:  # (u_p v)_q w: i = p - l, n = p + q - l - m
+        for (p, q), xs in left.items():  # (u_p v)_q w: i = p - l, n = p + q - l - m
             s, i = p + q - l, p - l
             if i >= 0:
                 for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
                     put(m, s - m, triple, binom(m, i), xs)
-        for p, q, xs in right_uv:  # u_p (v_q w): i = q - n, m = p + q - l - n
+        for (p, q), xs in right_uv.items():  # u_p (v_q w): i = q - n, m = p + q - l - n
             s = p + q - l
             for n in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
                 put(s - n, n, triple, (-1) ** ((q - n + 1) % 2) * binom(l, q - n), xs)
-        for p, q, xs in right_vu:  # v_p (u_q w): i = q - m, n = p + q - l - m
+        for (p, q), xs in right_vu.items():  # v_p (u_q w): i = q - m, n = p + q - l - m
             s = p + q - l
             for m in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
                 put(m, s - m, triple, (-1) ** ((l + q - m) % 2) * binom(l, q - m), xs)
@@ -446,7 +452,6 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
     # commutativity this is equivalent to the Jacobi identity for every
     # integer index triple.
     K = max(0, b + 1)
-    zero = vzero(V.rank)
     for iu, iv, iw in product(range(V.rank), repeat=3):
         left, right = iterated_modes(V, iu, iv, iw)
         lhs: dict = {}
@@ -460,7 +465,7 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
             for j in range(K + p2 + 1):
                 accumulate(rhs, (j, q2 + K + p2 - j), vscale(binom(K + p2, j), val))
         for key in sorted(set(lhs) | set(rhs)):
-            if lhs.get(key, zero) != rhs.get(key, zero):
+            if lhs.get(key) != rhs.get(key):
                 return f"composition identity at exponents {key} for ({triple_name(V, iu, iv, iw)})"
     return None
 
@@ -484,7 +489,7 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     a, b = rng if rng else (0, -1)
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
-    reach = [(t, *map(_scalars, (*iterated_modes(V, *t), iterated_modes(V, t[1], t[0], t[2])[1])))
+    reach = [(t, *iterated_modes(V, *t), iterated_modes(V, t[1], t[0], t[2])[1])
              for t in product(range(V.rank), repeat=3)]
     for l in range(lo, hi + 1):
         failing = [key for key, x in _jacobi_slice(l, lo, hi, reach).items() if x]
@@ -541,13 +546,12 @@ def make_commutative_va(
         mult_rows.setdefault(i, {})[j] = vec
 
     def prod(x: Vector, y: Vector) -> Vector:
-        return contract(x, {i: contract(y, row) for i, row in mult_rows.items()
-                            if not x[i].is_zero()})
+        return contract(x, {i: contract(y, mult_rows[i]) for i, _ in x if i in mult_rows})
 
     def dmat(x: Vector) -> Vector:
         return matvec_cols(d_cols, x)
 
-    zero = vzero(rank)
+    zero: Vector = {}
     for i in range(rank):
         for j in range(rank):
             if mult.get((i, j), zero) != mult.get((j, i), zero):
@@ -555,8 +559,8 @@ def make_commutative_va(
     for i in range(rank):
         for j in range(rank):
             for k in range(rank):
-                left = prod(mult.get((i, j), zero), unit(rank, k))
-                right = prod(unit(rank, i), mult.get((j, k), zero))
+                left = prod(mult.get((i, j), zero), unit(k))
+                right = prod(unit(i), mult.get((j, k), zero))
                 if left != right:
                     raise NotAssociative(
                         f"witness triple ({names[i]}, {names[j]}, {names[k]})"
@@ -564,7 +568,7 @@ def make_commutative_va(
     for i in range(rank):
         for j in range(rank):
             lhs = dmat(mult.get((i, j), zero))
-            rhs = vadd(prod(d_cols[i], unit(rank, j)), prod(unit(rank, i), d_cols[j]))
+            rhs = vadd(prod(d_cols[i], unit(j)), prod(unit(i), d_cols[j]))
             if lhs != rhs:
                 raise NotADerivation(
                     f"witness pair ({names[i]}, {names[j]}): "
@@ -573,14 +577,14 @@ def make_commutative_va(
                 )
     structure = {}
     for i in range(rank):
-        w = unit(rank, i)
+        w = unit(i)
         k = 0
-        while not vis_zero(w):
+        while w:
             if k == rank:
                 raise NotNilpotent(f"witness basis vector {names[i]}: D^{rank} != 0")
             for j in range(rank):
-                val = vscale(inv_factorial(k), prod(w, unit(rank, j)))
-                if not vis_zero(val):
+                val = vscale(inv_factorial(k), prod(w, unit(j)))
+                if val:
                     structure[(i, -1 - k, j)] = val
             w = dmat(w)
             k += 1
@@ -597,12 +601,9 @@ def tensor_with_ox(V: VAData) -> VAData:
 def transform_basis(V: VAData, p_cols: tuple[Vector, ...], p_inv_cols: tuple[Vector, ...]) -> VAData:
     """Rewrite the table in the basis e'_q = sum_i P[i][q] e_i."""
     rank = V.rank
-    for i in range(rank):
-        for j in range(rank):
-            want = PONE if i == j else PZERO
-            got = sum((p_cols[k][i] * p_inv_cols[j][k] for k in range(rank)), PZERO)
-            if got != want:
-                raise ContractError("p_inv_cols is not the inverse of p_cols")
+    for j in range(rank):
+        if matvec_cols(p_cols, p_inv_cols[j]) != unit(j):
+            raise ContractError("p_inv_cols is not the inverse of p_cols")
     rng = V.global_support()
     structure = {}
     if rng is not None:
@@ -611,7 +612,7 @@ def transform_basis(V: VAData, p_cols: tuple[Vector, ...], p_inv_cols: tuple[Vec
             for q in range(rank):
                 for n in range(a, b + 1):
                     vec = vertex_coeff(V, p_cols[p], n, p_cols[q])
-                    if not vis_zero(vec):
+                    if vec:
                         structure[(p, n, q)] = matvec_cols(p_inv_cols, vec)
     new_d = tuple(matvec_cols(p_inv_cols, apply_d(V, col)) for col in p_cols)
     return VAData(rank, V.coeff_ring, V.basis_names, structure, new_d)
@@ -622,11 +623,10 @@ def transform_basis(V: VAData, p_cols: tuple[Vector, ...], p_inv_cols: tuple[Vec
 
 
 def bump_structure_constant(V: VAData, i: int, n: int, j: int, coord: int) -> VAData:
-    """Return a copy with +1 added to one coordinate of one table entry."""
+    """Return a copy with +1 added to one coordinate of one table entry, at
+    degree 0."""
     structure = dict(V.structure)
-    vec = list(structure.get((i, n, j), vzero(V.rank)))
-    vec[coord] = vec[coord] + PONE
-    structure[(i, n, j)] = tuple(vec)
+    structure[(i, n, j)] = vadd(structure.get((i, n, j), {}), {(coord, 0): 1})
     return VAData(V.rank, V.coeff_ring, V.basis_names, structure, V.d_cols)
 
 
@@ -635,10 +635,7 @@ def mutation_sites(V: VAData, count: int) -> list[tuple[int, int, int, int]]:
     first, then zero slots inside the support range, up to `count`."""
     sites = []
     for key in sorted(V.structure):
-        vec = V.structure[key]
-        for c, poly in enumerate(vec):
-            if not poly.is_zero():
-                sites.append((*key, c))
+        sites += [(*key, c) for c in sorted({c for c, _ in V.structure[key]})]
     rng = V.global_support()
     if rng is not None:
         a, b = rng

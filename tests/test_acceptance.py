@@ -25,7 +25,6 @@ from chiralva.vertex import (
     check_all_va,
     mutation_sites,
     tensor_with_ox,
-    vzero,
 )
 
 import io

@@ -33,7 +33,7 @@ from chiralva.chiral import (
     sigma12_triple,
 )
 from chiralva.equivalence import va_to_chiral
-from chiralva.exact import Poly, Q, binom, inv_factorial
+from chiralva.exact import Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
 from chiralva.report import CheckReport
 from chiralva.vertex import (
@@ -49,9 +49,7 @@ from chiralva.vertex import (
     tensor_with_ox,
     unit,
     vadd,
-    vis_zero,
     vscale,
-    vzero,
 )
 from test_vertex import d_power
 
@@ -121,16 +119,16 @@ def oracle_right_layer(m1, m2, m3, u, v, w, k, l):
 
 
 def to_poly_vec(coords):
-    return tuple(Poly.const(c) for c in coords)
+    return {(i, 0): c for i, c in enumerate(coords) if c}
 
 
 def test_mu_eval_running_examples():
     A = a3_chiral()
-    one, t = unit(3, 0), unit(3, 1)
+    one, t = unit(0), unit(1)
     sec = mu_eval(A, ChiralGenerator(-2, t, one))
-    assert sec == {0: unit(3, 2), 1: vscale(Q(-1), t)}
+    assert sec == {0: unit(2), 1: vscale(Q(-1), t)}
     assert mu_eval(A, ChiralGenerator(0, t, t)) == {}
-    assert mu_eval(A, ChiralGenerator(-1, t, t)) == {0: unit(3, 2)}
+    assert mu_eval(A, ChiralGenerator(-1, t, t)) == {0: unit(2)}
 
 
 def test_mu_eval_matches_displayed_formula():
@@ -138,24 +136,24 @@ def test_mu_eval_matches_displayed_formula():
     for i in range(3):
         for j in range(3):
             for n in range(-5, 2):
-                sec = mu_eval(A, ChiralGenerator(n, unit(3, i), unit(3, j)))
+                sec = mu_eval(A, ChiralGenerator(n, unit(i), unit(j)))
                 for m in range(0, 6):
                     expect = vscale(
                         (-1) ** m * inv_factorial(m), to_poly_vec(omode(OB[i], m + n, OB[j]))
                     )
-                    got = sec.get(m, vzero(3))
-                    assert got == expect or (vis_zero(expect) and m not in sec)
+                    got = sec.get(m, {})
+                    assert got == expect or (not expect and m not in sec)
 
 
 def test_diag_mul_z12_examples():
-    a = unit(3, 1)
+    a = unit(1)
     assert diag_mul_z12({1: a}) == {0: vscale(Q(-1), a)}
     assert diag_mul_z12({0: a}) == {}
     assert diag_mul_z12({2: a}) == {1: vscale(Q(-2), a)}
 
 
 def test_diag_apply_d1_examples():
-    a, b = unit(3, 1), unit(3, 2)
+    a, b = unit(1), unit(2)
     assert diag_apply_d1({0: a}) == {1: a}
     assert diag_apply_d1({}) == {}
     assert diag_apply_d1({0: a, 1: b}) == {1: a, 2: b}
@@ -163,10 +161,10 @@ def test_diag_apply_d1_examples():
 
 def test_diag_apply_d2_examples():
     A = a3_chiral()
-    t = unit(3, 1)
+    t = unit(1)
     out = diag_apply_d2(A, {0: t})
-    assert out == {0: unit(3, 2), 1: vscale(Q(-1), t)}  # D t = t^2
-    e0 = unit(3, 0)
+    assert out == {0: unit(2), 1: vscale(Q(-1), t)}  # D t = t^2
+    e0 = unit(0)
     assert diag_apply_d2(A, {0: e0}) == {1: vscale(Q(-1), e0)}  # D e0 = 0
     s = {0: t}
     s2 = {0: e0}
@@ -182,7 +180,7 @@ def test_commutator_of_d1_and_multiplication_is_identity():
             k: to_poly_vec([Q(rng.randint(-3, 3)) for _ in range(3)])
             for k in range(rng.randint(1, 4))
         }
-        s = {k: v for k, v in s.items() if not vis_zero(v)}
+        s = {k: v for k, v in s.items() if v}
         lhs = diag_apply_d1(diag_mul_z12(s))
         rhs = diag_mul_z12(diag_apply_d1(s))
         diff = diag_add(lhs, diag_scale(Q(-1), rhs))
@@ -197,10 +195,10 @@ def test_d1_plus_d2_acts_as_derivation_layerwise():
             k: to_poly_vec([Q(rng.randint(-3, 3)) for _ in range(3)])
             for k in range(rng.randint(1, 3))
         }
-        s = {k: v for k, v in s.items() if not vis_zero(v)}
+        s = {k: v for k, v in s.items() if v}
         total = diag_add(diag_apply_d1(s), diag_apply_d2(A, s))
         expect = {k: apply_d(A.va_view(), v) for k, v in s.items()}
-        expect = {k: v for k, v in expect.items() if not vis_zero(v)}
+        expect = {k: v for k, v in expect.items() if v}
         assert diag_eq(total, expect)
 
 
@@ -230,10 +228,10 @@ def test_chiral_skew_passes_and_extraction_example():
     # B^{-2}_0(t,1) = t^2 equals -(D^0 B^{-2}_0(1,t) + D^1 B^{-2}_1(1,t))
     va = A.va_view()
     b0 = A.b_layer(1, -2, 0, 0)
-    rhs = vzero(3)
+    rhs = {}
     for k in range(0, 4):
         rhs = vadd(rhs, vscale(Q(-1), d_power(va, A.b_layer(0, -2, 1, k), k)))
-    assert b0 == rhs == unit(3, 2)
+    assert b0 == rhs == unit(2)
 
 
 def test_chiral_skew_sign_flip_fails():
@@ -250,34 +248,34 @@ def test_chiral_skew_sign_flip_fails():
 
 def test_compose_left_examples_and_oracle():
     A = a3_chiral()
-    one, t = unit(3, 0), unit(3, 1)
+    one, t = unit(0), unit(1)
     sec = compose_left(A, -1, -1, -1, one, t, one)
-    assert sec[(0, 0)] == unit(3, 2)
+    assert sec[(0, 0)] == unit(2)
     for (k, l), val in sec.items():
         assert val == to_poly_vec(oracle_left_layer(-1, -1, -1, OB[0], OB[1], OB[0], k, l))
     # every stored layer of several sweeps agrees with the oracle
     for m1, m2, m3 in [(-1, -1, -1), (-2, -1, -1), (-1, -2, -3), (-3, -2, -1)]:
         for iu in range(3):
             for iv in range(3):
-                sec = compose_left(A, m1, m2, m3, unit(3, iu), unit(3, iv), one)
+                sec = compose_left(A, m1, m2, m3, unit(iu), unit(iv), one)
                 for k in range(0, 5):
                     for l in range(0, 5):
                         expect = to_poly_vec(
                             oracle_left_layer(m1, m2, m3, OB[iu], OB[iv], OB[0], k, l)
                         )
-                        assert sec.get((k, l), vzero(3)) == expect
+                        assert sec.get((k, l), {}) == expect
 
 
 def test_compose_left_vanishes_for_regular_exponents():
     A = a3_chiral()
-    t = unit(3, 1)
+    t = unit(1)
     assert compose_left(A, 1, 1, 1, t, t, t) == {}
     assert compose_right(A, 2, 3, 1, t, t, t) == {}
 
 
 def test_compose_linearity_in_w():
     A = a3_chiral()
-    one, t, t2 = unit(3, 0), unit(3, 1), unit(3, 2)
+    one, t, t2 = unit(0), unit(1), unit(2)
     w = vadd(one, vscale(Q(3), t))
     for core in (compose_left, compose_right):
         combined = core(A, -1, -2, -1, t, one, w)
@@ -287,27 +285,27 @@ def test_compose_linearity_in_w():
         for key, val in separate.items():
             expect[key] = val
         for key, val in scaled.items():
-            expect[key] = vadd(expect.get(key, vzero(3)), vscale(Q(3), val))
-        assert diag_eq(combined, {k: v for k, v in expect.items() if not vis_zero(v)})
+            expect[key] = vadd(expect.get(key, {}), vscale(Q(3), val))
+        assert diag_eq(combined, {k: v for k, v in expect.items() if v})
 
 
 def test_compose_right_examples_and_oracle():
     A = a3_chiral()
-    one, t = unit(3, 0), unit(3, 1)
+    one, t = unit(0), unit(1)
     sec = compose_right(A, -1, -1, -1, one, t, one)
     assert (0, 0) not in sec
     perm = compose_right(A, -1, -1, -1, t, one, one)
-    assert perm[(0, 0)] == unit(3, 2)
+    assert perm[(0, 0)] == unit(2)
     for m1, m2, m3 in [(-1, -1, -1), (-2, -1, -1), (-1, -2, -3)]:
         for iu in range(3):
             for iv in range(3):
-                sec = compose_right(A, m1, m2, m3, unit(3, iu), unit(3, iv), one)
+                sec = compose_right(A, m1, m2, m3, unit(iu), unit(iv), one)
                 for k in range(0, 5):
                     for l in range(0, 5):
                         expect = to_poly_vec(
                             oracle_right_layer(m1, m2, m3, OB[iu], OB[iv], OB[0], k, l)
                         )
-                        assert sec.get((k, l), vzero(3)) == expect
+                        assert sec.get((k, l), {}) == expect
 
 
 def test_closed_form_and_layer_rules_compose_alike():
@@ -318,7 +316,7 @@ def test_closed_form_and_layer_rules_compose_alike():
         A = va_to_chiral(V, checked=False)
         i, n, j = min(A.m0)
         layer = A.b_layer(i, n - 1, j, 1)
-        assert not vis_zero(layer)
+        assert layer
         redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
                                {(i, n - 1, j, 1): layer})
         nonempty = 0
@@ -328,7 +326,7 @@ def test_closed_form_and_layer_rules_compose_alike():
                     for iu in range(A.rank):
                         for iv in range(A.rank):
                             for iw in range(A.rank):
-                                gens = (unit(A.rank, iu), unit(A.rank, iv), unit(A.rank, iw))
+                                gens = (unit(iu), unit(iv), unit(iw))
                                 for core in (compose_left, compose_right):
                                     closed = core(A, m1, m2, m3, *gens)
                                     assert core(redundant, m1, m2, m3, *gens) == closed
@@ -351,16 +349,16 @@ def test_closed_form_double_contractions_match_direct_contraction():
                     left, right = iterated_modes(va, iu, iv, iw)
                     for j0 in range(lo - 2, hi + 3):
                         for j1 in range(lo - 2, hi + 3):
-                            double_left = mode_vec(va, A.m0.get((iu, j0, iv), vzero(A.rank)), j1, iw)
-                            double_right = mode_left(va, iu, j0, A.m0.get((iv, j1, iw), vzero(A.rank)))
-                            assert left.get((j0, j1), vzero(A.rank)) == double_left
-                            assert right.get((j0, j1), vzero(A.rank)) == double_right
-                            hits += not vis_zero(double_left)
+                            double_left = mode_vec(va, A.m0.get((iu, j0, iv), {}), j1, iw)
+                            double_right = mode_left(va, iu, j0, A.m0.get((iv, j1, iw), {}))
+                            assert left.get((j0, j1), {}) == double_left
+                            assert right.get((j0, j1), {}) == double_right
+                            hits += bool(double_left)
         assert hits > 0
 
 
 def test_sigma12_triple_bookkeeping():
-    u, v, w = unit(3, 0), unit(3, 1), unit(3, 2)
+    u, v, w = unit(0), unit(1), unit(2)
     sign, m1, m2, m3, a, b, c = sigma12_triple(-1, -1, -1, u, v, w)
     assert sign == Q(-1)
     assert (m1, m2, m3) == (-1, -1, -1)
@@ -377,14 +375,14 @@ def test_sigma12_triple_bookkeeping():
 def test_chiral_jacobi_passes_and_example_layer():
     A = a3_chiral()
     assert check_chiral_jacobi(A).passed
-    one, t = unit(3, 0), unit(3, 1)
+    one, t = unit(0), unit(1)
     left = compose_left(A, -1, -1, -1, one, t, one)
     right = compose_right(A, -1, -1, -1, one, t, one)
     perm = compose_right(A, -1, -1, -1, t, one, one)
     # at layer (0,0): t^2 = 0 - (-1) t^2
-    assert left[(0, 0)] == unit(3, 2)
-    assert right.get((0, 0), vzero(3)) == vzero(3)
-    assert perm[(0, 0)] == unit(3, 2)
+    assert left[(0, 0)] == unit(2)
+    assert right.get((0, 0), {}) == {}
+    assert perm[(0, 0)] == unit(2)
 
 
 def test_chiral_jacobi_mutation_control():
@@ -408,14 +406,13 @@ def test_recursion_determines_family_from_m0_layer():
 
 def test_compose_trilinearity_over_polynomials():
     A = a3_chiral()
-    z = Poly.z()
-    one, t = unit(3, 0), unit(3, 1)
-    fu = tuple(z * c for c in t)  # z.t
-    gv = tuple(Poly.const(Q(2)) * c for c in one)
+    one, t = unit(0), unit(1)
+    fu = {(1, 1): 1}  # z.t
+    gv = {(0, 0): Q(2)}  # 2.1
     for core in (compose_left, compose_right):
         scaled = core(A, -2, -1, -1, fu, gv, t)
         plain = core(A, -2, -1, -1, t, one, t)
-        expect = {k: tuple(Q(2) * z * c for c in v) for k, v in plain.items()}
+        expect = {k: {(c, d + 1): Q(2) * x for (c, d), x in v.items()} for k, v in plain.items()}
         assert diag_eq(scaled, expect)
 
 
@@ -440,7 +437,7 @@ def test_composition_entries_are_keyed_sums(name):
     A = va_to_chiral(dict(corpus())[name], checked=False)
     va = A.va_view()
     blo, bhi, lo, hi = _box(A)
-    zero = vzero(A.rank)
+    zero = {}
     m2s = range(blo, bhi + 1) if name == "a3" else (blo,)
     eps = [(-1) ** k * inv_factorial(k) for k in range(3 * (bhi - blo) + 1)]
     nonzero = 0
@@ -462,7 +459,7 @@ def test_composition_entries_are_keyed_sums(name):
                     for t, at, c in _key_terms(lo, hi, *key):
                         if at in tables[t]:
                             out[t] = vadd(out[t], vscale(c, tables[t][at]))
-                    sums[key] = [None if vis_zero(x) else x for x in out]
+                    sums[key] = [None if not x else x for x in out]
                 for t, c in ((0, 1), (1, -1), (2, sign)):
                     if sums[key][t] is not None:
                         expect[t][(k, l)] = vscale(c * eps[k] * eps[l], sums[key][t])
@@ -572,7 +569,7 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                         name, label, False, f"window n in [{lo}..{hi}]",
                         f"({pair_name(A, i, j)}, n={n})",
                     )
-                extraction = vzero(A.rank)
+                extraction = {}
                 sign = Q(-1) if n % 2 == 0 else Q(1)  # (-1)^{n+1}
                 for m in sorted(sec_vu):
                     extraction = vadd(extraction, vscale(sign, d_power(va, sec_vu[m], m)))
@@ -633,5 +630,5 @@ def test_d2_power_at_degree_zero_is_d_power(name):
     for x in A.m0.values():
         img = {0: x}
         for m in range(d_kill_bound(va) + 2):
-            assert img.get(0, vzero(A.rank)) == d_power(va, x, m), (x, m)
+            assert img.get(0, {}) == d_power(va, x, m), (x, m)
             img = diag_apply_d2(A, img)

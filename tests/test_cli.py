@@ -1,12 +1,13 @@
+import argparse
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from chiralva import serialize
-from chiralva.cli import main
+from chiralva.cli import build_parser, main
 from chiralva.equivalence import va_to_chiral
 from chiralva.fixtures import a3_va
 from chiralva.vertex import bump_structure_constant, tensor_with_ox
@@ -292,3 +293,71 @@ def test_delta_suite_box_errors_name_the_box_flag(capsys, box, message):
     code, err = _run_cli_err(capsys, "delta-suite", box)
     assert code == 2
     assert err == f"contract error: {message}\n"
+
+
+@pytest.mark.parametrize("command,name,where", [
+    ("check-va", "a3.json", ("structure", 0, "value", 0)),
+    ("check-va", "a3.json", ("D", 2, 1)),
+    ("check-chiral", "a3_chiral.json", ("B", 0, "value", 0)),
+])
+def test_non_canonical_coefficient_literal_exits_2(tmp_path, capsys, command, name, where):
+    # "1_0" used to load as 10
+    def edit(doc):
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = ["1_0"]
+
+    code, err = _run_cli_err(capsys, command, _edited_fixture(tmp_path, name, edit))
+    assert code == 2
+    assert err.startswith("parse error: bad rational literal '1_0'")
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process: help, usage errors and defaults must
+# be those of a freshly built parser on every call
+
+SUBCOMMANDS = ("check-va", "check-chiral", "to-chiral", "to-va", "roundtrip", "delta-suite",
+               "compose-diff")
+
+
+def _exit_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        main(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+def _fresh_help(command=None):
+    parser = build_parser()
+    if command is None:
+        return parser.format_help()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command].format_help()
+
+
+@pytest.mark.parametrize("command", (None, *SUBCOMMANDS))
+def test_help_matches_a_freshly_built_parser(command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    for _ in range(2):
+        code, out, err = _exit_output(argv)
+        assert (code, out, err) == (0, _fresh_help(command), "")
+
+
+def test_bad_flag_exits_2_with_the_fresh_parser_message():
+    argv = ["check-va", str(FIXTURES / "a3.json"), "--bogus"]
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    assert stop.value.code == 2
+    for _ in range(2):
+        assert _exit_output(argv) == (2, "", err.getvalue())
+
+
+def test_window_does_not_outlive_its_command():
+    path = str(FIXTURES / "a3.json")
+    code, plain = run_cli("check-va", path)
+    assert code == 0
+    code, widened = run_cli("check-va", path, "--window=-3:2")
+    assert code == 0 and "[-3..2]" in widened and widened != plain
+    assert run_cli("check-va", path) == (0, plain)

@@ -3,7 +3,9 @@
 Fails when a module-level import of a package module (other than
 `__init__.py`, which re-exports) is never referenced in that module, or
 when a module-level `_private` function or class is referenced nowhere in
-the package besides its own definition.
+the package besides its own definition.  Also keeps the checkers on the
+one sparse vector type: the modules that compute with vectors never name
+`Poly`, and the dense-vector helpers stay gone.
 """
 
 import ast
@@ -60,3 +62,29 @@ def test_every_private_definition_is_referenced():
                 if private and not loaded[node.name] and not imported[node.name]:
                     dead.append(f"{name}: {node.name}")
     assert not dead, dead
+
+
+VECTOR_MODULES = ("vertex.py", "chiral.py", "equivalence.py", "fixtures.py", "cli.py")
+
+
+def test_checkers_never_name_the_polynomial_type():
+    named = []
+    for name in VECTOR_MODULES:
+        for node in ast.walk(MODULES[name]):
+            ident = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                     else None)
+            imported = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            named += [f"{name}: {x}" for x in (ident, *imported) if x in ("Poly", "PZERO", "PONE")]
+    assert not named, named
+
+
+def test_dense_vector_helpers_are_gone():
+    defined = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.append((name, node.id))
+    gone = [f"{name}: {x}" for name, x in defined if x in ("vzero", "vconst", "_scalars")]
+    assert not gone, gone

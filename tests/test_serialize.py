@@ -61,3 +61,31 @@ def test_parse_errors_carry_position():
             '{"kind": "vertex-algebra", "rank": 1, "coeff_ring": "Q",'
             ' "basis_names": ["e"], "D": [], "structure": []}'
         )
+
+
+# A coefficient is a JSON string -?[0-9]+(/[0-9]+)? in ASCII digits with a
+# nonzero denominator.  These used to go through str() and int(), which read
+# "1_0" as 10, " 1", "+1" and an Arabic-Indic one as 1, "1/-2" as -1/2, and
+# coerced JSON numbers.
+BAD_LITERALS = ["1_0", " 1", "1 ", "+1", "\u0661", "1/-2", "-1/-2", "1/0", "0/0", "", "-",
+                "1.5", "1e3", "0x1", "1/2/3", "\u00bd", "1\n", 1, 1.0, None, True, [], {}]
+
+
+@pytest.mark.parametrize("literal", BAD_LITERALS, ids=repr)
+def test_non_canonical_coefficient_literals_are_parse_errors(literal):
+    with pytest.raises(ParseError):
+        serialize.str_to_rational(literal)
+    doc = __import__("json").loads(serialize.dumps(a3_va()))
+    doc["structure"][0]["value"][0] = [literal]
+    with pytest.raises(ParseError):
+        serialize.loads(__import__("json").dumps(doc))
+
+
+@pytest.mark.parametrize("literal,value", [
+    ("0", 0), ("-0", 0), ("12", 12), ("007", 7), ("-4/7", Q(-4, 7)), ("6/4", Q(3, 2)),
+    ("4/2", 2), ("-0/3", 0),
+])
+def test_coefficient_literals_read_exactly(literal, value):
+    got = serialize.str_to_rational(literal)
+    assert got == value
+    assert type(got) is (int if value.denominator == 1 else type(Q(1, 2)))

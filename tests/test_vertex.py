@@ -12,7 +12,7 @@ from chiralva.errors import (
     NotNilpotent,
     UnsupportedAlgebra,
 )
-from chiralva.exact import PZERO, Poly, Q, binom
+from chiralva.exact import Q, binom
 from chiralva.fixtures import a3_va, corpus, trivial_rank1, truncated_poly_va
 from chiralva.report import CheckReport
 from chiralva.vertex import (
@@ -39,17 +39,14 @@ from chiralva.vertex import (
     triple_name,
     unit,
     vadd,
-    vconst,
     vertex_coeff,
-    vis_zero,
     vscale,
-    vzero,
 )
 
 def d_power(V: VAData, u: Vector, k: int) -> Vector:
     """D^k u by k plain applications of D: the reference for `d_orbits`."""
     for _ in range(k):
-        if vis_zero(u):
+        if not u:
             return u
         u = apply_d(V, u)
     return u
@@ -98,7 +95,7 @@ BASIS = [oracle_vec((1, 0, 0)), oracle_vec((0, 1, 0)), oracle_vec((0, 0, 1))]
 
 
 def as_vector(o):
-    return vconst(3, list(o))
+    return {(i, 0): c for i, c in enumerate(o) if c}
 
 
 def test_a3_table_matches_brute_force_oracle():
@@ -107,25 +104,24 @@ def test_a3_table_matches_brute_force_oracle():
         for j in range(3):
             for n in range(-6, 3):
                 expected = as_vector(oracle_mode(BASIS[i], n, BASIS[j]))
-                assert vertex_coeff(v, unit(3, i), n, unit(3, j)) == expected, (i, n, j)
+                assert vertex_coeff(v, unit(i), n, unit(j)) == expected, (i, n, j)
 
 
 def test_vertex_coeff_examples():
     v = a3_va()
-    t, one = unit(3, 1), unit(3, 0)
-    assert vertex_coeff(v, t, -1, t) == unit(3, 2)
-    assert vertex_coeff(v, t, -2, one) == unit(3, 2)
-    assert vertex_coeff(v, t, 0, t) == vzero(3)
+    t, one = unit(1), unit(0)
+    assert vertex_coeff(v, t, -1, t) == unit(2)
+    assert vertex_coeff(v, t, -2, one) == unit(2)
+    assert vertex_coeff(v, t, 0, t) == {}
 
 
 def test_apply_d_examples():
     v = a3_va()
-    assert apply_d(v, unit(3, 1)) == unit(3, 2)
-    assert apply_d(v, unit(3, 0)) == vzero(3)
+    assert apply_d(v, unit(1)) == unit(2)
+    assert apply_d(v, unit(0)) == {}
     vq = tensor_with_ox(v)
-    z = Poly.z()
-    ze0 = (z, PZERO, PZERO)
-    assert apply_d(vq, ze0) == unit(3, 0)  # D(z e0) = e0 + z D(e0), D(e0) = 0
+    ze0 = {(0, 1): 1}  # z e0
+    assert apply_d(vq, ze0) == unit(0)  # D(z e0) = e0 + z D(e0), D(e0) = 0
 
 
 def test_check_truncation_pass_and_bounds():
@@ -152,16 +148,16 @@ def test_check_truncation_empty_algebra():
 
 def test_d_derivative_single_instance_and_sweep():
     v = a3_va()
-    t, one = unit(3, 1), unit(3, 0)
+    t, one = unit(1), unit(0)
     lhs = vertex_coeff(v, apply_d(v, t), -1, one)  # (Dt)_{-1} 1 = t^2
     rhs = vertex_coeff(v, t, -2, one)  # -(-1) t_{-2} 1
-    assert lhs == rhs == unit(3, 2)
+    assert lhs == rhs == unit(2)
     assert check_d_derivative(v).passed
 
 
 def test_d_derivative_zeroed_matrix_fails_at_t_one():
     v = a3_va()
-    bad = VAData(v.rank, v.coeff_ring, v.basis_names, dict(v.structure), (vzero(3),) * 3)
+    bad = VAData(v.rank, v.coeff_ring, v.basis_names, dict(v.structure), ({},) * 3)
     rep = check_d_derivative(bad)
     assert not rep.passed
     assert rep.witness == "(u=t, v=1, n=-2)"
@@ -170,9 +166,9 @@ def test_d_derivative_zeroed_matrix_fails_at_t_one():
 def test_skew_symmetry_instance_and_sweep():
     v = a3_va()
     # m = -2, u = t, v = 1: LHS t^2, RHS only k = 1 survives: D(1_{-1} t) = t^2
-    lhs = vertex_coeff(v, unit(3, 1), -2, unit(3, 0))
-    k1 = apply_d(v, vertex_coeff(v, unit(3, 0), -1, unit(3, 1)))
-    assert lhs == k1 == unit(3, 2)
+    lhs = vertex_coeff(v, unit(1), -2, unit(0))
+    k1 = apply_d(v, vertex_coeff(v, unit(0), -1, unit(1)))
+    assert lhs == k1 == unit(2)
     assert check_skew_symmetry(v).passed
 
 
@@ -183,11 +179,11 @@ def test_skew_symmetry_perturbation_fails():
 
 def test_jacobi_spec_instances():
     v = a3_va()
-    one, t = unit(3, 0), unit(3, 1)
+    one, t = unit(0), unit(1)
     lhs, rhs = jacobi_instance(v, 0, 1, 0, -1, -1, -1)  # (u,v,w) = (1,t,1)
-    assert lhs == rhs == unit(3, 2)
+    assert lhs == rhs == unit(2)
     lhs, rhs = jacobi_instance(v, 1, 1, 1, -1, -1, -1)  # (t,t,t)
-    assert lhs == rhs == vzero(3)
+    assert lhs == rhs == {}
     assert check_jacobi(v).passed
 
 
@@ -202,11 +198,11 @@ def test_out_of_window_vanishing_is_symbolic():
     # sample indices beyond the swept window: every term of the d-derivative
     # and skew identities evaluates to zero by the support bounds
     v = a3_va()
-    t, one = unit(3, 1), unit(3, 0)
+    t, one = unit(1), unit(0)
     for n in (5, 17, -23):
-        assert vertex_coeff(v, apply_d(v, t), n + 1, one) == vzero(3)
+        assert vertex_coeff(v, apply_d(v, t), n + 1, one) == {}
         if n > 0:
-            assert vertex_coeff(v, t, n, one) == vzero(3)
+            assert vertex_coeff(v, t, n, one) == {}
 
 
 def test_make_commutative_va_rejects_non_descending_derivation():
@@ -214,37 +210,37 @@ def test_make_commutative_va_rejects_non_descending_derivation():
     for i in range(3):
         for j in range(3):
             if i + j < 3:
-                mult[(i, j)] = unit(3, i + j)
-    ddt = (vzero(3), vconst(3, [1, 0, 0]), vconst(3, [0, 2, 0]))  # plain d/dt
+                mult[(i, j)] = unit(i + j)
+    ddt = ({}, {(0, 0): 1}, {(1, 0): 2})  # plain d/dt
     with pytest.raises(NotADerivation) as err:
         make_commutative_va(mult, ddt, ("1", "t", "t2"))
     assert "t" in str(err.value)
 
 
 def test_make_commutative_va_error_taxonomy():
-    mult = {(0, 1): unit(2, 1)}  # missing (1, 0): not commutative
+    mult = {(0, 1): unit(1)}  # missing (1, 0): not commutative
     with pytest.raises(NotCommutative):
-        make_commutative_va(mult, (vzero(2), vzero(2)), ("a", "b"))
+        make_commutative_va(mult, ({}, {}), ("a", "b"))
 
     # a * a = b, a * b = a is not associative: (aa)b = ab = a, a(ab) = aa = b
-    mult = {(0, 0): unit(2, 1), (0, 1): unit(2, 0), (1, 0): unit(2, 0)}
+    mult = {(0, 0): unit(1), (0, 1): unit(0), (1, 0): unit(0)}
     with pytest.raises(NotAssociative):
-        make_commutative_va(mult, (vzero(2), vzero(2)), ("a", "b"))
+        make_commutative_va(mult, ({}, {}), ("a", "b"))
 
     # zero product admits any matrix as a derivation; the identity is not nilpotent
     with pytest.raises(NotNilpotent, match=r"^witness basis vector a: D\^2 != 0$"):
-        make_commutative_va({}, (unit(2, 0), unit(2, 1)), ("a", "b"))
+        make_commutative_va({}, (unit(0), unit(1)), ("a", "b"))
     # D a = 0 but D b = b: the witness is the first basis vector that survives
     with pytest.raises(NotNilpotent, match=r"^witness basis vector b: D\^2 != 0$"):
-        make_commutative_va({}, (vzero(2), unit(2, 1)), ("a", "b"))
+        make_commutative_va({}, ({}, unit(1)), ("a", "b"))
     # the shift a -> b -> c -> 0 is nilpotent of index exactly the rank
-    shift = make_commutative_va({}, (unit(3, 1), unit(3, 2), vzero(3)), ("a", "b", "c"))
+    shift = make_commutative_va({}, (unit(1), unit(2), {}), ("a", "b", "c"))
     assert shift.rank == 3 and shift.structure == {}
 
 
 def test_trivial_rank1_structure():
     v = trivial_rank1()
-    assert v.structure == {(0, -1, 0): unit(1, 0)}
+    assert v.structure == {(0, -1, 0): unit(0)}
     assert all(r.passed for r in check_all_va(v))
 
 
@@ -252,23 +248,25 @@ def test_tensor_with_ox_bilinearity_and_axioms():
     v = tensor_with_ox(a3_va())
     rng = random.Random(5)
     for _ in range(10):
-        f = Poly([Q(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))])
-        g = Poly([Q(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))])
+        f = [Q(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+        g = [Q(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
         i, j, n = rng.randrange(3), rng.randrange(3), rng.randint(-3, 0)
-        u = tuple(f if k == i else PZERO for k in range(3))
-        w = tuple(g if k == j else PZERO for k in range(3))
-        plain = vertex_coeff(v, unit(3, i), n, unit(3, j))
-        assert vertex_coeff(v, u, n, w) == tuple(f * g * c for c in plain)
+        u = {(i, d): c for d, c in enumerate(f) if c}  # f e_i
+        w = {(j, d): c for d, c in enumerate(g) if c}  # g e_j
+        fg = [sum(f[a] * g[d - a] for a in range(len(f)) if 0 <= d - a < len(g))
+              for d in range(len(f) + len(g) - 1)]
+        plain = vertex_coeff(v, unit(i), n, unit(j))  # constant: every degree is 0
+        assert vertex_coeff(v, u, n, w) == {(q, d): fg[d] * x for (q, _), x in plain.items()
+                                            for d in range(len(fg)) if fg[d]}
     assert all(r.passed for r in check_all_va(v))
     # (z t)_{-1} (z t) = z^2 t^2
-    z = Poly.z()
-    zt = (PZERO, z, PZERO)
-    assert vertex_coeff(v, zt, -1, zt) == (PZERO, PZERO, z * z)
+    zt = {(1, 1): 1}
+    assert vertex_coeff(v, zt, -1, zt) == {(2, 2): 1}
 
 
 def test_non_nilpotent_derivation_detected():
-    ident = (unit(1, 0),)
-    table = {(0, -1, 0): unit(1, 0)}
+    ident = (unit(0),)
+    table = {(0, -1, 0): unit(0)}
     v = VAData(1, "Q", ("e",), table, ident)
     for _ in range(2):  # a rejected table leaves no partial D-orbits behind
         with pytest.raises(UnsupportedAlgebra, match=r"survives D\^6"):
@@ -295,14 +293,14 @@ def test_scaling_one_diagonal_entry_gives_another_valid_algebra():
 
 def test_coeff_ring_q_rejects_polynomial_entries():
     with pytest.raises(ContractError):
-        VAData(1, "Q", ("e",), {(0, -1, 0): (Poly.z(),)}, (vzero(1),))
+        VAData(1, "Q", ("e",), {(0, -1, 0): {(0, 1): 1}}, ({},))
 
 
 def test_nonnegative_modes_cannot_satisfy_d_derivative():
     # (Du)_{n+1} v vanishes above the support, so -(n+1) u_n v = 0 there:
     # any table with a nonzero entry at n != -1 on the top fails the check
-    table = {(0, 0, 0): unit(1, 0)}
-    v = VAData(1, "Q", ("e",), table, (vzero(1),))
+    table = {(0, 0, 0): unit(0)}
+    v = VAData(1, "Q", ("e",), table, ({},))
     rep = check_d_derivative(v)
     assert not rep.passed and "n=0" in rep.witness
 
@@ -310,8 +308,8 @@ def test_nonnegative_modes_cannot_satisfy_d_derivative():
 def test_jacobi_certificates_handle_nonnegative_support():
     # tables reaching into nonnegative mode indices exercise the cleared
     # form of the composition certificate; this one breaks the identity
-    table = {(0, 0, 0): unit(1, 0), (0, -1, 0): unit(1, 0)}
-    v = VAData(1, "Q", ("e",), table, (vzero(1),))
+    table = {(0, 0, 0): unit(0), (0, -1, 0): unit(0)}
+    v = VAData(1, "Q", ("e",), table, ({},))
     rep = check_jacobi(v)
     assert not rep.passed
 
@@ -348,6 +346,22 @@ def test_jacobi_sweep_failure_implies_certificate_failure():
         )
         if sweep_fails:
             assert cert_fails, trial
+
+
+def test_mutation_sites_order():
+    # perfbench names its mutant files from this list, so its order is part
+    # of the contract: the nonzero coordinates by (key, coord), then the zero
+    # slots inside the support in (i, n, j, coord) order
+    multi = 0
+    for _name, V in corpus():
+        nonzero = [(*key, c) for key in sorted(V.structure) for c in range(V.rank)
+                   if any(cc == c for cc, _ in V.structure[key])]
+        a, b = V.global_support()
+        slots = product(range(V.rank), range(a, b + 1), range(V.rank), range(V.rank))
+        want = nonzero + [site for site in slots if site not in nonzero]
+        assert mutation_sites(V, 30) == want[:30]
+        multi += len(nonzero) > len(V.structure)
+    assert multi  # some entry has several nonzero coordinates
 
 
 def test_support_bounds_must_name_basis_pairs():
@@ -405,7 +419,7 @@ def _instance_tables(V, iu, iv, iw):
 def jacobi_instance(V, iu, iv, iw, l, m, n):
     """Left and right sides of the component Jacobi identity; finite i-sums."""
     terms = _jacobi_terms(*(V.global_support() or (0, -1)), l, m, n)
-    return _jacobi_sides(_instance_tables(V, iu, iv, iw), terms, vzero(V.rank))
+    return _jacobi_sides(_instance_tables(V, iu, iv, iw), terms, {})
 
 
 def gather_check_jacobi(V, window=None):
@@ -419,7 +433,7 @@ def gather_check_jacobi(V, window=None):
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
     tables = {t: _instance_tables(V, *t) for t in product(range(V.rank), repeat=3)}
-    zero = vzero(V.rank)
+    zero = {}
     swept = 0
     for l, m, n in product(range(lo, hi + 1), repeat=3):
         if not (2 * a <= l + m + n <= 2 * b):
@@ -452,7 +466,7 @@ SCATTER_CASES = [
     ("a3-window", a3_va(), (-9, 4)),
     *((f"ladder-{k}", tensor_with_ox(truncated_poly_va(k, [Q(0), Q(0), Q(1), Q(1, 2)])), None)
       for k in (4, 5)),
-    ("empty-window", VAData(1, "Q", ("e",), {}, (vzero(1),)), (-2, 3)),
+    ("empty-window", VAData(1, "Q", ("e",), {}, ({},)), (-2, 3)),
     *((name, V, None) for name, V in corpus()),
 ]
 SCATTER_IDS = [case[0] for case in SCATTER_CASES]
@@ -499,8 +513,8 @@ def test_skew_orbits_match_d_power_and_kill_bound():
         for key, orbit in orbits.items():
             for k in range(len(orbit) + 2):
                 want = d_power(V, V.structure[key], k)
-                assert (orbit[k] if k < len(orbit) else vzero(V.rank)) == want
-            assert not any(vis_zero(w) for w in orbit)
+                assert (orbit[k] if k < len(orbit) else {}) == want
+            assert all(orbit)
         assert d_kill_bound(V) == max([1, *(len(o) for o in orbits.values())])
 
 
@@ -518,7 +532,7 @@ def _support(V):
 def reference_jacobi_instance(V, iu, iv, iw, l, m, n):
     a, b = _support(V)
     sgn = 1 if l % 2 == 0 else -1
-    lhs = rhs = vzero(V.rank)
+    lhs = rhs = {}
     for i in range(max(0, a - l), b - l + 1):
         inner = V.structure.get((iu, l + i, iv))
         if inner is not None:
@@ -599,6 +613,6 @@ def test_iterated_mode_tables_match_direct_contraction():
                         for q in range(a - 1, b + 2):
                             want_l = mode_vec(V, V.mode(iu, p, iv), q, iw)
                             want_r = mode_left(V, iu, p, V.mode(iv, q, iw))
-                            assert left.get((p, q), vzero(V.rank)) == want_l
-                            assert right.get((p, q), vzero(V.rank)) == want_r
-                    assert not any(vis_zero(x) for x in (*left.values(), *right.values()))
+                            assert left.get((p, q), {}) == want_l
+                            assert right.get((p, q), {}) == want_r
+                    assert all((*left.values(), *right.values()))
