@@ -5,7 +5,7 @@ All arithmetic is exact over Q and Q[z]; every axiom checker sweeps a finite
 safe window and closes the remaining integer indices symbolically.
 """
 
-from .exact import Poly, Q, binom
+from .exact import Q, binom
 from .formal import (
     DeltaAtom,
     Deriv,
@@ -51,7 +51,7 @@ from .chiral import (
 from .equivalence import chiral_to_va, roundtrip_check, va_to_chiral
 
 __all__ = [
-    "Poly", "Q", "binom",
+    "Q", "binom",
     "DeltaAtom", "Deriv", "ExponentBox", "IotaPow", "LaurentWindow", "Monomial",
     "Product", "Sum", "check_identity", "delta_binomial", "delta_ratio", "expand",
     "fundamental_delta_property", "iota_expand", "mono",

@@ -65,6 +65,8 @@ class ChiralData:
     d_cols: tuple[Vector, ...]
     overrides: dict = field(default_factory=dict)  # (i, n, j, m) -> Vector
     _cache: dict = field(default_factory=dict, repr=False)
+    _span: tuple | None = field(default=None, init=False, repr=False)  # effective_support()
+    _off: tuple | None = field(default=None, init=False, repr=False)  # off_recursion()
 
     def __post_init__(self):
         check_table_shape(self.rank, self.basis_names, self.d_cols, {**self.m0, **self.overrides})
@@ -73,6 +75,10 @@ class ChiralData:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
         clean = {k: v for k, v in self.m0.items() if v}
         object.__setattr__(self, "m0", clean)
+        points = [n for (_, n, _) in clean] + [n + m for (_, n, _, m) in self.overrides]
+        object.__setattr__(self, "_span", (min(points), max(points)) if points else None)
+        off = (key for key, val in self.overrides.items() if val != self._closed_form(*key))
+        object.__setattr__(self, "_off", min(off, default=None))
 
     def va_view(self) -> VAData:
         """The m = 0 layer read as a mode table over Q[z] (same D action)."""
@@ -84,28 +90,32 @@ class ChiralData:
 
     def effective_support(self) -> tuple[int, int] | None:
         """Range of B^{n+m}_0-positions touched by stored data, overrides included."""
-        points = [n for (_, n, _) in self.m0]
-        points += [n + m for (_, n, _, m) in self.overrides]
-        if not points:
-            return None
-        return min(points), max(points)
+        return self._span
+
+    def off_recursion(self) -> tuple[int, int, int, int] | None:
+        """The least explicit layer key (i, n, j, m) whose value is not its
+        recursion closed form; None when the family is the chiral algebra of
+        its m = 0 layer, explicit layers or not."""
+        return self._off
+
+    def _closed_form(self, i: int, n: int, j: int, m: int) -> Vector:
+        """((-1)^m / m!) B^{m+n}_0(e_i, e_j), the layer the recursion gives."""
+        return vscale(_signed_inv_factorial(m), self.m0.get((i, m + n, j), {}))
 
     def b_layer(self, i: int, n: int, j: int, m: int) -> Vector:
-        """B^n_m(e_i, e_j): explicit override if present, else the closed form
-        ((-1)^m / m!) B^{m+n}_0(e_i, e_j) given by the recursion."""
+        """B^n_m(e_i, e_j): explicit override if present, else the closed form."""
         key = ("b", i, n, j, m)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        over = self.overrides.get((i, n, j, m))
-        if over is not None:
-            self._cache[key] = over
-            return over
-        val = vscale(_signed_inv_factorial(m), self.m0.get((i, m + n, j), {}))
-        self._cache[key] = val
-        return val
+        if hit is None:
+            hit = self.overrides.get((i, n, j, m))
+            if hit is None:
+                hit = self._closed_form(i, n, j, m)
+            self._cache[key] = hit
+        return hit
 
     def basis_section(self, i: int, n: int, j: int) -> DiagSection:
+        """Every nonzero layer of B^n(e_i, e_j); the support range covers each
+        override's n + m, so explicit layers are read here too."""
         key = ("sec", i, n, j)
         if key not in self._cache:
             rng = self.effective_support()
@@ -116,9 +126,6 @@ class ChiralData:
                     val = self.b_layer(i, n, j, m)
                     if val:
                         out[m] = val
-                for (oi, on, oj, om), val in self.overrides.items():
-                    if (oi, on, oj) == (i, n, j) and om not in out and val:
-                        out[om] = val
             self._cache[key] = out
         return self._cache[key]
 
@@ -213,10 +220,11 @@ def _signed_inv_factorial(k: int):
 
 
 # The two term rules below give the same value whenever the family is the
-# recursion closed form.  The closed form reads every term as a scalar times
-# an iterated mode of the m = 0 layer from the triple's `iterated_modes`
-# table and is much faster; only the layer rule sees explicit m >= 1
-# layers, so it runs whenever any exist (`modes` is None then).
+# recursion closed form, explicit layers or not.  The closed form reads every
+# term as a scalar times an iterated mode of the m = 0 layer from the triple's
+# `iterated_modes` table and is much faster; the layer rule reads each layer
+# through `b_layer`, and runs only for families off the recursion (`modes` is
+# None then).
 
 
 def _left_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
@@ -252,7 +260,7 @@ def _compose_left_basis(
     if hit is not None:
         return hit
     lo, hi = rng
-    left = None if A.overrides else iterated_modes(A.va_view(), iu, iv, iw)[0]
+    left = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[0]
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         for k in range(0, hi - m2 - m3 + i + 1):
@@ -280,7 +288,7 @@ def _compose_right_basis(
     if hit is not None:
         return hit
     lo, hi = rng
-    right = None if A.overrides else iterated_modes(A.va_view(), iu, iv, iw)[1]
+    right = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[1]
     out: Diag3Section = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -434,7 +442,7 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
 
 def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     """(first witness or None, generators swept) over the box [blo..bhi]^3,
-    generator by generator; the sweep for families with explicit layers."""
+    generator by generator; the sweep for families off the recursion."""
     swept = 0
     for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
         if m1 + m2 + m3 > 2 * hi:
@@ -467,7 +475,7 @@ def _key_terms(lo: int, hi: int, m1: int, M: int, N: int) -> list:
 
 
 def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
-    """The generator sweep without explicit layers, one key at a time: entry
+    """The generator sweep on the recursion closed form, one key at a time: entry
     (k, l) of the compositions at (m1, m2, m3) is ((-1)^(k+l)/k!l!) times the
     key (m1, m3+k, m2+l), so the first failing generator has m2 = m3 = blo.
     Returns like `_generator_sweep`; the count, taken on a pass, is closed-form."""
@@ -515,7 +523,7 @@ def _chiral_jacobi(A: ChiralData, window, sweep) -> CheckReport:
 def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
     """Composition Jacobi identity on triple generators over the safe box,
     closed over all exponent triples by the m = 0 layer certificates."""
-    return _chiral_jacobi(A, window, _generator_sweep if A.overrides else _keyed_sweep)
+    return _chiral_jacobi(A, window, _generator_sweep if A.off_recursion() else _keyed_sweep)
 
 
 def check_all_chiral(A: ChiralData, window=None) -> list[CheckReport]:

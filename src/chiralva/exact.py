@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic, and one polynomial value type.
+"""Exact scalar arithmetic, and the printing of one polynomial.
 
 Scalars are rationals (`fractions.Fraction`, re-exported as `Q`), kept in
 lowest terms with positive denominator by the stdlib.  A coefficient is an
@@ -7,9 +7,8 @@ never pay for Fraction arithmetic.
 
 Vectors over Q[z] are not built from polynomials: `vertex` stores a vector
 as one sparse map {(coord, deg): scalar} of the coefficients of z^deg e_coord,
-with no zero entries, and does its arithmetic on those scalars.  `Poly`, a
-normalized low-degree-first tuple in one variable z, remains the public
-value type of a single polynomial, and `format_poly` prints one.
+with no zero entries, and does its arithmetic on those scalars.
+`format_poly` prints the (deg, scalar) terms of one coordinate.
 """
 
 from __future__ import annotations
@@ -37,43 +36,6 @@ def inv_factorial(k: int) -> int | Fraction:
     """1/k!, an `int` for k <= 1."""
     f = math.factorial(k)
     return 1 if f == 1 else Q(1, f)
-
-
-def _as_q(x) -> int | Fraction:
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-class Poly:
-    """Polynomial in z over Q, as a normalized low-degree-first tuple."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [_as_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Poly({format_poly(enumerate(self.coeffs))})"
 
 
 def format_q(c: Fraction) -> str:

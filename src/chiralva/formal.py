@@ -438,16 +438,6 @@ class IdentityReport:
     def first_diff(self):
         return self.diffs[0] if self.diffs else None
 
-    def describe(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        msg = f"{status} on {self.box.describe()}"
-        if self.note:
-            msg += f" ({self.note})"
-        if self.diffs:
-            key, lv, rv = self.diffs[0]
-            msg += f"; first difference at {key}: {lv} != {rv}"
-        return msg
-
 
 def _report(lw: LaurentWindow, rw: LaurentWindow, note: str) -> IdentityReport:
     keys = lw.diff_keys(rw)

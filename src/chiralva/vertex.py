@@ -157,6 +157,7 @@ class VAData:
     _cache: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False)  # (i, n) -> {j: entry}
     _cols: dict = field(default_factory=dict, init=False, repr=False)  # (n, j) -> {i: entry}
+    _dmap: dict = field(default_factory=dict, init=False, repr=False)  # {j: D(e_j)}, nonzero only
     _span: tuple | None = field(default=None, init=False, repr=False)  # global_support()
 
     def __post_init__(self):
@@ -171,6 +172,7 @@ class VAData:
         for (i, n, j), val in clean.items():
             self._rows.setdefault((i, n), {})[j] = val
             self._cols.setdefault((n, j), {})[i] = val
+        self._dmap.update((j, col) for j, col in enumerate(self.d_cols) if col)
         if self.coeff_ring == "Q" and self.max_degree() > 0:
             raise ContractError("coeff_ring Q admits constant coordinates only")
         if not self.support:
@@ -233,7 +235,7 @@ def apply_d(V: VAData, u: Vector) -> Vector:
     derivative sends (c, d) to (c, d-1) times d; over Q every degree is 0
     and the derivative term vanishes."""
     derivative = {(p, d - 1): d * c for (p, d), c in u.items() if d}
-    return vadd(derivative, matvec_cols(V.d_cols, u))
+    return vadd(derivative, contract(u, V._dmap))
 
 
 def d_orbits(V: VAData) -> dict:

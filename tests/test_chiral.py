@@ -1,9 +1,12 @@
+import io
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 from itertools import product
 
 import pytest
 
-from chiralva import chiral
+from chiralva import chiral, serialize
 from chiralva.chiral import (
     ChiralData,
     ChiralGenerator,
@@ -32,6 +35,7 @@ from chiralva.chiral import (
     mu_eval,
     sigma12_triple,
 )
+from chiralva.cli import main
 from chiralva.equivalence import va_to_chiral
 from chiralva.exact import Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
@@ -308,10 +312,11 @@ def test_compose_right_examples_and_oracle():
                         assert sec.get((k, l), {}) == expect
 
 
-def test_closed_form_and_layer_rules_compose_alike():
-    # One redundant override equal to its closed form switches both
-    # compositions to the layer rule without changing the family, so the
-    # two term rules must give the same sections.
+def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
+    # One redundant override equal to its closed form leaves the family on
+    # the recursion.  Reading it as off the recursion sends both compositions
+    # to the layer rule, which reads the override through `b_layer`, without
+    # changing the family, so the two term rules must give the same sections.
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
         i, n, j = min(A.m0)
@@ -319,6 +324,9 @@ def test_closed_form_and_layer_rules_compose_alike():
         assert layer
         redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
                                {(i, n - 1, j, 1): layer})
+        assert redundant.off_recursion() is None
+        monkeypatch.setattr(ChiralData, "off_recursion",
+                            lambda self: (i, n - 1, j, 1) if self is redundant else None)
         nonempty = 0
         for m1 in range(-3, 1):
             for m2 in range(-3, 1):
@@ -332,6 +340,7 @@ def test_closed_form_and_layer_rules_compose_alike():
                                     assert core(redundant, m1, m2, m3, *gens) == closed
                                     nonempty += bool(closed)
         assert nonempty > 0
+        monkeypatch.undo()
 
 
 def test_closed_form_double_contractions_match_direct_contraction():
@@ -481,7 +490,7 @@ ORACLE_CASES.append(("a3", (-3, 4)))
 
 @pytest.mark.parametrize("name,window", ORACLE_CASES, ids=lambda x: str(x).replace(" ", ""))
 def test_keyed_sweep_matches_generator_loop(name, window):
-    # The generator loop, kept for families with explicit layers, is the
+    # The generator loop, kept for families off the recursion, is the
     # oracle: same report, and the closed-form count is the number of
     # generators it sweeps.
     if name == "ladder-3":
@@ -536,6 +545,31 @@ def test_keyed_sweep_matches_generator_loop_on_mutants():
             assert keyed == _chiral_jacobi(A, None, _generator_sweep), (_name, site)
             reports += 1
     assert reports == 211
+
+
+def redundant_layer(name: str) -> ChiralData:
+    """The corpus family `name` with one explicit m = 1 layer equal to its
+    closed form, built like `test_golden.redundant_layer_trivial`."""
+    A = va_to_chiral(dict(corpus())[name], checked=False)
+    i, n, j = min(A.m0)
+    layer = {(i, n - 1, j, 1): A.b_layer(i, n - 1, j, 1)}
+    return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, layer)
+
+
+@pytest.mark.parametrize("name", ["a3", "trivial-rank1", "random-0", "random-1", "random-3", "random-4"])
+def test_redundant_layer_takes_the_keyed_sweep(monkeypatch, name):
+    # A redundant explicit layer leaves the family on the recursion, so the
+    # keyed sweep checks it and reports what the generator loop reports.
+    R = redundant_layer(name)
+    assert R.overrides and R.off_recursion() is None
+    want = _chiral_jacobi(R, None, _generator_sweep)
+    assert want.passed
+
+    def refuse(*args):
+        raise AssertionError("the generator loop ran on a family on the recursion")
+
+    monkeypatch.setattr(chiral, "_generator_sweep", refuse)
+    assert check_chiral_jacobi(R) == want
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +653,43 @@ def test_horner_skew_matches_reference_on_explicit_layer_mutants():
             reports += 1
             failing += not want.passed
     assert (reports, failing) == (150, 139)
+
+
+def test_dmodule_part_a_fails_exactly_off_the_recursion():
+    # On the grid above, each bumped layer puts the family off the recursion
+    # and fails part (a); the same layer set to its closed form does neither.
+    verdicts = Counter()
+    for name in ("a3", "trivial-rank1", "a3-basis-change"):
+        A = va_to_chiral(dict(corpus())[name], checked=False)
+        lo, hi = A.effective_support()
+        for i, j, n, m in product(range(A.rank), range(A.rank), range(lo - 2, hi + 1), (1, 2)):
+            redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
+                                   {(i, n, j, m): A.b_layer(i, n, j, m)})
+            for B in (bump_b_entry(A, i, n, j, m, (i + j) % A.rank), redundant):
+                off = B.off_recursion()
+                assert off in (None, (i, n, j, m))
+                assert dmodule_parts(B)["a"]["passed"] == (off is None), (name, i, n, j, m)
+                verdicts[off is None] += 1
+    assert verdicts == {False: 150, True: 150}
+
+
+def test_compose_diff_prints_a_redundant_layer_like_the_plain_file(tmp_path):
+    A = va_to_chiral(dict(corpus())["a3"], checked=False)
+    files = (tmp_path / "plain.json", tmp_path / "redundant.json")
+    for path, data in zip(files, (A, redundant_layer("a3"))):
+        path.write_text(serialize.dumps(data), encoding="utf-8")
+    printed = 0
+    for ms in [(-1, -1, -1), (-2, -1, 0), (0, -2, -1)]:
+        for names in product(A.basis_names, repeat=3):
+            outs = []
+            for path in files:
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    code = main(["compose-diff", str(path), *map(str, ms), *names])
+                outs.append((code, buf.getvalue().splitlines()[1:]))  # line 0 names the file
+            assert outs[0] == outs[1], (ms, names)
+            printed += sum("(k,l)=" in line for line in outs[0][1])
+    assert printed > 0
 
 
 @pytest.mark.parametrize("name", ["a3", "a3-basis-change"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralva.exact import Poly, Q, binom, format_poly
+from chiralva.exact import Q, binom, format_poly
 from chiralva.serialize import dumps
 from chiralva.vertex import VAData, apply_d, contract, format_vector, vadd, vscale
 
@@ -95,13 +95,6 @@ def test_poly_derivation_product_rule():
         q = _z(*[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(0, 7))])
         lhs = apply_d(D_ZERO, _times(p, q))
         assert lhs == vadd(_times(apply_d(D_ZERO, p), q), _times(p, apply_d(D_ZERO, q)))
-
-
-def test_poly_normalization():
-    assert Poly((1, 0, 0)).coeffs == (Q(1),)
-    assert Poly((0, 0)).coeffs == ()
-    assert Poly((0, 1)).degree == 1
-    assert Poly().degree == -1
 
 
 # ---------------------------------------------------------------------------
