@@ -17,7 +17,7 @@ the well-definedness checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .errors import ContractError
 from .exact import binom, inv_factorial
@@ -263,10 +263,10 @@ def _compose_left_basis(
     left = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[0]
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
-        for k in range(0, hi - m2 - m3 + i + 1):
+        top = hi - m2 - m3 + i
+        # binom(m3 + k, i) vanishes exactly for 0 <= m3 + k < i: skip that gap
+        for k in chain(range(min(top, -m3 - 1) + 1), range(max(0, i - m3), top + 1)):
             c = binom(m3 + k, i)
-            if not c:
-                continue
             n2 = m2 + m3 + k - i
             for l in range(max(0, lo - n2), hi - n2 + 1):
                 term = _left_term(A, left, iu, m1 + i - k, k, iv, n2, l, iw)
@@ -328,10 +328,16 @@ def compose_right(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector
 
 
 def _sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
+    """The exponents n at which skew and the D-module check compare sections:
+    the window and the neighbours of every explicit layer.  On the recursion,
+    layer j of each difference section at n is a nonzero rational times one
+    quantity of the key n + j, so the section at the least n compares every
+    key a later n would, and is the only one compared."""
     ns = set(range(lo, hi + 1))
     for (_, n, _, _) in A.overrides:
         ns.update((n - 1, n, n + 1))
-    return sorted(ns)
+    ns = sorted(ns)
+    return ns if A.off_recursion() else ns[:1]
 
 
 def dmodule_parts(A: ChiralData, window=None) -> dict:
@@ -461,38 +467,58 @@ def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     return None, swept
 
 
-def _key_terms(lo: int, hi: int, m1: int, M: int, N: int) -> list:
-    """Left minus right side at key (m1, M, N) as (table, (p, q), int) terms over
-    ((u_p v)_q w, u_p (v_q w), v_p (u_q w)), from the expansions of (z1-z3)^M in
-    powers of z1-z2 and of (z1-z2)^m1 in powers of z2-z3; keys off [lo..hi]^2
-    read zero and are left out."""
-    terms = [(0, (m1 + i, M + N - i), binom(M, i))
-             for i in range(max(0, lo - m1), hi - m1 + 1) if lo <= M + N - i <= hi]
-    for t, a, b, sign in ((1, M, N, -1), (2, N, M, (-1) ** (m1 % 2))):  # right: uv - (-1)^m1 vu
-        terms += [(t, (m1 + a - i, b + i), sign * (-1) ** i * binom(m1, i))
-                  for i in range(max(0, lo - b), hi - b + 1) if lo <= m1 + a - i <= hi]
-    return [term for term in terms if term[2]]
+def _key_scatter(m1: int, blo: int, tables) -> dict:
+    """Left minus right side of every key (m1, M, N) with M, N >= blo, as
+    {(M, N, (coord, deg)): exact scalar}, zero where the terms cancel.
+
+    `tables` are ((u_p v)_q w, u_p (v_q w), v_p (u_q w)).  Expanding
+    (z1-z3)^M in powers of z1-z2 reads binom(M, i) (u_{m1+i} v)_{M+N-i} w,
+    and expanding (z1-z2)^m1 in powers of z2-z3 reads, with sign
+    -(-1)^i binom(m1, i), u_{m1+M-i} (v_{N+i} w) and, swapped and times
+    (-1)^m1, v_{m1+N-i} (u_{M+i} w).  So each table entry at (p, q) is
+    scattered, times its exact integer coefficient, to the keys that read
+    it: i = p - m1 and M + N = q + i for the first table, i = q - N (or
+    q - M) for the other two.  Every key reached has m1 + M + N = p + q with
+    p, q on the support, so M, N >= blo is the only bound to impose."""
+    acc: dict = {}
+
+    def put(M: int, N: int, c: int, xs: Vector) -> None:
+        for cd, x in xs.items():
+            key = (M, N, cd)
+            acc[key] = acc.get(key, 0) + c * x
+
+    left, right_uv, right_vu = tables
+    for (p, q), xs in left.items():
+        i = p - m1
+        if i >= 0:
+            for M in range(blo, q + i - blo + 1):
+                c = binom(M, i)
+                if c:
+                    put(M, q + i - M, c, xs)
+    for swap, sign, table in ((False, -1, right_uv), (True, (-1) ** (m1 % 2), right_vu)):
+        for (p, q), xs in table.items():
+            for i in range(max(0, blo - p + m1), q - blo + 1):
+                c = binom(m1, i)
+                if c:
+                    a, b = p - m1 + i, q - i
+                    M, N = (b, a) if swap else (a, b)
+                    put(M, N, (-sign if i % 2 else sign) * c, xs)
+    return acc
 
 
 def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     """The generator sweep on the recursion closed form, one key at a time: entry
     (k, l) of the compositions at (m1, m2, m3) is ((-1)^(k+l)/k!l!) times the
     key (m1, m3+k, m2+l), so the first failing generator has m2 = m3 = blo.
-    Returns like `_generator_sweep`; the count, taken on a pass, is closed-form."""
+    Each basis triple's tables are read when the sweep reaches the triple, and
+    scattered to the keys of the current m1.  Returns like `_generator_sweep`;
+    the count, taken on a pass, is closed-form."""
     va = A.va_view()
     for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
-        keys = [terms for M in range(blo, 2 * hi - m1 - blo + 1)
-                for N in range(max(blo, 2 * lo - m1 - M), 2 * hi - m1 - M + 1)
-                if (terms := _key_terms(lo, hi, m1, M, N))]
         for iu, iv, iw in product(range(A.rank), repeat=3):
             tables = (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
-            for terms in keys:
-                acc: dict = {}
-                for t, key, c in terms:
-                    for cd, x in tables[t].get(key, {}).items():
-                        acc[cd] = acc.get(cd, 0) + c * x
-                if any(acc.values()):
-                    return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
+            if any(_key_scatter(m1, blo, tables).values()):
+                return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
     box = product(range(blo, bhi + 1), repeat=2)  # count the generators (m1, m2, m3)
     return None, A.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
 

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -14,9 +15,8 @@ from chiralva.chiral import (
     _compose_left_basis,
     _compose_right_basis,
     _generator_sweep,
-    _key_terms,
+    _key_scatter,
     _keyed_sweep,
-    _sweep_ns,
     bump_b_entry,
     check_all_chiral,
     check_chiral_jacobi,
@@ -28,6 +28,7 @@ from chiralva.chiral import (
     diag_add,
     diag_apply_d1,
     diag_apply_d2,
+    diag_contract,
     diag_eq,
     diag_mul_z12,
     diag_scale,
@@ -51,6 +52,7 @@ from chiralva.vertex import (
     mutation_sites,
     pair_name,
     tensor_with_ox,
+    triple_name,
     unit,
     vadd,
     vscale,
@@ -277,6 +279,67 @@ def test_compose_left_vanishes_for_regular_exponents():
     assert compose_right(A, 2, 3, 1, t, t, t) == {}
 
 
+def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
+    """`_compose_left_basis` walking every k of [0, hi - m2 - m3 + i], the
+    zeros of binom(m3 + k, i) included."""
+    lo, hi = A.effective_support()
+    left = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[0]
+    out: dict = {}
+    for i in range(max(0, lo - m1), hi - m1 + 1):
+        for k in range(0, hi - m2 - m3 + i + 1):
+            c = binom(m3 + k, i)
+            if not c:
+                continue
+            n2 = m2 + m3 + k - i
+            for l in range(max(0, lo - n2), hi - n2 + 1):
+                term = chiral._left_term(A, left, iu, m1 + i - k, k, iv, n2, l, iw)
+                if term is not None:
+                    scalar, vec = term
+                    out[(k, l)] = vadd(out.get((k, l), {}), vscale(c * scalar, vec))
+    return {key: val for key, val in out.items() if val}
+
+
+def test_compose_left_skips_the_vanishing_binomials():
+    # equal to the loop over every k on [-12..4]^3 for a3, and for a family
+    # off the recursion (the layer rule) on a smaller box
+    A = a3_chiral()
+    off = bump_b_entry(A, 1, -3, 1, 1, 2)
+    assert off.off_recursion() is not None
+    nonzero = 0
+    for B, box, triples in ((A, range(-12, 5), [(1, 1, 1), (1, 1, 2), (2, 1, 0)]),
+                            (off, range(-6, 3), [(1, 1, 1), (1, 1, 0)])):
+        for ms in product(box, repeat=3):
+            for triple in triples:
+                want = walking_compose_left_basis(B, *ms, *triple)
+                assert _compose_left_basis(B, *ms, *triple) == want, (ms, triple)
+                nonzero += bool(want)
+    assert nonzero > 100
+
+
+def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
+    # compose-diff at m1 = -10^6 used to walk about 10^6 values of k per i,
+    # on (u, v, w) = (1, t, t) as here.  The terms are left out (a nonempty
+    # section at m1 = -10^6 holds 1/k! for k near 10^6): only the walk counts.
+    calls = Counter()
+
+    def counting(n, m):
+        calls[m1, "binom"] += 1
+        return binom(n, m)
+
+    def no_term(*args):
+        calls[m1, "term"] += 1
+
+    monkeypatch.setattr(chiral, "binom", counting)
+    monkeypatch.setattr(chiral, "_left_term", no_term)
+    for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
+        for m1 in (-10, -10 ** 6):
+            _compose_left_basis(a3_chiral(), m1, m2, m3, 0, 1, 1)
+        for what in ("binom", "term"):
+            assert calls[-10 ** 6, what] == calls[-10, what] <= 100, (m2, m3, what)
+        assert calls[-10, "term"] > 0 or (m2, m3) == (0, 0)
+        calls.clear()
+
+
 def test_compose_linearity_in_w():
     A = a3_chiral()
     one, t, t2 = unit(0), unit(1), unit(2)
@@ -426,7 +489,69 @@ def test_compose_trilinearity_over_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# the keyed chiral-Jacobi sweep
+# the keyed chiral-Jacobi sweep, and its oracle: the gather that built each
+# key's term list and summed the three tables per key and basis triple, before
+# the sweep became a scatter
+
+
+def key_terms(lo: int, hi: int, m1: int, M: int, N: int) -> list:
+    """Left minus right side at key (m1, M, N) as (table, (p, q), int) terms over
+    ((u_p v)_q w, u_p (v_q w), v_p (u_q w)), from the expansions of (z1-z3)^M in
+    powers of z1-z2 and of (z1-z2)^m1 in powers of z2-z3; keys off [lo..hi]^2
+    read zero and are left out."""
+    terms = [(0, (m1 + i, M + N - i), binom(M, i))
+             for i in range(max(0, lo - m1), hi - m1 + 1) if lo <= M + N - i <= hi]
+    for t, a, b, sign in ((1, M, N, -1), (2, N, M, (-1) ** (m1 % 2))):  # right: uv - (-1)^m1 vu
+        terms += [(t, (m1 + a - i, b + i), sign * (-1) ** i * binom(m1, i))
+                  for i in range(max(0, lo - b), hi - b + 1) if lo <= m1 + a - i <= hi]
+    return [term for term in terms if term[2]]
+
+
+def gather_keys(blo: int, lo: int, hi: int, m1: int) -> list:
+    """(key, terms) for every key (m1, M, N) of the sweep with a term."""
+    return [((m1, M, N), terms) for M in range(blo, 2 * hi - m1 - blo + 1)
+            for N in range(max(blo, 2 * lo - m1 - M), 2 * hi - m1 - M + 1)
+            if (terms := key_terms(lo, hi, m1, M, N))]
+
+
+def gather_sums(keys: list, tables) -> dict:
+    """{key: its nonzero left-minus-right sum} over the gathered keys."""
+    out = {}
+    for key, terms in keys:
+        acc: dict = {}
+        for t, at, c in terms:
+            for cd, x in tables[t].get(at, {}).items():
+                acc[cd] = acc.get(cd, 0) + c * x
+        acc = {cd: x for cd, x in acc.items() if x}
+        if acc:
+            out[key] = acc
+    return out
+
+
+def triple_tables(A: ChiralData, iu: int, iv: int, iw: int) -> tuple:
+    va = A.va_view()
+    return (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
+
+
+def gather_keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
+    """`_keyed_sweep` as a gather: every key of each m1 sums its terms for
+    every basis triple."""
+    for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
+        keys = gather_keys(blo, lo, hi, m1)
+        for iu, iv, iw in product(range(A.rank), repeat=3):
+            if gather_sums(keys, triple_tables(A, iu, iv, iw)):
+                return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
+    box = product(range(blo, bhi + 1), repeat=2)
+    return None, A.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
+
+
+def scatter_sums(m1: int, blo: int, tables) -> dict:
+    """`_key_scatter` regrouped as {key: its nonzero sum}, like `gather_sums`."""
+    out: dict = {}
+    for (M, N, cd), x in _key_scatter(m1, blo, tables).items():
+        if x:
+            out.setdefault((m1, M, N), {})[cd] = x
+    return out
 
 
 def _box(A: ChiralData, window=None):
@@ -438,7 +563,7 @@ def _box(A: ChiralData, window=None):
 @pytest.mark.parametrize("name", ["a3", "random-2"])
 def test_composition_entries_are_keyed_sums(name):
     # Entry (k, l) of each composition at (m1, m2, m3) is eps(k) eps(l) times
-    # the matching sum of `_key_terms` at (m1, m3+k, m2+l): the left
+    # the matching sum of `key_terms` at (m1, m3+k, m2+l): the left
     # composition is the left sum, the right composition minus the right
     # sum, and the transposed swapped term (-1)^m1 times the swapped sum.
     # random-2 is covered at m2 = blo only, which is where every key of the
@@ -465,7 +590,7 @@ def test_composition_entries_are_keyed_sums(name):
                 key = (m1, m3 + k, m2 + l)
                 if key not in sums:
                     out = [zero, zero, zero]
-                    for t, at, c in _key_terms(lo, hi, *key):
+                    for t, at, c in key_terms(lo, hi, *key):
                         if at in tables[t]:
                             out[t] = vadd(out[t], vscale(c, tables[t][at]))
                     sums[key] = [None if not x else x for x in out]
@@ -490,9 +615,9 @@ ORACLE_CASES.append(("a3", (-3, 4)))
 
 @pytest.mark.parametrize("name,window", ORACLE_CASES, ids=lambda x: str(x).replace(" ", ""))
 def test_keyed_sweep_matches_generator_loop(name, window):
-    # The generator loop, kept for families off the recursion, is the
-    # oracle: same report, and the closed-form count is the number of
-    # generators it sweeps.
+    # The generator loop, kept for families off the recursion, and the
+    # gathered keys are the oracles: same report, and the closed-form count is
+    # the number of generators the loop sweeps.
     if name == "ladder-3":
         V = tensor_with_ox(truncated_poly_va(3, [0, 0, 1, Q(1, 2)]))
     else:
@@ -508,32 +633,85 @@ def test_keyed_sweep_matches_generator_loop(name, window):
     assert keyed.passed
     assert keyed == check_chiral_jacobi(A, window)
     assert keyed == _chiral_jacobi(A, window, generator_sweep)
+    assert keyed == _chiral_jacobi(A, window, gather_keyed_sweep)
     assert swept == [_keyed_sweep(A, *_box(A, window))]
     assert swept[0][1] > 0
 
 
+def reach_families():
+    """a3 and random-2, and mutants of three corpus tables, some failing."""
+    yield "a3", dict(corpus())["a3"]
+    yield "random-2", dict(corpus())["random-2"]
+    for name in ("a3", "random-1", "a3-basis-change"):
+        V = dict(corpus())[name]
+        sites = mutation_sites(V, 30)
+        for pick in (0, 5, 11):
+            yield (name, pick), bump_structure_constant(V, *sites[pick])
+
+
 @pytest.mark.parametrize("window", [None, (-3, 4)])
-def test_keyed_sweep_reads_each_reachable_key_once(monkeypatch, window):
-    # A generator (m1, m2, m3) of the box reads the keys (m1, m3+k, m2+l);
-    # the keyed sweep must read exactly the keys some generator reaches, each
-    # once.  Keys with no term read zero on both sides and may be skipped.
-    A = va_to_chiral(dict(corpus())["a3"], checked=False)
-    blo, bhi, lo, hi = _box(A, window)
-    calls = []
+def test_keyed_sweep_reads_each_reachable_key_once(window):
+    # For every (m1, basis triple) of the sweep: the scatter's nonzero sums
+    # are the gathered keys' nonzero sums, and the keys it touches are exactly
+    # the keys some generator (m1, m2, m3) of the box reaches, as
+    # (m1, m3+k, m2+l), whose terms read a nonzero table entry.  The failing
+    # mutants make some sums nonzero.
+    failing = 0
+    for name, V in reach_families():
+        A = va_to_chiral(V, checked=False)
+        blo, bhi, lo, hi = _box(A, window)
+        touched_keys = nonzero = 0
+        for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
+            reached = set()
+            for m2, m3 in product(range(blo, bhi + 1), repeat=2):
+                top = 2 * hi - m1 - m2 - m3
+                reached |= {(m1, m3 + k, m2 + l) for k in range(top + 1) for l in range(top + 1 - k)}
+            keys = gather_keys(blo, lo, hi, m1)
+            assert {key for key, _ in keys} == {key for key in reached if key_terms(lo, hi, *key)}
+            for triple in product(range(A.rank), repeat=3):
+                tables = triple_tables(A, *triple)
+                touched = {(m1, M, N) for M, N, _ in _key_scatter(m1, blo, tables)}
+                reading = {key for key, terms in keys if any(at in tables[t] for t, at, _ in terms)}
+                assert touched == reading, (name, m1, triple)
+                sums = gather_sums(keys, tables)
+                assert scatter_sums(m1, blo, tables) == sums, (name, m1, triple)
+                touched_keys += len(touched)
+                nonzero += len(sums)
+        assert touched_keys > 0, name
+        assert (nonzero > 0) == (not check_chiral_jacobi(A, window).passed), name
+        failing += nonzero > 0
+    assert failing > 0
 
-    def recording(*args):
-        calls.append(args[2:])
-        return _key_terms(*args)
 
-    monkeypatch.setattr(chiral, "_key_terms", recording)
-    assert chiral._keyed_sweep(A, blo, bhi, lo, hi)[0] is None
-    assert len(calls) == len(set(calls))
-    reached = set()
-    for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
-        top = 2 * hi - m1 - m2 - m3
-        reached |= {(m1, m3 + k, m2 + l) for k in range(top + 1) for l in range(top + 1 - k)}
-    assert {key for key in calls if _key_terms(lo, hi, *key)} == \
-        {key for key in reached if _key_terms(lo, hi, *key)}
+def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
+    # The tables of a basis triple are fetched when the sweep reaches the
+    # triple: on a mutant that fails early, the fetches are exactly the
+    # triples in sweep order up to the witness, for each m1 up to its m1.
+    cases = 0
+    for name in ("a3", "random-1"):
+        V = dict(corpus())[name]
+        for site in mutation_sites(V, 30):
+            A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
+            box = _box(A)
+            witness, _ = gather_keyed_sweep(A, *box)
+            if witness is None:
+                continue
+            fetched = []
+
+            def recording(va, *triple):
+                fetched.append(triple)
+                return iterated_modes(va, *triple)
+
+            monkeypatch.setattr(chiral, "iterated_modes", recording)
+            assert _keyed_sweep(A, *box) == (witness, None)
+            monkeypatch.undo()
+            m1 = int(witness.split("m1=")[1].split(",")[0])
+            order = list(product(range(A.rank), repeat=3))
+            last = next(t for t in order if witness.startswith(f"({triple_name(A, *t)},"))
+            reads = order * (m1 - box[0]) + order[:order.index(last) + 1]
+            assert fetched == [x for iu, iv, iw in reads for x in ((iu, iv, iw), (iv, iu, iw))]
+            cases += len(reads) < A.rank ** 3
+    assert cases > 0
 
 
 def test_keyed_sweep_matches_generator_loop_on_mutants():
@@ -543,16 +721,17 @@ def test_keyed_sweep_matches_generator_loop_on_mutants():
             A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
             keyed = _chiral_jacobi(A, None, _keyed_sweep)
             assert keyed == _chiral_jacobi(A, None, _generator_sweep), (_name, site)
+            assert keyed == _chiral_jacobi(A, None, gather_keyed_sweep), (_name, site)
             reports += 1
     assert reports == 211
 
 
-def redundant_layer(name: str) -> ChiralData:
-    """The corpus family `name` with one explicit m = 1 layer equal to its
+def redundant_layer(name: str, m: int = 1) -> ChiralData:
+    """The corpus family `name` with one explicit layer m >= 1 equal to its
     closed form, built like `test_golden.redundant_layer_trivial`."""
     A = va_to_chiral(dict(corpus())[name], checked=False)
     i, n, j = min(A.m0)
-    layer = {(i, n - 1, j, 1): A.b_layer(i, n - 1, j, 1)}
+    layer = {(i, n - m, j, m): A.b_layer(i, n - m, j, m)}
     return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, layer)
 
 
@@ -573,8 +752,16 @@ def test_redundant_layer_takes_the_keyed_sweep(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# reference chiral skew check: every power of d2 rebuilt from scratch per
-# layer, and the m = 0 extraction identity checked separately afterwards
+# full-sweep references for chiral skew and the D-module check: every n of the
+# window and around every explicit layer; skew rebuilds every power of d2 from
+# scratch per layer and checks the m = 0 extraction identity separately
+
+
+def full_sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
+    ns = set(range(lo, hi + 1))
+    for (_, n, _, _) in A.overrides:
+        ns.update((n - 1, n, n + 1))
+    return sorted(ns)
 
 
 def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
@@ -588,7 +775,7 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     for i in range(A.rank):
         for j in range(A.rank):
-            for n in _sweep_ns(A, lo, hi):
+            for n in full_sweep_ns(A, lo, hi):
                 sec_vu = A.basis_section(j, n, i)
                 sign_n = Q(1) if n % 2 == 0 else Q(-1)
                 route = {}
@@ -620,6 +807,59 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     )
 
 
+def dmodule_differences(A: ChiralData, i: int, j: int, n: int) -> tuple:
+    """lhs - rhs of parts (a), (b), (c) of the D-module check at (e_i, e_j, n)."""
+    va = A.va_view()
+    s_n, s_n1 = A.basis_section(i, n, j), A.basis_section(i, n + 1, j)
+    du_i, du_j = apply_d(va, unit(i)), apply_d(va, unit(j))
+    rhs_b = diag_add(diag_scale(n + 1, s_n), diag_contract(du_i, lambda p: A.basis_section(p, n + 1, j)))
+    rhs_c = diag_add(diag_scale(-(n + 1), s_n), diag_contract(du_j, lambda p: A.basis_section(i, n + 1, p)))
+    return tuple(diag_add(lhs, diag_scale(-1, rhs)) for lhs, rhs in (
+        (s_n1, diag_mul_z12(s_n)), (diag_apply_d1(s_n1), rhs_b), (diag_apply_d2(A, s_n1), rhs_c)))
+
+
+def reference_dmodule_parts(A: ChiralData, window=None) -> dict:
+    parts = {
+        "a": {"label": "expl-exp4", "passed": True, "witness": None},
+        "b": {"label": "l-1-1", "passed": True, "witness": None},
+        "c": {"label": "d2-leibniz", "passed": True, "witness": None},
+    }
+    rng = A.effective_support()
+    if rng is None and window is None:
+        return parts
+    lo, hi = rng if rng else (0, -1)
+    lo, hi = merge_window(lo - 2, hi + 1, window)
+    for i, j in product(range(A.rank), repeat=2):
+        for n in full_sweep_ns(A, lo, hi):
+            for key, diff in zip("abc", dmodule_differences(A, i, j, n)):
+                if parts[key]["passed"] and diff:
+                    parts[key].update(passed=False, witness=f"({pair_name(A, i, j)}, n={n})")
+    return parts
+
+
+def reference_check_dmodule_morphism(A: ChiralData, window=None) -> CheckReport:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chiral, "dmodule_parts", reference_dmodule_parts)
+        return check_dmodule_morphism(A, window)
+
+
+def criterion_7_mutants():
+    for name, V in corpus():
+        for site in mutation_sites(V, 30):
+            yield (name, site), va_to_chiral(bump_structure_constant(V, *site), checked=False)
+
+
+def explicit_layer_mutants():
+    # one bumped explicit layer m in {1, 2} at every (i, n, j) around the
+    # support: the family is off the recursion, and the sweep also visits
+    # n - 1, n, n + 1
+    for name in ("a3", "trivial-rank1", "a3-basis-change"):
+        A = va_to_chiral(dict(corpus())[name], checked=False)
+        lo, hi = A.effective_support()
+        for i, j, n, m in product(range(A.rank), range(A.rank), range(lo - 2, hi + 1), (1, 2)):
+            yield (name, i, n, j, m), bump_b_entry(A, i, n, j, m, (i + j) % A.rank)
+
+
 @pytest.mark.parametrize("window", [None, (-9, 4)], ids=["default", "window-9:4"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
 def test_horner_skew_matches_reference_on_corpus(name, window):
@@ -629,30 +869,118 @@ def test_horner_skew_matches_reference_on_corpus(name, window):
 
 def test_horner_skew_matches_reference_on_every_criterion_7_mutant():
     reports = failing = 0
-    for _name, V in corpus():
-        for site in mutation_sites(V, 30):
-            A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
-            want = reference_check_chiral_skew(A)
-            assert check_chiral_skew(A) == want, (_name, site)
-            reports += 1
-            failing += not want.passed
+    for where, A in criterion_7_mutants():
+        want = reference_check_chiral_skew(A)
+        assert check_chiral_skew(A) == want, where
+        reports += 1
+        failing += not want.passed
     assert reports == 211 and failing > 0
 
 
 def test_horner_skew_matches_reference_on_explicit_layer_mutants():
-    # one bumped explicit layer m in {1, 2} at every (i, n, j) around the
-    # support: the sweep then also visits n - 1, n, n + 1
     reports = failing = 0
-    for name in ("a3", "trivial-rank1", "a3-basis-change"):
-        A = va_to_chiral(dict(corpus())[name], checked=False)
-        lo, hi = A.effective_support()
-        for i, j, n, m in product(range(A.rank), range(A.rank), range(lo - 2, hi + 1), (1, 2)):
-            B = bump_b_entry(A, i, n, j, m, (i + j) % A.rank)
-            want = reference_check_chiral_skew(B)
-            assert check_chiral_skew(B) == want, (name, i, n, j, m)
-            reports += 1
-            failing += not want.passed
+    for where, B in explicit_layer_mutants():
+        want = reference_check_chiral_skew(B)
+        assert check_chiral_skew(B) == want, where
+        reports += 1
+        failing += not want.passed
     assert (reports, failing) == (150, 139)
+
+
+def assert_dmodule_matches_full_sweep(A: ChiralData, window=None, where=None) -> bool:
+    """Sub-verdicts and report equal the full sweep's; returns the verdict."""
+    parts = reference_dmodule_parts(A, window)
+    assert dmodule_parts(A, window) == parts, where
+    assert check_dmodule_morphism(A, window) == reference_check_dmodule_morphism(A, window), where
+    return all(p["passed"] for p in parts.values())
+
+
+@pytest.mark.parametrize("window", [None, (-9, 4)], ids=["default", "window-9:4"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_dmodule_matches_full_sweep_on_corpus(name, window):
+    A = va_to_chiral(dict(corpus())[name], checked=False)
+    assert assert_dmodule_matches_full_sweep(A, window)
+
+
+def test_dmodule_matches_full_sweep_on_mutants():
+    verdicts = Counter()
+    for family in (criterion_7_mutants(), explicit_layer_mutants()):
+        for where, A in family:
+            verdicts[assert_dmodule_matches_full_sweep(A, where=where)] += 1
+    assert sum(verdicts.values()) == 361 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["a3", "trivial-rank1", "random-1", "a3-basis-change"])
+def test_one_section_checks_match_full_sweep_on_redundant_layers(name, m):
+    # at m >= 3 the explicit layer's n - 1 lies below the D-module window, so
+    # the one section compared is below its lo
+    R = redundant_layer(name, m)
+    assert R.off_recursion() is None
+    lo0 = R.effective_support()[0]
+    (_, n, _, _), = R.overrides
+    assert chiral._sweep_ns(R, lo0 - 2, 0) == [min(n - 1, lo0 - 2)]
+    assert check_chiral_skew(R) == reference_check_chiral_skew(R)
+    assert check_chiral_skew(R).passed
+    assert assert_dmodule_matches_full_sweep(R)
+
+
+def skew_difference(A: ChiralData, i: int, j: int, n: int) -> dict:
+    """(-1)^n sum_m d2^m B^n_m(e_j, e_i) + B^n(e_i, e_j), powers of d2 rebuilt."""
+    route = {}
+    for m, val in A.basis_section(j, n, i).items():
+        img = {0: val}
+        for _ in range(m):
+            img = diag_apply_d2(A, img)
+        route = diag_add(route, img)
+    return diag_add(diag_scale((-1) ** (n % 2), route), A.basis_section(i, n, j))
+
+
+def lemma_families():
+    """Families on the recursion: the corpus, ladder orders 3 to 5, redundant
+    layers, and criterion-7 mutants, whose difference sections are nonzero."""
+    for name, V in corpus():
+        yield name, va_to_chiral(V, checked=False)
+        for site in mutation_sites(V, 30)[:12:6]:
+            yield (name, site), va_to_chiral(bump_structure_constant(V, *site), checked=False)
+    for k in (3, 4, 5):
+        yield k, va_to_chiral(tensor_with_ox(truncated_poly_va(k, [0, 0, 1, Q(1, 2)])), checked=False)
+    for name, m in product(("a3", "random-1"), (1, 3)):
+        yield (name, m), redundant_layer(name, m)
+
+
+def test_difference_layers_depend_only_on_the_key():
+    # The lemma behind the one-section rule: on the recursion, layer j of the
+    # skew difference at n is (-1)^n / j! times a quantity of the key n + j,
+    # and layer j of the D-module (b) and (c) differences is (-1)^j / j!
+    # times one; part (a)'s difference is empty.  So the section at the least
+    # n of the full sweep holds, up to those scales, every layer of every
+    # later one.
+    nonzero = Counter()
+    for where, A in lemma_families():
+        assert A.off_recursion() is None
+        lo0, hi0 = A.effective_support()
+        kill = d_kill_bound(A.va_view())
+        for (lo, hi), parts in (((lo0 - kill - 1, hi0 + 1), ("skew",)), ((lo0 - 2, hi0 + 1), ("b", "c"))):
+            ns = full_sweep_ns(A, lo, hi)
+            for i, j in product(range(A.rank), repeat=2):
+                secs = {}
+                for n in ns:
+                    if parts == ("skew",):
+                        secs["skew", n] = skew_difference(A, i, j, n)
+                    else:
+                        a, secs["b", n], secs["c", n] = dmodule_differences(A, i, j, n)
+                        assert a == {}, (where, i, j, n)
+                for part, n in secs:
+                    first = secs[part, ns[0]]
+                    for k in set(secs[part, n]) | {key - n + ns[0] for key in first if key >= n - ns[0]}:
+                        scale = (-1) ** (n % 2) if part == "skew" else (-1) ** (k % 2)
+                        root = (-1) ** (ns[0] % 2) if part == "skew" else (-1) ** ((n + k - ns[0]) % 2)
+                        at_n = vscale(scale * factorial(k), secs[part, n].get(k, {}))
+                        at_first = vscale(root * factorial(n + k - ns[0]), first.get(n + k - ns[0], {}))
+                        assert at_n == at_first, (where, part, i, j, n, k)
+                        nonzero[part] += bool(at_n)
+    assert min(nonzero[part] for part in ("skew", "b", "c")) > 30, nonzero
 
 
 def test_dmodule_part_a_fails_exactly_off_the_recursion():

@@ -6,12 +6,13 @@ own: the known answer does not come from the checkers under test.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralva import serialize
-from chiralva.chiral import bump_b_entry, check_all_chiral, dmodule_parts
+from chiralva.chiral import _keyed_sweep, bump_b_entry, check_all_chiral, check_chiral_skew, dmodule_parts
 from chiralva.equivalence import va_to_chiral
 from chiralva.fixtures import square_zero_va, truncated_poly_va
 from chiralva.vertex import (
@@ -20,6 +21,16 @@ from chiralva.vertex import (
     equal_tables,
     mutation_sites,
     tensor_with_ox,
+)
+from test_chiral import (
+    _box,
+    gather_keyed_sweep,
+    gather_keys,
+    gather_sums,
+    reference_check_chiral_skew,
+    reference_dmodule_parts,
+    scatter_sums,
+    triple_tables,
 )
 
 _RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -82,3 +93,24 @@ def test_serialize_round_trips_byte_exactly(V0, pick, m):
         assert serialize.dumps(parsed) == text
     assert equal_tables(V, serialize.loads(serialize.dumps(V))) == (True, None)
     assert serialize.loads(serialize.dumps(layered)).overrides == layered.overrides
+
+
+@SETTINGS
+@given(ALGEBRAS, st.integers(0, 59), st.booleans())
+def test_one_pass_chiral_checks_match_their_oracles(V0, pick, mutate):
+    # The keyed scatter against the gathered keys, and one-section skew and
+    # D-module checks against the full sweep over n, on valid algebras and on
+    # random single-site mutants.
+    V = tensor_with_ox(V0)
+    sites = mutation_sites(V, 60)
+    if mutate and sites:
+        V = bump_structure_constant(V, *sites[pick % len(sites)])
+    A = va_to_chiral(V, checked=False)
+    blo, bhi, lo, hi = _box(A)
+    assert _keyed_sweep(A, blo, bhi, lo, hi) == gather_keyed_sweep(A, blo, bhi, lo, hi)
+    keys = gather_keys(blo, lo, hi, blo)
+    for triple in product(range(A.rank), repeat=3):
+        tables = triple_tables(A, *triple)
+        assert scatter_sums(blo, blo, tables) == gather_sums(keys, tables), triple
+    assert check_chiral_skew(A) == reference_check_chiral_skew(A)
+    assert dmodule_parts(A) == reference_dmodule_parts(A)
