@@ -491,18 +491,17 @@ def _key_scatter(m1: int, blo: int, tables) -> dict:
     for (p, q), xs in left.items():
         i = p - m1
         if i >= 0:
-            for M in range(blo, q + i - blo + 1):
-                c = binom(M, i)
-                if c:
-                    put(M, q + i - M, c, xs)
+            top = q + i - blo
+            # binom(M, i) vanishes exactly for 0 <= M < i: skip that gap
+            for M in chain(range(blo, min(top, -1) + 1), range(max(blo, i), top + 1)):
+                put(M, q + i - M, binom(M, i), xs)
     for swap, sign, table in ((False, -1, right_uv), (True, (-1) ** (m1 % 2), right_vu)):
         for (p, q), xs in table.items():
-            for i in range(max(0, blo - p + m1), q - blo + 1):
-                c = binom(m1, i)
-                if c:
-                    a, b = p - m1 + i, q - i
-                    M, N = (b, a) if swap else (a, b)
-                    put(M, N, (-sign if i % 2 else sign) * c, xs)
+            # binom(m1, i) vanishes exactly for i > m1 >= 0
+            for i in range(max(0, blo - p + m1), (q - blo if m1 < 0 else min(q - blo, m1)) + 1):
+                a, b = p - m1 + i, q - i
+                M, N = (b, a) if swap else (a, b)
+                put(M, N, (-sign if i % 2 else sign) * binom(m1, i), xs)
     return acc
 
 

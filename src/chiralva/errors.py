@@ -26,8 +26,9 @@ class ParseError(ChiralvaError):
 class IllFormedProduct(ContractError):
     """A product of formal series that has no well-defined expansion.
 
-    Raised for products of two delta atoms, and more generally whenever two
-    factors of infinite support would have to be convolved against each other.
+    Raised by `formal.support_bounds` for any product node, wherever it sits
+    in an expression, with two or more factors of infinite support (two
+    delta atoms, say): they would have to be convolved against each other.
     """
 
 

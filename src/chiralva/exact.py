@@ -14,8 +14,11 @@ with no zero entries, and does its arithmetic on those scalars.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import ContractError
 
 Q = Fraction
 
@@ -39,7 +42,11 @@ def inv_factorial(k: int) -> int | Fraction:
 
 
 def format_q(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:  # an int longer than the interpreter converts to a string
+        raise ContractError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                            "digits, the limit for printing an integer") from None
 
 
 def format_poly(terms, var: str = "z") -> str:

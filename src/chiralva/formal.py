@@ -5,8 +5,9 @@ declared finite exponent box; coefficients outside the box are untracked,
 never assumed zero.  Every tracked coefficient is computed exactly: finite
 factors of a product are expanded over their full (finite) support and the
 single allowed infinite factor on the box widened by that support, so no
-convolution is ever truncated.  Delta and iota atoms enumerate their own
-support inside a box, with integer binomial coefficients.
+convolution is ever truncated, and no product is multiplied out over its
+sums.  Delta and iota atoms enumerate their own support inside a box, with
+integer binomial coefficients.
 
 Expression atoms:
 
@@ -19,9 +20,10 @@ Expression atoms:
                      powers of its second summand;
 * ``Sum`` / ``Product`` / ``Deriv`` nodes combine them.
 
-Products containing two delta atoms, or any two factors of infinite
-support, are rejected as ill-formed: their expansion would require a
-divergent coefficient sum.
+A product with two or more factors of infinite support is ill-formed
+wherever it sits, even under a zero factor: its expansion would require a
+divergent coefficient sum.  `support_bounds` rejects it, and `expand` runs
+that check on the whole expression before evaluating anything.
 """
 
 from __future__ import annotations
@@ -114,9 +116,6 @@ class LaurentWindow:
             and self.box == other.box
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.box, tuple(sorted(self.coeffs.items()))))
 
     def diff_keys(self, other: "LaurentWindow") -> list[tuple[int, ...]]:
         if self.box != other.box:
@@ -228,7 +227,8 @@ def _merge_bounds(maps: list[dict], combine) -> dict:
 
 
 def support_bounds(expr: Expr) -> dict:
-    """Per-variable (lo, hi) exponent bounds; entries may be +-inf."""
+    """Per-variable (lo, hi) exponent bounds; entries may be +-inf.  Raises
+    IllFormedProduct at any product with two or more infinite factors."""
     if isinstance(expr, Monomial):
         return {v: (e, e) for v, e in expr.exps}
     if isinstance(expr, IotaPow):
@@ -246,10 +246,10 @@ def support_bounds(expr: Expr) -> dict:
             lambda bs: (min(b[0] for b in bs), max(b[1] for b in bs)),
         )
     if isinstance(expr, Product):
-        return _merge_bounds(
-            [support_bounds(f) for f in expr.factors],
-            lambda bs: (sum(b[0] for b in bs), sum(b[1] for b in bs)),
-        )
+        bounds = [support_bounds(f) for f in expr.factors]
+        if sum(not _finite_bounds(b) for b in bounds) > 1:
+            raise IllFormedProduct("a product may contain at most one factor of infinite support")
+        return _merge_bounds(bounds, lambda bs: (sum(b[0] for b in bs), sum(b[1] for b in bs)))
     if isinstance(expr, Deriv):
         out = dict(support_bounds(expr.body))
         lo, hi = out.get(expr.var, (0, 0))
@@ -260,18 +260,6 @@ def support_bounds(expr: Expr) -> dict:
 
 def _finite_bounds(bounds: dict) -> bool:
     return all(lo != _NEG and hi != _POS for lo, hi in bounds.values())
-
-
-def _count_deltas(expr: Expr) -> int:
-    if isinstance(expr, DeltaAtom):
-        return 1
-    if isinstance(expr, Sum):
-        return max((_count_deltas(t) for t in expr.terms), default=0)
-    if isinstance(expr, Product):
-        return sum(_count_deltas(f) for f in expr.factors)
-    if isinstance(expr, Deriv):
-        return _count_deltas(expr.body)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,81 +320,56 @@ def _convolve(a: dict, b: dict, box: ExponentBox | None = None) -> dict:
     return out
 
 
+def _factors(expr: Product) -> list:
+    """The factors of `expr`, with nested products spliced in."""
+    return [g for f in expr.factors for g in (_factors(f) if isinstance(f, Product) else (f,))]
+
+
 def _product(factors, box: ExponentBox) -> dict:
     """Finite factors multiplied out over their full support, then convolved
-    with the one infinite factor evaluated on the keys k - f (k in `box`, f in
-    that support), so every coefficient in `box` is exact."""
+    with the one infinite factor `support_bounds` allows, evaluated on the keys
+    k - f (k in `box`, f in that support), so every coefficient is exact."""
     bounds = [support_bounds(f) for f in factors]
     finite = [(f, b) for f, b in zip(factors, bounds) if _finite_bounds(b)]
     infinite = [f for f, b in zip(factors, bounds) if not _finite_bounds(b)]
-    if len(infinite) > 1:
-        raise IllFormedProduct("a product may contain at most one factor of infinite support")
     table = {(0,) * len(box.variables): 1}
     for f, b in finite:
         full = ExponentBox(box.variables, tuple(b.get(v, (0, 0)) for v in box.variables))
-        table = _convolve(table, _table(f, full, False))
+        table = _convolve(table, _table(f, full))
     if not infinite:
         return {k: v for k, v in table.items() if box.contains(k)}
-    if not table:  # a zero finite part leaves the infinite factor unread, errors too
+    if not table:  # a zero finite part leaves the infinite factor unread
         return {}
     span = [(min(c), max(c)) for c in zip(*table)]
     inner = ExponentBox(box.variables, tuple(
         (lo - fhi, hi - flo) for (lo, hi), (flo, fhi) in zip(box.bounds, span)
     ))
-    return _convolve(table, _table(infinite[0], inner, False), box)
+    return _convolve(table, _table(infinite[0], inner), box)
 
 
-def _table(expr: Expr, box: ExponentBox, top: bool = True) -> dict:
-    """Exact nonzero coefficients of `expr` inside `box`.
-
-    At the top level (through sums and derivatives) products are distributed
-    over sums and may hold at most one delta; inside a product's infinite
-    factor they are evaluated as they stand.
-    """
+def _table(expr: Expr, box: ExponentBox) -> dict:
+    """Exact nonzero coefficients of `expr` inside `box`; `expr` has passed
+    `support_bounds`."""
     if isinstance(expr, Monomial):
         key = tuple(dict(expr.exps).get(v, 0) for v in box.variables)
         c = expr.coeff.numerator if expr.coeff.denominator == 1 else expr.coeff
         return {key: c} if c and box.contains(key) else {}
     if isinstance(expr, (IotaPow, DeltaAtom)):
         return _atom(expr, box)
+    if isinstance(expr, Product):
+        return _product(_factors(expr), box)
     acc = {}
     if isinstance(expr, Sum):
         for t in expr.terms:
-            for key, val in _table(t, box, top).items():
+            for key, val in _table(t, box).items():
                 _add(acc, key, val)
-    elif isinstance(expr, Deriv):
+    else:
         i = box.index(expr.var)
-        for key, val in _table(expr.body, box.grown(expr.var, 1), top).items():
+        for key, val in _table(expr.body, box.grown(expr.var, 1)).items():
             shifted = key[:i] + (key[i] - 1,) + key[i + 1 :]
             if key[i] and box.contains(shifted):
                 acc[shifted] = key[i] * val
-    elif not top:
-        acc = _product(expr.factors, box)
-    else:
-        for factors in _product_terms(expr):
-            if sum(_count_deltas(f) for f in factors) > 1:
-                raise IllFormedProduct("a product may contain at most one delta atom")
-            for key, val in _product(factors, box).items():
-                _add(acc, key, val)
     return acc
-
-
-def _product_terms(expr: Expr) -> list[list[Expr]]:
-    """Distribute sums, returning a list of factor lists."""
-    if isinstance(expr, Sum):
-        out = []
-        for t in expr.terms:
-            out.extend(_product_terms(t))
-        return out
-    if isinstance(expr, Product):
-        terms = [[]]
-        for f in expr.factors:
-            sub = _product_terms(f)
-            terms = [t + s for t in terms for s in sub]
-        return terms
-    if isinstance(expr, Deriv) and isinstance(expr.body, Sum):
-        return _product_terms(Sum(tuple(Deriv(expr.var, t) for t in expr.body.terms)))
-    return [[expr]]
 
 
 def expand(expr: Expr, box: ExponentBox) -> LaurentWindow:
@@ -470,7 +433,7 @@ def fundamental_delta_property(
 
     def times_delta(table: dict) -> LaurentWindow:
         x = Sum(tuple(mono({"x1": a, "x2": b}, val) for (a, b), val in table.items()))
-        return LaurentWindow(box, _table(Product((x, delta_ratio("x1", "x2"))), box, False))
+        return LaurentWindow(box, _table(Product((x, delta_ratio("x1", "x2"))), box))
 
     return _report(times_delta(x_coeffs.coeffs), times_delta(diag), "fundamental delta property")
 

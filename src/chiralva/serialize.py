@@ -24,10 +24,6 @@ from .vertex import VAData, Vector
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def rational_to_str(c: int | Fraction) -> str:
-    return format_q(c)
-
-
 def str_to_rational(s) -> int | Fraction:
     """A strict coefficient literal: an int when integral, else a Fraction."""
     if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):

@@ -278,6 +278,20 @@ def test_support_bounds_outside_the_basis_exit_2(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_coefficient_too_long_to_print_exits_2():
+    # used to end in a ValueError traceback from the int-to-string digit limit
+    import subprocess, sys
+    proc = subprocess.run(
+        [sys.executable, "-m", "chiralva", "compose-diff", str(FIXTURES / "a3_chiral.json"),
+         "--", "-3000", "-2", "0", "1", "t", "t"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("contract error: ") and proc.stderr.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in proc.stderr
+
+
 def test_delta_suite_zero_denominator_exits_2(capsys):
     # used to end in a ZeroDivisionError traceback from the parser
     code, err = _run_cli_err(capsys, "delta-suite", "--lhs", "1/0", "--rhs", "x1")

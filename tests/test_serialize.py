@@ -4,14 +4,14 @@ from chiralva import serialize
 from chiralva.chiral import bump_b_entry
 from chiralva.equivalence import va_to_chiral
 from chiralva.errors import ParseError
-from chiralva.exact import Q
+from chiralva.exact import Q, format_q
 from chiralva.fixtures import a3_va, corpus, trivial_rank1
 from chiralva.vertex import equal_tables, tensor_with_ox
 
 
 def test_rational_strings():
-    assert serialize.rational_to_str(Q(-4, 7)) == "-4/7"
-    assert serialize.rational_to_str(Q(3)) == "3"
+    assert format_q(Q(-4, 7)) == "-4/7"
+    assert format_q(Q(3)) == "3"
     assert serialize.str_to_rational("-4/7") == Q(-4, 7)
     assert serialize.str_to_rational("12") == Q(12)
     with pytest.raises(ParseError):
