@@ -16,11 +16,12 @@ the well-definedness checker.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .errors import ContractError
-from .exact import binom, inv_factorial
+from .exact import binom, binom_columns, inv_factorial, signed_binoms
 from .report import CheckReport
 from .vertex import (
     VAData,
@@ -31,6 +32,7 @@ from .vertex import (
     closure_witness,
     contract,
     d_kill_bound,
+    integer_modes,
     iterated_modes,
     merge_window,
     pair_name,
@@ -467,41 +469,52 @@ def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     return None, swept
 
 
-def _key_scatter(m1: int, blo: int, tables) -> dict:
+def _scatter_binoms(m1: int, blo: int, lo: int, hi: int) -> tuple:
+    """The binomials `_key_scatter` reads at m1 for tables on the support
+    [lo..hi]: the columns binom(M, p - m1) for p in [lo..hi] and M in
+    [blo..2hi - m1 - blo], and the signed rows of binom(m1, i)."""
+    return binom_columns(blo, 2 * hi - m1 - blo, lo - m1, hi - m1), signed_binoms(m1, hi - blo)
+
+
+def _key_scatter(m1: int, blo: int, tables, binoms=None) -> dict:
     """Left minus right side of every key (m1, M, N) with M, N >= blo, as
-    {(M, N, (coord, deg)): exact scalar}, zero where the terms cancel.
+    {(M, N, (coord, deg)): scalar}, zero where the terms cancel.
 
     `tables` are ((u_p v)_q w, u_p (v_q w), v_p (u_q w)).  Expanding
     (z1-z3)^M in powers of z1-z2 reads binom(M, i) (u_{m1+i} v)_{M+N-i} w,
     and expanding (z1-z2)^m1 in powers of z2-z3 reads, with sign
     -(-1)^i binom(m1, i), u_{m1+M-i} (v_{N+i} w) and, swapped and times
     (-1)^m1, v_{m1+N-i} (u_{M+i} w).  So each table entry at (p, q) is
-    scattered, times its exact integer coefficient, to the keys that read
-    it: i = p - m1 and M + N = q + i for the first table, i = q - N (or
-    q - M) for the other two.  Every key reached has m1 + M + N = p + q with
-    p, q on the support, so M, N >= blo is the only bound to impose."""
-    acc: dict = {}
-
-    def put(M: int, N: int, c: int, xs: Vector) -> None:
-        for cd, x in xs.items():
-            key = (M, N, cd)
-            acc[key] = acc.get(key, 0) + c * x
-
+    scattered, times its integer coefficient, to the keys that read it:
+    i = p - m1 and M + N = q + i for the first table, i = q - N (or q - M)
+    for the other two.  Every key reached has m1 + M + N = p + q with p, q
+    on the support, so M, N >= blo is the only bound to impose.  `binoms`
+    are `_scatter_binoms` of the sweep's support; without them they are
+    built for the support of these tables alone."""
+    if binoms is None:
+        ends = [x for table in tables for key in table for x in key] or [blo]
+        binoms = _scatter_binoms(m1, blo, min(ends), max(ends))
+    cols, (row_uv, row_vu) = binoms
+    acc: dict = defaultdict(int)
     left, right_uv, right_vu = tables
     for (p, q), xs in left.items():
-        i = p - m1
-        if i >= 0:
-            top = q + i - blo
-            # binom(M, i) vanishes exactly for 0 <= M < i: skip that gap
-            for M in chain(range(blo, min(top, -1) + 1), range(max(blo, i), top + 1)):
-                put(M, q + i - M, binom(M, i), xs)
-    for swap, sign, table in ((False, -1, right_uv), (True, (-1) ** (m1 % 2), right_vu)):
+        col = cols.get(p - m1)
+        if col is not None:
+            s = p + q - m1  # M + N
+            for M in range(blo, s - blo + 1):
+                c = col[M - blo]
+                if c:
+                    for cd, x in xs.items():
+                        acc[M, s - M, cd] += c * x
+    for swap, row, table in ((False, row_uv, right_uv), (True, row_vu, right_vu)):
         for (p, q), xs in table.items():
-            # binom(m1, i) vanishes exactly for i > m1 >= 0
-            for i in range(max(0, blo - p + m1), (q - blo if m1 < 0 else min(q - blo, m1)) + 1):
-                a, b = p - m1 + i, q - i
-                M, N = (b, a) if swap else (a, b)
-                put(M, N, (-sign if i % 2 else sign) * binom(m1, i), xs)
+            for i in range(max(0, blo - p + m1), q - blo + 1):
+                c = row[i]
+                if c:
+                    a, b = p - m1 + i, q - i
+                    M, N = (b, a) if swap else (a, b)
+                    for cd, x in xs.items():
+                        acc[M, N, cd] += c * x
     return acc
 
 
@@ -509,14 +522,16 @@ def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     """The generator sweep on the recursion closed form, one key at a time: entry
     (k, l) of the compositions at (m1, m2, m3) is ((-1)^(k+l)/k!l!) times the
     key (m1, m3+k, m2+l), so the first failing generator has m2 = m3 = blo.
-    Each basis triple's tables are read when the sweep reaches the triple, and
-    scattered to the keys of the current m1.  Returns like `_generator_sweep`;
-    the count, taken on a pass, is closed-form."""
+    Each basis triple's integer tables (`integer_modes`) are read when the
+    sweep reaches the triple, and scattered to the keys of the current m1; a
+    key is zero exactly when it is zero on the exact tables.  Returns like
+    `_generator_sweep`; the count, taken on a pass, is closed-form."""
     va = A.va_view()
     for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
+        binoms = _scatter_binoms(m1, blo, lo, hi)
         for iu, iv, iw in product(range(A.rank), repeat=3):
-            tables = (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
-            if any(_key_scatter(m1, blo, tables).values()):
+            tables = (*integer_modes(va, iu, iv, iw), integer_modes(va, iv, iu, iw)[1])
+            if any(_key_scatter(m1, blo, tables, binoms).values()):
                 return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
     box = product(range(blo, bhi + 1), repeat=2)  # count the generators (m1, m2, m3)
     return None, A.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)

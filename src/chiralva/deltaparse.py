@@ -22,6 +22,7 @@ Examples: ``x0^-1 * delta((x1-x2)/x0)``, ``delta(x1/x2) * x2^-1``,
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import ContractError, ParseError
 from .exact import Q
@@ -70,15 +71,24 @@ class _Tokens:
         self.i += 1
 
 
+def _literal(ts: _Tokens, what: str) -> int:
+    """The next token, a run of digits, as an int; `what` names it in errors."""
+    col = ts.col()
+    tok = ts.next()
+    if not tok.isdigit():
+        raise ParseError(f"expected {what}, got {tok!r}", 1, ts.col())
+    try:
+        return int(tok)
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits", 1, col) from None
+
+
 def _parse_int(ts: _Tokens) -> int:
     sign = 1
     if ts.peek() == "-":
         ts.next()
         sign = -1
-    tok = ts.next()
-    if not tok.isdigit():
-        raise ParseError(f"expected an integer, got {tok!r}", 1, ts.col())
-    return sign * int(tok)
+    return sign * _literal(ts, "an integer")
 
 
 def _parse_signed_var(ts: _Tokens) -> tuple[int, str]:
@@ -162,17 +172,14 @@ def _parse_factor(ts: _Tokens) -> Expr:
             exp = _parse_int(ts)
         return mono({tok: exp})
     if tok.isdigit():
-        ts.next()
-        num = int(tok)
+        num = _literal(ts, "an integer")
         if ts.peek() == "/":
             ts.next()
             col = ts.col()
-            den = ts.next()
-            if not den.isdigit():
-                raise ParseError(f"expected a denominator, got {den!r}", 1, ts.col())
-            if int(den) == 0:
+            den = _literal(ts, "a denominator")
+            if den == 0:
                 raise ParseError("zero denominator", 1, col)
-            return mono(coeff=Q(num, int(den)))
+            return mono(coeff=Q(num, den))
         return mono(coeff=num)
     raise ParseError(f"unexpected token {tok!r}", 1, ts.col())
 

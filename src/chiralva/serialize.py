@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .chiral import ChiralData
@@ -226,6 +227,8 @@ def loads(text: str):
         obj = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except ValueError:  # an integer longer than the interpreter converts
+        raise ParseError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
     if not isinstance(obj, dict) or "kind" not in obj:

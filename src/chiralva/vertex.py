@@ -27,14 +27,26 @@ symbolically:
   the argument over all of Z^3.
 
 The Jacobi sweep scatters: each nonzero iterated-mode entry at (p, q) is
-added, times its exact integer binomial, to every window instance that
-reads it, all on the slice l+m+n = p+q.  It runs one l at a time, and the
-least (m, n, triple) of the first failing l is the witness: the first
-failure in (l, m, n, triple) order.
+added, times its integer binomial, to every window instance that reads it,
+all on the slice l+m+n = p+q.  It runs one l at a time, and the least
+(m, n, triple) of the first failing l is the witness: the first failure in
+(l, m, n, triple) order.
+
+The sweep and both certificates only test sums for zero and compare
+tables, and those tests are linear in the iterated-mode tables, so they do
+not change when every table of the object is multiplied by one nonzero
+integer.  Each iterated mode is a sum of products of two structure
+scalars, so with L the lcm of the structure's denominators, L^2 times every
+table is integral: `integer_modes` is that view, one scale per object (not
+per triple, since locality compares the tables of two triples), and these
+readers take it.  The chiral compositions, whose values are printed, keep
+the exact `iterated_modes`.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -46,7 +58,7 @@ from .errors import (
     NotNilpotent,
     UnsupportedAlgebra,
 )
-from .exact import binom, format_poly, inv_factorial
+from .exact import binom, binom_columns, format_poly, inv_factorial, signed_binoms
 from .report import CheckReport
 
 Vector = dict  # {(coord, deg): int | Fraction}, no zero entries
@@ -374,8 +386,8 @@ def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     """The iterated modes of a basis triple, ({(p, q): (u_p v)_q w},
     {(p, q): u_p (v_q w)}) for p, q in the global support, nonzero entries
     only; off that square both vanish.  Computed once per triple and object:
-    the Jacobi sweep, both closure certificates and the chiral compositions
-    all read these tables."""
+    the chiral compositions read these tables, and the Jacobi sweeps and
+    closure certificates read them scaled to integers (`integer_modes`)."""
     key = ("modes", iu, iv, iw)
     hit = V._cache.get(key)
     if hit is not None:
@@ -394,38 +406,62 @@ def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     return left, right
 
 
-def _jacobi_slice(l: int, lo: int, hi: int, reach: list) -> dict:
+def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
+    """L^2 times `iterated_modes(V, iu, iv, iw)`, every entry an int, where L
+    is the lcm of the denominators of the scalars in V.structure (1 for an
+    integral table).  These are the iterated modes of the table L.V, built
+    once per object and kept in V's cache (V itself stands for it when
+    L = 1): each iterated mode is a sum of products of two structure
+    scalars.  The scale is one per object, not per triple, so tables of
+    different triples stay comparable."""
+    if "integral" not in V._cache:
+        L = math.lcm(*(x.denominator for vec in V.structure.values() for x in vec.values()))
+        V._cache["integral"] = None if L == 1 else VAData(
+            V.rank, V.coeff_ring, V.basis_names,
+            {key: vscale(L, vec) for key, vec in V.structure.items()}, V.d_cols, V.support,
+        )
+    return iterated_modes(V._cache["integral"] or V, iu, iv, iw)
+
+
+def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict:
     """lhs - rhs of the component Jacobi identity
 
         sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
           = sum_i (-1)^i binom(l, i) u_{m+l-i} (v_{n+i} w)
             - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
 
-    on the slice l, as {((m, n, triple), (coord, deg)): exact scalar} over
-    (m, n) in [lo..hi]^2, zero where the terms cancel.  Each table entry at
-    (p, q) is scattered to the points that read it, all with l+m+n = p+q."""
-    acc: dict = {}
-
-    def put(m: int, n: int, triple, c: int, vec: Vector) -> None:
-        if c:
-            for cd, x in vec.items():
-                key = ((m, n, triple), cd)
-                acc[key] = acc.get(key, 0) + c * x
-
-    for triple, left, right_uv, right_vu in reach:
+    on the slice l, as {(m, n, t, (coord, deg)): scalar} over (m, n) in
+    [lo..hi]^2, t indexing `reach`, zero where the terms cancel.  `reach`
+    lists (triple, its three tables) in triple order, so keys order like
+    (m, n, triple).  Each table entry at (p, q) is scattered to the points
+    that read it, all with l+m+n = p+q, times a binomial read from the
+    slice's own tables: the columns binom(m, p - l) for p in [a..b], and the
+    signed rows of binom(l, i).  Per slice, not per check, so that a wide
+    window holds a number of binomials linear in its width."""
+    acc: dict = defaultdict(int)
+    cols = binom_columns(lo, hi, a - l, b - l)
+    row_uv, row_vu = signed_binoms(l, b - lo)
+    for t, (triple, left, right_uv, right_vu) in enumerate(reach):
         for (p, q), xs in left.items():  # (u_p v)_q w: i = p - l, n = p + q - l - m
-            s, i = p + q - l, p - l
-            if i >= 0:
+            col = cols.get(p - l)
+            if col is not None:
+                s = p + q - l
                 for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
-                    put(m, s - m, triple, binom(m, i), xs)
-        for (p, q), xs in right_uv.items():  # u_p (v_q w): i = q - n, m = p + q - l - n
-            s = p + q - l
-            for n in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
-                put(s - n, n, triple, (-1) ** ((q - n + 1) % 2) * binom(l, q - n), xs)
-        for (p, q), xs in right_vu.items():  # v_p (u_q w): i = q - m, n = p + q - l - m
-            s = p + q - l
-            for m in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
-                put(m, s - m, triple, (-1) ** ((l + q - m) % 2) * binom(l, q - m), xs)
+                    c = col[m - lo]
+                    if c:
+                        for cd, x in xs.items():
+                            acc[m, s - m, t, cd] += c * x
+        # u_p (v_q w) at i = q - n, m = p + q - l - n, and v_p (u_q w) at
+        # i = q - m, n = p + q - l - m
+        for swap, row, table in ((False, row_uv, right_uv), (True, row_vu, right_vu)):
+            for (p, q), xs in table.items():
+                s = p + q - l
+                for x in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
+                    c = row[q - x]
+                    if c:
+                        m, n = (x, s - x) if swap else (s - x, x)
+                        for cd, y in xs.items():
+                            acc[m, n, t, cd] += c * y
     return acc
 
 
@@ -439,8 +475,8 @@ def _locality_witness(V: VAData, a: int, b: int) -> str | None:
     # u_m (v_n w) = v_n (u_m w) on the support square; both sides are zero
     # off the square, so this is the whole operator-commutativity statement.
     for iu, iv, iw in product(range(V.rank), repeat=3):
-        uv = iterated_modes(V, iu, iv, iw)[1]
-        vu = iterated_modes(V, iv, iu, iw)[1]
+        uv = integer_modes(V, iu, iv, iw)[1]
+        vu = integer_modes(V, iv, iu, iw)[1]
         for m, n in product(range(a, b + 1), repeat=2):
             if uv.get((m, n)) != vu.get((n, m)):
                 return f"commutativity at ({triple_name(V, iu, iv, iw)}, m={m}, n={n})"
@@ -455,7 +491,7 @@ def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
     # integer index triple.
     K = max(0, b + 1)
     for iu, iv, iw in product(range(V.rank), repeat=3):
-        left, right = iterated_modes(V, iu, iv, iw)
+        left, right = integer_modes(V, iu, iv, iw)
         lhs: dict = {}
         for (l, n), val in left.items():
             p, q = -l - 1, -n - 1
@@ -491,15 +527,15 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     a, b = rng if rng else (0, -1)
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
-    reach = [(t, *iterated_modes(V, *t), iterated_modes(V, t[1], t[0], t[2])[1])
-             for t in product(range(V.rank), repeat=3)]
+    reach = [(t, *tables) for t in product(range(V.rank), repeat=3)  # empty triples reach nothing
+             if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
     for l in range(lo, hi + 1):
-        failing = [key for key, x in _jacobi_slice(l, lo, hi, reach).items() if x]
+        failing = [key for key, x in _jacobi_slice(l, lo, hi, a, b, reach).items() if x]
         if failing:  # the first failing instance in (l, m, n, triple) order
-            (m, n, triple), _ = min(failing)
+            m, n, t, _ = min(failing)
             return CheckReport(
                 name, label, False, f"window (l,m,n) in [{lo}..{hi}]^3",
-                f"({triple_name(V, *triple)}, l={l}, m={m}, n={n})",
+                f"({triple_name(V, *reach[t][0])}, l={l}, m={m}, n={n})",
             )
     witness = closure_witness(V, a, b)
     if witness is not None:

@@ -45,6 +45,7 @@ from chiralva.vertex import (
     apply_d,
     bump_structure_constant,
     d_kill_bound,
+    integer_modes,
     iterated_modes,
     mode_left,
     mode_vec,
@@ -684,8 +685,8 @@ def test_keyed_sweep_reads_each_reachable_key_once(window):
 
 
 def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
-    # The tables of a basis triple are fetched when the sweep reaches the
-    # triple: on a mutant that fails early, the fetches are exactly the
+    # The integer tables of a basis triple are fetched when the sweep reaches
+    # the triple: on a mutant that fails early, the fetches are exactly the
     # triples in sweep order up to the witness, for each m1 up to its m1.
     cases = 0
     for name in ("a3", "random-1"):
@@ -700,9 +701,9 @@ def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
 
             def recording(va, *triple):
                 fetched.append(triple)
-                return iterated_modes(va, *triple)
+                return integer_modes(va, *triple)
 
-            monkeypatch.setattr(chiral, "iterated_modes", recording)
+            monkeypatch.setattr(chiral, "integer_modes", recording)
             assert _keyed_sweep(A, *box) == (witness, None)
             monkeypatch.undo()
             m1 = int(witness.split("m1=")[1].split(",")[0])

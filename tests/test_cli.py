@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -297,6 +298,36 @@ def test_delta_suite_zero_denominator_exits_2(capsys):
     code, err = _run_cli_err(capsys, "delta-suite", "--lhs", "1/0", "--rhs", "x1")
     assert code == 2
     assert err == "parse error: line 1, column 3: zero denominator\n"
+
+
+def _long_digits() -> str:
+    """A run of digits one longer than the interpreter converts to an int."""
+    return "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("lhs,column,what", [
+    ("{}", 1, "an integer"),
+    ("x1^{}", 4, "an integer"),
+    ("1/{}", 3, "a denominator"),
+])
+def test_delta_suite_long_literal_exits_2(capsys, lhs, column, what):
+    # used to end in a ValueError traceback from the int-from-string digit limit
+    code, err = _run_cli_err(capsys, "delta-suite", "--lhs", lhs.format(_long_digits()), "--rhs", "x1")
+    assert code == 2
+    assert err == (f"parse error: line 1, column {column}: {what} has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
+@pytest.mark.parametrize("old,new", [('"n": -1', '"n": -{}'), ('"rank": 3', '"rank": {}')])
+def test_long_json_integer_exits_2(tmp_path, capsys, old, new):
+    # json.loads used to raise a bare ValueError from the same digit limit
+    text = (FIXTURES / "a3.json").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "long.json"
+    path.write_text(text.replace(old, new.format(_long_digits()), 1), encoding="utf-8")
+    code, err = _run_cli_err(capsys, "check-va", str(path))
+    assert code == 2
+    assert err == f"parse error: an integer has more than {sys.get_int_max_str_digits()} digits\n"
 
 
 @pytest.mark.parametrize("box,message", [

@@ -5,6 +5,7 @@ random nilpotent derivation, so `make_commutative_va` validates it on its
 own: the known answer does not come from the checkers under test.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -19,9 +20,12 @@ from chiralva.vertex import (
     bump_structure_constant,
     check_all_va,
     equal_tables,
+    integer_modes,
+    iterated_modes,
     mutation_sites,
     tensor_with_ox,
 )
+from test_vertex import bump_by
 from test_chiral import (
     _box,
     gather_keyed_sweep,
@@ -114,3 +118,26 @@ def test_one_pass_chiral_checks_match_their_oracles(V0, pick, mutate):
         assert scatter_sums(blo, blo, tables) == gather_sums(keys, tables), triple
     assert check_chiral_skew(A) == reference_check_chiral_skew(A)
     assert dmodule_parts(A) == reference_dmodule_parts(A)
+
+
+@SETTINGS
+@given(ALGEBRAS, st.integers(0, 59), st.one_of(st.none(), _RATIONAL))
+def test_integer_view_is_the_exact_tables_times_lcm_squared(V0, pick, bump):
+    # On a generated algebra, or a mutant bumped by a rational at one site:
+    # with L the lcm of the denominators of the structure scalars, every
+    # entry of the integer view is an int equal to L^2 times the exact
+    # entry, and an integral table (L = 1) is its own view.
+    V = tensor_with_ox(V0)
+    sites = mutation_sites(V, 60)
+    if bump and sites:
+        i, n, j, coord = sites[pick % len(sites)]
+        V = bump_by(V, (i, n, j), coord, bump)
+    L = math.lcm(*(Fraction(x).denominator for vec in V.structure.values() for x in vec.values()))
+    for triple in product(range(V.rank), repeat=3):
+        exact = iterated_modes(V, *triple)
+        view = integer_modes(V, *triple)
+        if L == 1:
+            assert view[0] is exact[0] and view[1] is exact[1]
+        for e, w in zip(exact, view):
+            assert w == {pq: {cd: L * L * x for cd, x in vec.items()} for pq, vec in e.items()}
+            assert all(type(x) is int for vec in w.values() for x in vec.values())

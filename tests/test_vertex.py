@@ -461,11 +461,21 @@ def gather_check_jacobi(V, window=None):
     )
 
 
+def bump_by(V, key, coord, by):
+    """A copy of V with `by` added to one coordinate of one entry, at degree 0."""
+    structure = dict(V.structure)
+    structure[key] = vadd(structure.get(key, {}), {(coord, 0): by})
+    return VAData(V.rank, V.coeff_ring, V.basis_names, structure, V.d_cols)
+
+
 SCATTER_CASES = [
     ("a3", a3_va(), None),
     ("a3-window", a3_va(), (-9, 4)),
     *((f"ladder-{k}", tensor_with_ox(truncated_poly_va(k, [Q(0), Q(0), Q(1), Q(1, 2)])), None)
       for k in (4, 5)),
+    # one entry 4/3 t^2 + 1/2 t^3: the integer view's scale must clear 2 and 3
+    ("ladder-4-thirds", bump_by(tensor_with_ox(truncated_poly_va(4, [Q(0), Q(0), Q(1), Q(1, 2)])),
+                                (1, -2, 0), 2, Q(1, 3)), None),
     ("empty-window", VAData(1, "Q", ("e",), {}, ({},)), (-2, 3)),
     *((name, V, None) for name, V in corpus()),
 ]
@@ -475,6 +485,8 @@ SCATTER_IDS = [case[0] for case in SCATTER_CASES]
 @pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
 def test_scatter_jacobi_matches_gather(name, V, window):
     assert check_jacobi(V, window) == gather_check_jacobi(V, window)
+    if name == "ladder-4-thirds":
+        assert not check_jacobi(V, window).passed
 
 
 def test_scatter_jacobi_matches_gather_on_every_criterion_7_mutant():
