@@ -8,10 +8,12 @@ indices.
 
 The multiplication data is the coefficient family B^n_m on basis pairs.
 The recursion B^{n+1}_k = -(k+1) B^n_{k+1} determines the whole family
-from its m = 0 layer, which is what ChiralData stores; explicit per-entry
-overrides are kept separately so that hand-mutated tables (negative
-controls, parsed files with full layers) can be represented and caught by
-the well-definedness checker.
+from its m = 0 layer.  ChiralData stores that layer as the mode table it
+is, a VAData over Q[z] (u_n v = B^n_0(u, v), with the same D), so both
+functors share one object; explicit per-entry overrides are kept
+separately so that hand-mutated tables (negative controls, parsed files
+with full layers) can be represented and caught by the well-definedness
+checker.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .vertex import (
     Vector,
     accumulate,
     apply_d,
+    bump_structure_constant,
     check_table_shape,
     closure_witness,
     contract,
@@ -59,36 +62,28 @@ class ChiralGenerator:
 
 @dataclass(frozen=True, eq=False)
 class ChiralData:
-    """B-coefficient family on basis pairs, stored through its m = 0 layer."""
+    """B-coefficient family on basis pairs: the m = 0 layer B^n_0(e_i, e_j)
+    is the mode table `va` (basis, rank and D are its own), and explicit
+    layers m >= 1 are the overrides."""
 
-    rank: int
-    basis_names: tuple[str, ...]
-    m0: dict  # (i, n, j) -> Vector: the layer B^n_0(e_i, e_j)
-    d_cols: tuple[Vector, ...]
+    va: VAData  # over Q[z]
     overrides: dict = field(default_factory=dict)  # (i, n, j, m) -> Vector
     _cache: dict = field(default_factory=dict, repr=False)
     _span: tuple | None = field(default=None, init=False, repr=False)  # effective_support()
     _off: tuple | None = field(default=None, init=False, repr=False)  # off_recursion()
 
     def __post_init__(self):
-        check_table_shape(self.rank, self.basis_names, self.d_cols, {**self.m0, **self.overrides})
+        va = self.va
+        if va.coeff_ring != "Q[z]":
+            raise ContractError(f"the m = 0 layer must be a table over Q[z], got {va.coeff_ring}")
+        check_table_shape(va.rank, va.basis_names, va.d_cols, self.overrides)
         for key in self.overrides:
             if key[3] < 1:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
-        clean = {k: v for k, v in self.m0.items() if v}
-        object.__setattr__(self, "m0", clean)
-        points = [n for (_, n, _) in clean] + [n + m for (_, n, _, m) in self.overrides]
+        points = [*(va.global_support() or ()), *(n + m for (_, n, _, m) in self.overrides)]
         object.__setattr__(self, "_span", (min(points), max(points)) if points else None)
         off = (key for key, val in self.overrides.items() if val != self._closed_form(*key))
         object.__setattr__(self, "_off", min(off, default=None))
-
-    def va_view(self) -> VAData:
-        """The m = 0 layer read as a mode table over Q[z] (same D action)."""
-        if "va_view" not in self._cache:
-            self._cache["va_view"] = VAData(
-                self.rank, "Q[z]", self.basis_names, dict(self.m0), self.d_cols
-            )
-        return self._cache["va_view"]
 
     def effective_support(self) -> tuple[int, int] | None:
         """Range of B^{n+m}_0-positions touched by stored data, overrides included."""
@@ -101,8 +96,10 @@ class ChiralData:
         return self._off
 
     def _closed_form(self, i: int, n: int, j: int, m: int) -> Vector:
-        """((-1)^m / m!) B^{m+n}_0(e_i, e_j), the layer the recursion gives."""
-        return vscale(_signed_inv_factorial(m), self.m0.get((i, m + n, j), {}))
+        """((-1)^m / m!) B^{m+n}_0(e_i, e_j), the layer the recursion gives;
+        m! is computed only where B^{m+n}_0 is stored."""
+        val = self.va.structure.get((i, m + n, j))
+        return vscale(_signed_inv_factorial(m), val) if val else {}
 
     def b_layer(self, i: int, n: int, j: int, m: int) -> Vector:
         """B^n_m(e_i, e_j): explicit override if present, else the closed form."""
@@ -147,11 +144,6 @@ def diag_scale(c, s: DiagSection) -> DiagSection:
     return {k: vscale(c, v) for k, v in s.items()} if c else {}
 
 
-def diag_eq(s: DiagSection, t: DiagSection) -> bool:
-    """Sections hold no zero vectors, so equal sections are equal maps."""
-    return s == t
-
-
 def diag_contract(x: Vector, section) -> dict:
     """sum_p x_p * section(p): `contract` lifted to sections of either kind.
     A callable, so that section(p) is computed once per coordinate p of x,
@@ -183,10 +175,9 @@ def diag_apply_d1(s: DiagSection) -> DiagSection:
 def diag_apply_d2(A: ChiralData, s: DiagSection) -> DiagSection:
     """Right derivative d2 written as (d1 + d2) - d1, where d1 + d2 acts
     layerwise as the derivation D through the diagonal."""
-    va = A.va_view()
     out: DiagSection = {}
     for k, v in s.items():
-        accumulate(out, k, apply_d(va, v))
+        accumulate(out, k, apply_d(A.va, v))
         accumulate(out, k + 1, vscale(-1, v))
     return out
 
@@ -236,7 +227,7 @@ def _left_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
         dbl = modes.get((n1 + k, n2 + l))
         return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
     inner = A.b_layer(iu, n1, iv, k)
-    outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.rank)})
+    outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.va.rank)})
     return (1, outer) if outer else None
 
 
@@ -247,7 +238,7 @@ def _right_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
         dbl = modes.get((n1 + k, n2 + l))
         return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
     inner = A.b_layer(iv, n2, iw, l)
-    outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.rank)})
+    outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.va.rank)})
     return (1, outer) if outer else None
 
 
@@ -262,7 +253,7 @@ def _compose_left_basis(
     if hit is not None:
         return hit
     lo, hi = rng
-    left = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[0]
+    left = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         top = hi - m2 - m3 + i
@@ -290,7 +281,7 @@ def _compose_right_basis(
     if hit is not None:
         return hit
     lo, hi = rng
-    right = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[1]
+    right = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[1]
     out: Diag3Section = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -361,31 +352,30 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
         return parts
     lo, hi = rng if rng else (0, -1)
     lo, hi = merge_window(lo - 2, hi + 1, window)
-    va = A.va_view()
-    dus = [apply_d(va, unit(i)) for i in range(A.rank)]
-    for i in range(A.rank):
-        for j in range(A.rank):
+    va = A.va
+    for i in range(va.rank):
+        for j in range(va.rank):
             for n in _sweep_ns(A, lo, hi):
                 s_n = A.basis_section(i, n, j)
                 s_n1 = A.basis_section(i, n + 1, j)
-                where = f"({pair_name(A, i, j)}, n={n})"
-                if parts["a"]["passed"] and not diag_eq(s_n1, diag_mul_z12(s_n)):
+                where = f"({pair_name(va, i, j)}, n={n})"
+                if parts["a"]["passed"] and s_n1 != diag_mul_z12(s_n):
                     parts["a"].update(passed=False, witness=where)
                 if parts["b"]["passed"]:
                     lhs = diag_apply_d1(s_n1)
                     rhs = diag_add(
                         diag_scale(n + 1, s_n),
-                        diag_contract(dus[i], lambda p: A.basis_section(p, n + 1, j)),
+                        diag_contract(va.d_cols[i], lambda p: A.basis_section(p, n + 1, j)),
                     )
-                    if not diag_eq(lhs, rhs):
+                    if lhs != rhs:
                         parts["b"].update(passed=False, witness=where)
                 if parts["c"]["passed"]:
                     lhs = diag_apply_d2(A, s_n1)
                     rhs = diag_add(
                         diag_scale(-(n + 1), s_n),
-                        diag_contract(dus[j], lambda p: A.basis_section(i, n + 1, p)),
+                        diag_contract(va.d_cols[j], lambda p: A.basis_section(i, n + 1, p)),
                     )
-                    if not diag_eq(lhs, rhs):
+                    if lhs != rhs:
                         parts["c"].update(passed=False, witness=where)
     return parts
 
@@ -422,10 +412,10 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo0, hi0 = rng if rng else (0, -1)
-    kill = d_kill_bound(A.va_view())
+    kill = d_kill_bound(A.va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
-    for i in range(A.rank):
-        for j in range(A.rank):
+    for i in range(A.va.rank):
+        for j in range(A.va.rank):
             for n in _sweep_ns(A, lo, hi):
                 sec_vu = A.basis_section(j, n, i)
                 route: DiagSection = {}
@@ -435,10 +425,10 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                         accumulate(route, 0, sec_vu[m])
                 if n % 2:
                     route = diag_scale(-1, route)
-                if not diag_eq(route, diag_scale(-1, A.basis_section(i, n, j))):
+                if route != diag_scale(-1, A.basis_section(i, n, j)):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
-                        f"({pair_name(A, i, j)}, n={n})",
+                        f"({pair_name(A.va, i, j)}, n={n})",
                     )
     return CheckReport(
         name, label, True,
@@ -449,24 +439,21 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
 
 
 def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
-    """(first witness or None, generators swept) over the box [blo..bhi]^3,
-    generator by generator; the sweep for families off the recursion."""
-    swept = 0
+    """The first witness over the box [blo..bhi]^3, or None, generator by
+    generator; the sweep for families off the recursion."""
     for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
         if m1 + m2 + m3 > 2 * hi:
             continue  # every layer of every composition is empty here
-        for iu, iv, iw in product(range(A.rank), repeat=3):
+        for iu, iv, iw in product(range(A.va.rank), repeat=3):
             left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
             right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
             sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
             # the composition computed on swapped coordinates returns its
             # derivative degrees transposed
             perm = diag3_transpose(_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
-            rhs = diag_add(right, diag_scale(-sign, perm))
-            swept += 1
-            if not diag_eq(left, rhs):
-                return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})", swept
-    return None, swept
+            if left != diag_add(right, diag_scale(-sign, perm)):
+                return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})"
+    return None
 
 
 def _scatter_binoms(m1: int, blo: int, lo: int, hi: int) -> tuple:
@@ -476,7 +463,7 @@ def _scatter_binoms(m1: int, blo: int, lo: int, hi: int) -> tuple:
     return binom_columns(blo, 2 * hi - m1 - blo, lo - m1, hi - m1), signed_binoms(m1, hi - blo)
 
 
-def _key_scatter(m1: int, blo: int, tables, binoms=None) -> dict:
+def _key_scatter(m1: int, blo: int, tables, binoms) -> dict:
     """Left minus right side of every key (m1, M, N) with M, N >= blo, as
     {(M, N, (coord, deg)): scalar}, zero where the terms cancel.
 
@@ -489,11 +476,7 @@ def _key_scatter(m1: int, blo: int, tables, binoms=None) -> dict:
     i = p - m1 and M + N = q + i for the first table, i = q - N (or q - M)
     for the other two.  Every key reached has m1 + M + N = p + q with p, q
     on the support, so M, N >= blo is the only bound to impose.  `binoms`
-    are `_scatter_binoms` of the sweep's support; without them they are
-    built for the support of these tables alone."""
-    if binoms is None:
-        ends = [x for table in tables for key in table for x in key] or [blo]
-        binoms = _scatter_binoms(m1, blo, min(ends), max(ends))
+    are `_scatter_binoms` of the sweep's support."""
     cols, (row_uv, row_vu) = binoms
     acc: dict = defaultdict(int)
     left, right_uv, right_vu = tables
@@ -525,16 +508,15 @@ def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     Each basis triple's integer tables (`integer_modes`) are read when the
     sweep reaches the triple, and scattered to the keys of the current m1; a
     key is zero exactly when it is zero on the exact tables.  Returns like
-    `_generator_sweep`; the count, taken on a pass, is closed-form."""
-    va = A.va_view()
+    `_generator_sweep`."""
+    va = A.va
     for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
         binoms = _scatter_binoms(m1, blo, lo, hi)
-        for iu, iv, iw in product(range(A.rank), repeat=3):
+        for iu, iv, iw in product(range(va.rank), repeat=3):
             tables = (*integer_modes(va, iu, iv, iw), integer_modes(va, iv, iu, iw)[1])
             if any(_key_scatter(m1, blo, tables, binoms).values()):
-                return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
-    box = product(range(blo, bhi + 1), repeat=2)  # count the generators (m1, m2, m3)
-    return None, A.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
+                return f"({triple_name(va, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})"
+    return None
 
 
 def _chiral_jacobi(A: ChiralData, window, sweep) -> CheckReport:
@@ -545,13 +527,15 @@ def _chiral_jacobi(A: ChiralData, window, sweep) -> CheckReport:
     lo, hi = rng if rng else (0, -1)
     span = hi - lo + 1
     blo, bhi = merge_window(lo - span, hi + span, window)
-    witness, swept = sweep(A, blo, bhi, lo, hi)
+    witness = sweep(A, blo, bhi, lo, hi)
     if witness is not None:
         return CheckReport(name, label, False, f"window (m1,m2,m3) in [{blo}..{bhi}]^3", witness)
-    witness = closure_witness(A.va_view(), lo, hi)
+    witness = closure_witness(A.va, lo, hi)
     if witness is not None:
         return CheckReport(name, label, False, f"window (m1,m2,m3) in [{blo}..{bhi}]^3 plus "
                            "closure certificates", f"m=0 layer {witness}")
+    box = product(range(blo, bhi + 1), repeat=2)  # count the generators (m1, m2, m3)
+    swept = A.va.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
     return CheckReport(
         name, label, True,
         f"window (m1,m2,m3) in [{blo}..{bhi}]^3 with m1+m2+m3 <= {2*hi} "
@@ -585,11 +569,9 @@ def bump_b_entry(A: ChiralData, i: int, n: int, j: int, m: int, coord: int) -> C
     m >= 1 it installs an explicit override, which breaks the recursion on
     purpose.
     """
-    bump = {(coord, 0): 1}
     if m == 0:
-        m0 = dict(A.m0)
-        m0[(i, n, j)] = vadd(m0.get((i, n, j), {}), bump)
-        return ChiralData(A.rank, A.basis_names, m0, A.d_cols, dict(A.overrides))
+        return ChiralData(bump_structure_constant(A.va, i, n, j, coord), dict(A.overrides))
     overrides = dict(A.overrides)
-    overrides[(i, n, j, m)] = vadd(overrides.get((i, n, j, m), A.b_layer(i, n, j, m)), bump)
-    return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, overrides)
+    key = (i, n, j, m)
+    overrides[key] = vadd(overrides.get(key, A.b_layer(*key)), {(coord, 0): 1})
+    return ChiralData(A.va, overrides)

@@ -242,10 +242,10 @@ def _cmd_delta_suite(args) -> int:
 
 def _basis_index(ca: ChiralData, name: str) -> int:
     try:
-        return ca.basis_names.index(name)
+        return ca.va.basis_names.index(name)
     except ValueError:
         raise ContractError(
-            f"unknown basis name {name!r}; expected one of {list(ca.basis_names)}"
+            f"unknown basis name {name!r}; expected one of {list(ca.va.basis_names)}"
         ) from None
 
 
@@ -264,7 +264,7 @@ def _cmd_compose_diff(args) -> int:
     sign, p1, p2, p3, pu, pv, pw = sigma12_triple(m1, m2, m3, u, v, w)
     perm = diag3_transpose(compose_right(ca, p1, p2, p3, pu, pv, pw))
     diff = diag_add(diag_add(left, diag_scale(-1, right)), diag_scale(sign, perm))
-    names = ca.basis_names
+    names = ca.va.basis_names
     lines = [
         f"compose-diff: {args.path} (m1,m2,m3)=({m1},{m2},{m3}) "
         f"(u,v,w)=({args.u},{args.v},{args.w})",

@@ -3,11 +3,13 @@ line and chiral algebras, plus exact round-trip verification.
 
 Translation is a re-reading of the same table: the mode u_n v becomes the
 m = 0 coefficient layer B^n_0(u, v), the higher layers being forced by the
-recursion; the inverse functor reads the m = 0 layer back as a mode table.
-Both directions insist that the input passes its axiom suite first, so a
-broken table is rejected by name rather than silently round-tripped.  The
-suite runs once per object (`axiom_suite`), so a round trip checks its input
-and the one translated object between, each once.
+recursion.  A chiral algebra holds that layer as a VAData over Q[z], so the
+functors pass one object between them: `va_to_chiral` wraps a Q[z] table as
+it is (a Q table is first read over Q[z]), and `chiral_to_va` returns the
+layer itself.  Both directions insist that the input passes its axiom suite
+first, so a broken table is rejected by name rather than silently
+round-tripped.  The suite runs once per object (`axiom_suite`), so a round
+trip checks its input and the one translated object between, each once.
 """
 
 from __future__ import annotations
@@ -54,19 +56,20 @@ def _require_pass(data, what: str):
 
 def va_to_chiral(V: VAData, *, checked: bool = True) -> ChiralData:
     """B^n_m(u, v) = ((-1)^m / m!) u_{m+n} v; only the m = 0 layer is stored,
-    so the recursion holds by construction.  Plain-Q input is checked as it
-    is (the checkers never read the coefficient ring) and then read over
-    Q[z]."""
+    so the recursion holds by construction.  A Q[z] table becomes that layer
+    as it is; plain-Q input is checked as it is (the checkers never read the
+    coefficient ring) and then read over Q[z]."""
     if checked:
         _require_pass(V, "vertex algebra")
-    return ChiralData(V.rank, V.basis_names, dict(V.structure), V.d_cols)
+    return ChiralData(V if V.coeff_ring == "Q[z]" else tensor_with_ox(V))
 
 
 def chiral_to_va(A: ChiralData, *, checked: bool = True) -> VAData:
-    """u_n v = B^n_0(u, v) with D the global-sections derivation."""
+    """u_n v = B^n_0(u, v) with D the global-sections derivation: the
+    m = 0 layer itself."""
     if checked:
         _require_pass(A, "chiral algebra")
-    return VAData(A.rank, "Q[z]", A.basis_names, dict(A.m0), A.d_cols)
+    return A.va
 
 
 def roundtrip_va(V: VAData) -> TranslationReport:
@@ -79,14 +82,14 @@ def roundtrip_va(V: VAData) -> TranslationReport:
 
 def roundtrip_chiral(A: ChiralData) -> TranslationReport:
     back = va_to_chiral(chiral_to_va(A))
-    ok, witness = equal_tables(A.va_view(), back.va_view())
+    ok, witness = equal_tables(A.va, back.va)
     # The second direction recovers the full family from its m = 0 layer
     # through the recursion, so explicit layers off the recursion would be lost.
     if ok and (key := A.off_recursion()) is not None:
         i, n, j, m = key
         ok = False
         witness = (
-            f"explicit layer (u={A.basis_names[i]}, v={A.basis_names[j]}, "
+            f"explicit layer (u={A.va.basis_names[i]}, v={A.va.basis_names[j]}, "
             f"n={n}, m={m}) disagrees with the recursion closed form"
         )
     return TranslationReport("chiral -> va -> chiral", ok, witness)

@@ -172,20 +172,21 @@ def obj_to_va(obj) -> VAData:
 
 
 def chiral_to_obj(A: ChiralData) -> dict:
+    va = A.va
     entries = [
-        {"i": i, "j": j, "n": n, "m": 0, "value": vector_to_list(A.m0[(i, n, j)], A.rank)}
-        for (i, n, j) in sorted(A.m0)
+        {"i": i, "j": j, "n": n, "m": 0, "value": vector_to_list(va.structure[(i, n, j)], va.rank)}
+        for (i, n, j) in sorted(va.structure)
     ]
     for (i, n, j, m) in sorted(A.overrides):
         entries.append(
             {"i": i, "j": j, "n": n, "m": m,
-             "value": vector_to_list(A.overrides[(i, n, j, m)], A.rank)}
+             "value": vector_to_list(A.overrides[(i, n, j, m)], va.rank)}
         )
     return {
         "kind": "chiral-algebra",
-        "rank": A.rank,
-        "basis_names": list(A.basis_names),
-        "D": _matrix_to_obj(A.d_cols),
+        "rank": va.rank,
+        "basis_names": list(va.basis_names),
+        "D": _matrix_to_obj(va.d_cols),
         "B": entries,
         "recursion_determined": not A.overrides,
     }
@@ -207,7 +208,7 @@ def obj_to_chiral(obj) -> ChiralData:
                 _put_new(overrides, (i, n, j, m), value, "B")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed chiral-algebra document: {exc}") from None
-    return ChiralData(rank, names, m0, d_cols, overrides)
+    return ChiralData(VAData(rank, "Q[z]", names, m0, d_cols), overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -287,14 +287,14 @@ def merge_window(lo: int, hi: int, extra: tuple[int, int] | None) -> tuple[int, 
     return min(lo, extra[0]), max(hi, extra[1])
 
 
-def pair_name(T, i: int, j: int) -> str:
-    """Witness text for a basis pair of a VAData or ChiralData table."""
-    return f"u={T.basis_names[i]}, v={T.basis_names[j]}"
+def pair_name(V: VAData, i: int, j: int) -> str:
+    """Witness text for a basis pair of a table."""
+    return f"u={V.basis_names[i]}, v={V.basis_names[j]}"
 
 
-def triple_name(T, i: int, j: int, k: int) -> str:
-    """Witness text for a basis triple of a VAData or ChiralData table."""
-    return f"{pair_name(T, i, j)}, w={T.basis_names[k]}"
+def triple_name(V: VAData, i: int, j: int, k: int) -> str:
+    """Witness text for a basis triple of a table."""
+    return f"{pair_name(V, i, j)}, w={V.basis_names[k]}"
 
 
 def check_truncation(V: VAData) -> CheckReport:
@@ -328,11 +328,10 @@ def check_d_derivative(V: VAData, window: tuple[int, int] | None = None) -> Chec
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
     lo, hi = merge_window(a - 1, b + 1, window)
-    du = [apply_d(V, unit(i)) for i in range(V.rank)]
     for i in range(V.rank):
         for j in range(V.rank):
             for n in range(lo, hi + 1):
-                lhs = mode_vec(V, du[i], n + 1, j)
+                lhs = mode_vec(V, V.d_cols[i], n + 1, j)
                 rhs = vscale(-(n + 1), V.mode(i, n, j))
                 if lhs != rhs:
                     return CheckReport(

@@ -17,6 +17,7 @@ from chiralva.chiral import (
     _generator_sweep,
     _key_scatter,
     _keyed_sweep,
+    _scatter_binoms,
     bump_b_entry,
     check_all_chiral,
     check_chiral_jacobi,
@@ -29,7 +30,6 @@ from chiralva.chiral import (
     diag_apply_d1,
     diag_apply_d2,
     diag_contract,
-    diag_eq,
     diag_mul_z12,
     diag_scale,
     dmodule_parts,
@@ -42,6 +42,7 @@ from chiralva.exact import Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
 from chiralva.report import CheckReport
 from chiralva.vertex import (
+    VAData,
     apply_d,
     bump_structure_constant,
     d_kill_bound,
@@ -176,7 +177,7 @@ def test_diag_apply_d2_examples():
     s = {0: t}
     s2 = {0: e0}
     both = diag_apply_d2(A, diag_add(s, s2))
-    assert diag_eq(both, diag_add(diag_apply_d2(A, s), diag_apply_d2(A, s2)))
+    assert both == diag_add(diag_apply_d2(A, s), diag_apply_d2(A, s2))
 
 
 def test_commutator_of_d1_and_multiplication_is_identity():
@@ -191,7 +192,7 @@ def test_commutator_of_d1_and_multiplication_is_identity():
         lhs = diag_apply_d1(diag_mul_z12(s))
         rhs = diag_mul_z12(diag_apply_d1(s))
         diff = diag_add(lhs, diag_scale(Q(-1), rhs))
-        assert diag_eq(diff, s)
+        assert diff == s
 
 
 def test_d1_plus_d2_acts_as_derivation_layerwise():
@@ -204,9 +205,9 @@ def test_d1_plus_d2_acts_as_derivation_layerwise():
         }
         s = {k: v for k, v in s.items() if v}
         total = diag_add(diag_apply_d1(s), diag_apply_d2(A, s))
-        expect = {k: apply_d(A.va_view(), v) for k, v in s.items()}
+        expect = {k: apply_d(A.va, v) for k, v in s.items()}
         expect = {k: v for k, v in expect.items() if v}
-        assert diag_eq(total, expect)
+        assert total == expect
 
 
 def test_dmodule_morphism_passes_on_a3():
@@ -224,7 +225,7 @@ def test_dmodule_morphism_detects_broken_recursion():
 
 
 def test_dmodule_morphism_empty_algebra():
-    empty = ChiralData(0, (), {}, ())
+    empty = ChiralData(VAData(0, "Q[z]", (), {}, ()))
     assert check_dmodule_morphism(empty).passed
     assert all(r.passed for r in check_all_chiral(empty))
 
@@ -233,7 +234,7 @@ def test_chiral_skew_passes_and_extraction_example():
     A = a3_chiral()
     assert check_chiral_skew(A).passed
     # B^{-2}_0(t,1) = t^2 equals -(D^0 B^{-2}_0(1,t) + D^1 B^{-2}_1(1,t))
-    va = A.va_view()
+    va = A.va
     b0 = A.b_layer(1, -2, 0, 0)
     rhs = {}
     for k in range(0, 4):
@@ -243,9 +244,9 @@ def test_chiral_skew_passes_and_extraction_example():
 
 def test_chiral_skew_sign_flip_fails():
     A = a3_chiral()
-    flipped = ChiralData(
-        A.rank, A.basis_names, {k: vscale(Q(-1), v) for k, v in A.m0.items()}, A.d_cols
-    )
+    va = A.va
+    negated = {k: vscale(Q(-1), v) for k, v in va.structure.items()}
+    flipped = ChiralData(VAData(va.rank, "Q[z]", va.basis_names, negated, va.d_cols))
     # negating mu breaks mu o sigma12 = -mu only where the identity is
     # asymmetric; bumping one side directly is the sharper control
     bumped = bump_b_entry(A, 1, -2, 0, 0, 0)
@@ -284,7 +285,7 @@ def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
     """`_compose_left_basis` walking every k of [0, hi - m2 - m3 + i], the
     zeros of binom(m3 + k, i) included."""
     lo, hi = A.effective_support()
-    left = None if A.off_recursion() else iterated_modes(A.va_view(), iu, iv, iw)[0]
+    left = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
     out: dict = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         for k in range(0, hi - m2 - m3 + i + 1):
@@ -354,7 +355,7 @@ def test_compose_linearity_in_w():
             expect[key] = val
         for key, val in scaled.items():
             expect[key] = vadd(expect.get(key, {}), vscale(Q(3), val))
-        assert diag_eq(combined, {k: v for k, v in expect.items() if v})
+        assert combined == {k: v for k, v in expect.items() if v}
 
 
 def test_compose_right_examples_and_oracle():
@@ -383,11 +384,10 @@ def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
     # changing the family, so the two term rules must give the same sections.
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
-        i, n, j = min(A.m0)
+        i, n, j = min(A.va.structure)
         layer = A.b_layer(i, n - 1, j, 1)
         assert layer
-        redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
-                               {(i, n - 1, j, 1): layer})
+        redundant = ChiralData(A.va, {(i, n - 1, j, 1): layer})
         assert redundant.off_recursion() is None
         monkeypatch.setattr(ChiralData, "off_recursion",
                             lambda self: (i, n - 1, j, 1) if self is redundant else None)
@@ -395,9 +395,9 @@ def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
         for m1 in range(-3, 1):
             for m2 in range(-3, 1):
                 for m3 in range(-3, 1):
-                    for iu in range(A.rank):
-                        for iv in range(A.rank):
-                            for iw in range(A.rank):
+                    for iu in range(A.va.rank):
+                        for iv in range(A.va.rank):
+                            for iw in range(A.va.rank):
                                 gens = (unit(iu), unit(iv), unit(iw))
                                 for core in (compose_left, compose_right):
                                     closed = core(A, m1, m2, m3, *gens)
@@ -413,17 +413,17 @@ def test_closed_form_double_contractions_match_direct_contraction():
     # contract them directly from the m = 0 layer instead.
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
-        va = A.va_view()
+        va = A.va
         lo, hi = A.effective_support()
         hits = 0
-        for iu in range(A.rank):
-            for iv in range(A.rank):
-                for iw in range(A.rank):
+        for iu in range(A.va.rank):
+            for iv in range(A.va.rank):
+                for iw in range(A.va.rank):
                     left, right = iterated_modes(va, iu, iv, iw)
                     for j0 in range(lo - 2, hi + 3):
                         for j1 in range(lo - 2, hi + 3):
-                            double_left = mode_vec(va, A.m0.get((iu, j0, iv), {}), j1, iw)
-                            double_right = mode_left(va, iu, j0, A.m0.get((iv, j1, iw), {}))
+                            double_left = mode_vec(va, A.va.structure.get((iu, j0, iv), {}), j1, iw)
+                            double_right = mode_left(va, iu, j0, A.va.structure.get((iv, j1, iw), {}))
                             assert left.get((j0, j1), {}) == double_left
                             assert right.get((j0, j1), {}) == double_right
                             hits += bool(double_left)
@@ -486,7 +486,7 @@ def test_compose_trilinearity_over_polynomials():
         scaled = core(A, -2, -1, -1, fu, gv, t)
         plain = core(A, -2, -1, -1, t, one, t)
         expect = {k: {(c, d + 1): Q(2) * x for (c, d), x in v.items()} for k, v in plain.items()}
-        assert diag_eq(scaled, expect)
+        assert scaled == expect
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def gather_sums(keys: list, tables) -> dict:
 
 
 def triple_tables(A: ChiralData, iu: int, iv: int, iw: int) -> tuple:
-    va = A.va_view()
+    va = A.va
     return (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
 
 
@@ -539,17 +539,16 @@ def gather_keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     every basis triple."""
     for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
         keys = gather_keys(blo, lo, hi, m1)
-        for iu, iv, iw in product(range(A.rank), repeat=3):
+        for iu, iv, iw in product(range(A.va.rank), repeat=3):
             if gather_sums(keys, triple_tables(A, iu, iv, iw)):
-                return f"({triple_name(A, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})", None
-    box = product(range(blo, bhi + 1), repeat=2)
-    return None, A.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
+                return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})"
+    return None
 
 
-def scatter_sums(m1: int, blo: int, tables) -> dict:
+def scatter_sums(m1: int, blo: int, lo: int, hi: int, tables) -> dict:
     """`_key_scatter` regrouped as {key: its nonzero sum}, like `gather_sums`."""
     out: dict = {}
-    for (M, N, cd), x in _key_scatter(m1, blo, tables).items():
+    for (M, N, cd), x in _key_scatter(m1, blo, tables, _scatter_binoms(m1, blo, lo, hi)).items():
         if x:
             out.setdefault((m1, M, N), {})[cd] = x
     return out
@@ -570,13 +569,13 @@ def test_composition_entries_are_keyed_sums(name):
     # random-2 is covered at m2 = blo only, which is where every key of the
     # sweep is first read.
     A = va_to_chiral(dict(corpus())[name], checked=False)
-    va = A.va_view()
+    va = A.va
     blo, bhi, lo, hi = _box(A)
     zero = {}
     m2s = range(blo, bhi + 1) if name == "a3" else (blo,)
     eps = [(-1) ** k * inv_factorial(k) for k in range(3 * (bhi - blo) + 1)]
     nonzero = 0
-    for iu, iv, iw in product(range(A.rank), repeat=3):
+    for iu, iv, iw in product(range(A.va.rank), repeat=3):
         tables = (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
         sums: dict = {}  # key -> its three keyed sums (None for zero), once per triple
         for m1, m2, m3 in product(range(blo, bhi + 1), m2s, range(blo, bhi + 1)):
@@ -602,9 +601,9 @@ def test_composition_entries_are_keyed_sums(name):
             right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
             swapped = _compose_right_basis(A, m1, m3, m2, iv, iu, iw)
             where = (iu, iv, iw, m1, m2, m3)
-            assert diag_eq(left, expect[0]), where
-            assert diag_eq(right, expect[1]), where
-            assert diag_eq(diag3_transpose(swapped), expect[2]), where
+            assert left == expect[0], where
+            assert right == expect[1], where
+            assert diag3_transpose(swapped) == expect[2], where
             nonzero += sum(map(len, expect))
     assert nonzero > 0
 
@@ -617,26 +616,22 @@ ORACLE_CASES.append(("a3", (-3, 4)))
 @pytest.mark.parametrize("name,window", ORACLE_CASES, ids=lambda x: str(x).replace(" ", ""))
 def test_keyed_sweep_matches_generator_loop(name, window):
     # The generator loop, kept for families off the recursion, and the
-    # gathered keys are the oracles: same report, and the closed-form count is
-    # the number of generators the loop sweeps.
+    # gathered keys are the oracles: same report, and the reported count is
+    # the number of generators the loop sweeps, enumerated here.
     if name == "ladder-3":
         V = tensor_with_ox(truncated_poly_va(3, [0, 0, 1, Q(1, 2)]))
     else:
         V = dict(corpus())[name]
     A = va_to_chiral(V, checked=False)
-    swept = []
-
-    def generator_sweep(*box):
-        swept.append(_generator_sweep(*box))
-        return swept[-1]
-
     keyed = _chiral_jacobi(A, window, _keyed_sweep)
     assert keyed.passed
     assert keyed == check_chiral_jacobi(A, window)
-    assert keyed == _chiral_jacobi(A, window, generator_sweep)
+    assert keyed == _chiral_jacobi(A, window, _generator_sweep)
     assert keyed == _chiral_jacobi(A, window, gather_keyed_sweep)
-    assert swept == [_keyed_sweep(A, *_box(A, window))]
-    assert swept[0][1] > 0
+    blo, bhi, _lo, hi = _box(A, window)
+    box = [g for g in product(range(blo, bhi + 1), repeat=3) if sum(g) <= 2 * hi]
+    swept = len(box) * A.va.rank ** 3
+    assert swept > 0 and f"({swept} generator triples)" in keyed.window
 
 
 def reach_families():
@@ -669,13 +664,14 @@ def test_keyed_sweep_reads_each_reachable_key_once(window):
                 reached |= {(m1, m3 + k, m2 + l) for k in range(top + 1) for l in range(top + 1 - k)}
             keys = gather_keys(blo, lo, hi, m1)
             assert {key for key, _ in keys} == {key for key in reached if key_terms(lo, hi, *key)}
-            for triple in product(range(A.rank), repeat=3):
+            for triple in product(range(A.va.rank), repeat=3):
                 tables = triple_tables(A, *triple)
-                touched = {(m1, M, N) for M, N, _ in _key_scatter(m1, blo, tables)}
+                touched = {(m1, M, N) for M, N, _ in
+                           _key_scatter(m1, blo, tables, _scatter_binoms(m1, blo, lo, hi))}
                 reading = {key for key, terms in keys if any(at in tables[t] for t, at, _ in terms)}
                 assert touched == reading, (name, m1, triple)
                 sums = gather_sums(keys, tables)
-                assert scatter_sums(m1, blo, tables) == sums, (name, m1, triple)
+                assert scatter_sums(m1, blo, lo, hi, tables) == sums, (name, m1, triple)
                 touched_keys += len(touched)
                 nonzero += len(sums)
         assert touched_keys > 0, name
@@ -694,7 +690,7 @@ def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
         for site in mutation_sites(V, 30):
             A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
             box = _box(A)
-            witness, _ = gather_keyed_sweep(A, *box)
+            witness = gather_keyed_sweep(A, *box)
             if witness is None:
                 continue
             fetched = []
@@ -704,14 +700,14 @@ def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
                 return integer_modes(va, *triple)
 
             monkeypatch.setattr(chiral, "integer_modes", recording)
-            assert _keyed_sweep(A, *box) == (witness, None)
+            assert _keyed_sweep(A, *box) == witness
             monkeypatch.undo()
             m1 = int(witness.split("m1=")[1].split(",")[0])
-            order = list(product(range(A.rank), repeat=3))
-            last = next(t for t in order if witness.startswith(f"({triple_name(A, *t)},"))
+            order = list(product(range(A.va.rank), repeat=3))
+            last = next(t for t in order if witness.startswith(f"({triple_name(A.va, *t)},"))
             reads = order * (m1 - box[0]) + order[:order.index(last) + 1]
             assert fetched == [x for iu, iv, iw in reads for x in ((iu, iv, iw), (iv, iu, iw))]
-            cases += len(reads) < A.rank ** 3
+            cases += len(reads) < A.va.rank ** 3
     assert cases > 0
 
 
@@ -731,9 +727,9 @@ def redundant_layer(name: str, m: int = 1) -> ChiralData:
     """The corpus family `name` with one explicit layer m >= 1 equal to its
     closed form, built like `test_golden.redundant_layer_trivial`."""
     A = va_to_chiral(dict(corpus())[name], checked=False)
-    i, n, j = min(A.m0)
+    i, n, j = min(A.va.structure)
     layer = {(i, n - m, j, m): A.b_layer(i, n - m, j, m)}
-    return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, layer)
+    return ChiralData(A.va, layer)
 
 
 @pytest.mark.parametrize("name", ["a3", "trivial-rank1", "random-0", "random-1", "random-3", "random-4"])
@@ -771,11 +767,11 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo0, hi0 = rng if rng else (0, -1)
-    va = A.va_view()
+    va = A.va
     kill = d_kill_bound(va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
-    for i in range(A.rank):
-        for j in range(A.rank):
+    for i in range(A.va.rank):
+        for j in range(A.va.rank):
             for n in full_sweep_ns(A, lo, hi):
                 sec_vu = A.basis_section(j, n, i)
                 sign_n = Q(1) if n % 2 == 0 else Q(-1)
@@ -786,10 +782,10 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                         img = diag_apply_d2(A, img)
                     route = diag_add(route, diag_scale(sign_n, img))
                 target = diag_scale(Q(-1), A.basis_section(i, n, j))
-                if not diag_eq(route, target):
+                if route != target:
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
-                        f"({pair_name(A, i, j)}, n={n})",
+                        f"({pair_name(A.va, i, j)}, n={n})",
                     )
                 extraction = {}
                 sign = Q(-1) if n % 2 == 0 else Q(1)  # (-1)^{n+1}
@@ -798,7 +794,7 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                 if extraction != A.b_layer(i, n, j, 0):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
-                        f"m=0 extraction at ({pair_name(A, i, j)}, n={n})",
+                        f"m=0 extraction at ({pair_name(A.va, i, j)}, n={n})",
                     )
     return CheckReport(
         name, label, True,
@@ -810,7 +806,7 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
 
 def dmodule_differences(A: ChiralData, i: int, j: int, n: int) -> tuple:
     """lhs - rhs of parts (a), (b), (c) of the D-module check at (e_i, e_j, n)."""
-    va = A.va_view()
+    va = A.va
     s_n, s_n1 = A.basis_section(i, n, j), A.basis_section(i, n + 1, j)
     du_i, du_j = apply_d(va, unit(i)), apply_d(va, unit(j))
     rhs_b = diag_add(diag_scale(n + 1, s_n), diag_contract(du_i, lambda p: A.basis_section(p, n + 1, j)))
@@ -830,11 +826,11 @@ def reference_dmodule_parts(A: ChiralData, window=None) -> dict:
         return parts
     lo, hi = rng if rng else (0, -1)
     lo, hi = merge_window(lo - 2, hi + 1, window)
-    for i, j in product(range(A.rank), repeat=2):
+    for i, j in product(range(A.va.rank), repeat=2):
         for n in full_sweep_ns(A, lo, hi):
             for key, diff in zip("abc", dmodule_differences(A, i, j, n)):
                 if parts[key]["passed"] and diff:
-                    parts[key].update(passed=False, witness=f"({pair_name(A, i, j)}, n={n})")
+                    parts[key].update(passed=False, witness=f"({pair_name(A.va, i, j)}, n={n})")
     return parts
 
 
@@ -857,8 +853,8 @@ def explicit_layer_mutants():
     for name in ("a3", "trivial-rank1", "a3-basis-change"):
         A = va_to_chiral(dict(corpus())[name], checked=False)
         lo, hi = A.effective_support()
-        for i, j, n, m in product(range(A.rank), range(A.rank), range(lo - 2, hi + 1), (1, 2)):
-            yield (name, i, n, j, m), bump_b_entry(A, i, n, j, m, (i + j) % A.rank)
+        for i, j, n, m in product(range(A.va.rank), range(A.va.rank), range(lo - 2, hi + 1), (1, 2)):
+            yield (name, i, n, j, m), bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank)
 
 
 @pytest.mark.parametrize("window", [None, (-9, 4)], ids=["default", "window-9:4"])
@@ -961,10 +957,10 @@ def test_difference_layers_depend_only_on_the_key():
     for where, A in lemma_families():
         assert A.off_recursion() is None
         lo0, hi0 = A.effective_support()
-        kill = d_kill_bound(A.va_view())
+        kill = d_kill_bound(A.va)
         for (lo, hi), parts in (((lo0 - kill - 1, hi0 + 1), ("skew",)), ((lo0 - 2, hi0 + 1), ("b", "c"))):
             ns = full_sweep_ns(A, lo, hi)
-            for i, j in product(range(A.rank), repeat=2):
+            for i, j in product(range(A.va.rank), repeat=2):
                 secs = {}
                 for n in ns:
                     if parts == ("skew",):
@@ -991,10 +987,9 @@ def test_dmodule_part_a_fails_exactly_off_the_recursion():
     for name in ("a3", "trivial-rank1", "a3-basis-change"):
         A = va_to_chiral(dict(corpus())[name], checked=False)
         lo, hi = A.effective_support()
-        for i, j, n, m in product(range(A.rank), range(A.rank), range(lo - 2, hi + 1), (1, 2)):
-            redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
-                                   {(i, n, j, m): A.b_layer(i, n, j, m)})
-            for B in (bump_b_entry(A, i, n, j, m, (i + j) % A.rank), redundant):
+        for i, j, n, m in product(range(A.va.rank), range(A.va.rank), range(lo - 2, hi + 1), (1, 2)):
+            redundant = ChiralData(A.va, {(i, n, j, m): A.b_layer(i, n, j, m)})
+            for B in (bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank), redundant):
                 off = B.off_recursion()
                 assert off in (None, (i, n, j, m))
                 assert dmodule_parts(B)["a"]["passed"] == (off is None), (name, i, n, j, m)
@@ -1009,7 +1004,7 @@ def test_compose_diff_prints_a_redundant_layer_like_the_plain_file(tmp_path):
         path.write_text(serialize.dumps(data), encoding="utf-8")
     printed = 0
     for ms in [(-1, -1, -1), (-2, -1, 0), (0, -2, -1)]:
-        for names in product(A.basis_names, repeat=3):
+        for names in product(A.va.basis_names, repeat=3):
             outs = []
             for path in files:
                 buf = io.StringIO()
@@ -1026,8 +1021,8 @@ def test_d2_power_at_degree_zero_is_d_power(name):
     # the lemma that makes the m = 0 extraction identity degree 0 of the
     # section comparison: d2 sends degree 0 to D at degree 0
     A = va_to_chiral(dict(corpus())[name], checked=False)
-    va = A.va_view()
-    for x in A.m0.values():
+    va = A.va
+    for x in A.va.structure.values():
         img = {0: x}
         for m in range(d_kill_bound(va) + 2):
             assert img.get(0, {}) == d_power(va, x, m), (x, m)

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from chiralva.chiral import bump_b_entry, check_all_chiral
+from chiralva import serialize, vertex
+from chiralva.chiral import ChiralData, bump_b_entry, check_all_chiral
 from chiralva.equivalence import (
     chiral_to_va,
     roundtrip_check,
@@ -60,9 +63,7 @@ def test_chiral_to_va_recovers_modes_and_axioms():
 
 
 def test_chiral_to_va_empty_algebra():
-    from chiralva.chiral import ChiralData
-
-    empty = ChiralData(0, (), {}, ())
+    empty = ChiralData(VAData(0, "Q[z]", (), {}, ()))
     V = chiral_to_va(empty)
     assert V.rank == 0 and V.structure == {}
 
@@ -81,6 +82,39 @@ def test_roundtrip_corpus():
         assert roundtrip_va(V).passed, name
         A = va_to_chiral(V, checked=False)
         assert roundtrip_chiral(A).passed, name
+
+
+def test_functors_share_the_m0_layer():
+    # A chiral algebra holds its m = 0 layer as a Q[z] table: translating a
+    # Q[z] table wraps that object, and translating back returns it.
+    V = tensor_with_ox(a3_va())
+    A = va_to_chiral(V)
+    assert A.va is V
+    assert chiral_to_va(A) is A.va
+    assert va_to_chiral(a3_va()).va.coeff_ring == "Q[z]"
+    with pytest.raises(ContractError):
+        ChiralData(a3_va())
+
+
+def test_roundtrip_builds_each_triple_table_once(monkeypatch):
+    # Both axiom suites of a roundtrip read the iterated-mode tables of one
+    # VAData (or of its one integer view), so each basis triple's tables are
+    # built once, from a VA document and from a chiral one.
+    built = Counter()
+    real = vertex.iterated_modes
+
+    def counting(V, *triple):
+        built[id(V), triple] += ("modes", *triple) not in V._cache
+        return real(V, *triple)
+
+    monkeypatch.setattr(vertex, "iterated_modes", counting)
+    for name, V in corpus():
+        A = serialize.loads(serialize.dumps(va_to_chiral(V, checked=False)))
+        for x in (V, A):
+            built.clear()
+            assert roundtrip_check(x).passed, name
+            triples = Counter(triple for _, triple in +built)
+            assert triples and set(triples.values()) == {1}, name
 
 
 def test_basis_change_functoriality_smoke():
@@ -103,12 +137,9 @@ def test_mutated_chiral_is_rejected_not_silently_roundtripped():
 
 
 def test_redundant_consistent_override_layer_still_roundtrips():
-    from chiralva.chiral import ChiralData
-
     A = va_to_chiral(tensor_with_ox(a3_va()), checked=False)
     layer = A.b_layer(1, -2, 0, 1)  # matches the closed form exactly
-    redundant = ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols,
-                           {(1, -2, 0, 1): layer})
+    redundant = ChiralData(A.va, {(1, -2, 0, 1): layer})
     assert all(r.passed for r in check_all_chiral(redundant))
     assert roundtrip_chiral(redundant).passed
 

@@ -87,9 +87,9 @@ def redundant_layer_trivial() -> ChiralData:
     """trivial-rank1 with one explicit m = 1 layer equal to its closed form:
     the same family, checked on the explicit-layer path."""
     A = va_to_chiral(dict(corpus())["trivial-rank1"], checked=False)
-    i, n, j = min(A.m0)
+    i, n, j = min(A.va.structure)
     layer = {(i, n - 1, j, 1): A.b_layer(i, n - 1, j, 1)}
-    return ChiralData(A.rank, A.basis_names, dict(A.m0), A.d_cols, layer)
+    return ChiralData(A.va, layer)
 
 
 def a3_chiral_fixture() -> ChiralData:

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from chiralva.chiral import ChiralData
+from chiralva.vertex import VAData
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,4 +27,4 @@ def test_traced_boundaries_resolve():
 
 def test_chiral_data_keeps_its_cache():
     # tracing reads `len(A._cache)` for the chiral cache-size metric
-    assert isinstance(ChiralData(0, (), {}, ())._cache, dict)
+    assert isinstance(ChiralData(VAData(0, "Q[z]", (), {}, ()))._cache, dict)

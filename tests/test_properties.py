@@ -5,18 +5,30 @@ random nilpotent derivation, so `make_commutative_va` validates it on its
 own: the known answer does not come from the checkers under test.
 """
 
+import json
 import math
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralva import serialize
-from chiralva.chiral import _keyed_sweep, bump_b_entry, check_all_chiral, check_chiral_skew, dmodule_parts
+from chiralva.chiral import (
+    ChiralData,
+    _keyed_sweep,
+    bump_b_entry,
+    check_all_chiral,
+    check_chiral_skew,
+    dmodule_parts,
+)
 from chiralva.equivalence import va_to_chiral
+from chiralva.errors import ChiralvaError
 from chiralva.fixtures import square_zero_va, truncated_poly_va
 from chiralva.vertex import (
+    VAData,
     bump_structure_constant,
     check_all_va,
     equal_tables,
@@ -89,8 +101,8 @@ def test_mutants_get_pairwise_equal_verdicts_from_both_sides(V0, pick):
 def test_serialize_round_trips_byte_exactly(V0, pick, m):
     V = tensor_with_ox(V0)
     A = va_to_chiral(V, checked=False)
-    i, n, j = min(A.m0)
-    layered = bump_b_entry(A, i, n - m, j, m, pick % A.rank)  # an explicit layer
+    i, n, j = min(A.va.structure)
+    layered = bump_b_entry(A, i, n - m, j, m, pick % A.va.rank)  # an explicit layer
     for x in (V0, V, A, layered):
         text = serialize.dumps(x)
         parsed = serialize.loads(text)
@@ -113,9 +125,9 @@ def test_one_pass_chiral_checks_match_their_oracles(V0, pick, mutate):
     blo, bhi, lo, hi = _box(A)
     assert _keyed_sweep(A, blo, bhi, lo, hi) == gather_keyed_sweep(A, blo, bhi, lo, hi)
     keys = gather_keys(blo, lo, hi, blo)
-    for triple in product(range(A.rank), repeat=3):
+    for triple in product(range(A.va.rank), repeat=3):
         tables = triple_tables(A, *triple)
-        assert scatter_sums(blo, blo, tables) == gather_sums(keys, tables), triple
+        assert scatter_sums(blo, blo, lo, hi, tables) == gather_sums(keys, tables), triple
     assert check_chiral_skew(A) == reference_check_chiral_skew(A)
     assert dmodule_parts(A) == reference_dmodule_parts(A)
 
@@ -141,3 +153,63 @@ def test_integer_view_is_the_exact_tables_times_lcm_squared(V0, pick, bump):
         for e, w in zip(exact, view):
             assert w == {pq: {cd: L * L * x for cd, x in vec.items()} for pq, vec in e.items()}
             assert all(type(x) is int for vec in w.values() for x in vec.values())
+
+
+# ---------------------------------------------------------------------------
+# malformed documents
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+DOCUMENTS = [json.loads((FIXTURES / name).read_text()) for name in ("a3.json", "a3_chiral.json")]
+# Placeholders that json cannot write, substituted into the text: an integer
+# past the interpreter's 4300-digit conversion limit, and nesting deeper than
+# the parser's recursion limit.
+LONG_INT, DEEP = "<long-int>", "<deep>"
+SPLICE = {json.dumps(LONG_INT): "-" + "9" * 5000, json.dumps(DEEP): "[" * 100_000 + "]" * 100_000}
+_HUGE = st.one_of(st.integers(-10**30, 10**30), st.sampled_from([10**6, 2**63, -10**30]))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=6),
+    st.integers(-4, 4), _HUGE,
+    st.sampled_from(["1", "-1/2", "1/0", "9" * 5000, "Q", "Q[z]", LONG_INT, DEEP]),
+)
+_JSON = st.one_of(_JSON_LEAVES, st.recursive(_JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=4), kids, max_size=3),
+), max_leaves=8))
+
+
+def _paths(node, path=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(DOCUMENTS), st.data())
+def test_malformed_documents_load_or_raise_a_library_error(doc, data):
+    """One field or entry of a fixture replaced by arbitrary JSON (wrong
+    types, deep nesting, indices far outside any support, over-long
+    integers written into the text) either loads or raises a ChiralvaError,
+    which the CLI reports with exit 2; it never escapes as another
+    exception.  Only the load is exercised: running the checks on documents
+    with huge indices waits on a work bound for the sweep windows (ROADMAP
+    item 4).  Each load must also stay fast: a load that computes m! for a
+    far layer takes seconds at m = 10^6."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_paths(doc))
+    indices = [p for p in paths if p[-1] in ("rank", "i", "j", "n", "m", "n_min", "n_max")]
+    *parent, key = path = data.draw(st.one_of(st.sampled_from(indices), st.sampled_from(paths)))
+    node = doc
+    for step in parent:
+        node = node[step]
+    node[key] = data.draw(st.one_of(_HUGE, _JSON) if path in indices else _JSON)
+    text = json.dumps(doc)
+    for mark, raw in SPLICE.items():
+        text = text.replace(mark, raw)
+    start = time.process_time()
+    try:
+        loaded = serialize.loads(text)
+    except ChiralvaError:
+        loaded = None
+    assert time.process_time() - start < 1
+    assert loaded is None or isinstance(loaded, (VAData, ChiralData))

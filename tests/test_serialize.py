@@ -1,3 +1,7 @@
+import json
+import time
+from pathlib import Path
+
 import pytest
 
 from chiralva import serialize
@@ -33,7 +37,7 @@ def test_chiral_roundtrip_byte_exact():
     A = va_to_chiral(tensor_with_ox(a3_va()), checked=False)
     text = serialize.dumps(A)
     parsed = serialize.loads(text)
-    assert parsed.m0 == A.m0 and parsed.overrides == {}
+    assert parsed.va.structure == A.va.structure and parsed.overrides == {}
     assert serialize.dumps(parsed) == text
     obj = __import__("json").loads(text)
     assert obj["recursion_determined"] is True
@@ -45,6 +49,18 @@ def test_chiral_roundtrip_byte_exact():
     assert serialize.dumps(parsed2) == text2
     obj2 = __import__("json").loads(text2)
     assert obj2["recursion_determined"] is False
+
+
+def test_far_explicit_layer_loads_without_its_factorial():
+    # The closed form of a layer m whose B^{n+m}_0 is not stored is zero, so
+    # loading computes no m!: at m = 10^6 that factorial took seconds.
+    path = Path(__file__).resolve().parents[1] / "fixtures" / "a3_chiral.json"
+    doc = json.loads(path.read_text())
+    doc["B"].append({"i": 0, "j": 0, "n": 0, "m": 10**6, "value": [["1"], [], []]})
+    start = time.process_time()
+    A = serialize.loads(json.dumps(doc))
+    assert time.process_time() - start < 1
+    assert A.off_recursion() == (0, 0, 0, 10**6)
 
 
 def test_parse_errors_carry_position():
