@@ -8,12 +8,12 @@ indices.
 
 The multiplication data is the coefficient family B^n_m on basis pairs.
 The recursion B^{n+1}_k = -(k+1) B^n_{k+1} determines the whole family
-from its m = 0 layer.  ChiralData stores that layer as the mode table it
-is, a VAData over Q[z] (u_n v = B^n_0(u, v), with the same D), so both
-functors share one object; explicit per-entry overrides are kept
-separately so that hand-mutated tables (negative controls, parsed files
-with full layers) can be represented and caught by the well-definedness
-checker.
+from its m = 0 layer, which ChiralData stores as the mode table it is, a
+VAData over Q[z] (u_n v = B^n_0(u, v), with the same D); explicit layers
+m >= 1 (negative controls, files with full layers) are kept beside it.  A
+composition such as mu(mu(u, v), w) is mu applied to the section mu(u, v):
+it reads iterated modes of the m = 0 layer on the recursion, contracts
+sections off it, and is never cached.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .report import CheckReport
 from .vertex import (
     VAData,
     Vector,
+    _clean,
     accumulate,
     apply_d,
     bump_structure_constant,
     check_table_shape,
     closure_witness,
-    contract,
     d_kill_bound,
     integer_modes,
     iterated_modes,
@@ -104,28 +104,19 @@ class ChiralData:
     def b_layer(self, i: int, n: int, j: int, m: int) -> Vector:
         """B^n_m(e_i, e_j): explicit override if present, else the closed form."""
         key = ("b", i, n, j, m)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.overrides.get((i, n, j, m))
-            if hit is None:
-                hit = self._closed_form(i, n, j, m)
-            self._cache[key] = hit
-        return hit
+        if key not in self._cache:
+            val = self.overrides.get((i, n, j, m))
+            self._cache[key] = self._closed_form(i, n, j, m) if val is None else val
+        return self._cache[key]
 
     def basis_section(self, i: int, n: int, j: int) -> DiagSection:
         """Every nonzero layer of B^n(e_i, e_j); the support range covers each
         override's n + m, so explicit layers are read here too."""
         key = ("sec", i, n, j)
         if key not in self._cache:
-            rng = self.effective_support()
-            out = {}
-            if rng is not None:
-                lo, hi = rng
-                for m in range(max(0, lo - n), hi - n + 1):
-                    val = self.b_layer(i, n, j, m)
-                    if val:
-                        out[m] = val
-            self._cache[key] = out
+            lo, hi = self.effective_support() or (0, -1)
+            layers = ((m, self.b_layer(i, n, j, m)) for m in range(max(0, lo - n), hi - n + 1))
+            self._cache[key] = {m: val for m, val in layers if val}
         return self._cache[key]
 
 
@@ -146,15 +137,21 @@ def diag_scale(c, s: DiagSection) -> DiagSection:
 
 def diag_contract(x: Vector, section) -> dict:
     """sum_p x_p * section(p): `contract` lifted to sections of either kind.
-    A callable, so that section(p) is computed once per coordinate p of x,
-    and only where x_p != 0."""
+    section(p) is computed once per coordinate p with x_p != 0, and every
+    product is summed into one accumulator keyed (section key, coord, deg)."""
     coords: dict = {}
     for (p, d), c in x.items():
-        coords.setdefault(p, {})[(p, d)] = c
-    out: dict = {}
-    for p, x_p in coords.items():
+        coords.setdefault(p, []).append((d, c))
+    acc: dict = {}
+    for p, terms in coords.items():
         for k, v in section(p).items():
-            accumulate(out, k, contract(x_p, {p: v}))
+            for (q, f), y in v.items():
+                for d, c in terms:
+                    key = (k, q, f + d)  # stored as is at first: 0 + a Fraction costs an add
+                    acc[key] = acc[key] + c * y if key in acc else c * y
+    out: dict = {}
+    for (k, q, f), c in _clean(acc).items():
+        out.setdefault(k, {})[q, f] = c
     return out
 
 
@@ -212,48 +209,19 @@ def _signed_inv_factorial(k: int):
     return f if k % 2 == 0 else -f
 
 
-# The two term rules below give the same value whenever the family is the
-# recursion closed form, explicit layers or not.  The closed form reads every
-# term as a scalar times an iterated mode of the m = 0 layer from the triple's
-# `iterated_modes` table and is much faster; the layer rule reads each layer
-# through `b_layer`, and runs only for families off the recursion (`modes` is
-# None then).
-
-
-def _left_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
-    """B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector); None if zero.
-    `modes` is the triple's table of (u_p v)_q w."""
-    if modes is not None:
-        dbl = modes.get((n1 + k, n2 + l))
-        return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
-    inner = A.b_layer(iu, n1, iv, k)
-    outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.va.rank)})
-    return (1, outer) if outer else None
-
-
-def _right_term(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
-    """B^{n1}_k(e_iu, B^{n2}_l(e_iv, e_iw)) as (scalar, vector); None if zero.
-    `modes` is the triple's table of u_p (v_q w)."""
-    if modes is not None:
-        dbl = modes.get((n1 + k, n2 + l))
-        return None if dbl is None else (_signed_inv_factorial(k) * _signed_inv_factorial(l), dbl)
-    inner = A.b_layer(iv, n2, iw, l)
-    outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.va.rank)})
-    return (1, outer) if outer else None
-
-
 def _compose_left_basis(
     A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int
 ) -> Diag3Section:
+    """mu(mu(u, v), w) on basis vectors: the (z1-z3)^{m3} expansion reads
+    binom(m3 + k, i) times B^{n2}(B^{m1+i-k}_k(u, v), w), n2 = m2 + m3 + k - i.
+    On the recursion its layer l is ((-1)^(k+l)/k!l!) (u_{m1+i} v)_{n2+l} w,
+    from the triple's `iterated_modes`; off it, the inner layer is contracted
+    with the sections B^{n2}(e_p, w)."""
     rng = A.effective_support()
     if rng is None:
         return {}
-    memo = ("cl", m1, m2, m3, iu, iv, iw)
-    hit = A._cache.get(memo)
-    if hit is not None:
-        return hit
     lo, hi = rng
-    left = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
+    modes = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         top = hi - m2 - m3 + i
@@ -261,27 +229,32 @@ def _compose_left_basis(
         for k in chain(range(min(top, -m3 - 1) + 1), range(max(0, i - m3), top + 1)):
             c = binom(m3 + k, i)
             n2 = m2 + m3 + k - i
+            if modes is None:
+                inner = vscale(c, A.b_layer(iu, m1 + i - k, iv, k))
+                for l, vec in diag_contract(inner, lambda p: A.basis_section(p, n2, iw)).items():
+                    accumulate(out, (k, l), vec)
+                continue
+            c *= _signed_inv_factorial(k)
             for l in range(max(0, lo - n2), hi - n2 + 1):
-                term = _left_term(A, left, iu, m1 + i - k, k, iv, n2, l, iw)
-                if term is not None:
-                    scalar, vec = term
-                    accumulate(out, (k, l), vscale(c * scalar, vec))
-    A._cache[memo] = out
+                dbl = modes.get((m1 + i, n2 + l))
+                if dbl is not None:
+                    accumulate(out, (k, l), vscale(c * _signed_inv_factorial(l), dbl))
     return out
 
 
 def _compose_right_basis(
     A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int
 ) -> Diag3Section:
+    """mu(u, mu(v, w)) on basis vectors: the (z1-z2)^{m1} expansion reads
+    (-1)^i binom(m1, i) times B^{n1}(u, B^{n2}(v, w)), n1 = m1 + m3 - i and
+    n2 = m2 + i.  On the recursion its layer (k, l) is ((-1)^(k+l)/k!l!)
+    u_{n1+k} (v_{n2+l} w), from the triple's `iterated_modes`; off it, each
+    layer l of B^{n2}(v, w) is contracted with the sections B^{n1}(u, e_p)."""
     rng = A.effective_support()
     if rng is None:
         return {}
-    memo = ("cr", m1, m2, m3, iu, iv, iw)
-    hit = A._cache.get(memo)
-    if hit is not None:
-        return hit
     lo, hi = rng
-    right = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[1]
+    modes = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[1]
     out: Diag3Section = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -289,13 +262,18 @@ def _compose_right_basis(
             continue
         n1 = m1 + m3 - i
         n2 = m2 + i
+        if modes is None:
+            for l, inner in A.basis_section(iv, n2, iw).items():
+                sec = diag_contract(vscale(c, inner), lambda p: A.basis_section(iu, n1, p))
+                for k, vec in sec.items():
+                    accumulate(out, (k, l), vec)
+            continue
         for l in range(max(0, lo - n2), hi - n2 + 1):
+            cl = c * _signed_inv_factorial(l)
             for k in range(max(0, lo - n1), hi - n1 + 1):
-                term = _right_term(A, right, iu, n1, k, iv, n2, l, iw)
-                if term is not None:
-                    scalar, vec = term
-                    accumulate(out, (k, l), vscale(c * scalar, vec))
-    A._cache[memo] = out
+                dbl = modes.get((n1 + k, n2 + l))
+                if dbl is not None:
+                    accumulate(out, (k, l), vscale(cl * _signed_inv_factorial(k), dbl))
     return out
 
 
@@ -440,18 +418,27 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
 
 def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     """The first witness over the box [blo..bhi]^3, or None, generator by
-    generator; the sweep for families off the recursion."""
+    generator; the sweep for families off the recursion.  A right composition
+    is read at its generator and, permuted, at its sigma12 partner's; it is
+    computed at the first read and waits in `pending` for the second."""
+    pending: dict = {}
+
+    def right(*key):
+        hit = pending.pop(key, None)
+        if hit is None:
+            hit = pending[key] = _compose_right_basis(A, *key)
+        return hit
+
     for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
         if m1 + m2 + m3 > 2 * hi:
             continue  # every layer of every composition is empty here
         for iu, iv, iw in product(range(A.va.rank), repeat=3):
             left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
-            right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
             sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
             # the composition computed on swapped coordinates returns its
             # derivative degrees transposed
-            perm = diag3_transpose(_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
-            if left != diag_add(right, diag_scale(-sign, perm)):
+            perm = diag3_transpose(right(p1, p2, p3, iv, iu, iw))
+            if left != diag_add(right(m1, m2, m3, iu, iv, iw), diag_scale(-sign, perm)):
                 return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})"
     return None
 

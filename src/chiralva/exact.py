@@ -52,7 +52,11 @@ def signed_binoms(t: int, top: int) -> tuple[list[int], list[int]]:
 @lru_cache(maxsize=None)
 def inv_factorial(k: int) -> int | Fraction:
     """1/k!, an `int` for k <= 1."""
-    f = math.factorial(k)
+    try:
+        f = math.factorial(k)
+    except OverflowError:  # k above the C long the stdlib factorial takes
+        raise ContractError(f"cannot compute 1/{k}!: the factorial takes arguments "
+                            f"up to {sys.maxsize}") from None
     return 1 if f == 1 else Q(1, f)
 
 

@@ -37,7 +37,7 @@ from chiralva.chiral import (
     sigma12_triple,
 )
 from chiralva.cli import main
-from chiralva.equivalence import va_to_chiral
+from chiralva.equivalence import axiom_suite, va_to_chiral
 from chiralva.exact import Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
 from chiralva.report import CheckReport
@@ -45,6 +45,7 @@ from chiralva.vertex import (
     VAData,
     apply_d,
     bump_structure_constant,
+    contract,
     d_kill_bound,
     integer_modes,
     iterated_modes,
@@ -281,9 +282,36 @@ def test_compose_left_vanishes_for_regular_exponents():
     assert compose_right(A, 2, 3, 1, t, t, t) == {}
 
 
+def signed_inv_factorial(k: int):
+    return (-1) ** k * inv_factorial(k)
+
+
+def left_term_rule(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
+    """B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector), or None if
+    zero, one term at a time: from the triple's (u_p v)_q w table `modes` on
+    the recursion, and through a rank-wide layer map off it (modes None)."""
+    if modes is not None:
+        dbl = modes.get((n1 + k, n2 + l))
+        return None if dbl is None else (signed_inv_factorial(k) * signed_inv_factorial(l), dbl)
+    inner = A.b_layer(iu, n1, iv, k)
+    outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.va.rank)})
+    return (1, outer) if outer else None
+
+
+def right_term_rule(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
+    """B^{n1}_k(e_iu, B^{n2}_l(e_iv, e_iw)), like `left_term_rule`; `modes`
+    is the triple's u_p (v_q w) table."""
+    if modes is not None:
+        dbl = modes.get((n1 + k, n2 + l))
+        return None if dbl is None else (signed_inv_factorial(k) * signed_inv_factorial(l), dbl)
+    inner = A.b_layer(iv, n2, iw, l)
+    outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.va.rank)})
+    return (1, outer) if outer else None
+
+
 def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
-    """`_compose_left_basis` walking every k of [0, hi - m2 - m3 + i], the
-    zeros of binom(m3 + k, i) included."""
+    """`_compose_left_basis` term by term (`left_term_rule`), walking every
+    k of [0, hi - m2 - m3 + i], the zeros of binom(m3 + k, i) included."""
     lo, hi = A.effective_support()
     left = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
     out: dict = {}
@@ -294,16 +322,32 @@ def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
                 continue
             n2 = m2 + m3 + k - i
             for l in range(max(0, lo - n2), hi - n2 + 1):
-                term = chiral._left_term(A, left, iu, m1 + i - k, k, iv, n2, l, iw)
+                term = left_term_rule(A, left, iu, m1 + i - k, k, iv, n2, l, iw)
                 if term is not None:
                     scalar, vec = term
                     out[(k, l)] = vadd(out.get((k, l), {}), vscale(c * scalar, vec))
     return {key: val for key, val in out.items() if val}
 
 
+def term_rule_compose_right_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
+    """`_compose_right_basis` term by term (`right_term_rule`)."""
+    lo, hi = A.effective_support()
+    right = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[1]
+    out: dict = {}
+    for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
+        c = (-1) ** i * binom(m1, i)
+        n1, n2 = m1 + m3 - i, m2 + i
+        for l, k in product(range(max(0, lo - n2), hi - n2 + 1), range(max(0, lo - n1), hi - n1 + 1)):
+            term = right_term_rule(A, right, iu, n1, k, iv, n2, l, iw) if c else None
+            if term is not None:
+                scalar, vec = term
+                out[(k, l)] = vadd(out.get((k, l), {}), vscale(c * scalar, vec))
+    return {key: val for key, val in out.items() if val}
+
+
 def test_compose_left_skips_the_vanishing_binomials():
-    # equal to the loop over every k on [-12..4]^3 for a3, and for a family
-    # off the recursion (the layer rule) on a smaller box
+    # equal to the term-by-term loop over every k on [-12..4]^3 for a3, and
+    # for a family off the recursion (the layer rule) on a smaller box
     A = a3_chiral()
     off = bump_b_entry(A, 1, -3, 1, 1, 2)
     assert off.off_recursion() is not None
@@ -318,28 +362,55 @@ def test_compose_left_skips_the_vanishing_binomials():
     assert nonzero > 100
 
 
+def test_compositions_off_the_recursion_match_the_term_rules():
+    # Off the recursion the compositions contract whole sections; the
+    # term-by-term layer rule, one rank-wide layer map per term, is the
+    # oracle, on every basis triple of a box around the support.
+    nonzero = 0
+    for B in (bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2),
+              bump_b_entry(va_to_chiral(a3_basis_changed(seed=7), checked=False), 0, -2, 1, 2, 1)):
+        assert B.off_recursion() is not None
+        for ms in product(range(-3, 1), repeat=3):
+            for triple in product(range(B.va.rank), repeat=3):
+                want = term_rule_compose_right_basis(B, *ms, *triple)
+                assert _compose_right_basis(B, *ms, *triple) == want, (ms, triple)
+                assert _compose_left_basis(B, *ms, *triple) == walking_compose_left_basis(B, *ms, *triple)
+                nonzero += bool(want)
+    assert nonzero > 100
+
+
 def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
     # compose-diff at m1 = -10^6 used to walk about 10^6 values of k per i,
     # on (u, v, w) = (1, t, t) as here.  The terms are left out (a nonempty
-    # section at m1 = -10^6 holds 1/k! for k near 10^6): only the walk counts.
+    # section at m1 = -10^6 holds 1/k! for k near 10^6): the stubs count what
+    # the loop reads, the closed form's 1/k! and 1/l! on the recursion and
+    # the inner layers off it, and return zero.
     calls = Counter()
 
     def counting(n, m):
         calls[m1, "binom"] += 1
         return binom(n, m)
 
-    def no_term(*args):
+    def no_inv_factorial(k):
         calls[m1, "term"] += 1
+        return 0
 
+    def no_layer(self, *key):
+        calls[m1, "term"] += 1
+        return {}
+
+    off = bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)
     monkeypatch.setattr(chiral, "binom", counting)
-    monkeypatch.setattr(chiral, "_left_term", no_term)
-    for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
-        for m1 in (-10, -10 ** 6):
-            _compose_left_basis(a3_chiral(), m1, m2, m3, 0, 1, 1)
-        for what in ("binom", "term"):
-            assert calls[-10 ** 6, what] == calls[-10, what] <= 100, (m2, m3, what)
-        assert calls[-10, "term"] > 0 or (m2, m3) == (0, 0)
-        calls.clear()
+    monkeypatch.setattr(chiral, "_signed_inv_factorial", no_inv_factorial)
+    monkeypatch.setattr(ChiralData, "b_layer", no_layer)
+    for A in (a3_chiral(), off):
+        for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
+            for m1 in (-10, -10 ** 6):
+                _compose_left_basis(A, m1, m2, m3, 0, 1, 1)
+            for what in ("binom", "term"):
+                assert calls[-10 ** 6, what] == calls[-10, what] <= 100, (m2, m3, what)
+            assert calls[-10, "term"] > 0 or (m2, m3) == (0, 0)
+            calls.clear()
 
 
 def test_compose_linearity_in_w():
@@ -380,8 +451,9 @@ def test_compose_right_examples_and_oracle():
 def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
     # One redundant override equal to its closed form leaves the family on
     # the recursion.  Reading it as off the recursion sends both compositions
-    # to the layer rule, which reads the override through `b_layer`, without
-    # changing the family, so the two term rules must give the same sections.
+    # to the layer rule, which contracts sections that read the override,
+    # without changing the family, so closed form and layer rule must give
+    # the same sections.
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
         i, n, j = min(A.va.structure)
@@ -905,6 +977,77 @@ def test_dmodule_matches_full_sweep_on_mutants():
         for where, A in family:
             verdicts[assert_dmodule_matches_full_sweep(A, where=where)] += 1
     assert sum(verdicts.values()) == 361 and verdicts[False] > 0
+
+
+# ---------------------------------------------------------------------------
+# the generator sweep off the recursion: each right composition computed once,
+# and no composition left on the object
+
+
+def unmemoised_generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
+    """`_generator_sweep` computing all three compositions of every generator."""
+    for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
+        if m1 + m2 + m3 > 2 * hi:
+            continue
+        for iu, iv, iw in product(range(A.va.rank), repeat=3):
+            left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
+            right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
+            sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
+            perm = diag3_transpose(_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
+            if left != diag_add(right, diag_scale(-sign, perm)):
+                return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})"
+    return None
+
+
+def forced_layer_rule(name: str) -> ChiralData:
+    """`redundant_layer(name)` read as off the recursion: the family is its
+    closed form, but the compositions take the layer rule and
+    `check_chiral_jacobi` takes the generator sweep."""
+    R = redundant_layer(name)
+    object.__setattr__(R, "_off", next(iter(R.overrides)))
+    return R
+
+
+def test_generator_sweep_matches_the_unmemoised_sweep():
+    families = [*explicit_layer_mutants(),
+                *((name, forced_layer_rule(name)) for name in ("a3", "trivial-rank1", "random-0"))]
+    verdicts = Counter()
+    for where, B in families:
+        box = _box(B)
+        want = unmemoised_generator_sweep(B, *box)
+        assert _generator_sweep(B, *box) == want, where
+        verdicts[want is None] += 1
+    assert verdicts[True] >= 3 and verdicts[False] > 0
+
+
+def test_generator_sweep_composes_each_right_tuple_once(monkeypatch):
+    # A passing sweep reads the right composition of every generator, as
+    # itself and as its sigma12 partner's permuted term: once computed each.
+    calls = Counter()
+
+    def counting(A, *args):
+        calls[args] += 1
+        return _compose_right_basis(A, *args)
+
+    monkeypatch.setattr(chiral, "_compose_right_basis", counting)
+    for name in ("a3", "random-0"):
+        B = forced_layer_rule(name)
+        report = check_chiral_jacobi(B)
+        assert report.passed
+        assert set(calls.values()) == {1}
+        assert f"({len(calls)} generator triples)" in report.window
+        calls.clear()
+
+
+def test_no_composition_is_stored_on_the_object():
+    t = unit(1)
+    for B in (a3_chiral(), forced_layer_rule("a3"), bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)):
+        assert axiom_suite(B) == tuple(check_all_chiral(B))
+        for core in (compose_left, compose_right):
+            core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
+        _chiral_jacobi(B, None, _generator_sweep)
+        kinds = {key if key == "suite" else key[0] for key in B._cache}
+        assert kinds == {"b", "sec", "suite"}, kinds
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -330,6 +330,20 @@ def test_long_json_integer_exits_2(tmp_path, capsys, old, new):
     assert err == f"parse error: an integer has more than {sys.get_int_max_str_digits()} digits\n"
 
 
+def test_layer_past_the_factorial_limit_exits_2(tmp_path, capsys):
+    # an explicit layer at m = 2^63 over the stored B^{-1}_0(1, 1) needs
+    # 1/m! at load; math.factorial used to raise OverflowError (exit 1)
+    m = 2 ** 63
+    doc = json.loads((FIXTURES / "a3_chiral.json").read_text(encoding="utf-8"))
+    doc["B"].append({"i": 0, "j": 0, "n": -1 - m, "m": m, "value": [["1"], [], []]})
+    path = tmp_path / "far_layer.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _run_cli_err(capsys, "check-chiral", str(path))
+    assert code == 2
+    assert err == (f"contract error: cannot compute 1/{m}!: the factorial takes "
+                   f"arguments up to {sys.maxsize}\n")
+
+
 @pytest.mark.parametrize("box,message", [
     ("--box=a:b", "--box expects lo:hi, got 'a:b'"),
     ("--box=5:-5", "--box range is empty: '5:-5'"),

@@ -22,6 +22,7 @@ from chiralva.chiral import (
     bump_b_entry,
     check_all_chiral,
     check_chiral_skew,
+    diag_contract,
     dmodule_parts,
 )
 from chiralva.equivalence import va_to_chiral
@@ -29,13 +30,16 @@ from chiralva.errors import ChiralvaError
 from chiralva.fixtures import square_zero_va, truncated_poly_va
 from chiralva.vertex import (
     VAData,
+    accumulate,
     bump_structure_constant,
     check_all_va,
+    contract,
     equal_tables,
     integer_modes,
     iterated_modes,
     mutation_sites,
     tensor_with_ox,
+    vadd,
 )
 from test_vertex import bump_by
 from test_chiral import (
@@ -153,6 +157,45 @@ def test_integer_view_is_the_exact_tables_times_lcm_squared(V0, pick, bump):
         for e, w in zip(exact, view):
             assert w == {pq: {cd: L * L * x for cd, x in vec.items()} for pq, vec in e.items()}
             assert all(type(x) is int for vec in w.values() for x in vec.values())
+
+
+# ---------------------------------------------------------------------------
+# section contraction
+
+
+def reference_diag_contract(x, section) -> dict:
+    """`diag_contract` as one `contract` and one copying `accumulate` per
+    coordinate of x and key of its section."""
+    coords: dict = {}
+    for (p, d), c in x.items():
+        coords.setdefault(p, {})[(p, d)] = c
+    out: dict = {}
+    for p, x_p in coords.items():
+        for k, v in section(p).items():
+            accumulate(out, k, contract(x_p, {p: v}))
+    return out
+
+
+_SCALAR = st.one_of(st.integers(-2, 2), _RATIONAL)
+# sparse vectors with z-degrees, cleaned as the library keeps them (no zero
+# entries, integral scalars as int); small ranges so that terms cancel
+_VECTOR = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _SCALAR, max_size=5).map(
+    lambda raw: vadd({}, raw))
+_SECTION_KEYS = st.sampled_from([st.integers(0, 3), st.tuples(st.integers(0, 2), st.integers(0, 2))])
+
+
+def _typed(section: dict) -> dict:
+    return {k: {cd: (type(c), c) for cd, c in vec.items()} for k, vec in section.items()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_VECTOR, _SECTION_KEYS.flatmap(lambda keys: st.dictionaries(
+    st.integers(0, 2), st.dictionaries(keys, _VECTOR.filter(bool), max_size=4), max_size=3)))
+def test_diag_contract_sums_like_per_coordinate_contractions(x, sections):
+    # sections keyed by a derivative degree k and by a pair (k, l); a
+    # coordinate of x without a section contributes nothing
+    got = diag_contract(x, lambda p: sections.get(p, {}))
+    assert _typed(got) == _typed(reference_diag_contract(x, lambda p: sections.get(p, {})))
 
 
 # ---------------------------------------------------------------------------
