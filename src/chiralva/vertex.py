@@ -30,7 +30,12 @@ The Jacobi sweep scatters: each nonzero iterated-mode entry at (p, q) is
 added, times its integer binomial, to every window instance that reads it,
 all on the slice l+m+n = p+q.  It runs one l at a time, and the least
 (m, n, triple) of the first failing l is the witness: the first failure in
-(l, m, n, triple) order.
+(l, m, n, triple) order.  Only the first slice is scattered in full.  Pascal's
+rule on each of the three binomial sums gives, on any table,
+J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1) for lhs - rhs = J, so every
+later point with m < hi and n < hi is carried from the slice before, and
+only the top edge m = hi or n = hi of a later slice is scattered.  Every
+instance still gets its exact integer value.
 
 The sweep and both certificates only test sums for zero and compare
 tables, and those tests are linear in the iterated-mode tables, so they do
@@ -422,7 +427,8 @@ def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     return iterated_modes(V._cache["integral"] or V, iu, iv, iw)
 
 
-def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict:
+def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list,
+                  edges: bool = False) -> dict:
     """lhs - rhs of the component Jacobi identity
 
         sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
@@ -436,7 +442,14 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict
     that read it, all with l+m+n = p+q, times a binomial read from the
     slice's own tables: the columns binom(m, p - l) for p in [a..b], and the
     signed rows of binom(l, i).  Per slice, not per check, so that a wide
-    window holds a number of binomials linear in its width."""
+    window holds a number of binomials linear in its width.
+
+    With `edges`, only the top-edge points, m = hi or n = hi, are filled.
+    The points one entry reaches on the slice are one range [first..last]
+    of the loop index x (m, or n), with the other index s - x; x = hi and
+    x = s - hi are its only edge points, and each lies in the range only
+    as its end: the upper end when hi clips it, the lower end when s - hi
+    does.  So an edge pass visits {first, last} & {hi, s - hi}."""
     acc: dict = defaultdict(int)
     cols = binom_columns(lo, hi, a - l, b - l)
     row_uv, row_vu = signed_binoms(l, b - lo)
@@ -445,7 +458,10 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict
             col = cols.get(p - l)
             if col is not None:
                 s = p + q - l
-                for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
+                first, last = max(lo, s - hi), min(hi, s - lo)
+                if first > last:
+                    continue
+                for m in ({first, last} & {hi, s - hi} if edges else range(first, last + 1)):
                     c = col[m - lo]
                     if c:
                         for cd, x in xs.items():
@@ -455,7 +471,10 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict
         for swap, row, table in ((False, row_uv, right_uv), (True, row_vu, right_vu)):
             for (p, q), xs in table.items():
                 s = p + q - l
-                for x in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
+                first, last = max(lo, s - hi), min(hi, q, s - lo)
+                if first > last:
+                    continue
+                for x in ({first, last} & {hi, s - hi} if edges else range(first, last + 1)):
                     c = row[q - x]
                     if c:
                         m, n = (x, s - x) if swap else (s - x, x)
@@ -464,46 +483,71 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict
     return acc
 
 
+def _jacobi_slices(lo: int, hi: int, a: int, b: int, reach: list):
+    """Yield (l, the nonzero entries of `_jacobi_slice(l, ...)`) for l in
+    lo..hi.  Slice lo is scattered in full.  Later slices are carried by
+    Pascal's rule, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1), which holds
+    on any table: it fills every point with m < hi and n < hi from the
+    previous slice, and only the top edge (m = hi or n = hi) is scattered."""
+    prev: dict = {}
+    for l in range(lo, hi + 1):
+        acc = _jacobi_slice(l, lo, hi, a, b, reach, edges=l > lo)
+        for (m, n, t, cd), x in prev.items():
+            if m > lo and n < hi:
+                acc[m - 1, n, t, cd] += x
+            if n > lo and m < hi:
+                acc[m, n - 1, t, cd] -= x
+        prev = {key: x for key, x in acc.items() if x}
+        yield l, prev
+
+
 def _slice_points(lo: int, hi: int, s_lo: int, s_hi: int) -> int:
     """#{(l, m, n) in [lo..hi]^3 : s_lo <= l+m+n <= s_hi}, one n-interval per (l, m)."""
     return sum(max(0, min(hi, s_hi - l - m) - max(lo, s_lo - l - m) + 1)
                for l, m in product(range(lo, hi + 1), repeat=2))
 
 
-def _locality_witness(V: VAData, a: int, b: int) -> str | None:
+def _locality_witness(V: VAData) -> str | None:
     # u_m (v_n w) = v_n (u_m w) on the support square; both sides are zero
     # off the square, so this is the whole operator-commutativity statement.
+    # The tables hold nonzero entries only, so the least differing (m, n) is
+    # the least key of either table that the other, transposed, does not match.
     for iu, iv, iw in product(range(V.rank), repeat=3):
         uv = integer_modes(V, iu, iv, iw)[1]
-        vu = integer_modes(V, iv, iu, iw)[1]
-        for m, n in product(range(a, b + 1), repeat=2):
-            if uv.get((m, n)) != vu.get((n, m)):
-                return f"commutativity at ({triple_name(V, iu, iv, iw)}, m={m}, n={n})"
+        vu = {(n, m): x for (m, n), x in integer_modes(V, iv, iu, iw)[1].items()}
+        if uv != vu:
+            m, n = min(key for key in uv.keys() | vu.keys() if uv.get(key) != vu.get(key))
+            return f"commutativity at ({triple_name(V, iu, iv, iw)}, m={m}, n={n})"
     return None
 
 
-def _associativity_witness(V: VAData, a: int, b: int) -> str | None:
+def _associativity_witness(V: VAData, b: int) -> str | None:
     # Compare, after clearing by (x0+x2)^K, the iterated-mode generating
     # polynomial in (x1, x2) substituted at x1 = x0 + x2 against the
     # one-step-composed generating polynomial in (x0, x2).  Together with
     # commutativity this is equivalent to the Jacobi identity for every
-    # integer index triple.
+    # integer index triple.  lhs - rhs is summed into one integer
+    # accumulator keyed (exponents, coord, deg); the witness is the least
+    # exponent pair left nonzero.
     K = max(0, b + 1)
     for iu, iv, iw in product(range(V.rank), repeat=3):
         left, right = integer_modes(V, iu, iv, iw)
-        lhs: dict = {}
+        acc: dict = defaultdict(int)
         for (l, n), val in left.items():
             p, q = -l - 1, -n - 1
             for j in range(K + 1):
-                accumulate(lhs, (p + j, q + K - j), vscale(binom(K, j), val))
-        rhs: dict = {}
+                c = binom(K, j)
+                for cd, x in val.items():
+                    acc[(p + j, q + K - j), cd] += c * x
         for (m, n2), val in right.items():
             p2, q2 = -m - 1, -n2 - 1
             for j in range(K + p2 + 1):
-                accumulate(rhs, (j, q2 + K + p2 - j), vscale(binom(K + p2, j), val))
-        for key in sorted(set(lhs) | set(rhs)):
-            if lhs.get(key) != rhs.get(key):
-                return f"composition identity at exponents {key} for ({triple_name(V, iu, iv, iw)})"
+                c = binom(K + p2, j)
+                for cd, x in val.items():
+                    acc[(j, q2 + K + p2 - j), cd] -= c * x
+        failing = [key for (key, _), x in acc.items() if x]
+        if failing:
+            return f"composition identity at exponents {min(failing)} for ({triple_name(V, iu, iv, iw)})"
     return None
 
 
@@ -513,12 +557,15 @@ def closure_witness(V: VAData, a: int, b: int) -> str | None:
     the composition identity.  None when both hold."""
     if not V.structure:
         return None
-    return _locality_witness(V, a, b) or _associativity_witness(V, a, b)
+    return _locality_witness(V) or _associativity_witness(V, b)
 
 
 def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckReport:
     """Component Jacobi identity swept over the safe window, closed over all
-    of Z^3 by the commutativity and composition certificates."""
+    of Z^3 by the commutativity and composition certificates.  The sweep
+    scatters slice l = lo in full and carries each later slice from the one
+    before by Pascal's rule, scattering only its top edge (`_jacobi_slices`);
+    the first slice left nonzero fails, with its least key as the witness."""
     name, label = "jacobi", "jac-comp"
     rng = V.global_support()
     if rng is None and window is None:
@@ -528,8 +575,7 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
     reach = [(t, *tables) for t in product(range(V.rank), repeat=3)  # empty triples reach nothing
              if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
-    for l in range(lo, hi + 1):
-        failing = [key for key, x in _jacobi_slice(l, lo, hi, a, b, reach).items() if x]
+    for l, failing in _jacobi_slices(lo, hi, a, b, reach):
         if failing:  # the first failing instance in (l, m, n, triple) order
             m, n, t, _ = min(failing)
             return CheckReport(

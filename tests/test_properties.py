@@ -41,7 +41,7 @@ from chiralva.vertex import (
     tensor_with_ox,
     vadd,
 )
-from test_vertex import bump_by
+from test_vertex import PASCAL_WINDOWS, assert_slices_match_full_scatter, bump_by
 from test_chiral import (
     _box,
     gather_keyed_sweep,
@@ -157,6 +157,19 @@ def test_integer_view_is_the_exact_tables_times_lcm_squared(V0, pick, bump):
         for e, w in zip(exact, view):
             assert w == {pq: {cd: L * L * x for cd, x in vec.items()} for pq, vec in e.items()}
             assert all(type(x) is int for vec in w.values() for x in vec.values())
+
+
+@SETTINGS
+@given(ALGEBRAS, st.integers(0, 59), st.one_of(st.none(), _RATIONAL), st.sampled_from(PASCAL_WINDOWS))
+def test_pascal_slices_match_full_scatter_on_generated_algebras(V0, pick, bump, window):
+    # every slice the Jacobi sweep carries by Pascal's rule equals its full
+    # scatter, on generated algebras and on mutants bumped by a rational
+    V = tensor_with_ox(V0)
+    sites = mutation_sites(V, 60)
+    if bump and sites:
+        i, n, j, coord = sites[pick % len(sites)]
+        V = bump_by(V, (i, n, j), coord, bump)
+    assert_slices_match_full_scatter(V, window)
 
 
 # ---------------------------------------------------------------------------

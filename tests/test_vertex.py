@@ -18,7 +18,12 @@ from chiralva.report import CheckReport
 from chiralva.vertex import (
     VAData,
     Vector,
+    _associativity_witness,
+    _jacobi_slice,
+    _jacobi_slices,
+    _locality_witness,
     _slice_points,
+    accumulate,
     apply_d,
     bump_structure_constant,
     check_all_va,
@@ -29,6 +34,7 @@ from chiralva.vertex import (
     closure_witness,
     d_kill_bound,
     d_orbits,
+    integer_modes,
     iterated_modes,
     make_commutative_va,
     merge_window,
@@ -318,11 +324,7 @@ def test_jacobi_sweep_failure_implies_certificate_failure():
     # a failing boxed instance means the identity is false somewhere, and
     # the closure certificates are equivalent to the identity over all of
     # Z^3, so they must fail as well
-    import random as _random
-
-    from chiralva.vertex import _associativity_witness, _locality_witness
-
-    rng = _random.Random(23)
+    rng = random.Random(23)
     v0 = a3_va()
     for trial in range(25):
         sites = mutation_sites(v0, 60)
@@ -341,8 +343,8 @@ def test_jacobi_sweep_failure_implies_certificate_failure():
                                 if lhs != rhs:
                                     sweep_fails = True
         cert_fails = (
-            _locality_witness(mutant, a, b) is not None
-            or _associativity_witness(mutant, a, b) is not None
+            _locality_witness(mutant) is not None
+            or _associativity_witness(mutant, b) is not None
         )
         if sweep_fails:
             assert cert_fails, trial
@@ -498,6 +500,114 @@ def test_scatter_jacobi_matches_gather_on_every_criterion_7_mutant():
         assert check_jacobi(mutant) == want, want
         failing += not want.passed
     assert failing > 150
+
+
+# ---------------------------------------------------------------------------
+# Pascal's rule, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1), carries every
+# slice after the first from the one before it; the full scatter of each
+# slice is its reference.  The windows widen the default one below, above,
+# on both sides and not at all.
+
+PASCAL_WINDOWS = (None, (-9, 4), (-3, 1), (-12, 0))
+
+
+def _reach(V):
+    """The (triple, three integer tables) list check_jacobi sweeps."""
+    return [(t, *tables) for t in product(range(V.rank), repeat=3)
+            if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
+
+
+def assert_slices_match_full_scatter(V, window):
+    """Every slice `_jacobi_slices` yields, failing slices and the ones after
+    them included, is the nonzero part of the full `_jacobi_slice`.  Returns
+    the number of slices carried from a nonzero slice."""
+    a, b = V.global_support() or (0, -1)
+    span = b - a + 1
+    lo, hi = merge_window(a - span - 1, b + span + 1, window)
+    reach = _reach(V)
+    slices = list(_jacobi_slices(lo, hi, a, b, reach))
+    assert [l for l, _ in slices] == list(range(lo, hi + 1))
+    for l, got in slices:
+        assert got == {key: x for key, x in _jacobi_slice(l, lo, hi, a, b, reach).items() if x}, l
+    return sum(bool(prev) for (_, prev), _ in zip(slices, slices[1:]))
+
+
+@pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
+def test_pascal_slices_match_full_scatter(name, V, window):
+    carried = sum(assert_slices_match_full_scatter(V, w) for w in {window, *PASCAL_WINDOWS})
+    assert (carried > 0) == (name == "ladder-4-thirds")
+
+
+def test_pascal_slices_match_full_scatter_on_every_criterion_7_mutant():
+    mutants = list(_criterion_7_mutants(30))
+    assert len(mutants) == 211
+    carried = sum(assert_slices_match_full_scatter(V, w) for V in mutants for w in PASCAL_WINDOWS)
+    assert carried > 1000
+
+
+# ---------------------------------------------------------------------------
+# the closure certificates as walks over the whole support square, with one
+# vadd copy per term: the references for the sparse certificates
+
+
+def reference_locality_witness(V, a, b):
+    for iu, iv, iw in product(range(V.rank), repeat=3):
+        uv = integer_modes(V, iu, iv, iw)[1]
+        vu = integer_modes(V, iv, iu, iw)[1]
+        for m, n in product(range(a, b + 1), repeat=2):
+            if uv.get((m, n)) != vu.get((n, m)):
+                return f"commutativity at ({triple_name(V, iu, iv, iw)}, m={m}, n={n})"
+    return None
+
+
+def reference_associativity_witness(V, a, b):
+    K = max(0, b + 1)
+    for iu, iv, iw in product(range(V.rank), repeat=3):
+        left, right = integer_modes(V, iu, iv, iw)
+        lhs: dict = {}
+        for (l, n), val in left.items():
+            p, q = -l - 1, -n - 1
+            for j in range(K + 1):
+                accumulate(lhs, (p + j, q + K - j), vscale(binom(K, j), val))
+        rhs: dict = {}
+        for (m, n2), val in right.items():
+            p2, q2 = -m - 1, -n2 - 1
+            for j in range(K + p2 + 1):
+                accumulate(rhs, (j, q2 + K + p2 - j), vscale(binom(K + p2, j), val))
+        for key in sorted(set(lhs) | set(rhs)):
+            if lhs.get(key) != rhs.get(key):
+                return f"composition identity at exponents {key} for ({triple_name(V, iu, iv, iw)})"
+    return None
+
+
+def noncommutative_tables(count):
+    """Tables with random integer and rational entries on the support
+    [-2..1], zero D: most of them fail operator commutativity."""
+    rng = random.Random(19)
+    for _ in range(count):
+        rank = rng.randint(1, 3)
+        structure = {}
+        for i, n, j in product(range(rank), range(-2, 2), range(rank)):
+            if rng.random() < 0.4:
+                c = Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+                structure[i, n, j] = vadd({}, {(rng.randrange(rank), 0): c})
+        if structure:
+            yield VAData(rank, "Q", tuple("abc"[:rank]), structure, ({},) * rank)
+
+
+def test_certificates_match_their_square_walk_references():
+    tables = list(noncommutative_tables(60))
+    failing = {"locality": 0, "associativity": 0}
+    for V in (*(V for _, V in corpus()), *_criterion_7_mutants(30), *tables):
+        a, b = V.global_support()
+        loc = _locality_witness(V)
+        assert loc == reference_locality_witness(V, a, b)
+        assoc = _associativity_witness(V, b)
+        assert assoc == reference_associativity_witness(V, a, b)
+        failing["locality"] += loc is not None
+        failing["associativity"] += assoc is not None
+    assert failing["locality"] > 150 and failing["associativity"] > 150
+    assert sum(_locality_witness(V) is not None for V in tables) > len(tables) // 2
 
 
 @pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
