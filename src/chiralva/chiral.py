@@ -492,14 +492,15 @@ def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     """The generator sweep on the recursion closed form, one key at a time: entry
     (k, l) of the compositions at (m1, m2, m3) is ((-1)^(k+l)/k!l!) times the
     key (m1, m3+k, m2+l), so the first failing generator has m2 = m3 = blo.
-    Each basis triple's integer tables (`integer_modes`) are read when the
-    sweep reaches the triple, and scattered to the keys of the current m1; a
-    key is zero exactly when it is zero on the exact tables.  Returns like
-    `_generator_sweep`."""
+    The sweep walks the indexed triples (`VAData.indexed_triples`; every
+    other triple has empty tables), reads each one's integer tables
+    (`integer_modes`) when it reaches the triple, and scatters them to the
+    keys of the current m1; a key is zero exactly when it is zero on the
+    exact tables.  Returns like `_generator_sweep`."""
     va = A.va
     for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
         binoms = _scatter_binoms(m1, blo, lo, hi)
-        for iu, iv, iw in product(range(va.rank), repeat=3):
+        for iu, iv, iw in va.indexed_triples():
             tables = (*integer_modes(va, iu, iv, iw), integer_modes(va, iv, iu, iw)[1])
             if any(_key_scatter(m1, blo, tables, binoms).values()):
                 return f"({triple_name(va, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})"

@@ -10,6 +10,7 @@ commutative constructor.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .exact import Q
 from .vertex import (
@@ -92,6 +93,27 @@ def random_commutative_va(seed: int) -> VAData:
     p = rng.randint(1, 2)
     q = rng.randint(1, 3)
     return square_zero_va((Q(p * q), Q(q * q), Q(-p * p), Q(-p * q)))
+
+
+def tensor_product(A: VAData, B: VAData) -> VAData:
+    """The commutative vertex algebra of the tensor product of the algebras
+    of A and B, with D = D_A (x) 1 + 1 (x) D_B, built by
+    `make_commutative_va` (which validates it).  A and B are commutative
+    vertex algebras over Q, read through their products u_{-1} v; the basis
+    vector a (x) b has index i * B.rank + j and name "a*b"."""
+
+    def tensor(x: Vector, y: Vector) -> Vector:
+        return {(i * B.rank + j, 0): c * d for (i, _), c in x.items() for (j, _), d in y.items()}
+
+    pairs = [(i, j) for i in range(A.rank) for j in range(B.rank)]
+    mult = {}
+    for (i, j), (k, l) in product(pairs, repeat=2):
+        vec = tensor(A.mode(i, -1, k), B.mode(j, -1, l))
+        if vec:
+            mult[i * B.rank + j, k * B.rank + l] = vec
+    d_cols = tuple(vadd(tensor(A.d_cols[i], unit(j)), tensor(unit(i), B.d_cols[j])) for i, j in pairs)
+    names = tuple(f"{a}*{b}" for a in A.basis_names for b in B.basis_names)
+    return make_commutative_va(mult, d_cols, names)
 
 
 def elementary_rational_matrix(rank: int, seed: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:

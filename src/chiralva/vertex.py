@@ -26,6 +26,13 @@ symbolically:
   identity for iterated modes); the checker verifies both, which closes
   the argument over all of Z^3.
 
+Each table carries one index, built once from its stored entries: the
+entries of each basis pair, and the sorted basis triples whose iterated
+modes can be nonzero (`VAData.indexed_triples`).  `iterated_modes`
+multiplies only entries that meet, and every loop over basis triples, in
+the sweeps and certificates of both sides, walks the index; a triple off it
+has empty tables, so it can be neither a witness nor a term.
+
 The Jacobi sweep scatters: each nonzero iterated-mode entry at (p, q) is
 added, times its integer binomial, to every window instance that reads it,
 all on the slice l+m+n = p+q.  It runs one l at a time, and the least
@@ -34,8 +41,10 @@ all on the slice l+m+n = p+q.  It runs one l at a time, and the least
 rule on each of the three binomial sums gives, on any table,
 J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1) for lhs - rhs = J, so every
 later point with m < hi and n < hi is carried from the slice before, and
-only the top edge m = hi or n = hi of a later slice is scattered.  Every
-instance still gets its exact integer value.
+only the top edge m = hi or n = hi of a later slice is computed: at most
+two points of each entry with p + q - l >= lo + hi, the prefix of one list
+of entries sorted by p + q.  Every instance still gets its exact integer
+value.
 
 The sweep and both certificates only test sums for zero and compare
 tables, and those tests are linear in the iterated-mode tables, so they do
@@ -176,6 +185,8 @@ class VAData:
     _cols: dict = field(default_factory=dict, init=False, repr=False)  # (n, j) -> {i: entry}
     _dmap: dict = field(default_factory=dict, init=False, repr=False)  # {j: D(e_j)}, nonzero only
     _span: tuple | None = field(default=None, init=False, repr=False)  # global_support()
+    _pairs: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> [(n, entry)]
+    _triples: tuple = field(default=(), init=False, repr=False)  # indexed_triples()
 
     def __post_init__(self):
         if self.coeff_ring not in COEFF_RINGS:
@@ -189,6 +200,8 @@ class VAData:
         for (i, n, j), val in clean.items():
             self._rows.setdefault((i, n), {})[j] = val
             self._cols.setdefault((n, j), {})[i] = val
+            self._pairs.setdefault((i, j), []).append((n, val))
+        object.__setattr__(self, "_triples", _index_triples(self._pairs))
         self._dmap.update((j, col) for j, col in enumerate(self.d_cols) if col)
         if self.coeff_ring == "Q" and self.max_degree() > 0:
             raise ContractError("coeff_ring Q admits constant coordinates only")
@@ -210,6 +223,34 @@ class VAData:
 
     def max_degree(self) -> int:
         return max((d for v in (*self.structure.values(), *self.d_cols) for _, d in v), default=0)
+
+    def indexed_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The basis triples, in order, whose iterated-mode tables can be
+        nonzero; every other triple's tables are empty.  Closed under swapping
+        u and v.  Scaling keeps the sparsity, so the readers of the integer
+        view (`integer_modes`) walk this list too."""
+        return self._triples
+
+
+def _index_triples(pairs: dict) -> tuple:
+    """The sorted triples (u, v, w) read by a nonzero iterated mode: (u_p v)_q w
+    needs a coordinate c of an entry of (u, v) with an entry of (c, w), and
+    u_p (v_q w) a coordinate c of an entry of (v, w) with an entry of (u, c).
+    Each pair (i, j) is tried in both roles, and every triple found enters
+    with its swap (v, u, w)."""
+    firsts: dict = {}  # j -> the i with entries at (i, j)
+    seconds: dict = {}  # i -> the j with entries at (i, j)
+    for i, j in pairs:
+        firsts.setdefault(j, []).append(i)
+        seconds.setdefault(i, []).append(j)
+    found = set()
+    for (i, j), entries in pairs.items():
+        for c in {c for _, vec in entries for c, _ in vec}:
+            for w in seconds.get(c, ()):  # (i, j) as (u, v)
+                found.update(((i, j, w), (j, i, w)))
+            for u in firsts.get(c, ()):  # (i, j) as (v, w)
+                found.update(((u, i, j), (i, u, j)))
+    return tuple(sorted(found))
 
 
 def equal_tables(v1: VAData, v2: VAData) -> tuple[bool, str | None]:
@@ -388,26 +429,39 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
 
 def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     """The iterated modes of a basis triple, ({(p, q): (u_p v)_q w},
-    {(p, q): u_p (v_q w)}) for p, q in the global support, nonzero entries
-    only; off that square both vanish.  Computed once per triple and object:
-    the chiral compositions read these tables, and the Jacobi sweeps and
-    closure certificates read them scaled to integers (`integer_modes`)."""
+    {(p, q): u_p (v_q w)}), nonzero entries only.  Built from the entries of
+    the pairs: (u_p v)_q w sums x (c_q w) over each coordinate c (scalar x)
+    of each entry u_p v and each entry c_q w of the pair (c, w), and
+    u_p (v_q w) sums x (u_p c) over each coordinate c of each entry v_q w and
+    each entry u_p c of the pair (u, c); only entries that meet are
+    multiplied.  Computed once per triple and object: the chiral compositions
+    read these tables, and the Jacobi sweeps and closure certificates read
+    them scaled to integers (`integer_modes`)."""
     key = ("modes", iu, iv, iw)
     hit = V._cache.get(key)
     if hit is not None:
         return hit
+    pairs = V._pairs
     left: dict = {}
+    for p, uv in pairs.get((iu, iv), ()):
+        for (c, d), x in uv.items():
+            for q, cw in pairs.get((c, iw), ()):
+                _add_product(left.setdefault((p, q), {}), x, d, cw)
     right: dict = {}
-    a, b = V.global_support() or (0, -1)
-    for p, q in product(range(a, b + 1), repeat=2):
-        uv = V.structure.get((iu, p, iv))
-        if uv is not None:
-            accumulate(left, (p, q), mode_vec(V, uv, q, iw))
-        vw = V.structure.get((iv, q, iw))
-        if vw is not None:
-            accumulate(right, (p, q), mode_left(V, iu, p, vw))
-    V._cache[key] = left, right
-    return left, right
+    for q, vw in pairs.get((iv, iw), ()):
+        for (c, d), x in vw.items():
+            for p, uc in pairs.get((iu, c), ()):
+                _add_product(right.setdefault((p, q), {}), x, d, uc)
+    V._cache[key] = hit = tuple({pq: vec for pq, acc in table.items() if (vec := _clean(acc))}
+                                for table in (left, right))
+    return hit
+
+
+def _add_product(acc: dict, x, d: int, vec: Vector) -> None:
+    """acc += x z^d vec, uncleaned."""
+    for (r, f), y in vec.items():
+        k = (r, f + d)
+        acc[k] = acc.get(k, 0) + x * y
 
 
 def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
@@ -427,8 +481,7 @@ def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     return iterated_modes(V._cache["integral"] or V, iu, iv, iw)
 
 
-def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list,
-                  edges: bool = False) -> dict:
+def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict:
     """lhs - rhs of the component Jacobi identity
 
         sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
@@ -442,14 +495,7 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list,
     that read it, all with l+m+n = p+q, times a binomial read from the
     slice's own tables: the columns binom(m, p - l) for p in [a..b], and the
     signed rows of binom(l, i).  Per slice, not per check, so that a wide
-    window holds a number of binomials linear in its width.
-
-    With `edges`, only the top-edge points, m = hi or n = hi, are filled.
-    The points one entry reaches on the slice are one range [first..last]
-    of the loop index x (m, or n), with the other index s - x; x = hi and
-    x = s - hi are its only edge points, and each lies in the range only
-    as its end: the upper end when hi clips it, the lower end when s - hi
-    does.  So an edge pass visits {first, last} & {hi, s - hi}."""
+    window holds a number of binomials linear in its width."""
     acc: dict = defaultdict(int)
     cols = binom_columns(lo, hi, a - l, b - l)
     row_uv, row_vu = signed_binoms(l, b - lo)
@@ -458,10 +504,7 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list,
             col = cols.get(p - l)
             if col is not None:
                 s = p + q - l
-                first, last = max(lo, s - hi), min(hi, s - lo)
-                if first > last:
-                    continue
-                for m in ({first, last} & {hi, s - hi} if edges else range(first, last + 1)):
+                for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
                     c = col[m - lo]
                     if c:
                         for cd, x in xs.items():
@@ -471,10 +514,7 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list,
         for swap, row, table in ((False, row_uv, right_uv), (True, row_vu, right_vu)):
             for (p, q), xs in table.items():
                 s = p + q - l
-                first, last = max(lo, s - hi), min(hi, q, s - lo)
-                if first > last:
-                    continue
-                for x in ({first, last} & {hi, s - hi} if edges else range(first, last + 1)):
+                for x in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
                     c = row[q - x]
                     if c:
                         m, n = (x, s - x) if swap else (s - x, x)
@@ -483,15 +523,64 @@ def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list,
     return acc
 
 
+def _jacobi_edge(l: int, lo: int, hi: int, a: int, b: int, entries: list) -> dict:
+    """The top edge of `_jacobi_slice(l, ...)`: its points with m = hi or
+    n = hi.  The other index of such a point is at least lo, so the point
+    has s = m + n = p + q - l >= lo + hi.  `entries` holds the table entries
+    as ((p + q, table, p, q), [(t, xs), ...]), table 0, 1, 2 as in `reach`,
+    by p + q descending, and the walk stops at the first key below
+    lo + hi + l.  For s >= lo + hi, the points one entry reaches form the
+    range [s - hi .. top] of the loop index x (m for table 0, n for table 1,
+    m for table 2; the other index is s - x), with top = hi for table 0 and
+    min(hi, q) for the others.  Its edge points are its ends: x = s - hi,
+    where the other index is hi, and x = hi when top = hi.  The points and
+    binomials depend on (table, p, q) only, so they are found once for all
+    the triples that hold an entry there."""
+    acc: dict = defaultdict(int)
+    cols = binom_columns(lo, hi, a - l, b - l)
+    rows = signed_binoms(l, b - lo)
+    for (s, table, p, q), held in entries:
+        s -= l
+        if s < lo + hi:
+            break
+        x0 = s - hi
+        top = hi if table == 0 else min(hi, q)
+        if x0 > top:
+            continue
+        ends = (x0, hi) if x0 < top == hi else (x0,)
+        if table == 0:
+            col = cols.get(p - l)
+            if col is None:
+                continue
+            points = [(col[x - lo], x, s - x) for x in ends]
+        elif table == 1:
+            points = [(rows[0][q - x], s - x, x) for x in ends]
+        else:
+            points = [(rows[1][q - x], x, s - x) for x in ends]
+        for c, m, n in points:
+            if c:
+                for t, xs in held:
+                    for cd, y in xs.items():
+                        acc[m, n, t, cd] += c * y
+    return acc
+
+
 def _jacobi_slices(lo: int, hi: int, a: int, b: int, reach: list):
     """Yield (l, the nonzero entries of `_jacobi_slice(l, ...)`) for l in
     lo..hi.  Slice lo is scattered in full.  Later slices are carried by
     Pascal's rule, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1), which holds
     on any table: it fills every point with m < hi and n < hi from the
-    previous slice, and only the top edge (m = hi or n = hi) is scattered."""
+    previous slice, and only the top edge (m = hi or n = hi) is computed, by
+    `_jacobi_edge` from one list of the entries sorted once per sweep."""
+    held: dict = {}
+    for t, (_, *tables) in enumerate(reach):
+        for table, modes in enumerate(tables):
+            for (p, q), xs in modes.items():
+                held.setdefault((p + q, table, p, q), []).append((t, xs))
+    entries = sorted(held.items(), reverse=True)
     prev: dict = {}
     for l in range(lo, hi + 1):
-        acc = _jacobi_slice(l, lo, hi, a, b, reach, edges=l > lo)
+        acc = _jacobi_slice(l, lo, hi, a, b, reach) if l == lo else _jacobi_edge(l, lo, hi, a, b, entries)
         for (m, n, t, cd), x in prev.items():
             if m > lo and n < hi:
                 acc[m - 1, n, t, cd] += x
@@ -512,7 +601,8 @@ def _locality_witness(V: VAData) -> str | None:
     # off the square, so this is the whole operator-commutativity statement.
     # The tables hold nonzero entries only, so the least differing (m, n) is
     # the least key of either table that the other, transposed, does not match.
-    for iu, iv, iw in product(range(V.rank), repeat=3):
+    # Off the index, which is closed under the swap, both tables are empty.
+    for iu, iv, iw in V.indexed_triples():
         uv = integer_modes(V, iu, iv, iw)[1]
         vu = {(n, m): x for (m, n), x in integer_modes(V, iv, iu, iw)[1].items()}
         if uv != vu:
@@ -528,9 +618,9 @@ def _associativity_witness(V: VAData, b: int) -> str | None:
     # commutativity this is equivalent to the Jacobi identity for every
     # integer index triple.  lhs - rhs is summed into one integer
     # accumulator keyed (exponents, coord, deg); the witness is the least
-    # exponent pair left nonzero.
+    # exponent pair left nonzero.  Only indexed triples have nonzero tables.
     K = max(0, b + 1)
-    for iu, iv, iw in product(range(V.rank), repeat=3):
+    for iu, iv, iw in V.indexed_triples():
         left, right = integer_modes(V, iu, iv, iw)
         acc: dict = defaultdict(int)
         for (l, n), val in left.items():
@@ -573,7 +663,7 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     a, b = rng if rng else (0, -1)
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
-    reach = [(t, *tables) for t in product(range(V.rank), repeat=3)  # empty triples reach nothing
+    reach = [(t, *tables) for t in V.indexed_triples()  # empty triples reach nothing
              if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
     for l, failing in _jacobi_slices(lo, hi, a, b, reach):
         if failing:  # the first failing instance in (l, m, n, triple) order

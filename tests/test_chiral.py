@@ -39,12 +39,13 @@ from chiralva.chiral import (
 from chiralva.cli import main
 from chiralva.equivalence import axiom_suite, va_to_chiral
 from chiralva.exact import Q, binom, inv_factorial
-from chiralva.fixtures import a3_basis_changed, a3_va, corpus, truncated_poly_va
+from chiralva.fixtures import a3_basis_changed, a3_va, corpus, tensor_product, truncated_poly_va
 from chiralva.report import CheckReport
 from chiralva.vertex import (
     VAData,
     apply_d,
     bump_structure_constant,
+    check_jacobi,
     contract,
     d_kill_bound,
     integer_modes,
@@ -755,7 +756,8 @@ def test_keyed_sweep_reads_each_reachable_key_once(window):
 def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
     # The integer tables of a basis triple are fetched when the sweep reaches
     # the triple: on a mutant that fails early, the fetches are exactly the
-    # triples in sweep order up to the witness, for each m1 up to its m1.
+    # indexed triples in sweep order up to the witness, for each m1 up to its
+    # m1; a triple off the index has empty tables and is never fetched.
     cases = 0
     for name in ("a3", "random-1"):
         V = dict(corpus())[name]
@@ -775,12 +777,34 @@ def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
             assert _keyed_sweep(A, *box) == witness
             monkeypatch.undo()
             m1 = int(witness.split("m1=")[1].split(",")[0])
-            order = list(product(range(A.va.rank), repeat=3))
+            order = list(A.va.indexed_triples())
             last = next(t for t in order if witness.startswith(f"({triple_name(A.va, *t)},"))
             reads = order * (m1 - box[0]) + order[:order.index(last) + 1]
             assert fetched == [x for iu, iv, iw in reads for x in ((iu, iv, iw), (iv, iu, iw))]
-            cases += len(reads) < A.va.rank ** 3
+            cases += len(reads) < len(order)
     assert cases > 0
+
+
+def test_jacobi_checks_build_tables_for_the_indexed_triples_only():
+    # a3 (x) a3 (x) a3 has rank 27 and 1000 indexed triples out of 19683: the
+    # VA sweep with its certificates, and the chiral keyed sweep with its
+    # closure, build the iterated-mode tables of exactly those triples; the
+    # reports still count every basis triple.
+    def built(va):
+        view = va._cache.get("integral") or va
+        return {key[1:] for key in view._cache if isinstance(key, tuple) and key[0] == "modes"}
+
+    V = tensor_product(tensor_product(a3_va(), a3_va()), a3_va())
+    assert (V.rank, len(V.indexed_triples())) == (27, 1000)
+    report = check_jacobi(V)
+    points = sum(-8 <= sum(lmn) <= -2 for lmn in product(range(-9, 5), repeat=3))
+    assert report.passed and f"[-9..4]^3 with l+m+n in [-8..-2] ({27 ** 3 * points} instances)" in report.window
+    assert built(V) == set(V.indexed_triples())
+    A = va_to_chiral(tensor_product(tensor_product(a3_va(), a3_va()), a3_va()), checked=False)
+    report = check_chiral_jacobi(A)
+    generators = sum(sum(box) <= -2 for box in product(range(-8, 4), repeat=3))
+    assert report.passed and f"[-8..3]^3 with m1+m2+m3 <= -2 ({27 ** 3 * generators} generator triples)" in report.window
+    assert built(A.va) == set(A.va.indexed_triples()) == set(V.indexed_triples())
 
 
 def test_keyed_sweep_matches_generator_loop_on_mutants():

@@ -41,7 +41,12 @@ from chiralva.vertex import (
     tensor_with_ox,
     vadd,
 )
-from test_vertex import PASCAL_WINDOWS, assert_slices_match_full_scatter, bump_by
+from test_vertex import (
+    PASCAL_WINDOWS,
+    assert_index_and_tables_match_reference,
+    assert_slices_match_full_scatter,
+    bump_by,
+)
 from test_chiral import (
     _box,
     gather_keyed_sweep,
@@ -170,6 +175,21 @@ def test_pascal_slices_match_full_scatter_on_generated_algebras(V0, pick, bump, 
         i, n, j, coord = sites[pick % len(sites)]
         V = bump_by(V, (i, n, j), coord, bump)
     assert_slices_match_full_scatter(V, window)
+
+
+@SETTINGS
+@given(ALGEBRAS, st.integers(0, 59), st.one_of(st.none(), _RATIONAL))
+def test_triple_index_holds_every_nonempty_triple_on_generated_algebras(V0, pick, bump):
+    # the tables built from the entries of each pair equal the support-square
+    # probe, value types included, and the triple index holds every triple
+    # with a nonzero table, closed under the swap, on generated algebras and
+    # on mutants bumped by a rational
+    V = tensor_with_ox(V0)
+    sites = mutation_sites(V, 60)
+    if bump and sites:
+        i, n, j, coord = sites[pick % len(sites)]
+        V = bump_by(V, (i, n, j), coord, bump)
+    assert_index_and_tables_match_reference(V)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from chiralva.errors import (
     UnsupportedAlgebra,
 )
 from chiralva.exact import Q, binom
-from chiralva.fixtures import a3_va, corpus, trivial_rank1, truncated_poly_va
+from chiralva.fixtures import a3_va, corpus, tensor_product, trivial_rank1, truncated_poly_va
 from chiralva.report import CheckReport
 from chiralva.vertex import (
     VAData,
@@ -738,3 +738,80 @@ def test_iterated_mode_tables_match_direct_contraction():
                             assert left.get((p, q), {}) == want_l
                             assert right.get((p, q), {}) == want_r
                     assert all((*left.values(), *right.values()))
+
+
+# ---------------------------------------------------------------------------
+# iterated modes as a probe of the whole support square: the reference for
+# the tables built from the entries of each pair, and for the triple index
+
+
+def reference_iterated_modes(V, iu, iv, iw):
+    """(u_p v)_q w and u_p (v_q w) at every (p, q) of the support square,
+    one `mode_vec` or `mode_left` contraction per stored entry it meets."""
+    left: dict = {}
+    right: dict = {}
+    a, b = V.global_support() or (0, -1)
+    for p, q in product(range(a, b + 1), repeat=2):
+        uv = V.structure.get((iu, p, iv))
+        if uv is not None:
+            accumulate(left, (p, q), mode_vec(V, uv, q, iw))
+        vw = V.structure.get((iv, q, iw))
+        if vw is not None:
+            accumulate(right, (p, q), mode_left(V, iu, p, vw))
+    return left, right
+
+
+def _typed(table):
+    return {pq: {cd: (type(x), x) for cd, x in vec.items()} for pq, vec in table.items()}
+
+
+def assert_index_and_tables_match_reference(V):
+    """`iterated_modes` equals the support-square reference on every basis
+    triple, each value's type (int or Fraction) included; every triple with
+    a nonzero table is indexed, and the index is sorted, without repeats and
+    closed under swapping u and v.  Returns the number of nonempty triples."""
+    index = V.indexed_triples()
+    assert list(index) == sorted(set(index))
+    assert {(v, u, w) for u, v, w in index} == set(index)
+    nonempty = 0
+    for t in product(range(V.rank), repeat=3):
+        want = reference_iterated_modes(V, *t)
+        assert [_typed(x) for x in iterated_modes(V, *t)] == [_typed(x) for x in want], t
+        if any(want):
+            assert t in index, t
+            nonempty += 1
+    return nonempty
+
+
+@functools.cache
+def a3_tensor_power(k):
+    """a3 (x) ... (x) a3, k factors, built by `fixtures.tensor_product`."""
+    V = a3_va()
+    for _ in range(k - 1):
+        V = tensor_product(V, a3_va())
+    return V
+
+
+INDEX_CASES = [
+    *((name, V) for name, V in corpus()),
+    *((f"ladder-{k}", tensor_with_ox(truncated_poly_va(k, [Q(0), Q(0), Q(1), Q(1, 2)])))
+      for k in range(3, 9)),
+    ("a3^2", a3_tensor_power(2)),
+    ("a3^3", a3_tensor_power(3)),
+    ("ladder-4*a3", tensor_product(truncated_poly_va(4, [Q(0), Q(0), Q(1), Q(1, 2)]), a3_va())),
+]
+
+
+@pytest.mark.parametrize("name,V", INDEX_CASES, ids=[case[0] for case in INDEX_CASES])
+def test_iterated_modes_and_triple_index_match_support_square_reference(name, V):
+    nonempty = assert_index_and_tables_match_reference(V)
+    assert nonempty > 0
+    if name == "a3^3":
+        assert (V.rank, nonempty, len(V.indexed_triples())) == (27, 1000, 1000)
+
+
+def test_iterated_modes_and_triple_index_on_mutants_and_noncommutative_tables():
+    mutants = list(_criterion_7_mutants(30))
+    assert len(mutants) == 211
+    for V in (*mutants, *noncommutative_tables(60)):
+        assert_index_and_tables_match_reference(V)
