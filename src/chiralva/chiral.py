@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .errors import ContractError
-from .exact import binom, binom_columns, inv_factorial, signed_binoms
+from .exact import binom, inv_factorial
 from .report import CheckReport
 from .vertex import (
     VAData,
     Vector,
     _clean,
+    _slice_points,
     accumulate,
     apply_d,
     bump_structure_constant,
@@ -446,8 +447,12 @@ def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
 def _scatter_binoms(m1: int, blo: int, lo: int, hi: int) -> tuple:
     """The binomials `_key_scatter` reads at m1 for tables on the support
     [lo..hi]: the columns binom(M, p - m1) for p in [lo..hi] and M in
-    [blo..2hi - m1 - blo], and the signed rows of binom(m1, i)."""
-    return binom_columns(blo, 2 * hi - m1 - blo, lo - m1, hi - m1), signed_binoms(m1, hi - blo)
+    [blo..2hi - m1 - blo], and the signed rows -(-1)^i binom(m1, i) and
+    (-1)^(m1+i) binom(m1, i) for i in [0..hi - blo]."""
+    Ms = range(blo, 2 * hi - m1 - blo + 1)
+    cols = {i: [binom(M, i) for M in Ms] for i in range(max(0, lo - m1), hi - m1 + 1)}
+    uv = [binom(m1, i) if i % 2 else -binom(m1, i) for i in range(hi - blo + 1)]
+    return cols, (uv, uv if m1 % 2 else [-c for c in uv])
 
 
 def _key_scatter(m1: int, blo: int, tables, binoms) -> dict:
@@ -522,8 +527,7 @@ def _chiral_jacobi(A: ChiralData, window, sweep) -> CheckReport:
     if witness is not None:
         return CheckReport(name, label, False, f"window (m1,m2,m3) in [{blo}..{bhi}]^3 plus "
                            "closure certificates", f"m=0 layer {witness}")
-    box = product(range(blo, bhi + 1), repeat=2)  # count the generators (m1, m2, m3)
-    swept = A.va.rank ** 3 * sum(max(0, min(bhi, 2 * hi - m1 - m2) - blo + 1) for m1, m2 in box)
+    swept = A.va.rank ** 3 * _slice_points(blo, bhi, 3 * blo, 2 * hi)  # the generators (m1, m2, m3)
     return CheckReport(
         name, label, True,
         f"window (m1,m2,m3) in [{blo}..{bhi}]^3 with m1+m2+m3 <= {2*hi} "

@@ -34,21 +34,6 @@ def binom(n: int, m: int) -> int:
     return (-1) ** m * math.comb(m - n - 1, m)
 
 
-def binom_columns(lo: int, hi: int, i_lo: int, i_hi: int) -> dict[int, list[int]]:
-    """{i: [binom(x, i) for x in lo..hi]} for i in max(0, i_lo)..i_hi: the
-    binomials a scatter reads at one fixed lower index."""
-    xs = range(lo, hi + 1)
-    return {i: [binom(x, i) for x in xs] for i in range(max(0, i_lo), i_hi + 1)}
-
-
-def signed_binoms(t: int, top: int) -> tuple[list[int], list[int]]:
-    """The two signed rows -(-1)^i binom(t, i) and (-1)^(t+i) binom(t, i),
-    i in 0..top: the weights of the two expanded sums on the right of a
-    Jacobi identity whose left index is t."""
-    uv = [binom(t, i) if i % 2 else -binom(t, i) for i in range(top + 1)]
-    return uv, (uv if t % 2 else [-c for c in uv])
-
-
 @lru_cache(maxsize=None)
 def inv_factorial(k: int) -> int | Fraction:
     """1/k!, an `int` for k <= 1."""

@@ -37,14 +37,15 @@ The Jacobi sweep scatters: each nonzero iterated-mode entry at (p, q) is
 added, times its integer binomial, to every window instance that reads it,
 all on the slice l+m+n = p+q.  It runs one l at a time, and the least
 (m, n, triple) of the first failing l is the witness: the first failure in
-(l, m, n, triple) order.  Only the first slice is scattered in full.  Pascal's
-rule on each of the three binomial sums gives, on any table,
-J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1) for lhs - rhs = J, so every
-later point with m < hi and n < hi is carried from the slice before, and
-only the top edge m = hi or n = hi of a later slice is computed: at most
-two points of each entry with p + q - l >= lo + hi, the prefix of one list
-of entries sorted by p + q.  Every instance still gets its exact integer
-value.
+(l, m, n, triple) order.  Pascal's rule on each of the three binomial sums
+gives, on any table, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1) for
+lhs - rhs = J, so every point with m < hi and n < hi is carried from the
+slice before, and only the top edge m = hi or n = hi of a slice is
+computed: at most two points of each entry with p + q - l >= lo + hi, the
+prefix of one list of entries sorted by p + q, each binomial computed where
+it is read.  The carry starts from an empty slice, one that no entry
+reaches inside the window, at or below lo.  Every instance still gets its
+exact integer value.
 
 The sweep and both certificates only test sums for zero and compare
 tables, and those tests are linear in the iterated-mode tables, so they do
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import (
     ContractError,
@@ -72,7 +72,7 @@ from .errors import (
     NotNilpotent,
     UnsupportedAlgebra,
 )
-from .exact import binom, binom_columns, format_poly, inv_factorial, signed_binoms
+from .exact import binom, format_poly, inv_factorial
 from .report import CheckReport
 
 Vector = dict  # {(coord, deg): int | Fraction}, no zero entries
@@ -481,64 +481,32 @@ def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
     return iterated_modes(V._cache["integral"] or V, iu, iv, iw)
 
 
-def _jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict:
-    """lhs - rhs of the component Jacobi identity
+def _jacobi_edge(l: int, lo: int, hi: int, entries: list) -> dict:
+    """The top edge of the slice l of lhs - rhs of the component Jacobi
+    identity
 
         sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
           = sum_i (-1)^i binom(l, i) u_{m+l-i} (v_{n+i} w)
             - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
 
-    on the slice l, as {(m, n, t, (coord, deg)): scalar} over (m, n) in
-    [lo..hi]^2, t indexing `reach`, zero where the terms cancel.  `reach`
-    lists (triple, its three tables) in triple order, so keys order like
-    (m, n, triple).  Each table entry at (p, q) is scattered to the points
-    that read it, all with l+m+n = p+q, times a binomial read from the
-    slice's own tables: the columns binom(m, p - l) for p in [a..b], and the
-    signed rows of binom(l, i).  Per slice, not per check, so that a wide
-    window holds a number of binomials linear in its width."""
+    over (m, n) in [lo..hi]^2: its points with m = hi or n = hi, as
+    {(m, n, t, (coord, deg)): scalar}.  A table entry at (p, q) reaches the
+    points with l+m+n = p+q, so an edge point, whose other index is at
+    least lo, has s = m + n = p + q - l >= lo + hi.  `entries` holds the
+    entries as ((p + q, table, p, q), [(t, xs), ...]), table 0, 1, 2 for
+    (u_p v)_q w, u_p (v_q w) and v_p (u_q w), by p + q descending, and the
+    walk stops at the first key below lo + hi + l.  For s >= lo + hi, the
+    points one entry reaches form the range [s - hi .. top] of the loop
+    index x (m for table 0, n for table 1, m for table 2; the other index is
+    s - x), with top = hi for table 0 and min(hi, q) for the others.  Its
+    edge points are its ends: x = s - hi, where the other index is hi, and
+    x = hi when top = hi.  Each binomial is computed where it is read:
+    binom(x, p - l) for table 0, which no point reads when p < l, and
+    (-1)^i binom(l, i) at i = q - x for the others, negated for table 1
+    and times (-1)^l for table 2.  The points and binomials depend on
+    (table, p, q) only, so they are found once for all the triples that
+    hold an entry there."""
     acc: dict = defaultdict(int)
-    cols = binom_columns(lo, hi, a - l, b - l)
-    row_uv, row_vu = signed_binoms(l, b - lo)
-    for t, (triple, left, right_uv, right_vu) in enumerate(reach):
-        for (p, q), xs in left.items():  # (u_p v)_q w: i = p - l, n = p + q - l - m
-            col = cols.get(p - l)
-            if col is not None:
-                s = p + q - l
-                for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
-                    c = col[m - lo]
-                    if c:
-                        for cd, x in xs.items():
-                            acc[m, s - m, t, cd] += c * x
-        # u_p (v_q w) at i = q - n, m = p + q - l - n, and v_p (u_q w) at
-        # i = q - m, n = p + q - l - m
-        for swap, row, table in ((False, row_uv, right_uv), (True, row_vu, right_vu)):
-            for (p, q), xs in table.items():
-                s = p + q - l
-                for x in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
-                    c = row[q - x]
-                    if c:
-                        m, n = (x, s - x) if swap else (s - x, x)
-                        for cd, y in xs.items():
-                            acc[m, n, t, cd] += c * y
-    return acc
-
-
-def _jacobi_edge(l: int, lo: int, hi: int, a: int, b: int, entries: list) -> dict:
-    """The top edge of `_jacobi_slice(l, ...)`: its points with m = hi or
-    n = hi.  The other index of such a point is at least lo, so the point
-    has s = m + n = p + q - l >= lo + hi.  `entries` holds the table entries
-    as ((p + q, table, p, q), [(t, xs), ...]), table 0, 1, 2 as in `reach`,
-    by p + q descending, and the walk stops at the first key below
-    lo + hi + l.  For s >= lo + hi, the points one entry reaches form the
-    range [s - hi .. top] of the loop index x (m for table 0, n for table 1,
-    m for table 2; the other index is s - x), with top = hi for table 0 and
-    min(hi, q) for the others.  Its edge points are its ends: x = s - hi,
-    where the other index is hi, and x = hi when top = hi.  The points and
-    binomials depend on (table, p, q) only, so they are found once for all
-    the triples that hold an entry there."""
-    acc: dict = defaultdict(int)
-    cols = binom_columns(lo, hi, a - l, b - l)
-    rows = signed_binoms(l, b - lo)
     for (s, table, p, q), held in entries:
         s -= l
         if s < lo + hi:
@@ -549,14 +517,13 @@ def _jacobi_edge(l: int, lo: int, hi: int, a: int, b: int, entries: list) -> dic
             continue
         ends = (x0, hi) if x0 < top == hi else (x0,)
         if table == 0:
-            col = cols.get(p - l)
-            if col is None:
+            if p < l:
                 continue
-            points = [(col[x - lo], x, s - x) for x in ends]
-        elif table == 1:
-            points = [(rows[0][q - x], s - x, x) for x in ends]
-        else:
-            points = [(rows[1][q - x], x, s - x) for x in ends]
+            points = [(binom(x, p - l), x, s - x) for x in ends]
+        elif table == 1:  # -(-1)^i binom(l, i), i = q - x
+            points = [(binom(l, q - x) * (1 if (q - x) % 2 else -1), s - x, x) for x in ends]
+        else:  # (-1)^(l+i) binom(l, i)
+            points = [(binom(l, q - x) * (-1 if (l + q - x) % 2 else 1), x, s - x) for x in ends]
         for c, m, n in points:
             if c:
                 for t, xs in held:
@@ -565,13 +532,18 @@ def _jacobi_edge(l: int, lo: int, hi: int, a: int, b: int, entries: list) -> dic
     return acc
 
 
-def _jacobi_slices(lo: int, hi: int, a: int, b: int, reach: list):
-    """Yield (l, the nonzero entries of `_jacobi_slice(l, ...)`) for l in
-    lo..hi.  Slice lo is scattered in full.  Later slices are carried by
-    Pascal's rule, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1), which holds
-    on any table: it fills every point with m < hi and n < hi from the
-    previous slice, and only the top edge (m = hi or n = hi) is computed, by
-    `_jacobi_edge` from one list of the entries sorted once per sweep."""
+def _jacobi_slices(lo: int, hi: int, a: int, reach: list):
+    """Yield (l, the nonzero entries of the slice l of lhs - rhs) for l in
+    lo..hi, for tables supported from a up; `reach` lists (triple, its
+    three tables) in triple order, so keys order like (m, n, triple).
+    Every slice is carried by Pascal's rule, J(l, m, n) = J(l-1, m+1, n) -
+    J(l-1, m, n+1), which holds on any table: it fills every point with
+    m < hi and n < hi from the previous slice, and only the top edge
+    (m = hi or n = hi) is computed, by `_jacobi_edge` from one list of the
+    entries sorted once per sweep.  The carry starts at l = min(lo, 2a - 2hi)
+    from an empty slice: every entry has p, q >= a, so on the slice before
+    it reaches only m + n = p + q - l > 2hi, outside the window.  Slices
+    below lo are carried, not yielded."""
     held: dict = {}
     for t, (_, *tables) in enumerate(reach):
         for table, modes in enumerate(tables):
@@ -579,21 +551,30 @@ def _jacobi_slices(lo: int, hi: int, a: int, b: int, reach: list):
                 held.setdefault((p + q, table, p, q), []).append((t, xs))
     entries = sorted(held.items(), reverse=True)
     prev: dict = {}
-    for l in range(lo, hi + 1):
-        acc = _jacobi_slice(l, lo, hi, a, b, reach) if l == lo else _jacobi_edge(l, lo, hi, a, b, entries)
+    for l in range(min(lo, 2 * a - 2 * hi), hi + 1):
+        acc = _jacobi_edge(l, lo, hi, entries)
         for (m, n, t, cd), x in prev.items():
             if m > lo and n < hi:
                 acc[m - 1, n, t, cd] += x
             if n > lo and m < hi:
                 acc[m, n - 1, t, cd] -= x
         prev = {key: x for key, x in acc.items() if x}
-        yield l, prev
+        if l >= lo:
+            yield l, prev
 
 
 def _slice_points(lo: int, hi: int, s_lo: int, s_hi: int) -> int:
-    """#{(l, m, n) in [lo..hi]^3 : s_lo <= l+m+n <= s_hi}, one n-interval per (l, m)."""
-    return sum(max(0, min(hi, s_hi - l - m) - max(lo, s_lo - l - m) + 1)
-               for l, m in product(range(lo, hi + 1), repeat=2))
+    """#{(l, m, n) in [lo..hi]^3 : s_lo <= l+m+n <= s_hi} for lo <= hi, by
+    inclusion-exclusion: with W = hi - lo + 1, the points of [0..W-1]^3
+    with sum at most t number F(t), the sum over the k coordinates forced
+    to W or more, k = 0..3 with t - kW >= 0, of (-1)^k C(3, k) C(t-kW+3, 3)."""
+    w = hi - lo + 1
+
+    def below(t: int) -> int:
+        return sum((-1) ** k * math.comb(3, k) * math.comb(t - k * w + 3, 3)
+                   for k in range(4) if t >= k * w)
+
+    return max(0, below(s_hi - 3 * lo) - below(s_lo - 3 * lo - 1))
 
 
 def _locality_witness(V: VAData) -> str | None:
@@ -653,9 +634,10 @@ def closure_witness(V: VAData, a: int, b: int) -> str | None:
 def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckReport:
     """Component Jacobi identity swept over the safe window, closed over all
     of Z^3 by the commutativity and composition certificates.  The sweep
-    scatters slice l = lo in full and carries each later slice from the one
-    before by Pascal's rule, scattering only its top edge (`_jacobi_slices`);
-    the first slice left nonzero fails, with its least key as the witness."""
+    carries each slice from the one before by Pascal's rule, starting after
+    a slice that no entry reaches inside the window, and scatters only its
+    top edge (`_jacobi_slices`); the first slice left nonzero fails, with
+    its least key as the witness."""
     name, label = "jacobi", "jac-comp"
     rng = V.global_support()
     if rng is None and window is None:
@@ -665,7 +647,7 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
     reach = [(t, *tables) for t in V.indexed_triples()  # empty triples reach nothing
              if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
-    for l, failing in _jacobi_slices(lo, hi, a, b, reach):
+    for l, failing in _jacobi_slices(lo, hi, a, reach):
         if failing:  # the first failing instance in (l, m, n, triple) order
             m, n, t, _ = min(failing)
             return CheckReport(

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -19,7 +20,6 @@ from chiralva.vertex import (
     VAData,
     Vector,
     _associativity_witness,
-    _jacobi_slice,
     _jacobi_slices,
     _locality_witness,
     _slice_points,
@@ -504,11 +504,68 @@ def test_scatter_jacobi_matches_gather_on_every_criterion_7_mutant():
 
 # ---------------------------------------------------------------------------
 # Pascal's rule, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1), carries every
-# slice after the first from the one before it; the full scatter of each
-# slice is its reference.  The windows widen the default one below, above,
-# on both sides and not at all.
+# slice from the one before it; the full scatter of each slice is its
+# reference.  The windows widen the default one below, above, on both sides
+# and not at all.
 
 PASCAL_WINDOWS = (None, (-9, 4), (-3, 1), (-12, 0))
+
+
+def binom_columns(lo: int, hi: int, i_lo: int, i_hi: int) -> dict[int, list[int]]:
+    """{i: [binom(x, i) for x in lo..hi]} for i in max(0, i_lo)..i_hi: the
+    binomials a scatter reads at one fixed lower index."""
+    xs = range(lo, hi + 1)
+    return {i: [binom(x, i) for x in xs] for i in range(max(0, i_lo), i_hi + 1)}
+
+
+def signed_binoms(t: int, top: int) -> tuple[list[int], list[int]]:
+    """The two signed rows -(-1)^i binom(t, i) and (-1)^(t+i) binom(t, i),
+    i in 0..top: the weights of the two expanded sums on the right of a
+    Jacobi identity whose left index is t."""
+    uv = [binom(t, i) if i % 2 else -binom(t, i) for i in range(top + 1)]
+    return uv, (uv if t % 2 else [-c for c in uv])
+
+
+def reference_jacobi_slice(l: int, lo: int, hi: int, a: int, b: int, reach: list) -> dict:
+    """lhs - rhs of the component Jacobi identity
+
+        sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
+          = sum_i (-1)^i binom(l, i) u_{m+l-i} (v_{n+i} w)
+            - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
+
+    on the slice l, as {(m, n, t, (coord, deg)): scalar} over (m, n) in
+    [lo..hi]^2, t indexing `reach`, zero where the terms cancel.  `reach`
+    lists (triple, its three tables) in triple order, so keys order like
+    (m, n, triple).  Each table entry at (p, q) is scattered to the points
+    that read it, all with l+m+n = p+q, times a binomial read from the
+    slice's own tables: the columns binom(m, p - l) for p in [a..b], and the
+    signed rows of binom(l, i).  Per slice, not per check, so that a wide
+    window holds a number of binomials linear in its width."""
+    acc: dict = defaultdict(int)
+    cols = binom_columns(lo, hi, a - l, b - l)
+    row_uv, row_vu = signed_binoms(l, b - lo)
+    for t, (triple, left, right_uv, right_vu) in enumerate(reach):
+        for (p, q), xs in left.items():  # (u_p v)_q w: i = p - l, n = p + q - l - m
+            col = cols.get(p - l)
+            if col is not None:
+                s = p + q - l
+                for m in range(max(lo, s - hi), min(hi, s - lo) + 1):
+                    c = col[m - lo]
+                    if c:
+                        for cd, x in xs.items():
+                            acc[m, s - m, t, cd] += c * x
+        # u_p (v_q w) at i = q - n, m = p + q - l - n, and v_p (u_q w) at
+        # i = q - m, n = p + q - l - m
+        for swap, row, table in ((False, row_uv, right_uv), (True, row_vu, right_vu)):
+            for (p, q), xs in table.items():
+                s = p + q - l
+                for x in range(max(lo, s - hi), min(hi, q, s - lo) + 1):
+                    c = row[q - x]
+                    if c:
+                        m, n = (x, s - x) if swap else (s - x, x)
+                        for cd, y in xs.items():
+                            acc[m, n, t, cd] += c * y
+    return acc
 
 
 def _reach(V):
@@ -517,18 +574,25 @@ def _reach(V):
             if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
 
 
-def assert_slices_match_full_scatter(V, window):
-    """Every slice `_jacobi_slices` yields, failing slices and the ones after
-    them included, is the nonzero part of the full `_jacobi_slice`.  Returns
-    the number of slices carried from a nonzero slice."""
+def _sweep_window(V, window):
+    """(lo, hi, a, b): check_jacobi's window on V's support [a..b]."""
     a, b = V.global_support() or (0, -1)
     span = b - a + 1
-    lo, hi = merge_window(a - span - 1, b + span + 1, window)
+    return (*merge_window(a - span - 1, b + span + 1, window), a, b)
+
+
+def assert_slices_match_full_scatter(V, window):
+    """Every slice `_jacobi_slices` yields, the first one, failing slices and
+    the ones after them included, is the nonzero part of the full
+    `reference_jacobi_slice`, in ints.  Returns the number of slices carried
+    from a nonzero slice."""
+    lo, hi, a, b = _sweep_window(V, window)
     reach = _reach(V)
-    slices = list(_jacobi_slices(lo, hi, a, b, reach))
+    slices = list(_jacobi_slices(lo, hi, a, reach))
     assert [l for l, _ in slices] == list(range(lo, hi + 1))
     for l, got in slices:
-        assert got == {key: x for key, x in _jacobi_slice(l, lo, hi, a, b, reach).items() if x}, l
+        assert got == {key: x for key, x in reference_jacobi_slice(l, lo, hi, a, b, reach).items() if x}, l
+        assert all(type(x) is int for x in got.values()), l
     return sum(bool(prev) for (_, prev), _ in zip(slices, slices[1:]))
 
 
@@ -543,6 +607,25 @@ def test_pascal_slices_match_full_scatter_on_every_criterion_7_mutant():
     assert len(mutants) == 211
     carried = sum(assert_slices_match_full_scatter(V, w) for V in mutants for w in PASCAL_WINDOWS)
     assert carried > 1000
+
+
+def test_pascal_slices_match_full_scatter_on_a_wide_window():
+    # a3 passes, so its slices are all zero; the mutant fails and its
+    # nonzero slices are carried across the wide window
+    mutant = bump_structure_constant(a3_va(), *mutation_sites(a3_va(), 30)[0])
+    assert assert_slices_match_full_scatter(a3_va(), (-60, 0)) == 0
+    assert assert_slices_match_full_scatter(mutant, (-60, 0)) > 0
+
+
+@pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
+def test_pascal_carry_starts_after_an_empty_slice(name, V, window):
+    # the base of the induction: the slice before the first carried one
+    # reaches no window point
+    reach = _reach(V)
+    for w in {window, *PASCAL_WINDOWS}:
+        lo, hi, a, b = _sweep_window(V, w)
+        l = min(lo, 2 * a - 2 * hi) - 1
+        assert not any(reference_jacobi_slice(l, lo, hi, a, b, reach).values()), (w, l)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +703,30 @@ def test_instance_count_closed_form_matches_enumeration(name, V, window):
     assert _slice_points(lo, hi, 2 * a, 2 * b) == counted
 
 
+def interval_slice_points(lo, hi, s_lo, s_hi):
+    """The instance count with one clipped n-interval per (l, m): the
+    reference for the closed form of `_slice_points`."""
+    return sum(max(0, min(hi, s_hi - l - m) - max(lo, s_lo - l - m) + 1)
+               for l, m in product(range(lo, hi + 1), repeat=2))
+
+
 def test_instance_count_closed_form_edge_windows():
     for lo, hi, s_lo, s_hi in [(0, 0, 0, 0), (0, 0, 1, 1), (-3, 2, 5, 6), (-3, 2, -9, -9),
                                (-3, 2, -10, -10), (-4, 4, -2, -3), (-5, 5, -100, 100)]:
         counted = sum(1 for p in product(range(lo, hi + 1), repeat=3) if s_lo <= sum(p) <= s_hi)
         assert _slice_points(lo, hi, s_lo, s_hi) == counted
+        assert interval_slice_points(lo, hi, s_lo, s_hi) == counted
+
+
+def test_instance_count_closed_form_matches_interval_sum_on_random_windows():
+    # clipped on either side, empty, one point wide, and wider than the box
+    rng = random.Random(24)
+    for _ in range(2000):
+        lo = rng.randint(-40, 10)
+        hi = lo + rng.choice((0, 1, 2, rng.randint(0, 40)))
+        s_lo = rng.randint(3 * lo - 5, 3 * hi + 5)
+        s_hi = s_lo + rng.randint(-3, 3 * (hi - lo) + 6)
+        assert _slice_points(lo, hi, s_lo, s_hi) == interval_slice_points(lo, hi, s_lo, s_hi)
 
 
 def test_skew_orbits_match_d_power_and_kill_bound():
