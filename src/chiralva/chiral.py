@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .errors import ContractError
-from .exact import binom, inv_factorial
+from .exact import Q, binom, inv_factorial
 from .report import CheckReport
 from .vertex import (
     VAData,
@@ -37,7 +37,6 @@ from .vertex import (
     closure_witness,
     d_kill_bound,
     integer_modes,
-    iterated_modes,
     merge_window,
     pair_name,
     triple_name,
@@ -210,19 +209,26 @@ def _signed_inv_factorial(k: int):
     return f if k % 2 == 0 else -f
 
 
+def _unscale(va: VAData):
+    """1/L^2, which takes `integer_modes` back to the iterated modes; the int
+    1 on an integral table, so its compositions stay on int arithmetic."""
+    return Q(1, va._scale ** 2) if va._scale > 1 else 1
+
+
 def _compose_left_basis(
     A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int
 ) -> Diag3Section:
     """mu(mu(u, v), w) on basis vectors: the (z1-z3)^{m3} expansion reads
     binom(m3 + k, i) times B^{n2}(B^{m1+i-k}_k(u, v), w), n2 = m2 + m3 + k - i.
     On the recursion its layer l is ((-1)^(k+l)/k!l!) (u_{m1+i} v)_{n2+l} w,
-    from the triple's `iterated_modes`; off it, the inner layer is contracted
-    with the sections B^{n2}(e_p, w)."""
+    from the triple's `integer_modes` times 1/L^2; off it, the inner layer is
+    contracted with the sections B^{n2}(e_p, w)."""
     rng = A.effective_support()
     if rng is None:
         return {}
     lo, hi = rng
-    modes = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
+    modes = None if A.off_recursion() else integer_modes(A.va, iu, iv, iw)[0]
+    unscale = _unscale(A.va)
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         top = hi - m2 - m3 + i
@@ -235,7 +241,7 @@ def _compose_left_basis(
                 for l, vec in diag_contract(inner, lambda p: A.basis_section(p, n2, iw)).items():
                     accumulate(out, (k, l), vec)
                 continue
-            c *= _signed_inv_factorial(k)
+            c *= _signed_inv_factorial(k) * unscale
             for l in range(max(0, lo - n2), hi - n2 + 1):
                 dbl = modes.get((m1 + i, n2 + l))
                 if dbl is not None:
@@ -249,13 +255,15 @@ def _compose_right_basis(
     """mu(u, mu(v, w)) on basis vectors: the (z1-z2)^{m1} expansion reads
     (-1)^i binom(m1, i) times B^{n1}(u, B^{n2}(v, w)), n1 = m1 + m3 - i and
     n2 = m2 + i.  On the recursion its layer (k, l) is ((-1)^(k+l)/k!l!)
-    u_{n1+k} (v_{n2+l} w), from the triple's `iterated_modes`; off it, each
-    layer l of B^{n2}(v, w) is contracted with the sections B^{n1}(u, e_p)."""
+    u_{n1+k} (v_{n2+l} w), from the triple's `integer_modes` times 1/L^2;
+    off it, each layer l of B^{n2}(v, w) is contracted with the sections
+    B^{n1}(u, e_p)."""
     rng = A.effective_support()
     if rng is None:
         return {}
     lo, hi = rng
-    modes = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[1]
+    modes = None if A.off_recursion() else integer_modes(A.va, iu, iv, iw)[1]
+    unscale = _unscale(A.va)
     out: Diag3Section = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -270,7 +278,7 @@ def _compose_right_basis(
                     accumulate(out, (k, l), vec)
             continue
         for l in range(max(0, lo - n2), hi - n2 + 1):
-            cl = c * _signed_inv_factorial(l)
+            cl = c * _signed_inv_factorial(l) * unscale
             for k in range(max(0, lo - n1), hi - n1 + 1):
                 dbl = modes.get((n1 + k, n2 + l))
                 if dbl is not None:
@@ -332,9 +340,10 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
     lo, hi = rng if rng else (0, -1)
     lo, hi = merge_window(lo - 2, hi + 1, window)
     va = A.va
+    ns = _sweep_ns(A, lo, hi)
     for i in range(va.rank):
         for j in range(va.rank):
-            for n in _sweep_ns(A, lo, hi):
+            for n in ns:
                 s_n = A.basis_section(i, n, j)
                 s_n1 = A.basis_section(i, n + 1, j)
                 where = f"({pair_name(va, i, j)}, n={n})"
@@ -393,9 +402,10 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     lo0, hi0 = rng if rng else (0, -1)
     kill = d_kill_bound(A.va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
+    ns = _sweep_ns(A, lo, hi)
     for i in range(A.va.rank):
         for j in range(A.va.rank):
-            for n in _sweep_ns(A, lo, hi):
+            for n in ns:
                 sec_vu = A.basis_section(j, n, i)
                 route: DiagSection = {}
                 for m in range(max(sec_vu, default=-1), -1, -1):

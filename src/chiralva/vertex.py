@@ -28,7 +28,7 @@ symbolically:
 
 Each table carries one index, built once from its stored entries: the
 entries of each basis pair, and the sorted basis triples whose iterated
-modes can be nonzero (`VAData.indexed_triples`).  `iterated_modes`
+modes can be nonzero (`VAData.indexed_triples`).  `integer_modes`
 multiplies only entries that meet, and every loop over basis triples, in
 the sweeps and certificates of both sides, walks the index; a triple off it
 has empty tables, so it can be neither a witness nor a term.
@@ -47,15 +47,15 @@ it is read.  The carry starts from an empty slice, one that no entry
 reaches inside the window, at or below lo.  Every instance still gets its
 exact integer value.
 
-The sweep and both certificates only test sums for zero and compare
-tables, and those tests are linear in the iterated-mode tables, so they do
-not change when every table of the object is multiplied by one nonzero
-integer.  Each iterated mode is a sum of products of two structure
-scalars, so with L the lcm of the structure's denominators, L^2 times every
-table is integral: `integer_modes` is that view, one scale per object (not
-per triple, since locality compares the tables of two triples), and these
-readers take it.  The chiral compositions, whose values are printed, keep
-the exact `iterated_modes`.
+Each basis triple has one iterated-mode table, kept in integers.  Each
+iterated mode is a sum of products of two structure scalars, so with L the
+lcm of the structure's denominators (`VAData._scale`, one scale per object,
+since locality compares the tables of two triples), L^2 times every table
+is integral: the object stores its pair entries times L, and
+`integer_modes` builds L^2 times the iterated modes from them.  The sweep
+and both certificates only test sums for zero and compare tables, which
+does not change when every table is multiplied by one nonzero integer; the
+chiral compositions, whose values are printed, multiply by 1/L^2.
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ class VAData:
     _cols: dict = field(default_factory=dict, init=False, repr=False)  # (n, j) -> {i: entry}
     _dmap: dict = field(default_factory=dict, init=False, repr=False)  # {j: D(e_j)}, nonzero only
     _span: tuple | None = field(default=None, init=False, repr=False)  # global_support()
-    _pairs: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> [(n, entry)]
+    _scale: int = field(default=1, init=False, repr=False)  # L: lcm of the scalars' denominators
+    _pairs: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> [(n, L * entry)]
     _triples: tuple = field(default=(), init=False, repr=False)  # indexed_triples()
 
     def __post_init__(self):
@@ -197,10 +198,13 @@ class VAData:
                 raise ContractError(f"support bounds index out of range: {(i, j)}")
         clean = {k: v for k, v in self.structure.items() if v}
         object.__setattr__(self, "structure", clean)
+        L = math.lcm(*(x.denominator for vec in clean.values() for x in vec.values()))
+        object.__setattr__(self, "_scale", L)
         for (i, n, j), val in clean.items():
             self._rows.setdefault((i, n), {})[j] = val
             self._cols.setdefault((n, j), {})[i] = val
-            self._pairs.setdefault((i, j), []).append((n, val))
+            self._pairs.setdefault((i, j), []).append(
+                (n, val if L == 1 else {cd: int(L * x) for cd, x in val.items()}))
         object.__setattr__(self, "_triples", _index_triples(self._pairs))
         self._dmap.update((j, col) for j, col in enumerate(self.d_cols) if col)
         if self.coeff_ring == "Q" and self.max_degree() > 0:
@@ -227,8 +231,7 @@ class VAData:
     def indexed_triples(self) -> tuple[tuple[int, int, int], ...]:
         """The basis triples, in order, whose iterated-mode tables can be
         nonzero; every other triple's tables are empty.  Closed under swapping
-        u and v.  Scaling keeps the sparsity, so the readers of the integer
-        view (`integer_modes`) walk this list too."""
+        u and v."""
         return self._triples
 
 
@@ -427,16 +430,17 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
     )
 
 
-def iterated_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
-    """The iterated modes of a basis triple, ({(p, q): (u_p v)_q w},
-    {(p, q): u_p (v_q w)}), nonzero entries only.  Built from the entries of
-    the pairs: (u_p v)_q w sums x (c_q w) over each coordinate c (scalar x)
-    of each entry u_p v and each entry c_q w of the pair (c, w), and
-    u_p (v_q w) sums x (u_p c) over each coordinate c of each entry v_q w and
-    each entry u_p c of the pair (u, c); only entries that meet are
-    multiplied.  Computed once per triple and object: the chiral compositions
-    read these tables, and the Jacobi sweeps and closure certificates read
-    them scaled to integers (`integer_modes`)."""
+def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
+    """L^2 times the iterated modes of a basis triple, ({(p, q): (u_p v)_q w},
+    {(p, q): u_p (v_q w)}), nonzero entries only, every entry an int, where L
+    is `V._scale` (1 for an integral table).  Built from the entries of the
+    pairs, which V stores times L: (u_p v)_q w sums x (c_q w) over each
+    coordinate c (scalar x) of each entry u_p v and each entry c_q w of the
+    pair (c, w), and u_p (v_q w) sums x (u_p c) over each coordinate c of
+    each entry v_q w and each entry u_p c of the pair (u, c); only entries
+    that meet are multiplied.  Computed once per triple and object: the
+    Jacobi sweeps and closure certificates of both sides read these tables,
+    and the chiral compositions read them times 1/L^2."""
     key = ("modes", iu, iv, iw)
     hit = V._cache.get(key)
     if hit is not None:
@@ -462,23 +466,6 @@ def _add_product(acc: dict, x, d: int, vec: Vector) -> None:
     for (r, f), y in vec.items():
         k = (r, f + d)
         acc[k] = acc.get(k, 0) + x * y
-
-
-def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
-    """L^2 times `iterated_modes(V, iu, iv, iw)`, every entry an int, where L
-    is the lcm of the denominators of the scalars in V.structure (1 for an
-    integral table).  These are the iterated modes of the table L.V, built
-    once per object and kept in V's cache (V itself stands for it when
-    L = 1): each iterated mode is a sum of products of two structure
-    scalars.  The scale is one per object, not per triple, so tables of
-    different triples stay comparable."""
-    if "integral" not in V._cache:
-        L = math.lcm(*(x.denominator for vec in V.structure.values() for x in vec.values()))
-        V._cache["integral"] = None if L == 1 else VAData(
-            V.rank, V.coeff_ring, V.basis_names,
-            {key: vscale(L, vec) for key, vec in V.structure.items()}, V.d_cols, V.support,
-        )
-    return iterated_modes(V._cache["integral"] or V, iu, iv, iw)
 
 
 def _jacobi_edge(l: int, lo: int, hi: int, entries: list) -> dict:
@@ -711,15 +698,13 @@ def make_commutative_va(
         for j in range(rank):
             if mult.get((i, j), zero) != mult.get((j, i), zero):
                 raise NotCommutative(f"product table at ({names[i]}, {names[j]})")
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(rank):
-                left = prod(mult.get((i, j), zero), unit(k))
-                right = prod(unit(i), mult.get((j, k), zero))
-                if left != right:
-                    raise NotAssociative(
-                        f"witness triple ({names[i]}, {names[j]}, {names[k]})"
-                    )
+    # (e_i e_j) e_k and e_i (e_j e_k) are both zero off the triples that
+    # index the product table as a table of -1 modes
+    for i, j, k in _index_triples({pair: [(0, vec)] for pair, vec in mult.items() if vec}):
+        left = prod(mult.get((i, j), zero), unit(k))
+        right = prod(unit(i), mult.get((j, k), zero))
+        if left != right:
+            raise NotAssociative(f"witness triple ({names[i]}, {names[j]}, {names[k]})")
     for i in range(rank):
         for j in range(rank):
             lhs = dmat(mult.get((i, j), zero))
@@ -747,10 +732,14 @@ def make_commutative_va(
 
 
 def tensor_with_ox(V: VAData) -> VAData:
-    """Read a plain-Q table over Q[z]; D gains the derivation rule."""
+    """Read a plain-Q table over Q[z]; D gains the derivation rule, which
+    changes nothing on constant coordinates.  So every cached entry (tables,
+    D-orbits, the axiom suite) is the same on both readings, and the two
+    objects share one cache."""
     if V.coeff_ring != "Q":
         raise ContractError("tensor_with_ox expects a vertex algebra over Q")
-    return VAData(V.rank, "Q[z]", V.basis_names, dict(V.structure), V.d_cols, dict(V.support))
+    return VAData(V.rank, "Q[z]", V.basis_names, dict(V.structure), V.d_cols, dict(V.support),
+                  _cache=V._cache)
 
 
 def transform_basis(V: VAData, p_cols: tuple[Vector, ...], p_inv_cols: tuple[Vector, ...]) -> VAData:

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from chiralva import chiral, serialize
+from chiralva import chiral, serialize, vertex
 from chiralva.chiral import (
     ChiralData,
     ChiralGenerator,
@@ -45,11 +45,11 @@ from chiralva.vertex import (
     VAData,
     apply_d,
     bump_structure_constant,
+    check_all_va,
     check_jacobi,
     contract,
     d_kill_bound,
     integer_modes,
-    iterated_modes,
     mode_left,
     mode_vec,
     merge_window,
@@ -61,7 +61,7 @@ from chiralva.vertex import (
     vadd,
     vscale,
 )
-from test_vertex import d_power
+from test_vertex import d_power, lcm_scale, reference_iterated_modes
 
 
 def a3_chiral() -> ChiralData:
@@ -314,7 +314,7 @@ def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
     """`_compose_left_basis` term by term (`left_term_rule`), walking every
     k of [0, hi - m2 - m3 + i], the zeros of binom(m3 + k, i) included."""
     lo, hi = A.effective_support()
-    left = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[0]
+    left = None if A.off_recursion() else reference_iterated_modes(A.va, iu, iv, iw)[0]
     out: dict = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         for k in range(0, hi - m2 - m3 + i + 1):
@@ -333,7 +333,7 @@ def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
 def term_rule_compose_right_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
     """`_compose_right_basis` term by term (`right_term_rule`)."""
     lo, hi = A.effective_support()
-    right = None if A.off_recursion() else iterated_modes(A.va, iu, iv, iw)[1]
+    right = None if A.off_recursion() else reference_iterated_modes(A.va, iu, iv, iw)[1]
     out: dict = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -482,23 +482,29 @@ def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
 
 def test_closed_form_double_contractions_match_direct_contraction():
     # The closed-form rule reads B^{j1}_0(B^{j0}_0(u, v), w) and
-    # B^{j0}_0(u, B^{j1}_0(v, w)) from the shared iterated-mode tables;
-    # contract them directly from the m = 0 layer instead.
+    # B^{j0}_0(u, B^{j1}_0(v, w)) from the iterated-mode tables, which the
+    # term rules take from the support-square reference; contract them
+    # directly from the m = 0 layer instead, and check the integer tables
+    # the compositions read against L^2 times the same contractions.
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
         va = A.va
         lo, hi = A.effective_support()
+        square = lcm_scale(va) ** 2
         hits = 0
         for iu in range(A.va.rank):
             for iv in range(A.va.rank):
                 for iw in range(A.va.rank):
-                    left, right = iterated_modes(va, iu, iv, iw)
+                    left, right = reference_iterated_modes(va, iu, iv, iw)
+                    int_left, int_right = integer_modes(va, iu, iv, iw)
                     for j0 in range(lo - 2, hi + 3):
                         for j1 in range(lo - 2, hi + 3):
                             double_left = mode_vec(va, A.va.structure.get((iu, j0, iv), {}), j1, iw)
                             double_right = mode_left(va, iu, j0, A.va.structure.get((iv, j1, iw), {}))
                             assert left.get((j0, j1), {}) == double_left
                             assert right.get((j0, j1), {}) == double_right
+                            assert int_left.get((j0, j1), {}) == vscale(square, double_left)
+                            assert int_right.get((j0, j1), {}) == vscale(square, double_right)
                             hits += bool(double_left)
         assert hits > 0
 
@@ -603,8 +609,10 @@ def gather_sums(keys: list, tables) -> dict:
 
 
 def triple_tables(A: ChiralData, iu: int, iv: int, iw: int) -> tuple:
+    """(u_p v)_q w, u_p (v_q w) and v_p (u_q w), from the support-square
+    reference."""
     va = A.va
-    return (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
+    return (*reference_iterated_modes(va, iu, iv, iw), reference_iterated_modes(va, iv, iu, iw)[1])
 
 
 def gather_keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
@@ -642,14 +650,13 @@ def test_composition_entries_are_keyed_sums(name):
     # random-2 is covered at m2 = blo only, which is where every key of the
     # sweep is first read.
     A = va_to_chiral(dict(corpus())[name], checked=False)
-    va = A.va
     blo, bhi, lo, hi = _box(A)
     zero = {}
     m2s = range(blo, bhi + 1) if name == "a3" else (blo,)
     eps = [(-1) ** k * inv_factorial(k) for k in range(3 * (bhi - blo) + 1)]
     nonzero = 0
     for iu, iv, iw in product(range(A.va.rank), repeat=3):
-        tables = (*iterated_modes(va, iu, iv, iw), iterated_modes(va, iv, iu, iw)[1])
+        tables = triple_tables(A, iu, iv, iw)
         sums: dict = {}  # key -> its three keyed sums (None for zero), once per triple
         for m1, m2, m3 in product(range(blo, bhi + 1), m2s, range(blo, bhi + 1)):
             if m1 + m2 + m3 > 2 * hi:
@@ -791,8 +798,7 @@ def test_jacobi_checks_build_tables_for_the_indexed_triples_only():
     # closure, build the iterated-mode tables of exactly those triples; the
     # reports still count every basis triple.
     def built(va):
-        view = va._cache.get("integral") or va
-        return {key[1:] for key in view._cache if isinstance(key, tuple) and key[0] == "modes"}
+        return {key[1:] for key in va._cache if isinstance(key, tuple) and key[0] == "modes"}
 
     V = tensor_product(tensor_product(a3_va(), a3_va()), a3_va())
     assert (V.rank, len(V.indexed_triples())) == (27, 1000)
@@ -805,6 +811,41 @@ def test_jacobi_checks_build_tables_for_the_indexed_triples_only():
     generators = sum(sum(box) <= -2 for box in product(range(-8, 4), repeat=3))
     assert report.passed and f"[-8..3]^3 with m1+m2+m3 <= -2 ({27 ** 3 * generators} generator triples)" in report.window
     assert built(A.va) == set(A.va.indexed_triples()) == set(V.indexed_triples())
+
+
+def test_checks_and_compositions_read_one_table_per_triple(monkeypatch):
+    # On tables whose structure scalars are not integers (random-2 with
+    # L = 9, ladder order 6 with L = 24), both axiom suites and the two
+    # compositions read one integer table per basis triple, kept in the
+    # object's cache, and construct no other VAData.
+    real_modes, real_init = vertex.integer_modes, VAData.__post_init__
+    cases = [dict(corpus())["random-2"], tensor_with_ox(truncated_poly_va(6, [0, 0, 1, Q(1, 2)]))]
+    for V, L in zip(cases, (9, 24)):
+        assert V._scale == lcm_scale(V) == L
+        A = va_to_chiral(V, checked=False)
+        read, built = set(), []
+
+        def recording(va, *triple):
+            assert va is V
+            read.add(triple)
+            return real_modes(va, *triple)
+
+        def constructing(self):
+            built.append(self)
+            real_init(self)
+
+        for module in (vertex, chiral):
+            monkeypatch.setattr(module, "integer_modes", recording)
+        monkeypatch.setattr(VAData, "__post_init__", constructing)
+        reports = check_all_va(V) + check_all_chiral(A)
+        gens = (unit(1), unit(2), unit(0))
+        sections = compose_left(A, -3, -2, -1, *gens), compose_right(A, -3, -2, -1, *gens)
+        monkeypatch.undo()
+        assert all(r.passed for r in reports) and all(sections)
+        assert built == []
+        assert read == set(V.indexed_triples())
+        assert {key for key in V._cache if key[0] == "modes"} == {("modes", *t) for t in read}
+        assert set(V._cache) - {("modes", *t) for t in read} == {"orbits"}
 
 
 def test_keyed_sweep_matches_generator_loop_on_mutants():

@@ -1,6 +1,7 @@
 """Byte-for-byte golden reports for the CLI on the shipped fixtures, on
 one criterion-7 mutant per corpus algebra, and on built inputs for paths the
-corpus does not reach (explicit B layers, a widened chiral window).
+corpus does not reach (explicit B layers, a widened chiral window, the
+compositions of tables whose structure scalars are not integers).
 
 Criterion 9 only checks that two runs agree with each other; these goldens
 pin the exact bytes, and the mutant reports pin which witness each checker
@@ -22,8 +23,9 @@ from chiralva import serialize
 from chiralva.chiral import ChiralData, bump_b_entry
 from chiralva.cli import main
 from chiralva.equivalence import va_to_chiral
-from chiralva.fixtures import corpus
-from chiralva.vertex import bump_structure_constant
+from chiralva.exact import Q
+from chiralva.fixtures import corpus, truncated_poly_va
+from chiralva.vertex import bump_structure_constant, tensor_with_ox
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -100,6 +102,17 @@ def a3_chiral_mutant() -> ChiralData:
     return va_to_chiral(bump_structure_constant(dict(corpus())["a3"], 0, -1, 0, 0), checked=False)
 
 
+def random2_chiral() -> ChiralData:
+    """random-2: its structure scalars have denominators with lcm 9."""
+    return va_to_chiral(dict(corpus())["random-2"], checked=False)
+
+
+def ladder6_chiral() -> ChiralData:
+    """Ladder order 6 over Q[z]: its structure scalars have denominators
+    with lcm 24."""
+    return va_to_chiral(tensor_with_ox(truncated_poly_va(6, [0, 0, 1, Q(1, 2)])), checked=False)
+
+
 # (golden file stem, argv, function that builds the input written to `input.json` in
 # the directory the command runs in, expected exit code)
 BUILT_CASES = (
@@ -111,6 +124,12 @@ BUILT_CASES = (
      ["check-chiral", "input.json", "--window=-8:2"], a3_chiral_fixture, 0),
     ("check-chiral__a3__0_-1_0_0__window_-8_2",
      ["check-chiral", "input.json", "--window=-8:2"], a3_chiral_mutant, 1),
+    # generators whose left, right and permuted sections each hold a
+    # non-integer coefficient, on tables with non-integral scalars
+    ("compose-diff__random-2__-3_-3_-2_t_t2_1",
+     ["compose-diff", "input.json", "--", "-3", "-3", "-2", "t", "t2", "1"], random2_chiral, 0),
+    ("compose-diff__ladder6__-3_-2_-1_t_t2_1",
+     ["compose-diff", "input.json", "--", "-3", "-2", "-1", "t", "t2", "1"], ladder6_chiral, 0),
 )
 
 

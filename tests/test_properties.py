@@ -36,16 +36,18 @@ from chiralva.vertex import (
     contract,
     equal_tables,
     integer_modes,
-    iterated_modes,
     mutation_sites,
     tensor_with_ox,
     vadd,
 )
 from test_vertex import (
     PASCAL_WINDOWS,
+    all_ints,
     assert_index_and_tables_match_reference,
     assert_slices_match_full_scatter,
     bump_by,
+    reference_iterated_modes,
+    scaled_tables,
 )
 from test_chiral import (
     _box,
@@ -146,22 +148,22 @@ def test_one_pass_chiral_checks_match_their_oracles(V0, pick, mutate):
 def test_integer_view_is_the_exact_tables_times_lcm_squared(V0, pick, bump):
     # On a generated algebra, or a mutant bumped by a rational at one site:
     # with L the lcm of the denominators of the structure scalars, every
-    # entry of the integer view is an int equal to L^2 times the exact
-    # entry, and an integral table (L = 1) is its own view.
+    # entry of the integer tables is an int equal to L^2 times the exact
+    # entry of the support-square reference, and each triple read has one
+    # table in the object's cache, beside which the cache holds nothing.
     V = tensor_with_ox(V0)
     sites = mutation_sites(V, 60)
     if bump and sites:
         i, n, j, coord = sites[pick % len(sites)]
         V = bump_by(V, (i, n, j), coord, bump)
     L = math.lcm(*(Fraction(x).denominator for vec in V.structure.values() for x in vec.values()))
-    for triple in product(range(V.rank), repeat=3):
-        exact = iterated_modes(V, *triple)
+    V._cache.clear()
+    triples = list(product(range(V.rank), repeat=3))
+    for triple in triples:
         view = integer_modes(V, *triple)
-        if L == 1:
-            assert view[0] is exact[0] and view[1] is exact[1]
-        for e, w in zip(exact, view):
-            assert w == {pq: {cd: L * L * x for cd, x in vec.items()} for pq, vec in e.items()}
-            assert all(type(x) is int for vec in w.values() for x in vec.values())
+        assert view == scaled_tables(reference_iterated_modes(V, *triple), L * L)
+        assert all_ints(view)
+    assert list(V._cache) == [("modes", *triple) for triple in triples]
 
 
 @SETTINGS

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from collections import defaultdict
 from itertools import product
@@ -34,8 +35,8 @@ from chiralva.vertex import (
     closure_witness,
     d_kill_bound,
     d_orbits,
+    equal_tables,
     integer_modes,
-    iterated_modes,
     make_commutative_va,
     merge_window,
     mode_left,
@@ -244,6 +245,68 @@ def test_make_commutative_va_error_taxonomy():
     assert shift.rank == 3 and shift.structure == {}
 
 
+def reference_associativity_triple(mult, rank):
+    """The first basis triple (i, j, k), over all rank^3 of them in order,
+    with (e_i e_j) e_k != e_i (e_j e_k); None when the table is associative.
+    The oracle for the builder, which walks only the triples its product
+    table indexes."""
+    def prod(x, y):
+        acc: dict = {}
+        for (p, d), a in x.items():
+            for (q, e), b in y.items():
+                for (r, f), c in mult.get((p, q), {}).items():
+                    acc[r, d + e + f] = acc.get((r, d + e + f), 0) + a * b * c
+        return {key: x for key, x in acc.items() if x}
+
+    return next((t for t in product(range(rank), repeat=3)
+                 if prod(mult.get(t[:2], {}), unit(t[2])) != prod(unit(t[0]), mult.get(t[1:], {}))),
+                None)
+
+
+def builder_associativity_message(mult, d_cols, names):
+    """The builder's NotAssociative message, or None when it raises another
+    error or none."""
+    try:
+        make_commutative_va(mult, d_cols, names)
+    except NotAssociative as err:
+        return str(err)
+    except (NotADerivation, NotNilpotent):
+        pass
+    return None
+
+
+def product_table(V):
+    """The product e_i e_j = e_i{-1} e_j of a commutative vertex algebra."""
+    return {(i, j): V.mode(i, -1, j) for i, j in product(range(V.rank), repeat=2) if V.mode(i, -1, j)}
+
+
+def test_builder_associativity_matches_the_rank_cubed_loop():
+    # On the corpus and the tensor powers of a3 (associative, and rebuilt
+    # to the same table), and on their product tables bumped by +1 at one
+    # symmetric pair of slots (zero D, so a bump that stays associative
+    # builds), the builder reports the witness the full loop finds first.
+    rng = random.Random(11)
+    tables = [*(V for _, V in corpus()), a3_tensor_power(2), a3_tensor_power(3)]
+    failing = 0
+    for V in tables:
+        mult = product_table(V)
+        assert reference_associativity_triple(mult, V.rank) is None
+        rebuilt = make_commutative_va(mult, V.d_cols, V.basis_names)
+        assert equal_tables(rebuilt if V.coeff_ring == "Q" else tensor_with_ox(rebuilt), V) == (True, None)
+        for _ in range(40 if V.rank < 27 else 4):
+            i, j, c = rng.randrange(V.rank), rng.randrange(V.rank), rng.randrange(V.rank)
+            bumped = dict(mult)
+            for pair in {(i, j), (j, i)}:
+                bumped[pair] = vadd(bumped.get(pair, {}), unit(c))
+            want = reference_associativity_triple(bumped, V.rank)
+            names = V.basis_names
+            got = builder_associativity_message(bumped, tuple({} for _ in names), names)
+            assert got == (None if want is None else
+                           f"witness triple ({names[want[0]]}, {names[want[1]]}, {names[want[2]]})")
+            failing += want is not None
+    assert failing > 200
+
+
 def test_trivial_rank1_structure():
     v = trivial_rank1()
     assert v.structure == {(0, -1, 0): unit(0)}
@@ -414,8 +477,9 @@ def _jacobi_sides(tables, terms, zero):
 
 
 def _instance_tables(V, iu, iv, iw):
-    """(u_p v)_q w, u_p (v_q w) and v_p (u_q w): the tables an instance reads."""
-    return (*iterated_modes(V, iu, iv, iw), iterated_modes(V, iv, iu, iw)[1])
+    """(u_p v)_q w, u_p (v_q w) and v_p (u_q w): the tables an instance
+    reads, from the support-square reference."""
+    return (*reference_iterated_modes(V, iu, iv, iw), reference_iterated_modes(V, iv, iu, iw)[1])
 
 
 def jacobi_instance(V, iu, iv, iw, l, m, n):
@@ -827,16 +891,18 @@ def test_table_driven_jacobi_matches_reference_on_mutants():
 
 
 def test_iterated_mode_tables_match_direct_contraction():
+    # the integer tables are L^2 times the direct contractions
     for V in (a3_va(), LADDER_4, *_criterion_7_mutants(1)):
         a, b = _support(V)
+        square = lcm_scale(V) ** 2
         for iu in range(V.rank):
             for iv in range(V.rank):
                 for iw in range(V.rank):
-                    left, right = iterated_modes(V, iu, iv, iw)
+                    left, right = integer_modes(V, iu, iv, iw)
                     for p in range(a - 1, b + 2):
                         for q in range(a - 1, b + 2):
-                            want_l = mode_vec(V, V.mode(iu, p, iv), q, iw)
-                            want_r = mode_left(V, iu, p, V.mode(iv, q, iw))
+                            want_l = vscale(square, mode_vec(V, V.mode(iu, p, iv), q, iw))
+                            want_r = vscale(square, mode_left(V, iu, p, V.mode(iv, q, iw)))
                             assert left.get((p, q), {}) == want_l
                             assert right.get((p, q), {}) == want_r
                     assert all((*left.values(), *right.values()))
@@ -863,22 +929,35 @@ def reference_iterated_modes(V, iu, iv, iw):
     return left, right
 
 
-def _typed(table):
-    return {pq: {cd: (type(x), x) for cd, x in vec.items()} for pq, vec in table.items()}
+def lcm_scale(V):
+    """L, the lcm of the denominators of the structure scalars of V."""
+    return math.lcm(*(Q(x).denominator for vec in V.structure.values() for x in vec.values()))
+
+
+def scaled_tables(tables, c):
+    """c times every entry of each table."""
+    return tuple({pq: {cd: c * x for cd, x in vec.items()} for pq, vec in table.items()}
+                 for table in tables)
+
+
+def all_ints(tables):
+    return all(type(x) is int for table in tables for vec in table.values() for x in vec.values())
 
 
 def assert_index_and_tables_match_reference(V):
-    """`iterated_modes` equals the support-square reference on every basis
-    triple, each value's type (int or Fraction) included; every triple with
-    a nonzero table is indexed, and the index is sorted, without repeats and
-    closed under swapping u and v.  Returns the number of nonempty triples."""
+    """`integer_modes` equals L^2 times the support-square reference on
+    every basis triple, every value an int; every triple with a nonzero
+    table is indexed, and the index is sorted, without repeats and closed
+    under swapping u and v.  Returns the number of nonempty triples."""
     index = V.indexed_triples()
     assert list(index) == sorted(set(index))
     assert {(v, u, w) for u, v, w in index} == set(index)
+    square = lcm_scale(V) ** 2
     nonempty = 0
     for t in product(range(V.rank), repeat=3):
         want = reference_iterated_modes(V, *t)
-        assert [_typed(x) for x in iterated_modes(V, *t)] == [_typed(x) for x in want], t
+        got = integer_modes(V, *t)
+        assert got == scaled_tables(want, square) and all_ints(got), t
         if any(want):
             assert t in index, t
             nonempty += 1
