@@ -1,16 +1,18 @@
 """Chiral algebras over the affine line in the global-sections model.
 
 Sections of the diagonal pushforward are finite sums over a derivative
-degree: a DiagSection maps k -> a_k and stands for sum_k d1^k (x) a_k,
-where d1 + d2 acts through the diagonal as the derivation D of the module
-of global sections Q[z]^r.  Triple-diagonal sections carry two derivative
-indices.
+degree, in divided powers d1^(k) = d1^k/k!: a DiagSection maps k -> k! a_k
+and stands for sum_k d1^k (x) a_k, where d1 + d2 acts through the diagonal
+as the derivation D of the module of global sections Q[z]^r.  Triple-diagonal
+sections carry two derivative indices, (k, l) -> k! l! a_{k,l}; checks
+compare sections with ==, which these weights do not change.
 
 The multiplication data is the coefficient family B^n_m on basis pairs.
-The recursion B^{n+1}_k = -(k+1) B^n_{k+1} determines the whole family
-from its m = 0 layer, which ChiralData stores as the mode table it is, a
-VAData over Q[z] (u_n v = B^n_0(u, v), with the same D); explicit layers
-m >= 1 (negative controls, files with full layers) are kept beside it.  A
+The recursion B^{n+1}_k = -(k+1) B^n_{k+1}, in divided powers
+m! B^n_m = (-1)^m B^{n+m}_0, determines the whole family from its m = 0
+layer, which ChiralData stores as the mode table it is, a VAData over Q[z]
+(u_n v = B^n_0(u, v), with the same D); explicit layers m >= 1 (negative
+controls, files with full layers) are kept beside it, as given.  A
 composition such as mu(mu(u, v), w) is mu applied to the section mu(u, v):
 it reads iterated modes of the m = 0 layer on the recursion, contracts
 sections off it, and is never cached.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .errors import ContractError
-from .exact import Q, binom, inv_factorial
+from .exact import Q, binom, factorial, inv_factorial
 from .report import CheckReport
 from .vertex import (
     VAData,
@@ -45,8 +47,8 @@ from .vertex import (
     vscale,
 )
 
-# Sections map a derivative degree k (DiagSection) or a pair of degrees
-# (k, l) (Diag3Section) to a nonzero vector; one section algebra serves both.
+# Sections map a divided power k (DiagSection) or a pair of them (k, l)
+# (Diag3Section) to a nonzero vector; one section algebra serves both.
 DiagSection = dict  # k -> Vector
 Diag3Section = dict  # (k, l) -> Vector
 
@@ -82,7 +84,9 @@ class ChiralData:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
         points = [*(va.global_support() or ()), *(n + m for (_, n, _, m) in self.overrides)]
         object.__setattr__(self, "_span", (min(points), max(points)) if points else None)
-        off = (key for key, val in self.overrides.items() if val != self._closed_form(*key))
+        # m! val against the closed form, m! computed only where B^{m+n}_0 is stored
+        off = (key for key, val in self.overrides.items() if (closed := self._closed_form(*key))
+               != (vscale(factorial(key[3]), val) if closed else val))
         object.__setattr__(self, "_off", min(off, default=None))
 
     def effective_support(self) -> tuple[int, int] | None:
@@ -96,22 +100,23 @@ class ChiralData:
         return self._off
 
     def _closed_form(self, i: int, n: int, j: int, m: int) -> Vector:
-        """((-1)^m / m!) B^{m+n}_0(e_i, e_j), the layer the recursion gives;
-        m! is computed only where B^{m+n}_0 is stored."""
+        """(-1)^m B^{m+n}_0(e_i, e_j), the divided layer m! B^n_m that the
+        recursion gives."""
         val = self.va.structure.get((i, m + n, j))
-        return vscale(_signed_inv_factorial(m), val) if val else {}
+        return (vscale(-1, val) if m % 2 else val) if val else {}
 
     def b_layer(self, i: int, n: int, j: int, m: int) -> Vector:
-        """B^n_m(e_i, e_j): explicit override if present, else the closed form."""
+        """m! B^n_m(e_i, e_j): m! times the explicit override if present, else the closed form."""
         key = ("b", i, n, j, m)
         if key not in self._cache:
             val = self.overrides.get((i, n, j, m))
-            self._cache[key] = self._closed_form(i, n, j, m) if val is None else val
+            self._cache[key] = (self._closed_form(i, n, j, m) if val is None
+                                else vscale(factorial(m), val))
         return self._cache[key]
 
     def basis_section(self, i: int, n: int, j: int) -> DiagSection:
-        """Every nonzero layer of B^n(e_i, e_j); the support range covers each
-        override's n + m, so explicit layers are read here too."""
+        """Every nonzero divided layer of B^n(e_i, e_j); the support range
+        covers each override's n + m, so explicit layers are read here too."""
         key = ("sec", i, n, j)
         if key not in self._cache:
             lo, hi = self.effective_support() or (0, -1)
@@ -156,26 +161,22 @@ def diag_contract(x: Vector, section) -> dict:
 
 
 def diag_mul_z12(s: DiagSection) -> DiagSection:
-    """Multiplication by (z1 - z2): layer k receives -(k+1) times layer k+1."""
-    out: DiagSection = {}
-    for k, v in s.items():
-        if k >= 1:
-            accumulate(out, k - 1, vscale(-k, v))
-    return out
+    """Multiplication by (z1 - z2): layer k - 1 receives -layer k."""
+    return {k - 1: vscale(-1, v) for k, v in s.items() if k}
 
 
 def diag_apply_d1(s: DiagSection) -> DiagSection:
-    """Left derivative d1: shifts the derivative degree up by one."""
-    return {k + 1: v for k, v in s.items()}
+    """Left derivative d1: layer k + 1 receives (k + 1) layer k."""
+    return {k + 1: vscale(k + 1, v) for k, v in s.items()}
 
 
 def diag_apply_d2(A: ChiralData, s: DiagSection) -> DiagSection:
-    """Right derivative d2 written as (d1 + d2) - d1, where d1 + d2 acts
-    layerwise as the derivation D through the diagonal."""
+    """Right derivative d2 = (d1 + d2) - d1, d1 + d2 acting layerwise as D
+    through the diagonal: layer k becomes D(layer k) - k layer (k - 1)."""
     out: DiagSection = {}
     for k, v in s.items():
         accumulate(out, k, apply_d(A.va, v))
-        accumulate(out, k + 1, vscale(-1, v))
+        accumulate(out, k + 1, vscale(-(k + 1), v))
     return out
 
 
@@ -190,7 +191,7 @@ def diag3_transpose(s: Diag3Section) -> Diag3Section:
 
 
 def mu_eval(A: ChiralData, g: ChiralGenerator) -> DiagSection:
-    """The section mu((z1-z2)^n (u (x) v)), bilinear over Q[z]."""
+    """The section mu((z1-z2)^n (u (x) v)) in divided powers, bilinear over Q[z]."""
     return diag_contract(g.u, lambda i: diag_contract(g.v, lambda j: A.basis_section(i, g.n, j)))
 
 
@@ -204,11 +205,6 @@ def sigma12_triple(m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector):
     return sign, m1, m3, m2, v, u, w
 
 
-def _signed_inv_factorial(k: int):
-    f = inv_factorial(k)
-    return f if k % 2 == 0 else -f
-
-
 def _unscale(va: VAData):
     """1/L^2, which takes `integer_modes` back to the iterated modes; the int
     1 on an integral table, so its compositions stay on int arithmetic."""
@@ -220,9 +216,9 @@ def _compose_left_basis(
 ) -> Diag3Section:
     """mu(mu(u, v), w) on basis vectors: the (z1-z3)^{m3} expansion reads
     binom(m3 + k, i) times B^{n2}(B^{m1+i-k}_k(u, v), w), n2 = m2 + m3 + k - i.
-    On the recursion its layer l is ((-1)^(k+l)/k!l!) (u_{m1+i} v)_{n2+l} w,
-    from the triple's `integer_modes` times 1/L^2; off it, the inner layer is
-    contracted with the sections B^{n2}(e_p, w)."""
+    On the recursion its divided layer l is (-1)^(k+l) (u_{m1+i} v)_{n2+l} w,
+    from the triple's `integer_modes` times 1/L^2; off it, the divided inner
+    layer is contracted with the sections B^{n2}(e_p, w)."""
     rng = A.effective_support()
     if rng is None:
         return {}
@@ -241,11 +237,11 @@ def _compose_left_basis(
                 for l, vec in diag_contract(inner, lambda p: A.basis_section(p, n2, iw)).items():
                     accumulate(out, (k, l), vec)
                 continue
-            c *= _signed_inv_factorial(k) * unscale
+            c *= -unscale if k % 2 else unscale
             for l in range(max(0, lo - n2), hi - n2 + 1):
                 dbl = modes.get((m1 + i, n2 + l))
                 if dbl is not None:
-                    accumulate(out, (k, l), vscale(c * _signed_inv_factorial(l), dbl))
+                    accumulate(out, (k, l), vscale(-c if l % 2 else c, dbl))
     return out
 
 
@@ -254,10 +250,10 @@ def _compose_right_basis(
 ) -> Diag3Section:
     """mu(u, mu(v, w)) on basis vectors: the (z1-z2)^{m1} expansion reads
     (-1)^i binom(m1, i) times B^{n1}(u, B^{n2}(v, w)), n1 = m1 + m3 - i and
-    n2 = m2 + i.  On the recursion its layer (k, l) is ((-1)^(k+l)/k!l!)
-    u_{n1+k} (v_{n2+l} w), from the triple's `integer_modes` times 1/L^2;
-    off it, each layer l of B^{n2}(v, w) is contracted with the sections
-    B^{n1}(u, e_p)."""
+    n2 = m2 + i.  On the recursion its divided layer (k, l) is
+    (-1)^(k+l) u_{n1+k} (v_{n2+l} w), from the triple's `integer_modes`
+    times 1/L^2; off it, each divided layer l of B^{n2}(v, w) is contracted
+    with the sections B^{n1}(u, e_p)."""
     rng = A.effective_support()
     if rng is None:
         return {}
@@ -278,11 +274,11 @@ def _compose_right_basis(
                     accumulate(out, (k, l), vec)
             continue
         for l in range(max(0, lo - n2), hi - n2 + 1):
-            cl = c * _signed_inv_factorial(l) * unscale
+            cl = c * (-unscale if l % 2 else unscale)
             for k in range(max(0, lo - n1), hi - n1 + 1):
                 dbl = modes.get((n1 + k, n2 + l))
                 if dbl is not None:
-                    accumulate(out, (k, l), vscale(cl * _signed_inv_factorial(k), dbl))
+                    accumulate(out, (k, l), vscale(-cl if k % 2 else cl, dbl))
     return out
 
 
@@ -310,8 +306,8 @@ def compose_right(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector
 def _sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
     """The exponents n at which skew and the D-module check compare sections:
     the window and the neighbours of every explicit layer.  On the recursion,
-    layer j of each difference section at n is a nonzero rational times one
-    quantity of the key n + j, so the section at the least n compares every
+    layer j of each difference section at n is a sign times one quantity
+    of the key n + j, so the section at the least n compares every
     key a later n would, and is the only one compared."""
     ns = set(range(lo, hi + 1))
     for (_, n, _, _) in A.overrides:
@@ -391,10 +387,11 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     """mu o sigma_12 = -mu on generators: swap the arguments, flip the sign
     of the exponent parity, and re-express the d2-indexed family in d1 form.
 
-    The swapped section sum_m d2^m B^n_m(v, u) is summed in one Horner pass,
-    so d2 is applied once per layer.  Its degree 0 is the m = 0 extraction
-    identity (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v), since d2 sends
-    degree 0 to D at degree 0 and explicit layers have m >= 1."""
+    The swapped section sum_m d2^m B^n_m(v, u), times M! for its top layer
+    M, is summed in one Horner pass of integer weights M!/m!, so d2 is
+    applied once per layer.  Its degree 0 is the m = 0 extraction identity
+    (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v), since d2 sends degree 0
+    to D at degree 0 and explicit layers have m >= 1."""
     name, label = "chiral-skew", "sigma12"
     rng = A.effective_support()
     if rng is None and window is None:
@@ -407,14 +404,14 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
         for j in range(A.va.rank):
             for n in ns:
                 sec_vu = A.basis_section(j, n, i)
-                route: DiagSection = {}
-                for m in range(max(sec_vu, default=-1), -1, -1):
+                top = max(sec_vu, default=0)
+                route, weight = {}, 1  # weight M!/m! for M = top, and M! after the pass
+                for m in range(top, -1, -1):
                     route = diag_apply_d2(A, route)
                     if m in sec_vu:
-                        accumulate(route, 0, sec_vu[m])
-                if n % 2:
-                    route = diag_scale(-1, route)
-                if route != diag_scale(-1, A.basis_section(i, n, j)):
+                        accumulate(route, 0, vscale(weight, sec_vu[m]))
+                    weight *= m or 1
+                if route != diag_scale(weight if n % 2 else -weight, A.basis_section(i, n, j)):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
                         f"({pair_name(A.va, i, j)}, n={n})",
@@ -505,7 +502,7 @@ def _key_scatter(m1: int, blo: int, tables, binoms) -> dict:
 
 def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
     """The generator sweep on the recursion closed form, one key at a time: entry
-    (k, l) of the compositions at (m1, m2, m3) is ((-1)^(k+l)/k!l!) times the
+    (k, l) of the compositions at (m1, m2, m3) is (-1)^(k+l) times the
     key (m1, m3+k, m2+l), so the first failing generator has m2 = m3 = blo.
     The sweep walks the indexed triples (`VAData.indexed_triples`; every
     other triple has empty tables), reads each one's integer tables
@@ -575,5 +572,6 @@ def bump_b_entry(A: ChiralData, i: int, n: int, j: int, m: int, coord: int) -> C
         return ChiralData(bump_structure_constant(A.va, i, n, j, coord), dict(A.overrides))
     overrides = dict(A.overrides)
     key = (i, n, j, m)
-    overrides[key] = vadd(overrides.get(key, A.b_layer(*key)), {(coord, 0): 1})
+    layer = overrides[key] if key in overrides else vscale(inv_factorial(m), A.b_layer(*key))
+    overrides[key] = vadd(layer, {(coord, 0): 1})
     return ChiralData(A.va, overrides)

@@ -29,7 +29,7 @@ from .chiral import (
 from .deltaparse import parse_expression
 from .equivalence import axiom_suite, chiral_to_va, roundtrip_check, va_to_chiral
 from .errors import ChiralvaError, ContractError, ParseError
-from .exact import Q, format_q
+from .exact import Q, format_q, inv_factorial
 from .formal import (
     Deriv,
     ExponentBox,
@@ -44,7 +44,7 @@ from .formal import (
     support_bounds,
 )
 from .report import CheckReport, all_passed
-from .vertex import VAData, check_all_va, format_vector, unit
+from .vertex import VAData, check_all_va, format_vector, unit, vscale
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -250,7 +250,12 @@ def _basis_index(ca: ChiralData, name: str) -> int:
 
 
 def _format_diag3(section, names) -> list[str]:
-    out = [f"  (k,l)={key}: {format_vector(section[key], names)}" for key in sorted(section)]
+    """Print a section held in divided powers in the powers d1^k d2^l: the
+    entry (k, l) over k! l!."""
+    out = []
+    for key in sorted(section):
+        weight = inv_factorial(key[0]) * inv_factorial(key[1])
+        out.append(f"  (k,l)={key}: {format_vector(vscale(weight, section[key]), names)}")
     return out or ["  (empty)"]
 
 

@@ -34,14 +34,21 @@ def binom(n: int, m: int) -> int:
     return (-1) ** m * math.comb(m - n - 1, m)
 
 
+def factorial(k: int) -> int:
+    """k!, the weight between a layer k in powers d^k and in divided powers
+    d^k/k!; past the C long the stdlib factorial takes, a ContractError
+    (exit 2) that names the weight 1/k!."""
+    try:
+        return math.factorial(k)
+    except OverflowError:
+        raise ContractError(f"cannot compute 1/{k}!: the factorial takes arguments "
+                            f"up to {sys.maxsize}") from None
+
+
 @lru_cache(maxsize=None)
 def inv_factorial(k: int) -> int | Fraction:
     """1/k!, an `int` for k <= 1."""
-    try:
-        f = math.factorial(k)
-    except OverflowError:  # k above the C long the stdlib factorial takes
-        raise ContractError(f"cannot compute 1/{k}!: the factorial takes arguments "
-                            f"up to {sys.maxsize}") from None
+    f = factorial(k)
     return 1 if f == 1 else Q(1, f)
 
 

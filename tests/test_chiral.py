@@ -3,7 +3,6 @@ import random
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import product
-from math import factorial
 
 import pytest
 
@@ -62,6 +61,7 @@ from chiralva.vertex import (
     vscale,
 )
 from test_vertex import d_power, lcm_scale, reference_iterated_modes
+from ordinary_powers import apply_d1, apply_d2, divided, mul_z12, ordinary_b_layer, ordinary_basis_section
 
 
 def a3_chiral() -> ChiralData:
@@ -113,7 +113,7 @@ def oracle_left_layer(m1, m2, m3, u, v, w, k, l):
         inner = omode(u, m1 + i, v)
         term = omode(inner, m3 + m2 - i + k + l, w)
         total = tuple(a + c * b for a, b in zip(total, term))
-    scale = inv_factorial(k) * inv_factorial(l) * (-1) ** (k + l)
+    scale = (-1) ** (k + l)  # the divided entry k! l! a_{k,l}
     return tuple(scale * c for c in total)
 
 
@@ -124,7 +124,7 @@ def oracle_right_layer(m1, m2, m3, u, v, w, k, l):
         inner = omode(v, m2 + i + l, w)
         term = omode(u, m1 + m3 - i + k, inner)
         total = tuple(a + c * b for a, b in zip(total, term))
-    scale = inv_factorial(k) * inv_factorial(l) * (-1) ** (k + l)
+    scale = (-1) ** (k + l)  # the divided entry k! l! a_{k,l}
     return tuple(scale * c for c in total)
 
 
@@ -148,9 +148,8 @@ def test_mu_eval_matches_displayed_formula():
             for n in range(-5, 2):
                 sec = mu_eval(A, ChiralGenerator(n, unit(i), unit(j)))
                 for m in range(0, 6):
-                    expect = vscale(
-                        (-1) ** m * inv_factorial(m), to_poly_vec(omode(OB[i], m + n, OB[j]))
-                    )
+                    # the divided layer m! B^n_m = (-1)^m B^{m+n}_0
+                    expect = vscale((-1) ** m, to_poly_vec(omode(OB[i], m + n, OB[j])))
                     got = sec.get(m, {})
                     assert got == expect or (not expect and m not in sec)
 
@@ -159,14 +158,14 @@ def test_diag_mul_z12_examples():
     a = unit(1)
     assert diag_mul_z12({1: a}) == {0: vscale(Q(-1), a)}
     assert diag_mul_z12({0: a}) == {}
-    assert diag_mul_z12({2: a}) == {1: vscale(Q(-2), a)}
+    assert diag_mul_z12({2: a}) == {1: vscale(Q(-1), a)}  # d1^(2) -> -d1^(1)
 
 
 def test_diag_apply_d1_examples():
     a, b = unit(1), unit(2)
     assert diag_apply_d1({0: a}) == {1: a}
     assert diag_apply_d1({}) == {}
-    assert diag_apply_d1({0: a, 1: b}) == {1: a, 2: b}
+    assert diag_apply_d1({0: a, 1: b}) == {1: a, 2: vscale(2, b)}  # d1 d1^(1) = 2 d1^(2)
 
 
 def test_diag_apply_d2_examples():
@@ -240,7 +239,7 @@ def test_chiral_skew_passes_and_extraction_example():
     b0 = A.b_layer(1, -2, 0, 0)
     rhs = {}
     for k in range(0, 4):
-        rhs = vadd(rhs, vscale(Q(-1), d_power(va, A.b_layer(0, -2, 1, k), k)))
+        rhs = vadd(rhs, vscale(Q(-1), d_power(va, ordinary_b_layer(A, 0, -2, 1, k), k)))
     assert b0 == rhs == unit(2)
 
 
@@ -283,17 +282,13 @@ def test_compose_left_vanishes_for_regular_exponents():
     assert compose_right(A, 2, 3, 1, t, t, t) == {}
 
 
-def signed_inv_factorial(k: int):
-    return (-1) ** k * inv_factorial(k)
-
-
 def left_term_rule(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
-    """B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector), or None if
-    zero, one term at a time: from the triple's (u_p v)_q w table `modes` on
-    the recursion, and through a rank-wide layer map off it (modes None)."""
+    """k! l! B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector), or None
+    if zero, one term at a time: from the triple's (u_p v)_q w table `modes`
+    on the recursion, and through a rank-wide layer map off it (modes None)."""
     if modes is not None:
         dbl = modes.get((n1 + k, n2 + l))
-        return None if dbl is None else (signed_inv_factorial(k) * signed_inv_factorial(l), dbl)
+        return None if dbl is None else ((-1) ** (k + l), dbl)
     inner = A.b_layer(iu, n1, iv, k)
     outer = contract(inner, {p: A.b_layer(p, n2, iw, l) for p in range(A.va.rank)})
     return (1, outer) if outer else None
@@ -304,7 +299,7 @@ def right_term_rule(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
     is the triple's u_p (v_q w) table."""
     if modes is not None:
         dbl = modes.get((n1 + k, n2 + l))
-        return None if dbl is None else (signed_inv_factorial(k) * signed_inv_factorial(l), dbl)
+        return None if dbl is None else ((-1) ** (k + l), dbl)
     inner = A.b_layer(iv, n2, iw, l)
     outer = contract(inner, {p: A.b_layer(iu, n1, p, k) for p in range(A.va.rank)})
     return (1, outer) if outer else None
@@ -383,18 +378,19 @@ def test_compositions_off_the_recursion_match_the_term_rules():
 def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
     # compose-diff at m1 = -10^6 used to walk about 10^6 values of k per i,
     # on (u, v, w) = (1, t, t) as here.  The terms are left out (a nonempty
-    # section at m1 = -10^6 holds 1/k! for k near 10^6): the stubs count what
-    # the loop reads, the closed form's 1/k! and 1/l! on the recursion and
-    # the inner layers off it, and return zero.
+    # section at m1 = -10^6 is large): the stubs count what the loop reads,
+    # the iterated-mode table entries on the recursion and the inner layers
+    # off it, and return zero.
     calls = Counter()
 
     def counting(n, m):
         calls[m1, "binom"] += 1
         return binom(n, m)
 
-    def no_inv_factorial(k):
-        calls[m1, "term"] += 1
-        return 0
+    class NoEntries(dict):
+        def get(self, key, default=None):
+            calls[m1, "term"] += 1
+            return default
 
     def no_layer(self, *key):
         calls[m1, "term"] += 1
@@ -402,7 +398,7 @@ def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
 
     off = bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)
     monkeypatch.setattr(chiral, "binom", counting)
-    monkeypatch.setattr(chiral, "_signed_inv_factorial", no_inv_factorial)
+    monkeypatch.setattr(chiral, "integer_modes", lambda va, *triple: (NoEntries(), NoEntries()))
     monkeypatch.setattr(ChiralData, "b_layer", no_layer)
     for A in (a3_chiral(), off):
         for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
@@ -458,7 +454,7 @@ def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
         i, n, j = min(A.va.structure)
-        layer = A.b_layer(i, n - 1, j, 1)
+        layer = ordinary_b_layer(A, i, n - 1, j, 1)
         assert layer
         redundant = ChiralData(A.va, {(i, n - 1, j, 1): layer})
         assert redundant.off_recursion() is None
@@ -543,17 +539,17 @@ def test_chiral_jacobi_mutation_control():
 
 
 def test_recursion_determines_family_from_m0_layer():
-    # B^n_k = ((-1)^k / k!) B^{k+n}_0 for every pair and windowed index
+    # B^n_k = ((-1)^k / k!) B^{k+n}_0 for every pair and windowed index; the
+    # divided layer k! B^n_k is (-1)^k B^{k+n}_0
     A = a3_chiral()
     assert check_dmodule_morphism(A).passed
     for i in range(3):
         for j in range(3):
             for n in range(-6, 2):
                 for k in range(0, 6):
-                    expect = vscale(
-                        (-1) ** k * inv_factorial(k), A.b_layer(i, n + k, j, 0)
-                    )
+                    expect = vscale((-1) ** k, A.b_layer(i, n + k, j, 0))
                     assert A.b_layer(i, n, j, k) == expect
+                    assert ordinary_b_layer(A, i, n, j, k) == vscale(inv_factorial(k), expect)
 
 
 def test_compose_trilinearity_over_polynomials():
@@ -643,8 +639,8 @@ def _box(A: ChiralData, window=None):
 
 @pytest.mark.parametrize("name", ["a3", "random-2"])
 def test_composition_entries_are_keyed_sums(name):
-    # Entry (k, l) of each composition at (m1, m2, m3) is eps(k) eps(l) times
-    # the matching sum of `key_terms` at (m1, m3+k, m2+l): the left
+    # Entry (k, l) of each composition at (m1, m2, m3), in divided powers, is
+    # (-1)^(k+l) times the matching sum of `key_terms` at (m1, m3+k, m2+l): the left
     # composition is the left sum, the right composition minus the right
     # sum, and the transposed swapped term (-1)^m1 times the swapped sum.
     # random-2 is covered at m2 = blo only, which is where every key of the
@@ -653,7 +649,7 @@ def test_composition_entries_are_keyed_sums(name):
     blo, bhi, lo, hi = _box(A)
     zero = {}
     m2s = range(blo, bhi + 1) if name == "a3" else (blo,)
-    eps = [(-1) ** k * inv_factorial(k) for k in range(3 * (bhi - blo) + 1)]
+    eps = [(-1) ** k for k in range(3 * (bhi - blo) + 1)]
     nonzero = 0
     for iu, iv, iw in product(range(A.va.rank), repeat=3):
         tables = triple_tables(A, iu, iv, iw)
@@ -865,7 +861,7 @@ def redundant_layer(name: str, m: int = 1) -> ChiralData:
     closed form, built like `test_golden.redundant_layer_trivial`."""
     A = va_to_chiral(dict(corpus())[name], checked=False)
     i, n, j = min(A.va.structure)
-    layer = {(i, n - m, j, m): A.b_layer(i, n - m, j, m)}
+    layer = {(i, n - m, j, m): ordinary_b_layer(A, i, n - m, j, m)}
     return ChiralData(A.va, layer)
 
 
@@ -886,9 +882,10 @@ def test_redundant_layer_takes_the_keyed_sweep(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# full-sweep references for chiral skew and the D-module check: every n of the
-# window and around every explicit layer; skew rebuilds every power of d2 from
-# scratch per layer and checks the m = 0 extraction identity separately
+# full-sweep references for chiral skew and the D-module check, in ordinary
+# powers (`ordinary_powers`): every n of the window and around every explicit
+# layer; skew rebuilds every power of d2 from scratch per layer and checks the
+# m = 0 extraction identity separately
 
 
 def full_sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
@@ -910,15 +907,15 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     for i in range(A.va.rank):
         for j in range(A.va.rank):
             for n in full_sweep_ns(A, lo, hi):
-                sec_vu = A.basis_section(j, n, i)
+                sec_vu = ordinary_basis_section(A, j, n, i)
                 sign_n = Q(1) if n % 2 == 0 else Q(-1)
                 route = {}
                 for m in sorted(sec_vu):
                     img = {0: sec_vu[m]}
                     for _ in range(m):
-                        img = diag_apply_d2(A, img)
+                        img = apply_d2(A, img)
                     route = diag_add(route, diag_scale(sign_n, img))
-                target = diag_scale(Q(-1), A.basis_section(i, n, j))
+                target = diag_scale(Q(-1), ordinary_basis_section(A, i, n, j))
                 if route != target:
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
@@ -928,7 +925,7 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
                 sign = Q(-1) if n % 2 == 0 else Q(1)  # (-1)^{n+1}
                 for m in sorted(sec_vu):
                     extraction = vadd(extraction, vscale(sign, d_power(va, sec_vu[m], m)))
-                if extraction != A.b_layer(i, n, j, 0):
+                if extraction != ordinary_b_layer(A, i, n, j, 0):
                     return CheckReport(
                         name, label, False, f"window n in [{lo}..{hi}]",
                         f"m=0 extraction at ({pair_name(A.va, i, j)}, n={n})",
@@ -944,12 +941,13 @@ def reference_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
 def dmodule_differences(A: ChiralData, i: int, j: int, n: int) -> tuple:
     """lhs - rhs of parts (a), (b), (c) of the D-module check at (e_i, e_j, n)."""
     va = A.va
-    s_n, s_n1 = A.basis_section(i, n, j), A.basis_section(i, n + 1, j)
+    sec = lambda *key: ordinary_basis_section(A, *key)  # noqa: E731
+    s_n, s_n1 = sec(i, n, j), sec(i, n + 1, j)
     du_i, du_j = apply_d(va, unit(i)), apply_d(va, unit(j))
-    rhs_b = diag_add(diag_scale(n + 1, s_n), diag_contract(du_i, lambda p: A.basis_section(p, n + 1, j)))
-    rhs_c = diag_add(diag_scale(-(n + 1), s_n), diag_contract(du_j, lambda p: A.basis_section(i, n + 1, p)))
+    rhs_b = diag_add(diag_scale(n + 1, s_n), diag_contract(du_i, lambda p: sec(p, n + 1, j)))
+    rhs_c = diag_add(diag_scale(-(n + 1), s_n), diag_contract(du_j, lambda p: sec(i, n + 1, p)))
     return tuple(diag_add(lhs, diag_scale(-1, rhs)) for lhs, rhs in (
-        (s_n1, diag_mul_z12(s_n)), (diag_apply_d1(s_n1), rhs_b), (diag_apply_d2(A, s_n1), rhs_c)))
+        (s_n1, mul_z12(s_n)), (apply_d1(s_n1), rhs_b), (apply_d2(A, s_n1), rhs_c)))
 
 
 def reference_dmodule_parts(A: ChiralData, window=None) -> dict:
@@ -1131,14 +1129,15 @@ def test_one_section_checks_match_full_sweep_on_redundant_layers(name, m):
 
 
 def skew_difference(A: ChiralData, i: int, j: int, n: int) -> dict:
-    """(-1)^n sum_m d2^m B^n_m(e_j, e_i) + B^n(e_i, e_j), powers of d2 rebuilt."""
+    """(-1)^n sum_m d2^m B^n_m(e_j, e_i) + B^n(e_i, e_j) in ordinary powers,
+    powers of d2 rebuilt."""
     route = {}
-    for m, val in A.basis_section(j, n, i).items():
+    for m, val in ordinary_basis_section(A, j, n, i).items():
         img = {0: val}
         for _ in range(m):
-            img = diag_apply_d2(A, img)
+            img = apply_d2(A, img)
         route = diag_add(route, img)
-    return diag_add(diag_scale((-1) ** (n % 2), route), A.basis_section(i, n, j))
+    return diag_add(diag_scale((-1) ** (n % 2), route), ordinary_basis_section(A, i, n, j))
 
 
 def lemma_families():
@@ -1155,12 +1154,13 @@ def lemma_families():
 
 
 def test_difference_layers_depend_only_on_the_key():
-    # The lemma behind the one-section rule: on the recursion, layer j of the
-    # skew difference at n is (-1)^n / j! times a quantity of the key n + j,
-    # and layer j of the D-module (b) and (c) differences is (-1)^j / j!
+    # The lemma behind the one-section rule: on the recursion, divided layer j
+    # of the skew difference at n is (-1)^n times a quantity of the key n + j,
+    # and divided layer j of the D-module (b) and (c) differences is (-1)^j
     # times one; part (a)'s difference is empty.  So the section at the least
-    # n of the full sweep holds, up to those scales, every layer of every
-    # later one.
+    # n of the full sweep holds, up to those signs, every layer of every later
+    # one.  The differences are taken in ordinary powers and rewritten in
+    # divided ones, where the lemma has no factorial.
     nonzero = Counter()
     for where, A in lemma_families():
         assert A.off_recursion() is None
@@ -1172,17 +1172,18 @@ def test_difference_layers_depend_only_on_the_key():
                 secs = {}
                 for n in ns:
                     if parts == ("skew",):
-                        secs["skew", n] = skew_difference(A, i, j, n)
+                        secs["skew", n] = divided(skew_difference(A, i, j, n))
                     else:
-                        a, secs["b", n], secs["c", n] = dmodule_differences(A, i, j, n)
+                        a, b, c = dmodule_differences(A, i, j, n)
+                        secs["b", n], secs["c", n] = divided(b), divided(c)
                         assert a == {}, (where, i, j, n)
                 for part, n in secs:
                     first = secs[part, ns[0]]
                     for k in set(secs[part, n]) | {key - n + ns[0] for key in first if key >= n - ns[0]}:
                         scale = (-1) ** (n % 2) if part == "skew" else (-1) ** (k % 2)
                         root = (-1) ** (ns[0] % 2) if part == "skew" else (-1) ** ((n + k - ns[0]) % 2)
-                        at_n = vscale(scale * factorial(k), secs[part, n].get(k, {}))
-                        at_first = vscale(root * factorial(n + k - ns[0]), first.get(n + k - ns[0], {}))
+                        at_n = vscale(scale, secs[part, n].get(k, {}))
+                        at_first = vscale(root, first.get(n + k - ns[0], {}))
                         assert at_n == at_first, (where, part, i, j, n, k)
                         nonzero[part] += bool(at_n)
     assert min(nonzero[part] for part in ("skew", "b", "c")) > 30, nonzero
@@ -1196,7 +1197,7 @@ def test_dmodule_part_a_fails_exactly_off_the_recursion():
         A = va_to_chiral(dict(corpus())[name], checked=False)
         lo, hi = A.effective_support()
         for i, j, n, m in product(range(A.va.rank), range(A.va.rank), range(lo - 2, hi + 1), (1, 2)):
-            redundant = ChiralData(A.va, {(i, n, j, m): A.b_layer(i, n, j, m)})
+            redundant = ChiralData(A.va, {(i, n, j, m): ordinary_b_layer(A, i, n, j, m)})
             for B in (bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank), redundant):
                 off = B.off_recursion()
                 assert off in (None, (i, n, j, m))

@@ -12,6 +12,7 @@ from chiralva.equivalence import (
     roundtrip_va,
     va_to_chiral,
 )
+from chiralva.cli import main
 from chiralva.errors import ContractError
 from chiralva.exact import Q
 from chiralva.fixtures import (
@@ -122,6 +123,23 @@ def test_roundtrip_builds_each_triple_table_once(monkeypatch):
         built.clear()
         assert roundtrip_check(x).passed, name
         assert +built and set((+built).values()) == {1}, name
+
+
+def test_roundtrip_reads_a_q_table_over_q_z_once(monkeypatch, capsys):
+    # `roundtrip fixtures/a3.json` indexes the triples of the loaded Q table
+    # and of its one Q[z] reading, which goes to a chiral algebra and back;
+    # the reading used to be built a second time for the final comparison.
+    calls = []
+    real = vertex._index_triples
+
+    def counting(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(vertex, "_index_triples", counting)
+    assert main(["roundtrip", str(ROOT / "fixtures" / "a3.json")]) == 0
+    assert "roundtrip: EXACT" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_basis_change_functoriality_smoke():
