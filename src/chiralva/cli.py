@@ -218,10 +218,8 @@ def _cmd_delta_suite(args) -> int:
             raise ContractError("custom identities need both --lhs and --rhs")
         lhs = parse_expression(args.lhs)
         rhs = parse_expression(args.rhs)
-        variables = tuple(
-            v for v in ("x0", "x1", "x2")
-            if v in support_bounds(lhs) or v in support_bounds(rhs)
-        ) or ("x0", "x1", "x2")
+        used = support_bounds(lhs).keys() | support_bounds(rhs).keys()
+        variables = tuple(v for v in ("x0", "x1", "x2") if v in used) or ("x0", "x1", "x2")
         box = ExponentBox.cube(variables, lo, hi)
         rep = check_identity(lhs, rhs, box)
         check = _identity_check("custom-identity", "user", rep, box.describe())

@@ -3,11 +3,12 @@
 A distribution has infinite support, so equality can only be tested on a
 declared finite exponent box; coefficients outside the box are untracked,
 never assumed zero.  Every tracked coefficient is computed exactly: finite
-factors of a product are expanded over their full (finite) support and the
-single allowed infinite factor on the box widened by that support, so no
-convolution is ever truncated, and no product is multiplied out over its
-sums.  Delta and iota atoms enumerate their own support inside a box, with
-integer binomial coefficients.
+factors of a product are expanded over their full (finite) support, and
+each key f of that support scatters the single allowed infinite factor,
+evaluated on the box shifted by -f, into the box, so no convolution is ever
+truncated, no key outside the box is formed, and no product is multiplied
+out over its sums.  Delta and iota atoms enumerate their own support inside
+a box, with integer binomial coefficients.
 
 Expression atoms:
 
@@ -29,8 +30,9 @@ that check on the whole expression before evaluating anything.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, contains
 
 from .errors import ContractError, IllFormedProduct, UnsupportedInput
 from .exact import Q, QZERO, binom
@@ -51,6 +53,7 @@ class ExponentBox:
 
     variables: tuple[str, ...]
     bounds: tuple[tuple[int, int], ...]
+    _ranges: tuple[range, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.variables) != len(self.bounds):
@@ -61,6 +64,7 @@ class ExponentBox:
         for v, (lo, hi) in zip(self.variables, self.bounds):
             if lo > hi:
                 raise ContractError(f"empty bound [{lo}, {hi}] for {v}")
+        object.__setattr__(self, "_ranges", tuple(range(lo, hi + 1) for lo, hi in self.bounds))
 
     @classmethod
     def cube(cls, variables, lo: int, hi: int) -> "ExponentBox":
@@ -71,18 +75,15 @@ class ExponentBox:
         return self.variables.index(var)
 
     def contains(self, key: tuple[int, ...]) -> bool:
-        return all(lo <= k <= hi for k, (lo, hi) in zip(key, self.bounds))
+        return all(map(contains, self._ranges, key))
 
     def keys(self):
-        ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
-        return itertools.product(*ranges)
+        return itertools.product(*self._ranges)
 
-    def grown(self, var: str, pad: int) -> "ExponentBox":
-        i = self.index(var)
-        bounds = list(self.bounds)
-        lo, hi = bounds[i]
-        bounds[i] = (lo - pad, hi + pad)
-        return ExponentBox(self.variables, tuple(bounds))
+    def shifted(self, f: tuple[int, ...]) -> "ExponentBox":
+        """The box of the keys k with k + f in this box."""
+        bounds = tuple((lo - e, hi - e) for (lo, hi), e in zip(self.bounds, f))
+        return ExponentBox(self.variables, bounds)
 
     def describe(self) -> str:
         return ", ".join(
@@ -281,42 +282,56 @@ def _atom(expr: Expr, box: ExponentBox) -> dict:
     Both atoms are sums over n of (s1*v1 + s2*v2)^n (s3*v3)^-n expanded in
     nonnegative powers m of v2: the coefficient at v1^(n-m) v2^m v3^-n is
     s1^(n-m) s2^m s3^n binom(n, m).  An iota has the one n and no v3, a delta
-    ratio has no v2; every other variable of the box has exponent 0.
+    ratio has no v2 and so m = 0; every other variable of the box has
+    exponent 0.  The m range of each n is clipped to the box in closed form,
+    and binom(n, m+1) = binom(n, m) (n-m)/(m+1), an exact division, carries
+    each next coefficient from the one before.
     """
     if isinstance(expr, IotaPow):
         (s1, v1), (s2, v2), (s3, v3) = (1, expr.first), (-1, expr.second), (1, None)
-        ns = (expr.n,)
     else:
         (s1, v1), (s2, v2) = expr.num if len(expr.num) == 2 else (expr.num[0], (1, None))
         s3, v3 = expr.den
-        lo, hi = box.bounds[box.index(v3)]
-        ns = range(-hi, -lo + 1)
-    slots = (v1, v2, v3)
     bounds = dict(zip(box.variables, box.bounds))
-    if any(not lo <= 0 <= hi for v, (lo, hi) in bounds.items() if v not in slots):
+    lo1, hi1 = bounds.pop(v1)
+    lo2, hi2 = bounds.pop(v2, (0, 0))
+    lo3, hi3 = bounds.pop(v3) if v3 else (-expr.n, -expr.n)  # an iota's one n
+    if any(not lo <= 0 <= hi for lo, hi in bounds.values()):
         return {}
+    slots = (v1, v2, v3)
     where = [slots.index(v) if v in slots else 3 for v in box.variables]
-    lo1, hi1 = bounds[v1]
-    lo2, hi2 = bounds[v2] if v2 else (0, 0)
+    zero = itertools.repeat(0)
+    if v2 is None:
+        ns = range(max(lo1, -hi3), min(hi1, -lo3) + 1)
+        cols = (ns, zero, range(-ns.start, -ns.stop, -1), zero)
+        flip = s1 != s3
+        keys = zip(*[cols[j] for j in where])
+        return {key: -1 if flip and n % 2 else 1 for key, n in zip(keys, ns)}
+    ratio = s1 * s2
     out = {}
-    for n in ns:
+    for n in range(-hi3, -lo3 + 1):
+        mlo = max(0, lo2, n - hi1)
         mhi = min(hi2, n - lo1) if n < 0 else min(hi2, n - lo1, n)
-        for m in range(max(0, lo2, n - hi1), mhi + 1):
-            val = binom(n, m)
-            odd = ((s1 < 0) * (n - m) + (s2 < 0) * m + (s3 < 0) * n) % 2
-            exps = (n - m, m, -n, 0)
-            out[tuple(exps[j] for j in where)] = -val if odd else val
+        if mlo > mhi:
+            continue
+        val = binom(n, mlo)
+        if ((s1 < 0) * (n - mlo) + (s2 < 0) * mlo + (s3 < 0) * n) % 2:
+            val = -val
+        vals = [val]
+        for m in range(mlo, mhi):
+            val = ratio * val * (n - m) // (m + 1)
+            vals.append(val)
+        cols = (range(n - mlo, n - mhi - 1, -1), range(mlo, mhi + 1), itertools.repeat(-n), zero)
+        out.update(zip(zip(*[cols[j] for j in where]), vals))
     return out
 
 
-def _convolve(a: dict, b: dict, box: ExponentBox | None = None) -> dict:
-    """Product of two sparse tables, kept inside `box` when one is given."""
+def _convolve(a: dict, b: dict) -> dict:
+    """Product of two finite sparse tables."""
     out = {}
     for k1, v1 in a.items():
         for k2, v2 in b.items():
-            key = tuple(x + y for x, y in zip(k1, k2))
-            if box is None or box.contains(key):
-                _add(out, key, v1 * v2)
+            _add(out, tuple(map(add, k1, k2)), v1 * v2)
     return out
 
 
@@ -326,9 +341,11 @@ def _factors(expr: Product) -> list:
 
 
 def _product(factors, box: ExponentBox) -> dict:
-    """Finite factors multiplied out over their full support, then convolved
-    with the one infinite factor `support_bounds` allows, evaluated on the keys
-    k - f (k in `box`, f in that support), so every coefficient is exact."""
+    """Finite factors multiplied out over their full support into one table.
+    Each key f of that table, with coefficient c, then scatters c times the
+    one infinite factor `support_bounds` allows, evaluated on the box shifted
+    by -f: its keys k land at k + f inside `box`, and every coefficient is
+    exact."""
     bounds = [support_bounds(f) for f in factors]
     finite = [(f, b) for f, b in zip(factors, bounds) if _finite_bounds(b)]
     infinite = [f for f, b in zip(factors, bounds) if not _finite_bounds(b)]
@@ -338,13 +355,11 @@ def _product(factors, box: ExponentBox) -> dict:
         table = _convolve(table, _table(f, full))
     if not infinite:
         return {k: v for k, v in table.items() if box.contains(k)}
-    if not table:  # a zero finite part leaves the infinite factor unread
-        return {}
-    span = [(min(c), max(c)) for c in zip(*table)]
-    inner = ExponentBox(box.variables, tuple(
-        (lo - fhi, hi - flo) for (lo, hi), (flo, fhi) in zip(box.bounds, span)
-    ))
-    return _convolve(table, _table(infinite[0], inner), box)
+    out = {}
+    for f, c in table.items():  # a zero finite part leaves the infinite factor unread
+        for k, v in _table(infinite[0], box.shifted(f)).items():
+            _add(out, tuple(map(add, k, f)), c * v)
+    return out
 
 
 def _table(expr: Expr, box: ExponentBox) -> dict:
@@ -364,11 +379,12 @@ def _table(expr: Expr, box: ExponentBox) -> dict:
             for key, val in _table(t, box).items():
                 _add(acc, key, val)
     else:
+        # d/dv takes v^e to e v^(e-1): read the body on the box moved up one in v
         i = box.index(expr.var)
-        for key, val in _table(expr.body, box.grown(expr.var, 1)).items():
-            shifted = key[:i] + (key[i] - 1,) + key[i + 1 :]
-            if key[i] and box.contains(shifted):
-                acc[shifted] = key[i] * val
+        up = box.shifted(tuple(-1 if v == expr.var else 0 for v in box.variables))
+        for key, val in _table(expr.body, up).items():
+            if key[i]:
+                acc[key[:i] + (key[i] - 1,) + key[i + 1 :]] = key[i] * val
     return acc
 
 

@@ -365,13 +365,20 @@ def _ref_complete_table(expr, variables):
     return out
 
 
+def _ref_grown(box, var):
+    """`box` with the bounds of `var` widened by one on each side."""
+    return ExponentBox(box.variables, tuple(
+        (lo - 1, hi + 1) if v == var else (lo, hi) for v, (lo, hi) in zip(box.variables, box.bounds)
+    ))
+
+
 def reference_expand(expr, box):
     """Coefficients of `expr` on `box` by per-key gathering (the old `expand`)."""
     extra = set(support_bounds(expr)) - set(box.variables)
     if extra:
         raise ContractError(f"expression uses variables {sorted(extra)} not in the box")
     if isinstance(expr, Deriv):
-        inner = reference_expand(expr.body, box.grown(expr.var, 1))
+        inner = reference_expand(expr.body, _ref_grown(box, expr.var))
         i = box.index(expr.var)
         out = {}
         for key in box.keys():
@@ -495,6 +502,266 @@ def test_a_product_of_sums_is_not_multiplied_out(monkeypatch):
     expr = parse_expression(" * ".join(["(x1 + x2)"] * 16))
     assert expand(expr, box2(-1, 17)).coeffs == {(a, 16 - a): binom(16, a) for a in range(17)}
     assert len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# hull oracle: the earlier product evaluator, kept here as a test-only
+# reference at box sizes where `reference_expand` is too slow.  It evaluates
+# a product's infinite factor on the hull box (the target box widened by the
+# whole span of the finite part), convolves that table with the finite one
+# and keeps the keys inside the box; its atoms compute every binomial afresh.
+
+
+def _hull_atom(expr, box):
+    if isinstance(expr, IotaPow):
+        (s1, v1), (s2, v2), (s3, v3) = (1, expr.first), (-1, expr.second), (1, None)
+        ns = (expr.n,)
+    else:
+        (s1, v1), (s2, v2) = expr.num if len(expr.num) == 2 else (expr.num[0], (1, None))
+        s3, v3 = expr.den
+        lo, hi = box.bounds[box.index(v3)]
+        ns = range(-hi, -lo + 1)
+    slots = (v1, v2, v3)
+    bounds = dict(zip(box.variables, box.bounds))
+    if any(not lo <= 0 <= hi for v, (lo, hi) in bounds.items() if v not in slots):
+        return {}
+    where = [slots.index(v) if v in slots else 3 for v in box.variables]
+    lo1, hi1 = bounds[v1]
+    lo2, hi2 = bounds[v2] if v2 else (0, 0)
+    out = {}
+    for n in ns:
+        mhi = min(hi2, n - lo1) if n < 0 else min(hi2, n - lo1, n)
+        for m in range(max(0, lo2, n - hi1), mhi + 1):
+            val = binom(n, m)
+            odd = ((s1 < 0) * (n - m) + (s2 < 0) * m + (s3 < 0) * n) % 2
+            exps = (n - m, m, -n, 0)
+            out[tuple(exps[j] for j in where)] = -val if odd else val
+    return out
+
+
+def _hull_convolve(a, b, box=None):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            if box is None or box.contains(key):
+                _ref_accumulate(out, key, v1 * v2)
+    return out
+
+
+def _hull_product(factors, box):
+    finite = [f for f in factors if _ref_is_finite(f)]
+    infinite = [f for f in factors if not _ref_is_finite(f)]
+    table = {(0,) * len(box.variables): 1}
+    for f in finite:
+        b = support_bounds(f)
+        full = ExponentBox(box.variables, tuple(b.get(v, (0, 0)) for v in box.variables))
+        table = _hull_convolve(table, _hull_table(f, full))
+    if not infinite:
+        return {k: v for k, v in table.items() if box.contains(k)}
+    if not table:
+        return {}
+    span = [(min(c), max(c)) for c in zip(*table)]
+    inner = ExponentBox(box.variables, tuple(
+        (lo - fhi, hi - flo) for (lo, hi), (flo, fhi) in zip(box.bounds, span)
+    ))
+    return _hull_convolve(table, _hull_table(infinite[0], inner), box)
+
+
+def _hull_table(expr, box):
+    if isinstance(expr, Monomial):
+        key = tuple(dict(expr.exps).get(v, 0) for v in box.variables)
+        return {key: expr.coeff} if expr.coeff and box.contains(key) else {}
+    if isinstance(expr, (IotaPow, DeltaAtom)):
+        return _hull_atom(expr, box)
+    if isinstance(expr, Product):
+        return _hull_product(expr.factors, box)
+    acc = {}
+    if isinstance(expr, Sum):
+        for t in expr.terms:
+            for key, val in _hull_table(t, box).items():
+                _ref_accumulate(acc, key, val)
+        return acc
+    i = box.index(expr.var)
+    for key, val in _hull_table(expr.body, _ref_grown(box, expr.var)).items():
+        shifted = key[:i] + (key[i] - 1,) + key[i + 1 :]
+        if key[i] and box.contains(shifted):
+            acc[shifted] = key[i] * val
+    return acc
+
+
+def hull_expand(expr, box):
+    """Coefficients of `expr` on `box` by the hull evaluator."""
+    support_bounds(expr)  # rejects an ill-formed product before evaluating
+    return _hull_table(expr, box)
+
+
+def _suite_expressions():
+    """The expressions `delta-suite` expands: both sides of its two identities
+    (three variables) and of its derivative transport (x1, x2)."""
+    t1, t2, t3 = jacobi_delta_terms()
+    two_lhs = Product((mono({"x1": -1}), delta_binomial("x2", "x0", "x1", s2=1)))
+    three_lhs = Sum((t1, Product((mono(coeff=-1), t2))))
+    kernel = Product((mono({"x2": -1}), delta_ratio("x1", "x2")))
+    transport = [Deriv("x1", kernel), Product((mono(coeff=-1), Deriv("x2", kernel)))]
+    return [two_lhs, three_lhs, t3], transport
+
+
+def _fundamental_products(rng, trials):
+    """Both products X delta(x1/x2) and X(x2,x2) delta(x1/x2) that
+    `fundamental_delta_property` expands, for the suite's random sections."""
+    from chiralva.cli import _random_window
+
+    out = []
+    for _ in range(trials):
+        table = _random_window(rng).coeffs
+        diag = {}
+        for (a, b), val in table.items():
+            _ref_accumulate(diag, (0, a + b), val)
+        for t in (table, diag):
+            x = Sum(tuple(mono({"x1": a, "x2": b}, val) for (a, b), val in t.items()))
+            out.append(Product((x, delta_ratio("x1", "x2"))))
+    return out
+
+
+def test_expand_matches_hull_oracle_on_the_delta_suite():
+    from chiralva.cli import DELTA_SUITE_SEED
+
+    three, two = _suite_expressions()
+    fundamental = _fundamental_products(random.Random(DELTA_SUITE_SEED), 20)
+    for exprs, box in ((three, box3(-20, 20)), (two + fundamental, box2(-20, 20))):
+        for expr in exprs:
+            assert expand(expr, box).coeffs == hull_expand(expr, box), expr
+
+
+def test_expand_matches_hull_oracle_on_delta_window_templates():
+    from chiralva.deltaparse import parse_expression
+
+    pairs = _load_delta_templates()
+    assert len(pairs) == 15
+    for lhs, rhs in pairs:
+        exprs = [parse_expression(lhs), parse_expression(rhs)]
+        used = set().union(*(support_bounds(e) for e in exprs))
+        box = ExponentBox.cube(tuple(v for v in ("x0", "x1", "x2") if v in used), -8, 8)
+        for expr in exprs:
+            assert expand(expr, box).coeffs == hull_expand(expr, box), expr
+
+
+# boxes whose variables have different bounds, none of them symmetric about 0;
+# the last one does not contain 0
+ASYMMETRIC_BOXES = (
+    ExponentBox(("x0", "x1"), ((-7, 2), (-1, 9))),
+    ExponentBox(("x0", "x1", "x2"), ((-4, 1), (-1, 5), (-3, 2))),
+    ExponentBox(("x1", "x2"), ((-8, -2), (1, 7))),
+)
+
+
+def _random_finite(rng, names, nested=True):
+    """A factor of finite support with several keys: a sum of monomials with
+    Fraction coefficients, a nonnegative iota power, or a product of both."""
+    kind = rng.randrange(3 if nested else 2)
+    if kind == 0:
+        return Sum(tuple(
+            mono({v: rng.randint(-3, 3) for v in rng.sample(names, rng.randint(1, len(names)))},
+                 Q(rng.choice((-5, -3, -1, 1, 2, 7)), rng.randint(1, 4)))
+            for _ in range(rng.randint(2, 3))
+        ))
+    if kind == 1:
+        return IotaPow(*rng.sample(names, 2), rng.randint(1, 3))
+    return Product((_random_finite(rng, names, False), _random_finite(rng, names, False)))
+
+
+def _random_infinite(rng, names, depth):
+    """A factor of infinite support: a delta or negative iota atom, or a Sum,
+    Product or Deriv around one."""
+    if depth == 0:
+        kind = rng.randrange(3 if len(names) == 3 else 2)
+        sign = lambda: rng.choice((1, -1))  # noqa: E731
+        if kind == 0:
+            return IotaPow(*rng.sample(names, 2), rng.randint(-3, -1))
+        if kind == 1:
+            return delta_ratio(*rng.sample(names, 2), sign(), sign())
+        return delta_binomial(*rng.sample(names, 3), sign(), sign(), sign())
+    kind = rng.randrange(3)
+    if kind == 0:
+        other = _random_finite(rng, names) if rng.random() < 0.5 else _random_infinite(rng, names, 0)
+        return Sum((_random_infinite(rng, names, depth - 1), other))
+    if kind == 1:
+        return Product((_random_finite(rng, names, False), _random_infinite(rng, names, depth - 1)))
+    return Deriv(rng.choice(names), _random_infinite(rng, names, depth - 1))
+
+
+def test_expand_matches_reference_on_asymmetric_boxes():
+    rng = random.Random(11)
+    seen = {}
+    for box in ASYMMETRIC_BOXES:
+        for _ in range(40):
+            finite = _random_finite(rng, box.variables)
+            infinite = _random_infinite(rng, box.variables, rng.randint(0, 2))
+            factors = [finite, infinite]
+            rng.shuffle(factors)
+            expr = Product(tuple(factors))
+            got = expand(expr, box).coeffs
+            assert got == reference_expand(expr, box), (expr, box)
+            several = len(_ref_complete_table(finite, box.variables)) > 1
+            kind = (type(infinite).__name__, several, bool(got))
+            seen[kind] = seen.get(kind, 0) + 1
+    # infinite factors of every kind, under finite parts of several keys, in
+    # products that are nonzero on the box
+    for name in ("IotaPow", "DeltaAtom", "Sum", "Product", "Deriv"):
+        assert seen.get((name, True, True), 0) >= 3, seen
+
+
+IOTA_8000 = "iota(x1,x2)^8000 * x2^-1 * delta(x1/x2)"
+
+
+def test_atoms_emit_only_keys_inside_their_box(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    from chiralva import formal
+    from chiralva.cli import main
+
+    emitted = []
+    atom = formal._atom
+
+    def checked(expr, box):
+        out = atom(expr, box)
+        for key, val in out.items():
+            assert box.contains(key) and type(val) is int, (expr, box, key, val)
+        emitted.append((expr, len(out)))
+        return out
+
+    monkeypatch.setattr(formal, "_atom", checked)
+    three, two = _suite_expressions()
+    for expr in three:
+        expand(expr, box3(-6, 6))
+    for expr in two:
+        expand(expr, box2(-6, 6))
+    rng = random.Random(5)
+    for box in ASYMMETRIC_BOXES:
+        for _ in range(20):
+            expand(Product((_random_finite(rng, box.variables), _random_infinite(rng, box.variables, 2))), box)
+    assert sum(n for _, n in emitted) > 1000
+
+    # the finite part is the iota's 8001 keys; the delta, evaluated on the box
+    # shifted by each of them, emits no key (the hull evaluator read it on a
+    # box 8000 wide)
+    emitted.clear()
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["delta-suite", "--box=-4:4", "--lhs", IOTA_8000, "--rhs", "x1"])
+    assert code == 1
+    assert buf.getvalue() == (
+        "delta-suite: exponent box [-4..4] per variable\n"
+        f"lhs: {IOTA_8000}\n"
+        "rhs: x1\n"
+        "custom-identity (user): FAIL, x1 in [-4..4], x2 in [-4..4]; "
+        "first witness: coefficient at (1, 0): 0 != 1\n"
+        "result: FAIL\n"
+    )
+    assert sum(n for expr, n in emitted if isinstance(expr, DeltaAtom)) == 0
+    assert sum(n for _, n in emitted) == 8001
 
 
 # ---------------------------------------------------------------------------
