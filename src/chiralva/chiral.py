@@ -20,8 +20,7 @@ sections off it, and is never cached.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from itertools import chain, product
 
 from .errors import ContractError
@@ -53,41 +52,33 @@ DiagSection = dict  # k -> Vector
 Diag3Section = dict  # (k, l) -> Vector
 
 
-@dataclass(frozen=True)
-class ChiralGenerator:
+class ChiralGenerator(namedtuple("ChiralGenerator", "n u v")):
     """(z1 - z2)^n (u (x) v), the generators the morphism acts on."""
 
-    n: int
-    u: Vector
-    v: Vector
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class ChiralData:
     """B-coefficient family on basis pairs: the m = 0 layer B^n_0(e_i, e_j)
     is the mode table `va` (basis, rank and D are its own), and explicit
-    layers m >= 1 are the overrides."""
+    layers m >= 1 are the overrides, (i, n, j, m) -> Vector."""
 
-    va: VAData  # over Q[z]
-    overrides: dict = field(default_factory=dict)  # (i, n, j, m) -> Vector
-    _cache: dict = field(default_factory=dict, repr=False)
-    _span: tuple | None = field(default=None, init=False, repr=False)  # effective_support()
-    _off: tuple | None = field(default=None, init=False, repr=False)  # off_recursion()
-
-    def __post_init__(self):
-        va = self.va
+    def __init__(self, va: VAData, overrides: dict | None = None, _cache: dict | None = None):
+        self.va = va  # over Q[z]
+        self.overrides = overrides = {} if overrides is None else overrides
+        self._cache = {} if _cache is None else _cache
         if va.coeff_ring != "Q[z]":
             raise ContractError(f"the m = 0 layer must be a table over Q[z], got {va.coeff_ring}")
-        check_table_shape(va.rank, va.basis_names, va.d_cols, self.overrides)
-        for key in self.overrides:
+        check_table_shape(va.rank, va.basis_names, va.d_cols, overrides)
+        for key in overrides:
             if key[3] < 1:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
-        points = [*(va.global_support() or ()), *(n + m for (_, n, _, m) in self.overrides)]
-        object.__setattr__(self, "_span", (min(points), max(points)) if points else None)
+        points = [*(va.global_support() or ()), *(n + m for (_, n, _, m) in overrides)]
+        self._span = (min(points), max(points)) if points else None  # effective_support()
         # m! val against the closed form, m! computed only where B^{m+n}_0 is stored
-        off = (key for key, val in self.overrides.items() if (closed := self._closed_form(*key))
+        off = (key for key, val in overrides.items() if (closed := self._closed_form(*key))
                != (vscale(factorial(key[3]), val) if closed else val))
-        object.__setattr__(self, "_off", min(off, default=None))
+        self._off = min(off, default=None)  # off_recursion()
 
     def effective_support(self) -> tuple[int, int] | None:
         """Range of B^{n+m}_0-positions touched by stored data, overrides included."""

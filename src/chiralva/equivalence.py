@@ -14,7 +14,7 @@ trip checks its input and the one translated object between, each once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chiral import ChiralData, check_all_chiral
 from .errors import ContractError
@@ -22,11 +22,8 @@ from .report import CheckReport
 from .vertex import VAData, check_all_va, equal_tables, tensor_with_ox
 
 
-@dataclass(frozen=True)
-class TranslationReport:
-    direction: str
-    passed: bool
-    witness: str | None = None
+class TranslationReport(namedtuple("TranslationReport", "direction passed witness", defaults=(None,))):
+    __slots__ = ()
 
     def headline(self) -> str:
         status = "EXACT" if self.passed else "MISMATCH"
@@ -38,7 +35,7 @@ class TranslationReport:
 
 def axiom_suite(data: VAData | ChiralData) -> tuple[CheckReport, ...]:
     """The axiom reports of `data` on the default window, computed once per
-    object (both data types are frozen)."""
+    object (neither data type is mutated after construction)."""
     if "suite" not in data._cache:
         run = check_all_va if isinstance(data, VAData) else check_all_chiral
         data._cache["suite"] = tuple(run(data))

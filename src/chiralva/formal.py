@@ -30,7 +30,7 @@ that check on the whole expression before evaluating anything.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, contains
 
@@ -47,24 +47,32 @@ _POS = float("inf")
 # boxes and windows
 
 
-@dataclass(frozen=True)
 class ExponentBox:
-    """Inclusive per-variable exponent bounds for a fixed ordered variable set."""
+    """Inclusive per-variable exponent bounds for a fixed ordered variable set;
+    boxes are equal when their variables and bounds are."""
 
-    variables: tuple[str, ...]
-    bounds: tuple[tuple[int, int], ...]
-    _ranges: tuple[range, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("variables", "bounds", "_ranges")
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.bounds):
+    def __init__(self, variables: tuple[str, ...], bounds: tuple[tuple[int, int], ...]):
+        if len(variables) != len(bounds):
             raise ContractError("one (lo, hi) bound pair per variable required")
-        for v in self.variables:
+        for v in variables:
             if v not in VARIABLES:
                 raise ContractError(f"unknown variable {v!r}")
-        for v, (lo, hi) in zip(self.variables, self.bounds):
+        for v, (lo, hi) in zip(variables, bounds):
             if lo > hi:
                 raise ContractError(f"empty bound [{lo}, {hi}] for {v}")
-        object.__setattr__(self, "_ranges", tuple(range(lo, hi + 1) for lo, hi in self.bounds))
+        self.variables, self.bounds = variables, bounds
+        self._ranges = tuple(range(lo, hi + 1) for lo, hi in bounds)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExponentBox and (self.variables, self.bounds) == (other.variables, other.bounds)
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.bounds))
+
+    def __repr__(self) -> str:
+        return f"ExponentBox(variables={self.variables!r}, bounds={self.bounds!r})"
 
     @classmethod
     def cube(cls, variables, lo: int, hi: int) -> "ExponentBox":
@@ -142,10 +150,11 @@ class Expr:
         return Product((self, other))
 
 
-@dataclass(frozen=True)
 class Monomial(Expr):
-    coeff: Fraction
-    exps: tuple[tuple[str, int], ...]  # sorted, nonzero exponents only
+    __slots__ = ("coeff", "exps")
+
+    def __init__(self, coeff: Fraction, exps: tuple[tuple[str, int], ...]):
+        self.coeff, self.exps = coeff, exps  # exps sorted, nonzero exponents only
 
     @classmethod
     def make(cls, coeff, exps: dict | None = None) -> "Monomial":
@@ -153,51 +162,54 @@ class Monomial(Expr):
         return cls(Q(coeff), items)
 
 
-@dataclass(frozen=True)
 class IotaPow(Expr):
     """(first - second)^n expanded in nonnegative powers of `second`."""
 
-    first: str
-    second: str
-    n: int
+    __slots__ = ("first", "second", "n")
 
-    def __post_init__(self):
-        if self.first == self.second:
+    def __init__(self, first: str, second: str, n: int):
+        if first == second:
             raise ContractError("iota expansion needs two distinct variables")
+        self.first, self.second, self.n = first, second, n
 
 
-@dataclass(frozen=True)
 class DeltaAtom(Expr):
-    """delta(num/den); num is one signed variable or a signed binomial."""
+    """delta(num/den); num is one signed variable ((sign, var),) or a signed
+    binomial ((s1, v1), (s2, v2)), den one signed variable (sign, var)."""
 
-    num: tuple[tuple[int, str], ...]  # ((sign, var),) or ((s1, v1), (s2, v2))
-    den: tuple[int, str]
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if len(self.num) not in (1, 2):
+    def __init__(self, num: tuple[tuple[int, str], ...], den: tuple[int, str]):
+        if len(num) not in (1, 2):
             raise ContractError("delta numerator must have one or two terms")
-        seen = {v for _, v in self.num} | {self.den[1]}
-        if len(seen) != len(self.num) + 1:
+        seen = {v for _, v in num} | {den[1]}
+        if len(seen) != len(num) + 1:
             raise ContractError("delta ratio variables must be distinct")
-        for s, _ in (*self.num, self.den):
+        for s, _ in (*num, den):
             if s not in (1, -1):
                 raise ContractError("delta term signs must be +1 or -1")
+        self.num, self.den = num, den
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        self.terms = terms
 
 
-@dataclass(frozen=True)
 class Product(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        self.factors = factors
 
 
-@dataclass(frozen=True)
 class Deriv(Expr):
-    var: str
-    body: Expr
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Expr):
+        self.var, self.body = var, body
 
 
 def mono(exps: dict | None = None, coeff=1) -> Monomial:
@@ -406,12 +418,8 @@ def iota_expand(first: str, second: str, n: int, box: ExponentBox) -> LaurentWin
 # identity checking
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    passed: bool
-    box: ExponentBox
-    diffs: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
-    note: str = ""
+class IdentityReport(namedtuple("IdentityReport", "passed box diffs note", defaults=("",))):
+    __slots__ = ()  # diffs: ((key, lhs coefficient, rhs coefficient), ...)
 
     @property
     def first_diff(self):

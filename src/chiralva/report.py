@@ -8,17 +8,11 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    label: str
-    passed: bool
-    window: str
-    witness: str | None = None
-    details: tuple[str, ...] = field(default_factory=tuple)
+class CheckReport(namedtuple("CheckReport", "name label passed window witness details", defaults=(None, ()))):
+    __slots__ = ()
 
     def headline(self) -> str:
         status = "PASS" if self.passed else "FAIL"

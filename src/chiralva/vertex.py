@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 from .errors import (
     ContractError,
@@ -170,53 +169,38 @@ def check_table_shape(rank: int, basis_names, d_cols, entries: dict) -> None:
             raise ContractError(f"structure value at {key} has an entry off the shape: {bad}")
 
 
-@dataclass(frozen=True, eq=False)
 class VAData:
-    """Structure constants, derivation matrix, and declared support bounds."""
+    """Structure constants (i, n, j) -> Vector, nonzero entries only, the derivation matrix
+    D(e_j) = d_cols[j], and support bounds (i, j) -> (n_min, n_max), derived when not given."""
 
-    rank: int
-    coeff_ring: str
-    basis_names: tuple[str, ...]
-    structure: dict  # (i, n, j) -> Vector, nonzero entries only
-    d_cols: tuple[Vector, ...]  # D(e_j) = d_cols[j]
-    support: dict = field(default_factory=dict)  # (i, j) -> (n_min, n_max)
-    _cache: dict = field(default_factory=dict, repr=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False)  # (i, n) -> {j: entry}
-    _cols: dict = field(default_factory=dict, init=False, repr=False)  # (n, j) -> {i: entry}
-    _dmap: dict = field(default_factory=dict, init=False, repr=False)  # {j: D(e_j)}, nonzero only
-    _span: tuple | None = field(default=None, init=False, repr=False)  # global_support()
-    _scale: int = field(default=1, init=False, repr=False)  # L: lcm of the scalars' denominators
-    _pairs: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> [(n, L * entry)]
-    _triples: tuple = field(default=(), init=False, repr=False)  # indexed_triples()
-
-    def __post_init__(self):
-        if self.coeff_ring not in COEFF_RINGS:
+    def __init__(self, rank: int, coeff_ring: str, basis_names: tuple[str, ...], structure: dict,
+                 d_cols: tuple[Vector, ...], support: dict | None = None, _cache: dict | None = None):
+        if coeff_ring not in COEFF_RINGS:
             raise ContractError(f"coeff_ring must be one of {COEFF_RINGS}")
-        check_table_shape(self.rank, self.basis_names, self.d_cols, self.structure)
-        for (i, j) in self.support:
-            if not (0 <= i < self.rank and 0 <= j < self.rank):
+        check_table_shape(rank, basis_names, d_cols, structure)
+        for (i, j) in support or ():
+            if not (0 <= i < rank and 0 <= j < rank):
                 raise ContractError(f"support bounds index out of range: {(i, j)}")
-        clean = {k: v for k, v in self.structure.items() if v}
-        object.__setattr__(self, "structure", clean)
-        L = math.lcm(*(x.denominator for vec in clean.values() for x in vec.values()))
-        object.__setattr__(self, "_scale", L)
+        self.rank, self.coeff_ring, self.basis_names, self.d_cols = rank, coeff_ring, basis_names, d_cols
+        self.structure = clean = {k: v for k, v in structure.items() if v}
+        self._cache = {} if _cache is None else _cache
+        # L: the lcm of the scalars' denominators
+        self._scale = L = math.lcm(*(x.denominator for vec in clean.values() for x in vec.values()))
+        # (i, n) -> {j: entry}, (n, j) -> {i: entry} and (i, j) -> [(n, L * entry)]
+        self._rows, self._cols, self._pairs = {}, {}, {}
         for (i, n, j), val in clean.items():
             self._rows.setdefault((i, n), {})[j] = val
             self._cols.setdefault((n, j), {})[i] = val
             self._pairs.setdefault((i, j), []).append(
                 (n, val if L == 1 else {cd: int(L * x) for cd, x in val.items()}))
-        object.__setattr__(self, "_triples", _index_triples(self._pairs))
-        self._dmap.update((j, col) for j, col in enumerate(self.d_cols) if col)
-        if self.coeff_ring == "Q" and self.max_degree() > 0:
+        self._triples = _index_triples(self._pairs)  # indexed_triples()
+        self._dmap = {j: col for j, col in enumerate(d_cols) if col}  # nonzero D(e_j) only
+        if coeff_ring == "Q" and self.max_degree() > 0:
             raise ContractError("coeff_ring Q admits constant coordinates only")
-        if not self.support:
-            derived = {}
-            for (i, n, j) in self.structure:
-                lo, hi = derived.get((i, j), (n, n))
-                derived[(i, j)] = (min(lo, n), max(hi, n))
-            object.__setattr__(self, "support", derived)
+        self.support = support or {ij: (min(n for n, _ in entries), max(n for n, _ in entries))
+                                   for ij, entries in self._pairs.items()}
         ns = [n for (_, n, _) in clean]
-        object.__setattr__(self, "_span", (min(ns), max(ns)) if ns else None)
+        self._span = (min(ns), max(ns)) if ns else None  # global_support()
 
     def mode(self, i: int, n: int, j: int) -> Vector:
         return self.structure.get((i, n, j), {})
@@ -612,10 +596,13 @@ def _associativity_witness(V: VAData, b: int) -> str | None:
 def closure_witness(V: VAData, a: int, b: int) -> str | None:
     """First failure of the two certificates that close the Jacobi identity
     over Z^3 for a table supported in [a..b]: operator commutativity, then
-    the composition identity.  None when both hold."""
+    the composition identity.  None when both hold.  Kept in the object's
+    cache under b, the only bound they read: a round trip runs them once."""
     if not V.structure:
         return None
-    return _locality_witness(V) or _associativity_witness(V, b)
+    if ("closure", b) not in V._cache:
+        V._cache["closure", b] = _locality_witness(V) or _associativity_witness(V, b)
+    return V._cache["closure", b]
 
 
 def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckReport:

@@ -813,8 +813,9 @@ def test_checks_and_compositions_read_one_table_per_triple(monkeypatch):
     # On tables whose structure scalars are not integers (random-2 with
     # L = 9, ladder order 6 with L = 24), both axiom suites and the two
     # compositions read one integer table per basis triple, kept in the
-    # object's cache, and construct no other VAData.
-    real_modes, real_init = vertex.integer_modes, VAData.__post_init__
+    # object's cache beside the D-orbits and the one closure verdict, and
+    # construct no other VAData.
+    real_modes, real_init = vertex.integer_modes, VAData.__init__
     cases = [dict(corpus())["random-2"], tensor_with_ox(truncated_poly_va(6, [0, 0, 1, Q(1, 2)]))]
     for V, L in zip(cases, (9, 24)):
         assert V._scale == lcm_scale(V) == L
@@ -826,13 +827,13 @@ def test_checks_and_compositions_read_one_table_per_triple(monkeypatch):
             read.add(triple)
             return real_modes(va, *triple)
 
-        def constructing(self):
+        def constructing(self, *args, **kwargs):
             built.append(self)
-            real_init(self)
+            real_init(self, *args, **kwargs)
 
         for module in (vertex, chiral):
             monkeypatch.setattr(module, "integer_modes", recording)
-        monkeypatch.setattr(VAData, "__post_init__", constructing)
+        monkeypatch.setattr(VAData, "__init__", constructing)
         reports = check_all_va(V) + check_all_chiral(A)
         gens = (unit(1), unit(2), unit(0))
         sections = compose_left(A, -3, -2, -1, *gens), compose_right(A, -3, -2, -1, *gens)
@@ -841,7 +842,7 @@ def test_checks_and_compositions_read_one_table_per_triple(monkeypatch):
         assert built == []
         assert read == set(V.indexed_triples())
         assert {key for key in V._cache if key[0] == "modes"} == {("modes", *t) for t in read}
-        assert set(V._cache) - {("modes", *t) for t in read} == {"orbits"}
+        assert set(V._cache) - {("modes", *t) for t in read} == {"orbits", ("closure", V.global_support()[1])}
 
 
 def test_keyed_sweep_matches_generator_loop_on_mutants():

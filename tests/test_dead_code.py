@@ -5,10 +5,14 @@ Fails when a module-level import of a package module (other than
 when a module-level `_private` function or class is referenced nowhere in
 the package besides its own definition.  Also keeps the checkers on the
 one sparse vector type: the modules that compute with vectors never name
-`Poly`, and the dense-vector helpers stay gone.
+`Poly`, and the dense-vector helpers stay gone; and keeps `dataclasses`
+(which imports `inspect`) off the import path of the CLI.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -88,3 +92,20 @@ def test_dense_vector_helpers_are_gone():
                 defined.append((name, node.id))
     gone = [f"{name}: {x}" for name, x in defined if x in ("vzero", "vconst", "_scalars")]
     assert not gone, gone
+
+
+def test_no_module_imports_dataclasses():
+    importing = [f"{name}: line {node.lineno}" for name, tree in MODULES.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 or isinstance(node, ast.Import) and "dataclasses" in (a.name for a in node.names)]
+    assert not importing, importing
+
+
+def test_a_fresh_cli_import_leaves_dataclasses_unloaded():
+    # `dataclasses` and the `inspect` it imports were about half of the
+    # start-up time that is not the interpreter's own
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    code = "import sys, chiralva.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -125,6 +125,27 @@ def test_roundtrip_builds_each_triple_table_once(monkeypatch):
         assert +built and set((+built).values()) == {1}, name
 
 
+def test_roundtrip_runs_each_closure_certificate_once(monkeypatch, capsys, tmp_path):
+    # The VA suite and the chiral suite of a round trip both close the
+    # Jacobi identity on one m = 0 table, whose cache keeps the certificates'
+    # verdict, so each certificate runs once, from a VA document (random-2)
+    # and from a chiral one.
+    calls = Counter()
+    for name in ("_locality_witness", "_associativity_witness"):
+        def counting(*args, _name=name, _real=getattr(vertex, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(vertex, name, counting)
+    random2 = tmp_path / "random-2.json"
+    random2.write_text(serialize.dumps(dict(corpus())["random-2"]), encoding="utf-8")
+    for path in (random2, ROOT / "fixtures" / "a3_chiral.json"):
+        calls.clear()
+        assert main(["roundtrip", str(path)]) == 0
+        assert "roundtrip: EXACT" in capsys.readouterr().out
+        assert calls == {"_locality_witness": 1, "_associativity_witness": 1}, path
+
+
 def test_roundtrip_reads_a_q_table_over_q_z_once(monkeypatch, capsys):
     # `roundtrip fixtures/a3.json` indexes the triples of the loaded Q table
     # and of its one Q[z] reading, which goes to a chiral algebra and back;

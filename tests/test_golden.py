@@ -30,8 +30,9 @@ from chiralva.vertex import bump_structure_constant, tensor_with_ox
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-VA_FILES = ("a3", "a3_mutated", "a3_qz", "trivial")
-CHIRAL_FILES = ("a3_chiral",)
+# ideal_t3 is the ideal (t) of Q[t]/(t^4) with D = t^2 d/dt: a member without a unit
+VA_FILES = ("a3", "a3_mutated", "a3_qz", "trivial", "ideal_t3")
+CHIRAL_FILES = ("a3_chiral", "ideal_t3_chiral")
 
 # (golden file stem, argv, expected exit code); paths are relative to the root
 CASES = (
