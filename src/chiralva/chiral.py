@@ -14,14 +14,14 @@ layer, which ChiralData stores as the mode table it is, a VAData over Q[z]
 (u_n v = B^n_0(u, v), with the same D); explicit layers m >= 1 (negative
 controls, files with full layers) are kept beside it, as given.  A
 composition such as mu(mu(u, v), w) is mu applied to the section mu(u, v):
-it reads iterated modes of the m = 0 layer on the recursion, contracts
-sections off it, and is never cached.
+it reads iterated modes of the m = 0 layer, is never cached, and is defined
+on the recursion only, where mu is O-linear.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from itertools import chain, product
+from itertools import chain
 
 from .errors import ContractError
 from .exact import Q, binom, factorial, inv_factorial
@@ -41,7 +41,6 @@ from .vertex import (
     merge_window,
     pair_name,
     triple_name,
-    unit,
     vadd,
     vscale,
 )
@@ -206,29 +205,22 @@ def _compose_left_basis(
     A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int
 ) -> Diag3Section:
     """mu(mu(u, v), w) on basis vectors: the (z1-z3)^{m3} expansion reads
-    binom(m3 + k, i) times B^{n2}(B^{m1+i-k}_k(u, v), w), n2 = m2 + m3 + k - i.
-    On the recursion its divided layer l is (-1)^(k+l) (u_{m1+i} v)_{n2+l} w,
-    from the triple's `integer_modes` times 1/L^2; off it, the divided inner
-    layer is contracted with the sections B^{n2}(e_p, w)."""
+    binom(m3 + k, i) times B^{n2}(B^{m1+i-k}_k(u, v), w), n2 = m2 + m3 + k - i,
+    whose divided layer l is (-1)^(k+l) (u_{m1+i} v)_{n2+l} w, from the
+    triple's `integer_modes` times 1/L^2."""
     rng = A.effective_support()
     if rng is None:
         return {}
     lo, hi = rng
-    modes = None if A.off_recursion() else integer_modes(A.va, iu, iv, iw)[0]
+    modes = integer_modes(A.va, iu, iv, iw)[0]
     unscale = _unscale(A.va)
     out: Diag3Section = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         top = hi - m2 - m3 + i
         # binom(m3 + k, i) vanishes exactly for 0 <= m3 + k < i: skip that gap
         for k in chain(range(min(top, -m3 - 1) + 1), range(max(0, i - m3), top + 1)):
-            c = binom(m3 + k, i)
             n2 = m2 + m3 + k - i
-            if modes is None:
-                inner = vscale(c, A.b_layer(iu, m1 + i - k, iv, k))
-                for l, vec in diag_contract(inner, lambda p: A.basis_section(p, n2, iw)).items():
-                    accumulate(out, (k, l), vec)
-                continue
-            c *= -unscale if k % 2 else unscale
+            c = binom(m3 + k, i) * (-unscale if k % 2 else unscale)
             for l in range(max(0, lo - n2), hi - n2 + 1):
                 dbl = modes.get((m1 + i, n2 + l))
                 if dbl is not None:
@@ -241,15 +233,13 @@ def _compose_right_basis(
 ) -> Diag3Section:
     """mu(u, mu(v, w)) on basis vectors: the (z1-z2)^{m1} expansion reads
     (-1)^i binom(m1, i) times B^{n1}(u, B^{n2}(v, w)), n1 = m1 + m3 - i and
-    n2 = m2 + i.  On the recursion its divided layer (k, l) is
-    (-1)^(k+l) u_{n1+k} (v_{n2+l} w), from the triple's `integer_modes`
-    times 1/L^2; off it, each divided layer l of B^{n2}(v, w) is contracted
-    with the sections B^{n1}(u, e_p)."""
+    n2 = m2 + i, whose divided layer (k, l) is (-1)^(k+l) u_{n1+k} (v_{n2+l} w),
+    from the triple's `integer_modes` times 1/L^2."""
     rng = A.effective_support()
     if rng is None:
         return {}
     lo, hi = rng
-    modes = None if A.off_recursion() else integer_modes(A.va, iu, iv, iw)[1]
+    modes = integer_modes(A.va, iu, iv, iw)[1]
     unscale = _unscale(A.va)
     out: Diag3Section = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
@@ -258,12 +248,6 @@ def _compose_right_basis(
             continue
         n1 = m1 + m3 - i
         n2 = m2 + i
-        if modes is None:
-            for l, inner in A.basis_section(iv, n2, iw).items():
-                sec = diag_contract(vscale(c, inner), lambda p: A.basis_section(iu, n1, p))
-                for k, vec in sec.items():
-                    accumulate(out, (k, l), vec)
-            continue
         for l in range(max(0, lo - n2), hi - n2 + 1):
             cl = c * (-unscale if l % 2 else unscale)
             for k in range(max(0, lo - n1), hi - n1 + 1):
@@ -274,13 +258,16 @@ def _compose_right_basis(
 
 
 def _bilinear3(A: ChiralData, core, m1, m2, m3, u: Vector, v: Vector, w: Vector) -> Diag3Section:
+    if (off := o_linearity_witness(A)) is not None:
+        raise ContractError(off)
     return diag_contract(u, lambda iu: diag_contract(v, lambda iv: diag_contract(
         w, lambda iw: core(A, m1, m2, m3, iu, iv, iw))))
 
 
 def compose_left(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector) -> Diag3Section:
     """mu(mu(.,.),.) on a triple generator, expanding (z1-z3)^{m3} in
-    nonnegative powers of z1-z2; finite by the support bounds."""
+    nonnegative powers of z1-z2; finite by the support bounds.  Both
+    compositions raise ContractError off the recursion."""
     return _bilinear3(A, _compose_left_basis, m1, m2, m3, u, v, w)
 
 
@@ -294,9 +281,25 @@ def compose_right(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector
 # axiom checkers
 
 
+def o_linearity_witness(A: ChiralData) -> str | None:
+    """None on the recursion.  Off it mu is not O-linear, hence no D-module
+    morphism, and chiral skew, chiral-Jacobi and the compositions are not
+    defined: the text names the layer `off_recursion()` finds."""
+    key = A.off_recursion()
+    if key is None:
+        return None
+    i, n, j, m = key
+    return (f"mu is not O-linear: explicit layer ({pair_name(A.va, i, j)}, n={n}, m={m}) "
+            "disagrees with the recursion")
+
+
+NOT_SWEPT = "not swept: off the recursion, mu is not a D-module morphism"
+
+
 def _sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
     """The exponents n at which skew and the D-module check compare sections:
-    the window and the neighbours of every explicit layer.  On the recursion,
+    the window and the neighbours of every explicit layer, all of them only
+    for the D-module check off the recursion.  On the recursion,
     layer j of each difference section at n is a sign times one quantity
     of the key n + j, so the section at the least n compares every
     key a later n would, and is the only one compared."""
@@ -384,62 +387,36 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v), since d2 sends degree 0
     to D at degree 0 and explicit layers have m >= 1."""
     name, label = "chiral-skew", "sigma12"
+    if (off := o_linearity_witness(A)) is not None:
+        return CheckReport(name, label, False, NOT_SWEPT, off)
     rng = A.effective_support()
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo0, hi0 = rng if rng else (0, -1)
     kill = d_kill_bound(A.va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
-    ns = _sweep_ns(A, lo, hi)
+    n, = _sweep_ns(A, lo, hi)  # on the recursion, one section per pair
     for i in range(A.va.rank):
         for j in range(A.va.rank):
-            for n in ns:
-                sec_vu = A.basis_section(j, n, i)
-                top = max(sec_vu, default=0)
-                route, weight = {}, 1  # weight M!/m! for M = top, and M! after the pass
-                for m in range(top, -1, -1):
-                    route = diag_apply_d2(A, route)
-                    if m in sec_vu:
-                        accumulate(route, 0, vscale(weight, sec_vu[m]))
-                    weight *= m or 1
-                if route != diag_scale(weight if n % 2 else -weight, A.basis_section(i, n, j)):
-                    return CheckReport(
-                        name, label, False, f"window n in [{lo}..{hi}]",
-                        f"({pair_name(A.va, i, j)}, n={n})",
-                    )
+            sec_vu = A.basis_section(j, n, i)
+            top = max(sec_vu, default=0)
+            route, weight = {}, 1  # weight M!/m! for M = top, and M! after the pass
+            for m in range(top, -1, -1):
+                route = diag_apply_d2(A, route)
+                if m in sec_vu:
+                    accumulate(route, 0, vscale(weight, sec_vu[m]))
+                weight *= m or 1
+            if route != diag_scale(weight if n % 2 else -weight, A.basis_section(i, n, j)):
+                return CheckReport(
+                    name, label, False, f"window n in [{lo}..{hi}]",
+                    f"({pair_name(A.va, i, j)}, n={n})",
+                )
     return CheckReport(
         name, label, True,
         f"window n in [{lo}..{hi}]; every generator bundles the component "
         f"identities at m >= n, and terms vanish below the window "
         f"(support [{lo0}..{hi0}], D-kill bound {kill})",
     )
-
-
-def _generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
-    """The first witness over the box [blo..bhi]^3, or None, generator by
-    generator; the sweep for families off the recursion.  A right composition
-    is read at its generator and, permuted, at its sigma12 partner's; it is
-    computed at the first read and waits in `pending` for the second."""
-    pending: dict = {}
-
-    def right(*key):
-        hit = pending.pop(key, None)
-        if hit is None:
-            hit = pending[key] = _compose_right_basis(A, *key)
-        return hit
-
-    for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
-        if m1 + m2 + m3 > 2 * hi:
-            continue  # every layer of every composition is empty here
-        for iu, iv, iw in product(range(A.va.rank), repeat=3):
-            left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
-            sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
-            # the composition computed on swapped coordinates returns its
-            # derivative degrees transposed
-            perm = diag3_transpose(right(p1, p2, p3, iv, iu, iw))
-            if left != diag_add(right(m1, m2, m3, iu, iv, iw), diag_scale(-sign, perm)):
-                return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})"
-    return None
 
 
 def _scatter_binoms(m1: int, blo: int, lo: int, hi: int) -> tuple:
@@ -491,34 +468,43 @@ def _key_scatter(m1: int, blo: int, tables, binoms) -> dict:
     return acc
 
 
-def _keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
-    """The generator sweep on the recursion closed form, one key at a time: entry
-    (k, l) of the compositions at (m1, m2, m3) is (-1)^(k+l) times the
-    key (m1, m3+k, m2+l), so the first failing generator has m2 = m3 = blo.
-    The sweep walks the indexed triples (`VAData.indexed_triples`; every
-    other triple has empty tables), reads each one's integer tables
-    (`integer_modes`) when it reaches the triple, and scatters them to the
-    keys of the current m1; a key is zero exactly when it is zero on the
-    exact tables.  Returns like `_generator_sweep`."""
+def _keyed_sweep(A: ChiralData, blo: int, lo: int, hi: int):
+    """The first failing generator of the box [blo..bhi]^3, or None, one key
+    at a time.  Entry (k, l) of the compositions at (m1, m2, m3) is
+    (-1)^(k+l) times the key (m1, m3+k, m2+l), the coefficient of lhs - rhs
+    at z12^m1 z13^M z23^N, so (m1, blo, blo) reads every key of its m1.  The
+    compositions are O-linear, so z13 = z12 + z23 gives, per basis triple,
+
+        K(m1+1, M, N) = K(m1, M+1, N) - K(m1, M, N+1),
+
+    which reads slice m1 only at M, N >= blo, where `_key_scatter` gives
+    every key its exact value: slice blo carries to the whole box, and if it
+    is zero every key is.  So only slice blo is scattered, triple by triple
+    in index order (`VAData.indexed_triples`; other triples have empty
+    tables), reading each triple's `integer_modes` when the sweep reaches
+    it; the first triple with a nonzero key fails at m1 = m2 = m3 = blo."""
     va = A.va
-    for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
-        binoms = _scatter_binoms(m1, blo, lo, hi)
-        for iu, iv, iw in va.indexed_triples():
-            tables = (*integer_modes(va, iu, iv, iw), integer_modes(va, iv, iu, iw)[1])
-            if any(_key_scatter(m1, blo, tables, binoms).values()):
-                return f"({triple_name(va, iu, iv, iw)}, m1={m1}, m2={blo}, m3={blo})"
+    binoms = _scatter_binoms(blo, blo, lo, hi)
+    for iu, iv, iw in va.indexed_triples():
+        tables = (*integer_modes(va, iu, iv, iw), integer_modes(va, iv, iu, iw)[1])
+        if any(_key_scatter(blo, blo, tables, binoms).values()):
+            return f"({triple_name(va, iu, iv, iw)}, m1={blo}, m2={blo}, m3={blo})"
     return None
 
 
-def _chiral_jacobi(A: ChiralData, window, sweep) -> CheckReport:
+def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
+    """Composition Jacobi identity on triple generators over the safe box,
+    closed over all exponent triples by the m = 0 layer certificates."""
     name, label = "chiral-jacobi", "comp-jac"
+    if (off := o_linearity_witness(A)) is not None:
+        return CheckReport(name, label, False, NOT_SWEPT, off)
     rng = A.effective_support()
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo, hi = rng if rng else (0, -1)
     span = hi - lo + 1
     blo, bhi = merge_window(lo - span, hi + span, window)
-    witness = sweep(A, blo, bhi, lo, hi)
+    witness = _keyed_sweep(A, blo, lo, hi)
     if witness is not None:
         return CheckReport(name, label, False, f"window (m1,m2,m3) in [{blo}..{bhi}]^3", witness)
     witness = closure_witness(A.va, lo, hi)
@@ -532,12 +518,6 @@ def _chiral_jacobi(A: ChiralData, window, sweep) -> CheckReport:
         f"({swept} generator triples); larger exponents give empty sections; "
         "m=0 layer certificates close the identity over Z^3 given the recursion",
     )
-
-
-def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
-    """Composition Jacobi identity on triple generators over the safe box,
-    closed over all exponent triples by the m = 0 layer certificates."""
-    return _chiral_jacobi(A, window, _generator_sweep if A.off_recursion() else _keyed_sweep)
 
 
 def check_all_chiral(A: ChiralData, window=None) -> list[CheckReport]:

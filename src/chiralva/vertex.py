@@ -511,18 +511,22 @@ def _jacobi_slices(lo: int, hi: int, a: int, reach: list):
     J(l-1, m, n+1), which holds on any table: it fills every point with
     m < hi and n < hi from the previous slice, and only the top edge
     (m = hi or n = hi) is computed, by `_jacobi_edge` from one list of the
-    entries sorted once per sweep.  The carry starts at l = min(lo, 2a - 2hi)
-    from an empty slice: every entry has p, q >= a, so on the slice before
-    it reaches only m + n = p + q - l > 2hi, outside the window.  Slices
-    below lo are carried, not yielded."""
+    entries sorted once per sweep.  The carry starts at l = 2a - 2hi from an
+    empty slice: every entry has p, q >= a, so on any slice below it reaches
+    only m + n = p + q - l > 2hi, outside the window.  Slices from lo up to
+    that start are yielded empty, unscattered; slices below lo are carried,
+    not yielded."""
     held: dict = {}
     for t, (_, *tables) in enumerate(reach):
         for table, modes in enumerate(tables):
             for (p, q), xs in modes.items():
                 held.setdefault((p + q, table, p, q), []).append((t, xs))
     entries = sorted(held.items(), reverse=True)
+    start = 2 * a - 2 * hi
+    for l in range(lo, min(start, hi + 1)):
+        yield l, {}
     prev: dict = {}
-    for l in range(min(lo, 2 * a - 2 * hi), hi + 1):
+    for l in range(start, hi + 1):
         acc = _jacobi_edge(l, lo, hi, entries)
         for (m, n, t, cd), x in prev.items():
             if m > lo and n < hi:

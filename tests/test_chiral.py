@@ -1,19 +1,18 @@
 import io
 import random
-from collections import Counter
-from contextlib import redirect_stdout
+from collections import Counter, defaultdict
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import pytest
 
 from chiralva import chiral, serialize, vertex
 from chiralva.chiral import (
+    NOT_SWEPT,
     ChiralData,
     ChiralGenerator,
-    _chiral_jacobi,
     _compose_left_basis,
     _compose_right_basis,
-    _generator_sweep,
     _key_scatter,
     _keyed_sweep,
     _scatter_binoms,
@@ -37,6 +36,7 @@ from chiralva.chiral import (
 )
 from chiralva.cli import main
 from chiralva.equivalence import axiom_suite, va_to_chiral
+from chiralva.errors import ContractError
 from chiralva.exact import Q, binom, inv_factorial
 from chiralva.fixtures import a3_basis_changed, a3_va, corpus, tensor_product, truncated_poly_va
 from chiralva.report import CheckReport
@@ -61,7 +61,16 @@ from chiralva.vertex import (
     vscale,
 )
 from test_vertex import d_power, lcm_scale, reference_iterated_modes
-from ordinary_powers import apply_d1, apply_d2, divided, mul_z12, ordinary_b_layer, ordinary_basis_section
+from ordinary_powers import (
+    apply_d1,
+    apply_d2,
+    divided,
+    mul_z12,
+    ordinary_b_layer,
+    ordinary_basis_section,
+    ordinary_compose_left_basis,
+    ordinary_compose_right_basis,
+)
 
 
 def a3_chiral() -> ChiralData:
@@ -284,8 +293,9 @@ def test_compose_left_vanishes_for_regular_exponents():
 
 def left_term_rule(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
     """k! l! B^{n2}_l(B^{n1}_k(e_iu, e_iv), e_iw) as (scalar, vector), or None
-    if zero, one term at a time: from the triple's (u_p v)_q w table `modes`
-    on the recursion, and through a rank-wide layer map off it (modes None)."""
+    if zero, one term at a time: from the triple's (u_p v)_q w table `modes`,
+    or through a rank-wide layer map, which reads explicit layers (the layer
+    rule, modes None)."""
     if modes is not None:
         dbl = modes.get((n1 + k, n2 + l))
         return None if dbl is None else ((-1) ** (k + l), dbl)
@@ -305,11 +315,12 @@ def right_term_rule(A: ChiralData, modes, iu, n1, k, iv, n2, l, iw):
     return (1, outer) if outer else None
 
 
-def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
+def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw, layers=False) -> dict:
     """`_compose_left_basis` term by term (`left_term_rule`), walking every
-    k of [0, hi - m2 - m3 + i], the zeros of binom(m3 + k, i) included."""
+    k of [0, hi - m2 - m3 + i], the zeros of binom(m3 + k, i) included; by
+    the layer rule if `layers`."""
     lo, hi = A.effective_support()
-    left = None if A.off_recursion() else reference_iterated_modes(A.va, iu, iv, iw)[0]
+    left = None if layers else reference_iterated_modes(A.va, iu, iv, iw)[0]
     out: dict = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         for k in range(0, hi - m2 - m3 + i + 1):
@@ -325,10 +336,11 @@ def walking_compose_left_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
     return {key: val for key, val in out.items() if val}
 
 
-def term_rule_compose_right_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict:
-    """`_compose_right_basis` term by term (`right_term_rule`)."""
+def term_rule_compose_right_basis(A: ChiralData, m1, m2, m3, iu, iv, iw, layers=False) -> dict:
+    """`_compose_right_basis` term by term (`right_term_rule`); by the layer
+    rule if `layers`."""
     lo, hi = A.effective_support()
-    right = None if A.off_recursion() else reference_iterated_modes(A.va, iu, iv, iw)[1]
+    right = None if layers else reference_iterated_modes(A.va, iu, iv, iw)[1]
     out: dict = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
@@ -343,13 +355,11 @@ def term_rule_compose_right_basis(A: ChiralData, m1, m2, m3, iu, iv, iw) -> dict
 
 def test_compose_left_skips_the_vanishing_binomials():
     # equal to the term-by-term loop over every k on [-12..4]^3 for a3, and
-    # for a family off the recursion (the layer rule) on a smaller box
+    # for a3-basis-change with a redundant explicit layer on a smaller box
     A = a3_chiral()
-    off = bump_b_entry(A, 1, -3, 1, 1, 2)
-    assert off.off_recursion() is not None
     nonzero = 0
     for B, box, triples in ((A, range(-12, 5), [(1, 1, 1), (1, 1, 2), (2, 1, 0)]),
-                            (off, range(-6, 3), [(1, 1, 1), (1, 1, 0)])):
+                            (redundant_layer("a3-basis-change"), range(-6, 3), [(1, 1, 1), (1, 1, 0)])):
         for ms in product(box, repeat=3):
             for triple in triples:
                 want = walking_compose_left_basis(B, *ms, *triple)
@@ -358,29 +368,35 @@ def test_compose_left_skips_the_vanishing_binomials():
     assert nonzero > 100
 
 
-def test_compositions_off_the_recursion_match_the_term_rules():
-    # Off the recursion the compositions contract whole sections; the
-    # term-by-term layer rule, one rank-wide layer map per term, is the
-    # oracle, on every basis triple of a box around the support.
-    nonzero = 0
-    for B in (bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2),
-              bump_b_entry(va_to_chiral(a3_basis_changed(seed=7), checked=False), 0, -2, 1, 2, 1)):
-        assert B.off_recursion() is not None
-        for ms in product(range(-3, 1), repeat=3):
-            for triple in product(range(B.va.rank), repeat=3):
-                want = term_rule_compose_right_basis(B, *ms, *triple)
-                assert _compose_right_basis(B, *ms, *triple) == want, (ms, triple)
-                assert _compose_left_basis(B, *ms, *triple) == walking_compose_left_basis(B, *ms, *triple)
-                nonzero += bool(want)
-    assert nonzero > 100
+def test_compositions_refuse_a_family_off_the_recursion(tmp_path):
+    # Off the recursion mu is not O-linear, so neither composition is
+    # defined: both raise, naming the layer, and compose-diff exits 2 with
+    # the same text.
+    cases = ((bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2), "(u=t, v=t, n=-3, m=1)"),
+             (bump_b_entry(va_to_chiral(a3_basis_changed(seed=7), checked=False), 0, -2, 1, 2, 1),
+              "n=-2, m=2)"))
+    for B, where in cases:
+        text = chiral.o_linearity_witness(B)
+        assert text.startswith("mu is not O-linear: explicit layer (") and where in text
+        assert text.endswith(") disagrees with the recursion")
+        for core in (compose_left, compose_right):
+            with pytest.raises(ContractError) as err:
+                core(B, -1, -1, -1, unit(0), unit(1), unit(0))
+            assert str(err.value) == text
+    path = tmp_path / "layer.json"
+    path.write_text(serialize.dumps(cases[0][0]), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["compose-diff", str(path), "-1", "-1", "-1", "1", "t", "1"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"contract error: {chiral.o_linearity_witness(cases[0][0])}\n"
 
 
 def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
     # compose-diff at m1 = -10^6 used to walk about 10^6 values of k per i,
     # on (u, v, w) = (1, t, t) as here.  The terms are left out (a nonempty
     # section at m1 = -10^6 is large): the stubs count what the loop reads,
-    # the iterated-mode table entries on the recursion and the inner layers
-    # off it, and return zero.
+    # the iterated-mode table entries, and return zero.
     calls = Counter()
 
     def counting(n, m):
@@ -392,22 +408,16 @@ def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
             calls[m1, "term"] += 1
             return default
 
-    def no_layer(self, *key):
-        calls[m1, "term"] += 1
-        return {}
-
-    off = bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)
     monkeypatch.setattr(chiral, "binom", counting)
     monkeypatch.setattr(chiral, "integer_modes", lambda va, *triple: (NoEntries(), NoEntries()))
-    monkeypatch.setattr(ChiralData, "b_layer", no_layer)
-    for A in (a3_chiral(), off):
-        for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
-            for m1 in (-10, -10 ** 6):
-                _compose_left_basis(A, m1, m2, m3, 0, 1, 1)
-            for what in ("binom", "term"):
-                assert calls[-10 ** 6, what] == calls[-10, what] <= 100, (m2, m3, what)
-            assert calls[-10, "term"] > 0 or (m2, m3) == (0, 0)
-            calls.clear()
+    A = a3_chiral()
+    for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
+        for m1 in (-10, -10 ** 6):
+            _compose_left_basis(A, m1, m2, m3, 0, 1, 1)
+        for what in ("binom", "term"):
+            assert calls[-10 ** 6, what] == calls[-10, what] <= 100, (m2, m3, what)
+        assert calls[-10, "term"] > 0 or (m2, m3) == (0, 0)
+        calls.clear()
 
 
 def test_compose_linearity_in_w():
@@ -445,12 +455,12 @@ def test_compose_right_examples_and_oracle():
                         assert sec.get((k, l), {}) == expect
 
 
-def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
+def test_closed_form_and_layer_rules_compose_alike():
     # One redundant override equal to its closed form leaves the family on
-    # the recursion.  Reading it as off the recursion sends both compositions
-    # to the layer rule, which contracts sections that read the override,
-    # without changing the family, so closed form and layer rule must give
-    # the same sections.
+    # the recursion.  The layer rule (`left_term_rule` and `right_term_rule`
+    # without tables) contracts rank-wide layer maps that read the override,
+    # term by term, without changing the family, so it must give the closed
+    # form's sections, on every basis triple of a box around the support.
     for V in (tensor_with_ox(a3_va()), a3_basis_changed(seed=7)):
         A = va_to_chiral(V, checked=False)
         i, n, j = min(A.va.structure)
@@ -458,22 +468,17 @@ def test_closed_form_and_layer_rules_compose_alike(monkeypatch):
         assert layer
         redundant = ChiralData(A.va, {(i, n - 1, j, 1): layer})
         assert redundant.off_recursion() is None
-        monkeypatch.setattr(ChiralData, "off_recursion",
-                            lambda self: (i, n - 1, j, 1) if self is redundant else None)
         nonempty = 0
-        for m1 in range(-3, 1):
-            for m2 in range(-3, 1):
-                for m3 in range(-3, 1):
-                    for iu in range(A.va.rank):
-                        for iv in range(A.va.rank):
-                            for iw in range(A.va.rank):
-                                gens = (unit(iu), unit(iv), unit(iw))
-                                for core in (compose_left, compose_right):
-                                    closed = core(A, m1, m2, m3, *gens)
-                                    assert core(redundant, m1, m2, m3, *gens) == closed
-                                    nonempty += bool(closed)
-        assert nonempty > 0
-        monkeypatch.undo()
+        for ms in product(range(-3, 1), repeat=3):
+            for triple in product(range(A.va.rank), repeat=3):
+                closed = _compose_left_basis(A, *ms, *triple)
+                assert walking_compose_left_basis(redundant, *ms, *triple, layers=True) == closed
+                assert _compose_left_basis(redundant, *ms, *triple) == closed
+                closed = _compose_right_basis(A, *ms, *triple)
+                assert term_rule_compose_right_basis(redundant, *ms, *triple, layers=True) == closed
+                assert _compose_right_basis(redundant, *ms, *triple) == closed
+                nonempty += bool(closed)
+        assert nonempty > 100
 
 
 def test_closed_form_double_contractions_match_direct_contraction():
@@ -612,8 +617,8 @@ def triple_tables(A: ChiralData, iu: int, iv: int, iw: int) -> tuple:
 
 
 def gather_keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
-    """`_keyed_sweep` as a gather: every key of each m1 sums its terms for
-    every basis triple."""
+    """`_keyed_sweep` as a gather over the whole box: every key of each m1
+    sums its terms for every basis triple."""
     for m1 in range(blo, min(bhi, 2 * hi - 2 * blo) + 1):
         keys = gather_keys(blo, lo, hi, m1)
         for iu, iv, iw in product(range(A.va.rank), repeat=3):
@@ -635,6 +640,11 @@ def _box(A: ChiralData, window=None):
     lo, hi = A.effective_support()
     span = hi - lo + 1
     return (*merge_window(lo - span, hi + span, window), lo, hi)
+
+
+def keyed_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
+    """`_keyed_sweep` on the sweep's box, like the oracles."""
+    return _keyed_sweep(A, blo, lo, hi)
 
 
 @pytest.mark.parametrize("name", ["a3", "random-2"])
@@ -691,19 +701,18 @@ ORACLE_CASES.append(("a3", (-3, 4)))
 
 @pytest.mark.parametrize("name,window", ORACLE_CASES, ids=lambda x: str(x).replace(" ", ""))
 def test_keyed_sweep_matches_generator_loop(name, window):
-    # The generator loop, kept for families off the recursion, and the
-    # gathered keys are the oracles: same report, and the reported count is
-    # the number of generators the loop sweeps, enumerated here.
+    # The generator loop and the gathered keys over the whole box are the
+    # oracles: the same verdict, and the reported count is the number of
+    # generators the loop sweeps, enumerated here.
     if name == "ladder-3":
         V = tensor_with_ox(truncated_poly_va(3, [0, 0, 1, Q(1, 2)]))
     else:
         V = dict(corpus())[name]
     A = va_to_chiral(V, checked=False)
-    keyed = _chiral_jacobi(A, window, _keyed_sweep)
+    keyed = check_chiral_jacobi(A, window)
     assert keyed.passed
-    assert keyed == check_chiral_jacobi(A, window)
-    assert keyed == _chiral_jacobi(A, window, _generator_sweep)
-    assert keyed == _chiral_jacobi(A, window, gather_keyed_sweep)
+    for sweep in (keyed_sweep, generator_sweep, gather_keyed_sweep):
+        assert sweep(A, *_box(A, window)) is None, sweep.__name__
     blo, bhi, _lo, hi = _box(A, window)
     box = [g for g in product(range(blo, bhi + 1), repeat=3) if sum(g) <= 2 * hi]
     swept = len(box) * A.va.rank ** 3
@@ -756,11 +765,64 @@ def test_keyed_sweep_reads_each_reachable_key_once(window):
     assert failing > 0
 
 
+def carry(keys: dict, blo: int) -> dict:
+    """The slice m1 + 1 that O-linearity gives from the keys {(M, N, cd): x}
+    of slice m1: K(m1+1, M, N) = K(m1, M+1, N) - K(m1, M, N+1) for M, N >= blo,
+    nonzero sums only."""
+    out: dict = defaultdict(int)
+    for (M, N, cd), x in keys.items():
+        if M > blo:
+            out[M - 1, N, cd] += x
+        if N > blo:
+            out[M, N - 1, cd] -= x
+    return {key: x for key, x in out.items() if x}
+
+
+@pytest.mark.parametrize("window", [None, (-3, 4)])
+def test_keyed_slices_carry_upward(window):
+    # The relation behind the bottom-slice sweep: for every basis triple and
+    # every m1 of the box below bhi, the slice `_key_scatter` computes at
+    # m1 + 1 is the carry of its slice at m1.  The failing mutants carry
+    # nonzero slices.
+    carried = 0
+    for name, V in reach_families():
+        A = va_to_chiral(V, checked=False)
+        blo, bhi, lo, hi = _box(A, window)
+        for triple in product(range(A.va.rank), repeat=3):
+            tables = triple_tables(A, *triple)
+            below = _key_scatter(blo, blo, tables, _scatter_binoms(blo, blo, lo, hi))
+            for m1 in range(blo + 1, bhi + 1):
+                keys = _key_scatter(m1, blo, tables, _scatter_binoms(m1, blo, lo, hi))
+                assert {key: x for key, x in keys.items() if x} == carry(below, blo), (name, m1, triple)
+                carried += any(below.values())
+                below = keys
+    assert carried > 100
+
+
+def test_keyed_sweep_scatters_each_indexed_triple_once(monkeypatch):
+    # On a passing table the sweep scatters the bottom slice m1 = blo of every
+    # indexed triple, once, and no other slice.
+    calls = []
+
+    def counting(m1, blo, tables, binoms):
+        calls.append((m1, blo))
+        return _key_scatter(m1, blo, tables, binoms)
+
+    monkeypatch.setattr(chiral, "_key_scatter", counting)
+    for A in (a3_chiral(), va_to_chiral(dict(corpus())["random-2"], checked=False),
+              va_to_chiral(tensor_with_ox(truncated_poly_va(6, [0, 0, 1, Q(1, 2)])), checked=False)):
+        for window in (None, (-20, 0)):
+            assert check_chiral_jacobi(A, window).passed
+            blo = _box(A, window)[0]
+            assert calls == [(blo, blo)] * len(A.va.indexed_triples())
+            calls.clear()
+
+
 def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
     # The integer tables of a basis triple are fetched when the sweep reaches
-    # the triple: on a mutant that fails early, the fetches are exactly the
-    # indexed triples in sweep order up to the witness, for each m1 up to its
-    # m1; a triple off the index has empty tables and is never fetched.
+    # the triple: on a mutant that fails, always at m1 = blo, the fetches are
+    # exactly the indexed triples in sweep order up to the witness; a triple
+    # off the index has empty tables and is never fetched.
     cases = 0
     for name in ("a3", "random-1"):
         V = dict(corpus())[name]
@@ -777,12 +839,12 @@ def test_keyed_sweep_reads_each_triple_when_it_reaches_it(monkeypatch):
                 return integer_modes(va, *triple)
 
             monkeypatch.setattr(chiral, "integer_modes", recording)
-            assert _keyed_sweep(A, *box) == witness
+            assert keyed_sweep(A, *box) == witness
             monkeypatch.undo()
-            m1 = int(witness.split("m1=")[1].split(",")[0])
+            assert witness.endswith(f"m1={box[0]}, m2={box[0]}, m3={box[0]})")
             order = list(A.va.indexed_triples())
             last = next(t for t in order if witness.startswith(f"({triple_name(A.va, *t)},"))
-            reads = order * (m1 - box[0]) + order[:order.index(last) + 1]
+            reads = order[:order.index(last) + 1]
             assert fetched == [x for iu, iv, iw in reads for x in ((iu, iv, iw), (iv, iu, iw))]
             cases += len(reads) < len(order)
     assert cases > 0
@@ -846,15 +908,19 @@ def test_checks_and_compositions_read_one_table_per_triple(monkeypatch):
 
 
 def test_keyed_sweep_matches_generator_loop_on_mutants():
-    reports = 0
+    reports = failing = 0
     for _name, V in corpus():
         for site in mutation_sites(V, 30):
             A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
-            keyed = _chiral_jacobi(A, None, _keyed_sweep)
-            assert keyed == _chiral_jacobi(A, None, _generator_sweep), (_name, site)
-            assert keyed == _chiral_jacobi(A, None, gather_keyed_sweep), (_name, site)
+            box = _box(A)
+            keyed = keyed_sweep(A, *box)
+            assert keyed == generator_sweep(A, *box), (_name, site)
+            assert keyed == gather_keyed_sweep(A, *box), (_name, site)
+            if keyed is not None:
+                assert check_chiral_jacobi(A).witness == keyed
             reports += 1
-    assert reports == 211
+            failing += keyed is not None
+    assert reports == 211 and failing > 0
 
 
 def redundant_layer(name: str, m: int = 1) -> ChiralData:
@@ -867,19 +933,16 @@ def redundant_layer(name: str, m: int = 1) -> ChiralData:
 
 
 @pytest.mark.parametrize("name", ["a3", "trivial-rank1", "random-0", "random-1", "random-3", "random-4"])
-def test_redundant_layer_takes_the_keyed_sweep(monkeypatch, name):
+def test_redundant_layer_takes_the_keyed_sweep(name):
     # A redundant explicit layer leaves the family on the recursion, so the
-    # keyed sweep checks it and reports what the generator loop reports.
+    # keyed sweep checks it and reports as on the plain family, and the
+    # generator loop through the layer rule, which reads the layer, passes.
     R = redundant_layer(name)
     assert R.overrides and R.off_recursion() is None
-    want = _chiral_jacobi(R, None, _generator_sweep)
-    assert want.passed
-
-    def refuse(*args):
-        raise AssertionError("the generator loop ran on a family on the recursion")
-
-    monkeypatch.setattr(chiral, "_generator_sweep", refuse)
-    assert check_chiral_jacobi(R) == want
+    assert generator_sweep(forced_layer_rule(name), *_box(R)) is None
+    report = check_chiral_jacobi(R)
+    assert report.passed
+    assert report == check_chiral_jacobi(va_to_chiral(dict(corpus())[name], checked=False))
 
 
 # ---------------------------------------------------------------------------
@@ -982,15 +1045,27 @@ def criterion_7_mutants():
             yield (name, site), va_to_chiral(bump_structure_constant(V, *site), checked=False)
 
 
-def explicit_layer_mutants():
-    # one bumped explicit layer m in {1, 2} at every (i, n, j) around the
-    # support: the family is off the recursion, and the sweep also visits
-    # n - 1, n, n + 1
+def layer_grid():
+    """(name, family, (i, n, j, m)) for an explicit layer m in {1, 2} at every
+    (i, n, j) around the support of three corpus tables."""
     for name in ("a3", "trivial-rank1", "a3-basis-change"):
         A = va_to_chiral(dict(corpus())[name], checked=False)
         lo, hi = A.effective_support()
         for i, j, n, m in product(range(A.va.rank), range(A.va.rank), range(lo - 2, hi + 1), (1, 2)):
-            yield (name, i, n, j, m), bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank)
+            yield name, A, (i, n, j, m)
+
+
+def explicit_layer_mutants():
+    # one bumped explicit layer on the grid: the family is off the recursion,
+    # and the D-module check also visits n - 1, n, n + 1
+    for name, A, (i, n, j, m) in layer_grid():
+        yield (name, i, n, j, m), bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank)
+
+
+def redundant_layer_families():
+    # the same explicit layers at their closed form: on the recursion
+    for name, A, key in layer_grid():
+        yield (name, *key), ChiralData(A.va, {key: ordinary_b_layer(A, *key)})
 
 
 @pytest.mark.parametrize("window", [None, (-9, 4)], ids=["default", "window-9:4"])
@@ -1011,13 +1086,34 @@ def test_horner_skew_matches_reference_on_every_criterion_7_mutant():
 
 
 def test_horner_skew_matches_reference_on_explicit_layer_mutants():
-    reports = failing = 0
-    for where, B in explicit_layer_mutants():
-        want = reference_check_chiral_skew(B)
-        assert check_chiral_skew(B) == want, where
+    # Off the recursion skew stops before any sweep (see
+    # `test_off_the_recursion_skew_and_jacobi_fail_by_name`); the same
+    # explicit layers at their closed form are swept, as the reference.
+    reports = 0
+    for (where, B), (_, R) in zip(explicit_layer_mutants(), redundant_layer_families()):
+        assert R.off_recursion() is None and B.off_recursion() == where[1:]
+        want = reference_check_chiral_skew(R)
+        assert want.passed and check_chiral_skew(R) == want, where
+        assert check_chiral_skew(B).window == NOT_SWEPT, where
         reports += 1
-        failing += not want.passed
-    assert (reports, failing) == (150, 139)
+    assert reports == 150
+
+
+def test_off_the_recursion_skew_and_jacobi_fail_by_name():
+    # On every explicit-layer mutant both checks fail before any sweep, with
+    # the layer `off_recursion()` names; the D-module check sweeps as before.
+    reports = 0
+    for (name, i, n, j, m), B in explicit_layer_mutants():
+        names = B.va.basis_names
+        witness = (f"mu is not O-linear: explicit layer (u={names[i]}, v={names[j]}, n={n}, m={m}) "
+                   "disagrees with the recursion")
+        skew, jacobi = check_chiral_skew(B), check_chiral_jacobi(B)
+        assert skew == CheckReport("chiral-skew", "sigma12", False, NOT_SWEPT, witness)
+        assert jacobi == CheckReport("chiral-jacobi", "comp-jac", False, NOT_SWEPT, witness)
+        assert check_all_chiral(B)[1:] == [skew, jacobi]
+        assert check_dmodule_morphism(B) == reference_check_dmodule_morphism(B)
+        reports += 1
+    assert reports == 150
 
 
 def assert_dmodule_matches_full_sweep(A: ChiralData, window=None, where=None) -> bool:
@@ -1044,20 +1140,48 @@ def test_dmodule_matches_full_sweep_on_mutants():
 
 
 # ---------------------------------------------------------------------------
-# the generator sweep off the recursion: each right composition computed once,
-# and no composition left on the object
+# the generator sweep, the oracle of the keyed sweep: compositions in ordinary
+# powers (`ordinary_powers`), through the layer rule for a forced family; each
+# right composition computed once, and no composition left on the object
+
+
+def generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
+    """The first witness over the box [blo..bhi]^3, or None, generator by
+    generator.  A right composition is read at its generator and, permuted,
+    at its sigma12 partner's; it is computed at the first read and waits in
+    `pending` for the second."""
+    pending: dict = {}
+
+    def right(*key):
+        hit = pending.pop(key, None)
+        if hit is None:
+            hit = pending[key] = ordinary_compose_right_basis(A, *key)
+        return hit
+
+    for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
+        if m1 + m2 + m3 > 2 * hi:
+            continue  # every layer of every composition is empty here
+        for iu, iv, iw in product(range(A.va.rank), repeat=3):
+            left = ordinary_compose_left_basis(A, m1, m2, m3, iu, iv, iw)
+            sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
+            # the composition computed on swapped coordinates returns its
+            # derivative degrees transposed
+            perm = diag3_transpose(right(p1, p2, p3, iv, iu, iw))
+            if left != diag_add(right(m1, m2, m3, iu, iv, iw), diag_scale(-sign, perm)):
+                return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})"
+    return None
 
 
 def unmemoised_generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: int):
-    """`_generator_sweep` computing all three compositions of every generator."""
+    """`generator_sweep` computing all three compositions of every generator."""
     for m1, m2, m3 in product(range(blo, bhi + 1), repeat=3):
         if m1 + m2 + m3 > 2 * hi:
             continue
         for iu, iv, iw in product(range(A.va.rank), repeat=3):
-            left = _compose_left_basis(A, m1, m2, m3, iu, iv, iw)
-            right = _compose_right_basis(A, m1, m2, m3, iu, iv, iw)
+            left = ordinary_compose_left_basis(A, m1, m2, m3, iu, iv, iw)
+            right = ordinary_compose_right_basis(A, m1, m2, m3, iu, iv, iw)
             sign, p1, p2, p3, *_ = sigma12_triple(m1, m2, m3, unit(iu), unit(iv), unit(iw))
-            perm = diag3_transpose(_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
+            perm = diag3_transpose(ordinary_compose_right_basis(A, p1, p2, p3, iv, iu, iw))
             if left != diag_add(right, diag_scale(-sign, perm)):
                 return f"({triple_name(A.va, iu, iv, iw)}, m1={m1}, m2={m2}, m3={m3})"
     return None
@@ -1065,10 +1189,10 @@ def unmemoised_generator_sweep(A: ChiralData, blo: int, bhi: int, lo: int, hi: i
 
 def forced_layer_rule(name: str) -> ChiralData:
     """`redundant_layer(name)` read as off the recursion: the family is its
-    closed form, but the compositions take the layer rule and
-    `check_chiral_jacobi` takes the generator sweep."""
+    closed form, but the compositions of `ordinary_powers` take the layer
+    rule, which reads the explicit layer."""
     R = redundant_layer(name)
-    object.__setattr__(R, "_off", next(iter(R.overrides)))
+    R._off = next(iter(R.overrides))
     return R
 
 
@@ -1079,37 +1203,40 @@ def test_generator_sweep_matches_the_unmemoised_sweep():
     for where, B in families:
         box = _box(B)
         want = unmemoised_generator_sweep(B, *box)
-        assert _generator_sweep(B, *box) == want, where
+        assert generator_sweep(B, *box) == want, where
         verdicts[want is None] += 1
     assert verdicts[True] >= 3 and verdicts[False] > 0
 
 
 def test_generator_sweep_composes_each_right_tuple_once(monkeypatch):
     # A passing sweep reads the right composition of every generator, as
-    # itself and as its sigma12 partner's permuted term: once computed each.
-    calls = Counter()
+    # itself and as its sigma12 partner's permuted term: once computed each,
+    # and as many as the keyed sweep's report counts.
+    calls, real = Counter(), ordinary_compose_right_basis
 
     def counting(A, *args):
         calls[args] += 1
-        return _compose_right_basis(A, *args)
+        return real(A, *args)
 
-    monkeypatch.setattr(chiral, "_compose_right_basis", counting)
+    monkeypatch.setitem(globals(), "ordinary_compose_right_basis", counting)
     for name in ("a3", "random-0"):
         B = forced_layer_rule(name)
-        report = check_chiral_jacobi(B)
-        assert report.passed
+        assert generator_sweep(B, *_box(B)) is None
         assert set(calls.values()) == {1}
-        assert f"({len(calls)} generator triples)" in report.window
+        assert f"({len(calls)} generator triples)" in check_chiral_jacobi(redundant_layer(name)).window
         calls.clear()
 
 
 def test_no_composition_is_stored_on_the_object():
     t = unit(1)
-    for B in (a3_chiral(), forced_layer_rule("a3"), bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)):
+    for B in (a3_chiral(), redundant_layer("a3"), bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)):
         assert axiom_suite(B) == tuple(check_all_chiral(B))
         for core in (compose_left, compose_right):
-            core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
-        _chiral_jacobi(B, None, _generator_sweep)
+            if B.off_recursion() is None:
+                core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
+            else:
+                with pytest.raises(ContractError):
+                    core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
         kinds = {key if key == "suite" else key[0] for key in B._cache}
         assert kinds == {"b", "sec", "suite"}, kinds
 

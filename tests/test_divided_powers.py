@@ -24,19 +24,21 @@ from chiralva.chiral import (
     compose_right,
 )
 from chiralva.equivalence import va_to_chiral
+from chiralva.errors import ContractError
 from chiralva.exact import Q
 from chiralva.fixtures import corpus, truncated_poly_va
 from chiralva.vertex import tensor_with_ox, unit, vadd
 from ordinary_powers import (
     divided,
     divided3,
+    ordinary_b_layer,
     ordinary_basis_section,
     ordinary_check_chiral_skew,
     ordinary_check_dmodule_morphism,
     ordinary_compose_left,
     ordinary_compose_right,
 )
-from test_chiral import criterion_7_mutants, explicit_layer_mutants, forced_layer_rule
+from test_chiral import criterion_7_mutants, explicit_layer_mutants, redundant_layer, redundant_layer_families
 from test_properties import ALGEBRAS, SETTINGS
 
 
@@ -48,23 +50,30 @@ def corpus_families():
 @pytest.mark.parametrize("window", [None, (-9, 4), (-20, 0)], ids=["default", "window-9:4", "window-20:0"])
 def test_checks_report_as_in_ordinary_powers(window):
     # Skew and the D-module check on the corpus, the 211 criterion-7 mutants
-    # (on the recursion) and the 150 explicit-layer mutants (off it).
+    # and the 150 explicit layers at their closed form (on the recursion),
+    # and the D-module check on the 150 explicit-layer mutants (off it, where
+    # skew stops before any sweep).
     reports = failing = 0
-    for family in (corpus_families(), criterion_7_mutants(), explicit_layer_mutants()):
+    for family in (corpus_families(), criterion_7_mutants(), redundant_layer_families(),
+                   explicit_layer_mutants()):
         for where, A in family:
             for check, oracle in ((check_chiral_skew, ordinary_check_chiral_skew),
                                   (check_dmodule_morphism, ordinary_check_dmodule_morphism)):
+                if A.off_recursion() is not None and check is check_chiral_skew:
+                    assert not check(A, window).passed, where
+                    continue
                 want = oracle(A, window)
                 assert check(A, window) == want, (where, check.__name__)
                 reports += 1
                 failing += not want.passed
-    assert reports == 2 * (8 + 211 + 150) and failing > 0
+    assert reports == 2 * (8 + 211 + 150) + 150 and failing > 0
 
 
 def assert_divided_matches_ordinary(A: ChiralData, gens, ms) -> int:
     """Every basis section around the support is the oracle's with layer m
     times m!, and both compositions at each generator of `gens` x `ms` are the
-    oracle's with entry (k, l) times k! l!.  Returns the nonzero entries seen."""
+    oracle's with entry (k, l) times k! l!, or refused off the recursion.
+    Returns the nonzero entries seen."""
     lo, hi = A.effective_support() or (0, -1)
     seen = 0
     for i, j in product(range(A.va.rank), repeat=2):
@@ -74,6 +83,10 @@ def assert_divided_matches_ordinary(A: ChiralData, gens, ms) -> int:
             seen += len(ref)
     for (u, v, w), (m1, m2, m3) in product(gens, ms):
         for core, oracle in ((compose_left, ordinary_compose_left), (compose_right, ordinary_compose_right)):
+            if A.off_recursion() is not None:
+                with pytest.raises(ContractError):
+                    core(A, m1, m2, m3, u, v, w)
+                continue
             ref = oracle(A, m1, m2, m3, u, v, w)
             assert core(A, m1, m2, m3, u, v, w) == divided3(ref), (core.__name__, m1, m2, m3)
             seen += len(ref)
@@ -89,13 +102,16 @@ def _vectors(rank: int):
 @st.composite
 def _families(draw):
     """A generated algebra over Q[z], as its chiral algebra or with one
-    explicit layer bumped off the recursion, and three generator vectors."""
+    explicit layer, at its closed form or bumped off the recursion, and three
+    generator vectors."""
     V = tensor_with_ox(draw(ALGEBRAS))
     A = va_to_chiral(V, checked=False)
     if draw(st.booleans()) and A.effective_support():
         lo, hi = A.effective_support()
         i, j, coord = (draw(st.integers(0, V.rank - 1)) for _ in range(3))
-        A = bump_b_entry(A, i, draw(st.integers(lo - 2, hi)), j, draw(st.integers(1, 2)), coord)
+        key = (i, draw(st.integers(lo - 2, hi)), j, draw(st.integers(1, 2)))
+        bumped = bump_b_entry(A, *key, coord)
+        A = bumped if draw(st.booleans()) else ChiralData(A.va, {key: ordinary_b_layer(A, *key)})
     gens = [tuple(draw(_vectors(V.rank)) for _ in range(3)) for _ in range(2)]
     return A, gens
 
@@ -117,16 +133,20 @@ def test_divided_sections_are_the_ordinary_ones_rescaled(family, ms):
 @pytest.mark.parametrize("layer", [None, 1, 2])
 def test_rational_tables_rescale_alike_on_and_off_the_recursion(name, layer):
     # random-2 (L = 9) and ladder order 6 (L = 24), whose compositions carry
-    # 1/L^2, on the recursion and with one explicit layer bumped off it
+    # 1/L^2, on the recursion, also with one explicit layer at its closed
+    # form, and with that layer bumped off it (sections only)
     A = RANDOM_2 if name == "random-2" else LADDER_6
     assert A.va._scale == (9 if name == "random-2" else 24)
+    families = [A]
     if layer:
         i, n, j = min(A.va.structure)
-        A = bump_b_entry(A, i, n - layer, j, layer, 0)
-        assert A.off_recursion() is not None
+        key = (i, n - layer, j, layer)
+        families = [ChiralData(A.va, {key: ordinary_b_layer(A, *key)}), bump_b_entry(A, *key, 0)]
+        assert [B.off_recursion() for B in families] == [None, key]
     gens = [(unit(1), unit(2), unit(0)), (unit(0), vadd(unit(1), unit(2)), unit(1))]
     box = list(product(range(-3, 0), repeat=3))
-    assert assert_divided_matches_ordinary(A, gens, box) > 0
+    for B in families:
+        assert assert_divided_matches_ordinary(B, gens, box) > 0
 
 
 def _all_ints(vectors) -> bool:
@@ -137,10 +157,9 @@ def _all_ints(vectors) -> bool:
 def test_integral_tables_keep_every_section_layer_an_int(name):
     # The closed form m! B^n_m = (-1)^m B^{n+m}_0 carries no 1/m!, so on an
     # integral table the checkers and the compositions stay on ints: every
-    # cached layer and section, and every composition entry, on the recursion
-    # and through the layer rule (a redundant explicit layer read as off the
-    # recursion).
-    for A in (va_to_chiral(dict(corpus())[name], checked=False), forced_layer_rule(name)):
+    # cached layer and section, and every composition entry, on the plain
+    # family and with a redundant explicit layer, which the layers read.
+    for A in (va_to_chiral(dict(corpus())[name], checked=False), redundant_layer(name)):
         assert A.va._scale == 1
         assert all(r.passed for r in check_all_chiral(A))
         entries = []

@@ -134,7 +134,7 @@ def test_one_pass_chiral_checks_match_their_oracles(V0, pick, mutate):
         V = bump_structure_constant(V, *sites[pick % len(sites)])
     A = va_to_chiral(V, checked=False)
     blo, bhi, lo, hi = _box(A)
-    assert _keyed_sweep(A, blo, bhi, lo, hi) == gather_keyed_sweep(A, blo, bhi, lo, hi)
+    assert _keyed_sweep(A, blo, lo, hi) == gather_keyed_sweep(A, blo, bhi, lo, hi)
     keys = gather_keys(blo, lo, hi, blo)
     for triple in product(range(A.va.rank), repeat=3):
         tables = triple_tables(A, *triple)

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from chiralva import vertex
 from chiralva.errors import (
     ContractError,
     NotADerivation,
@@ -683,13 +684,30 @@ def test_pascal_slices_match_full_scatter_on_a_wide_window():
 
 @pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
 def test_pascal_carry_starts_after_an_empty_slice(name, V, window):
-    # the base of the induction: the slice before the first carried one
-    # reaches no window point
+    # the base of the induction: the slice before the first carried one,
+    # 2a - 2hi, reaches no window point, and neither does any slice from lo
+    # up to it, which the sweep yields empty without scattering
     reach = _reach(V)
     for w in {window, *PASCAL_WINDOWS}:
         lo, hi, a, b = _sweep_window(V, w)
-        l = min(lo, 2 * a - 2 * hi) - 1
-        assert not any(reference_jacobi_slice(l, lo, hi, a, b, reach).values()), (w, l)
+        for l in range(min(lo, 2 * a - 2 * hi) - 1, 2 * a - 2 * hi):
+            assert not any(reference_jacobi_slice(l, lo, hi, a, b, reach).values()), (w, l)
+
+
+def test_jacobi_carry_starts_where_the_entries_reach(monkeypatch):
+    # On a3 at -100000:0 the window's lo lies far below 2a - 2hi: the sweep
+    # scatters the edge of the slices from 2a - 2hi on only.
+    edges, real = [], vertex._jacobi_edge
+
+    def counting(l, *args):
+        edges.append(l)
+        return real(l, *args)
+
+    monkeypatch.setattr(vertex, "_jacobi_edge", counting)
+    report = check_jacobi(a3_va(), (-100000, 0))
+    lo, hi, a, _ = _sweep_window(a3_va(), (-100000, 0))
+    assert report.passed and f"[{lo}..{hi}]^3" in report.window and lo == -100000
+    assert edges == list(range(2 * a - 2 * hi, hi + 1))
 
 
 # ---------------------------------------------------------------------------
