@@ -21,7 +21,7 @@ on the recursion only, where mu is O-linear.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from itertools import chain
+from itertools import accumulate as scan, chain
 
 from .errors import ContractError
 from .exact import Q, binom, factorial, inv_factorial
@@ -303,11 +303,10 @@ def _sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
     layer j of each difference section at n is a sign times one quantity
     of the key n + j, so the section at the least n compares every
     key a later n would, and is the only one compared."""
-    ns = set(range(lo, hi + 1))
-    for (_, n, _, _) in A.overrides:
-        ns.update((n - 1, n, n + 1))
-    ns = sorted(ns)
-    return ns if A.off_recursion() else ns[:1]
+    ns = {n + d for (_, n, _, _) in A.overrides for d in (-1, 0, 1)}
+    if A.off_recursion():
+        return sorted(ns.union(range(lo, hi + 1)))
+    return sorted(ns.union(range(lo, hi + 1)[:1]))[:1]
 
 
 def dmodule_parts(A: ChiralData, window=None) -> dict:
@@ -381,11 +380,12 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     """mu o sigma_12 = -mu on generators: swap the arguments, flip the sign
     of the exponent parity, and re-express the d2-indexed family in d1 form.
 
-    The swapped section sum_m d2^m B^n_m(v, u), times M! for its top layer
-    M, is summed in one Horner pass of integer weights M!/m!, so d2 is
-    applied once per layer.  Its degree 0 is the m = 0 extraction identity
-    (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v), since d2 sends degree 0
-    to D at degree 0 and explicit layers have m >= 1."""
+    d1 and d2 = D - d1 commute, so d2^m/m! = sum_{j+t=m} ((-d1)^j/j!)(D^t/t!):
+    divided layer j of the swapped section sum_m (d2^m/m!) b_m, b_m the layers
+    of B^n(v, u), is (-1)^j sum_t D^t b_{j+t} / t!.  Each b_m is a stored value
+    up to sign, killed by D^K (the D-kill bound), so it is summed times (K-1)!.
+    Degree 0 is the m = 0 extraction identity (-1)^(n+1) sum_m D^m B^n_m(v, u)
+    = B^n_0(u, v)."""
     name, label = "chiral-skew", "sigma12"
     if (off := o_linearity_witness(A)) is not None:
         return CheckReport(name, label, False, NOT_SWEPT, off)
@@ -396,21 +396,17 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     kill = d_kill_bound(A.va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     n, = _sweep_ns(A, lo, hi)  # on the recursion, one section per pair
+    scale = factorial(kill - 1)
     for i in range(A.va.rank):
         for j in range(A.va.rank):
-            sec_vu = A.basis_section(j, n, i)
-            top = max(sec_vu, default=0)
-            route, weight = {}, 1  # weight M!/m! for M = top, and M! after the pass
-            for m in range(top, -1, -1):
-                route = diag_apply_d2(A, route)
-                if m in sec_vu:
-                    accumulate(route, 0, vscale(weight, sec_vu[m]))
-                weight *= m or 1
-            if route != diag_scale(weight if n % 2 else -weight, A.basis_section(i, n, j)):
-                return CheckReport(
-                    name, label, False, f"window n in [{lo}..{hi}]",
-                    f"({pair_name(A.va, i, j)}, n={n})",
-                )
+            swapped: DiagSection = {}
+            for m, b in A.basis_section(j, n, i).items():
+                for t in range(min(kill, m + 1)):  # layer m - t: (-1)^(m-t) (K-1)!/t! D^t b
+                    accumulate(swapped, m - t, vscale((-scale if (m - t) % 2 else scale) // factorial(t), b))
+                    b = apply_d(A.va, b)
+            if swapped != diag_scale(scale if n % 2 else -scale, A.basis_section(i, n, j)):
+                return CheckReport(name, label, False, f"window n in [{lo}..{hi}]",
+                                   f"({pair_name(A.va, i, j)}, n={n})")
     return CheckReport(
         name, label, True,
         f"window n in [{lo}..{hi}]; every generator bundles the component "
@@ -419,14 +415,23 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     )
 
 
+def _binom_row(x: int, top: int) -> list:
+    """binom(x, i) for i in [0..top], each from the one before."""
+    return list(scan(range(top), lambda c, i: c * (x - i) // (i + 1), initial=1))
+
+
 def _scatter_binoms(m1: int, blo: int, lo: int, hi: int) -> tuple:
     """The binomials `_key_scatter` reads at m1 for tables on the support
     [lo..hi]: the columns binom(M, p - m1) for p in [lo..hi] and M in
     [blo..2hi - m1 - blo], and the signed rows -(-1)^i binom(m1, i) and
-    (-1)^(m1+i) binom(m1, i) for i in [0..hi - blo]."""
-    Ms = range(blo, 2 * hi - m1 - blo + 1)
-    cols = {i: [binom(M, i) for M in Ms] for i in range(max(0, lo - m1), hi - m1 + 1)}
-    uv = [binom(m1, i) if i % 2 else -binom(m1, i) for i in range(hi - blo + 1)]
+    (-1)^(m1+i) binom(m1, i) for i in [0..hi - blo].  A column starts at
+    binom(blo, i) and steps by binom(M, i) = binom(M-1, i) M/(M - i), which
+    is 1 where M = i: one exact multiplication per entry."""
+    starts = _binom_row(blo, hi - m1)
+    cols = {i: list(scan(range(blo + 1, 2 * hi - m1 - blo + 1), initial=starts[i],
+                         func=lambda c, M: 1 if M == i else c * M // (M - i)))
+            for i in range(max(0, lo - m1), hi - m1 + 1)}
+    uv = [c if i % 2 else -c for i, c in enumerate(_binom_row(m1, hi - blo))]
     return cols, (uv, uv if m1 % 2 else [-c for c in uv])
 
 

@@ -186,11 +186,8 @@ class VAData:
         self._cache = {} if _cache is None else _cache
         # L: the lcm of the scalars' denominators
         self._scale = L = math.lcm(*(x.denominator for vec in clean.values() for x in vec.values()))
-        # (i, n) -> {j: entry}, (n, j) -> {i: entry} and (i, j) -> [(n, L * entry)]
-        self._rows, self._cols, self._pairs = {}, {}, {}
+        self._pairs = {}  # (i, j) -> [(n, L * entry)], the one entry index
         for (i, n, j), val in clean.items():
-            self._rows.setdefault((i, n), {})[j] = val
-            self._cols.setdefault((n, j), {})[i] = val
             self._pairs.setdefault((i, j), []).append(
                 (n, val if L == 1 else {cd: int(L * x) for cd, x in val.items()}))
         self._triples = _index_triples(self._pairs)  # indexed_triples()
@@ -267,12 +264,12 @@ def vertex_coeff(V: VAData, u: Vector, n: int, v: Vector) -> Vector:
 
 def mode_left(V: VAData, i: int, n: int, x: Vector) -> Vector:
     """(e_i)_n x for a basis operator index."""
-    return contract(x, V._rows.get((i, n), {}))
+    return contract(x, {p: V.structure.get((i, n, p)) for p, _ in x})
 
 
 def mode_vec(V: VAData, x: Vector, n: int, j: int) -> Vector:
     """x_n e_j for a vector-valued operator."""
-    return contract(x, V._cols.get((n, j), {}))
+    return contract(x, {p: V.structure.get((p, n, j)) for p, _ in x})
 
 
 def apply_d(V: VAData, u: Vector) -> Vector:
@@ -352,29 +349,38 @@ def check_truncation(V: VAData) -> CheckReport:
     )
 
 
+def _scatter_report(V: VAData, name: str, label: str, acc: dict, index: str, window: str,
+                    why: str) -> CheckReport:
+    """The report of a check scattered into {(i, j, index): uncleaned
+    vector}: the least key whose sum is nonzero is the first failure."""
+    failing = [key for key, vec in acc.items() if any(vec.values())]
+    if failing:
+        i, j, x = min(failing)
+        return CheckReport(name, label, False, window, f"({pair_name(V, i, j)}, {index}={x})")
+    return CheckReport(name, label, True, f"{window}; {why}")
+
+
 def check_d_derivative(V: VAData, window: tuple[int, int] | None = None) -> CheckReport:
     """(Du)_{n+1} v = -(n+1) u_n v on the safe window; outside it both sides
-    vanish because every mode index lands beyond the support bounds."""
+    vanish because every mode index lands beyond the support bounds.  The
+    difference, times L (`VAData._scale`), is scattered from the stored
+    entries: u_n v adds (n+1) u_n v at (u, v, n), and each coordinate c z^d
+    e_p of D(e_i) adds c z^d (e_p)_n v at (e_i, v, n-1), so n in [a-1..b]."""
     name, label = "d-derivative", "l-1-0"
     rng = V.global_support()
     if rng is None and window is None:
         return CheckReport(name, label, True, "empty table, vacuous")
     a, b = rng if rng else (0, -1)
     lo, hi = merge_window(a - 1, b + 1, window)
-    for i in range(V.rank):
-        for j in range(V.rank):
-            for n in range(lo, hi + 1):
-                lhs = mode_vec(V, V.d_cols[i], n + 1, j)
-                rhs = vscale(-(n + 1), V.mode(i, n, j))
-                if lhs != rhs:
-                    return CheckReport(
-                        name, label, False, f"window n in [{lo}..{hi}]",
-                        f"({pair_name(V, i, j)}, n={n})",
-                    )
-    return CheckReport(
-        name, label, True,
-        f"window n in [{lo}..{hi}]; outside, both sides vanish by support bounds [{a}..{b}]",
-    )
+    acc = {(i, j, n): {cd: (n + 1) * x for cd, x in val.items()}
+           for (i, j), entries in V._pairs.items() for n, val in entries}
+    for i, col in V._dmap.items():
+        for (p, d), c in col.items():
+            for j in range(V.rank):
+                for n, val in V._pairs.get((p, j), ()):
+                    _add_product(acc.setdefault((i, j, n - 1), {}), c, d, val)
+    return _scatter_report(V, name, label, acc, "n", f"window n in [{lo}..{hi}]",
+                           f"outside, both sides vanish by support bounds [{a}..{b}]")
 
 
 def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> CheckReport:
@@ -382,8 +388,9 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
 
     Below the window every term has v_{k+m} u = 0 for k below the D-kill
     bound and D^k (...) = 0 above it; above the window all mode indices
-    exceed the support.
-    """
+    exceed the support.  The difference is scattered: a stored u_m v adds
+    itself at (u, v, m), and each D^k w of the D-orbit of a stored w = v_p u
+    adds (-1)^p D^k w / k! at (u, v, p-k): m in [a-K+1..b], K the kill bound."""
     name, label = "skew-symmetry", "skew"
     rng = V.global_support()
     if rng is None and window is None:
@@ -391,27 +398,13 @@ def check_skew_symmetry(V: VAData, window: tuple[int, int] | None = None) -> Che
     a, b = rng if rng else (0, -1)
     kill = d_kill_bound(V)
     lo, hi = merge_window(a - kill, b + 1, window)
-    orbits = d_orbits(V)
-    for i in range(V.rank):
-        for j in range(V.rank):
-            for m in range(lo, hi + 1):
-                lhs = V.mode(i, m, j)
-                rhs: Vector = {}
-                for k in range(max(0, a - m), b - m + 1):
-                    orbit = orbits.get((j, k + m, i), ())
-                    if k < len(orbit):
-                        sign = 1 if (k + m + 1) % 2 == 0 else -1
-                        rhs = vadd(rhs, vscale(sign * inv_factorial(k), orbit[k]))
-                if lhs != rhs:
-                    return CheckReport(
-                        name, label, False, f"window m in [{lo}..{hi}]",
-                        f"({pair_name(V, i, j)}, m={m})",
-                    )
-    return CheckReport(
-        name, label, True,
-        f"window m in [{lo}..{hi}]; outside, every term vanishes "
-        f"(support [{a}..{b}], D-kill bound {kill})",
-    )
+    acc = {(i, j, m): dict(val) for (i, m, j), val in V.structure.items()}
+    for (j, p, i), orbit in d_orbits(V).items():
+        sign = -1 if p % 2 else 1
+        for k, w in enumerate(orbit):
+            _add_product(acc.setdefault((i, j, p - k), {}), sign * inv_factorial(k), 0, w)
+    return _scatter_report(V, name, label, acc, "m", f"window m in [{lo}..{hi}]",
+                           f"outside, every term vanishes (support [{a}..{b}], D-kill bound {kill})")
 
 
 def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:

@@ -147,7 +147,7 @@ def ordinary_check_dmodule_morphism(A: ChiralData, window=None) -> CheckReport:
 
 
 def ordinary_check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
-    """`chiral.check_chiral_skew` on ordinary-power sections: the Horner pass
+    """The chiral skew check on ordinary-power sections, by a Horner pass that
     adds each layer B^n_m(v, u) as it is, over the rationals."""
     name, label = "chiral-skew", "sigma12"
     rng = A.effective_support()

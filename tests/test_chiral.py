@@ -3,6 +3,7 @@ import random
 from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -1068,6 +1069,8 @@ def redundant_layer_families():
         yield (name, *key), ChiralData(A.va, {key: ordinary_b_layer(A, *key)})
 
 
+# `check_chiral_skew` sums the divided binomial formula; these three tests
+# keep the names they had when it ran a Horner pass
 @pytest.mark.parametrize("window", [None, (-9, 4)], ids=["default", "window-9:4"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
 def test_horner_skew_matches_reference_on_corpus(name, window):
@@ -1364,3 +1367,59 @@ def test_d2_power_at_degree_zero_is_d_power(name):
         for m in range(d_kill_bound(va) + 2):
             assert img.get(0, {}) == d_power(va, x, m), (x, m)
             img = diag_apply_d2(A, img)
+
+
+def test_scatter_binoms_match_exact_binom():
+    # columns built by binom(M, i) = binom(M-1, i) M/(M - i), restarting at 1
+    # where M = i, and rows by binom(m1, i+1) = binom(m1, i)(m1 - i)/(i+1),
+    # on a grid whose columns cross M = -1 and M = i and whose m1 is negative
+    crossed = Counter()
+    for m1, blo, lo, hi in product(range(-6, 3), range(-8, 0), range(-4, 1), range(-2, 3)):
+        if not (blo <= m1 and blo <= lo <= hi):  # as the keyed sweep calls it
+            continue
+        cols, (row_uv, row_vu) = _scatter_binoms(m1, blo, lo, hi)
+        Ms = range(blo, 2 * hi - m1 - blo + 1)
+        assert cols == {i: [binom(M, i) for M in Ms] for i in range(max(0, lo - m1), hi - m1 + 1)}
+        assert row_uv == [binom(m1, i) * (1 if i % 2 else -1) for i in range(hi - blo + 1)]
+        assert row_vu == [binom(m1, i) * (-1 if (m1 + i) % 2 else 1) for i in range(hi - blo + 1)]
+        crossed["M = -1"] += cols != {} and -1 in Ms[1:]
+        crossed["M = i"] += any(i in Ms[1:] for i in cols)
+        crossed["m1 < 0"] += m1 < 0
+    assert min(crossed.values()) > 50, crossed
+
+
+def test_windowed_checks_cost_what_the_entries_reach(monkeypatch):
+    # The vector operations of the D-derivative, skew and chiral skew checks,
+    # counted on fresh objects, are the same at a window of 21 instances and
+    # at one of 100001: every key they reach is inside either window.
+    counts = Counter()
+
+    def counted(module, fn):
+        original = getattr(module, fn)
+
+        def wrapper(*args):
+            counts[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, fn, wrapper)
+
+    for module, fn in ((vertex, "contract"), (vertex, "_add_product"), (vertex, "apply_d"),
+                       (vertex, "vadd"), (vertex, "vscale"), (chiral, "apply_d"),
+                       (chiral, "vadd"), (chiral, "vscale"), (chiral, "diag_apply_d2")):
+        counted(module, fn)
+    fixture = Path(__file__).parent.parent / "fixtures" / "a3_chiral.json"
+    checks = [
+        *((check, build) for check in (vertex.check_d_derivative, vertex.check_skew_symmetry)
+          for build in (a3_va, lambda: serialize.load_path(fixture).va)),
+        *((check_chiral_skew, build) for build in (a3_chiral, lambda: serialize.load_path(fixture))),
+    ]
+    for check, build in checks:
+        seen = []
+        for window in ((-20, 0), (-100000, 0)):
+            X = build()
+            counts.clear()
+            report = check(X, window)
+            assert report.passed and f"[{window[0]}..0]" in report.window
+            seen.append(dict(counts))
+        assert seen[0] == seen[1], (check.__name__, seen)
+        assert sum(seen[0].values()) > 0

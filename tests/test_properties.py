@@ -42,13 +42,16 @@ from chiralva.vertex import (
 )
 from test_vertex import (
     PASCAL_WINDOWS,
+    SCATTER_WINDOWS,
     all_ints,
     assert_index_and_tables_match_reference,
+    assert_scatters_match_window_loops,
     assert_slices_match_full_scatter,
     bump_by,
     reference_iterated_modes,
     scaled_tables,
 )
+from ordinary_powers import ordinary_check_chiral_skew
 from test_chiral import (
     _box,
     gather_keyed_sweep,
@@ -231,6 +234,56 @@ def test_diag_contract_sums_like_per_coordinate_contractions(x, sections):
     # coordinate of x without a section contributes nothing
     got = diag_contract(x, lambda p: sections.get(p, {}))
     assert _typed(got) == _typed(reference_diag_contract(x, lambda p: sections.get(p, {})))
+
+
+# ---------------------------------------------------------------------------
+# random tables over Q[z]
+
+
+@st.composite
+def _qz_tables(draw):
+    """A table over Q[z] of rank 1 to 3, one to six polynomial entries at n
+    in [-3..0], and a polynomial D that is strictly triangular, so
+    nilpotent: each application lowers a z-degree, or moves to a smaller
+    coordinate and raises the degree by at most 2.  Most such tables fail a
+    check.  Degrees and indices are drawn from lists that put the
+    nonconstant and nonzero first, where a draw leans."""
+    rank = draw(st.sampled_from((3, 2, 1)))
+    scalars = st.one_of(st.sampled_from((1, -1, 2)), _RATIONAL.filter(bool))
+
+    def vector(coords, min_size=0):
+        terms = st.tuples(coords, st.sampled_from((1, 2, 0)))
+        return dict(draw(st.dictionaries(terms, scalars, min_size=min_size, max_size=3)))
+
+    d_cols = tuple(vector(st.integers(0, j - 1)) if j else {} for j in range(rank))
+    keys = st.tuples(st.integers(0, rank - 1), st.sampled_from((-2, -3, -1, 0)), st.integers(0, rank - 1))
+    entries = draw(st.lists(keys, min_size=1, max_size=6, unique=True))
+    structure = {key: vector(st.integers(0, rank - 1), 1) for key in entries}
+    return VAData(rank, "Q[z]", ("a", "b", "c")[:rank], structure, d_cols)
+
+
+# random tables and valid algebras, so both verdicts are compared: about 80
+# of the 200 derandomized draws are random tables, and nearly all of those fail
+QZ_TABLES = st.one_of(_qz_tables(), _qz_tables(), _qz_tables(), ALGEBRAS.map(tensor_with_ox))
+QZ_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@QZ_SETTINGS
+@given(QZ_TABLES)
+def test_d_derivative_and_skew_scatters_match_window_loops_on_qz_tables(V):
+    for window in SCATTER_WINDOWS:
+        assert_scatters_match_window_loops(V, window)
+
+
+@QZ_SETTINGS
+@given(QZ_TABLES)
+def test_chiral_skew_matches_both_oracles_on_qz_tables(V):
+    # the divided binomial formula against the full sweep that rebuilds each
+    # power of d2 and against the Horner pass in ordinary powers
+    A = va_to_chiral(V, checked=False)
+    for window in SCATTER_WINDOWS:
+        want = reference_check_chiral_skew(A, window)
+        assert check_chiral_skew(A, window) == want == ordinary_check_chiral_skew(A, window), window
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from chiralva import vertex
 from chiralva.errors import (
+    ChiralvaError,
     ContractError,
     NotADerivation,
     NotAssociative,
@@ -1014,3 +1015,112 @@ def test_iterated_modes_and_triple_index_on_mutants_and_noncommutative_tables():
     assert len(mutants) == 211
     for V in (*mutants, *noncommutative_tables(60)):
         assert_index_and_tables_match_reference(V)
+
+
+# ---------------------------------------------------------------------------
+# the D-derivative and skew checks as window loops, one comparison per
+# instance, contracting with `mode_vec`: the references for their scatters
+
+
+def reference_check_d_derivative(V: VAData, window=None) -> CheckReport:
+    name, label = "d-derivative", "l-1-0"
+    rng = V.global_support()
+    if rng is None and window is None:
+        return CheckReport(name, label, True, "empty table, vacuous")
+    a, b = rng if rng else (0, -1)
+    lo, hi = merge_window(a - 1, b + 1, window)
+    for i in range(V.rank):
+        for j in range(V.rank):
+            for n in range(lo, hi + 1):
+                lhs = mode_vec(V, V.d_cols[i], n + 1, j)
+                rhs = vscale(-(n + 1), V.mode(i, n, j))
+                if lhs != rhs:
+                    return CheckReport(
+                        name, label, False, f"window n in [{lo}..{hi}]",
+                        f"(u={V.basis_names[i]}, v={V.basis_names[j]}, n={n})",
+                    )
+    return CheckReport(
+        name, label, True,
+        f"window n in [{lo}..{hi}]; outside, both sides vanish by support bounds [{a}..{b}]",
+    )
+
+
+def reference_check_skew_symmetry(V: VAData, window=None) -> CheckReport:
+    name, label = "skew-symmetry", "skew"
+    rng = V.global_support()
+    if rng is None and window is None:
+        return CheckReport(name, label, True, "empty table, vacuous")
+    a, b = rng if rng else (0, -1)
+    kill = d_kill_bound(V)
+    lo, hi = merge_window(a - kill, b + 1, window)
+    orbits = d_orbits(V)
+    for i in range(V.rank):
+        for j in range(V.rank):
+            for m in range(lo, hi + 1):
+                lhs = V.mode(i, m, j)
+                rhs: Vector = {}
+                for k in range(max(0, a - m), b - m + 1):
+                    orbit = orbits.get((j, k + m, i), ())
+                    if k < len(orbit):
+                        sign = 1 if (k + m + 1) % 2 == 0 else -1
+                        rhs = vadd(rhs, vscale(Q(sign, math.factorial(k)), orbit[k]))
+                if lhs != rhs:
+                    return CheckReport(
+                        name, label, False, f"window m in [{lo}..{hi}]",
+                        f"(u={V.basis_names[i]}, v={V.basis_names[j]}, m={m})",
+                    )
+    return CheckReport(
+        name, label, True,
+        f"window m in [{lo}..{hi}]; outside, every term vanishes "
+        f"(support [{a}..{b}], D-kill bound {kill})",
+    )
+
+
+def outcome(check, V: VAData, window):
+    """The report, or the type and text of the library error it raises."""
+    try:
+        return check(V, window)
+    except ChiralvaError as err:
+        return type(err), str(err)
+
+
+def d_column_mutants():
+    """Every corpus table with +1 or, read over Q[z], +z on one coordinate of
+    one column of D: some break the derivation rule, some make D
+    non-nilpotent on the table."""
+    for name, V in corpus():
+        for j, c, deg in product(range(V.rank), range(V.rank), (0, 1)):
+            W = tensor_with_ox(V) if deg and V.coeff_ring == "Q" else V
+            d_cols = list(W.d_cols)
+            d_cols[j] = vadd(d_cols[j], {(c, deg): 1})
+            yield (name, j, c, deg), VAData(W.rank, W.coeff_ring, W.basis_names, dict(W.structure), tuple(d_cols))
+
+
+def assert_scatters_match_window_loops(V: VAData, window, where=None) -> int:
+    """Both scattered checks report as their window loops; returns how many
+    of the two fail."""
+    failing = 0
+    for check, reference in ((check_d_derivative, reference_check_d_derivative),
+                             (check_skew_symmetry, reference_check_skew_symmetry)):
+        want = outcome(reference, V, window)
+        assert outcome(check, V, window) == want, (where, check.__name__, window)
+        failing += not (isinstance(want, CheckReport) and want.passed)
+    return failing
+
+
+SCATTER_WINDOWS = [None, (-9, 4), (-20, 0)]
+
+
+@pytest.mark.parametrize("window", SCATTER_WINDOWS, ids=["default", "window-9:4", "window-20:0"])
+def test_d_derivative_and_skew_scatters_match_window_loops(window):
+    # the corpus, every mutant at its first 60 sites (the first 30 of each
+    # table are the 211 criterion-7 mutants) and every D-column mutant
+    cases = failing = criterion_7 = 0
+    for name, V in corpus():
+        sites = mutation_sites(V, 60)
+        criterion_7 += len(sites[:30])
+        for where, W in ((name, V), *(((name, site), bump_structure_constant(V, *site)) for site in sites),
+                         *((where, W) for where, W in d_column_mutants() if where[0] == name)):
+            failing += assert_scatters_match_window_loops(W, window, where)
+            cases += 1
+    assert criterion_7 == 211 and failing > cases // 2, (cases, failing)
