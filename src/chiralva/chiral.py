@@ -74,9 +74,9 @@ class ChiralData:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
         points = [*(va.global_support() or ()), *(n + m for (_, n, _, m) in overrides)]
         self._span = (min(points), max(points)) if points else None  # effective_support()
-        # m! val against the closed form, m! computed only where B^{m+n}_0 is stored
+        # m! val against the closed form, computed only where B^{m+n}_0 is stored; kept for b_layer
         off = (key for key, val in overrides.items() if (closed := self._closed_form(*key))
-               != (vscale(factorial(key[3]), val) if closed else val))
+               != (self._cache.setdefault(("b", *key), vscale(factorial(key[3]), val)) if closed else val))
         self._off = min(off, default=None)  # off_recursion()
 
     def effective_support(self) -> tuple[int, int] | None:

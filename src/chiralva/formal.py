@@ -230,18 +230,18 @@ def delta_binomial(v1: str, v2: str, v3: str, s1: int = 1, s2: int = -1, s3: int
 
 
 def _merge_bounds(maps: list[dict], combine) -> dict:
-    out = {}
-    allvars = set()
-    for m in maps:
-        allvars |= set(m)
-    for v in allvars:
-        out[v] = combine([m.get(v, (0, 0)) for m in maps])
-    return out
+    return {v: combine([m.get(v, (0, 0)) for m in maps]) for v in set().union(*maps)}
 
 
-def support_bounds(expr: Expr) -> dict:
+def support_bounds(expr: Expr, memo: dict | None = None) -> dict:
     """Per-variable (lo, hi) exponent bounds; entries may be +-inf.  Raises
-    IllFormedProduct at any product with two or more infinite factors."""
+    IllFormedProduct at any product with two or more infinite factors.
+    `memo`, local to one evaluation, keeps each node's bounds by identity."""
+    memo = {} if memo is None else memo
+    return memo[expr] if expr in memo else memo.setdefault(expr, _node_bounds(expr, memo))
+
+
+def _node_bounds(expr: Expr, memo: dict) -> dict:
     if isinstance(expr, Monomial):
         return {v: (e, e) for v, e in expr.exps}
     if isinstance(expr, IotaPow):
@@ -255,16 +255,16 @@ def support_bounds(expr: Expr) -> dict:
         return out
     if isinstance(expr, Sum):
         return _merge_bounds(
-            [support_bounds(t) for t in expr.terms],
+            [support_bounds(t, memo) for t in expr.terms],
             lambda bs: (min(b[0] for b in bs), max(b[1] for b in bs)),
         )
     if isinstance(expr, Product):
-        bounds = [support_bounds(f) for f in expr.factors]
+        bounds = [support_bounds(f, memo) for f in expr.factors]
         if sum(not _finite_bounds(b) for b in bounds) > 1:
             raise IllFormedProduct("a product may contain at most one factor of infinite support")
         return _merge_bounds(bounds, lambda bs: (sum(b[0] for b in bs), sum(b[1] for b in bs)))
     if isinstance(expr, Deriv):
-        out = dict(support_bounds(expr.body))
+        out = dict(support_bounds(expr.body, memo))
         lo, hi = out.get(expr.var, (0, 0))
         out[expr.var] = (lo - 1, hi - 1)
         return out
@@ -352,31 +352,31 @@ def _factors(expr: Product) -> list:
     return [g for f in expr.factors for g in (_factors(f) if isinstance(f, Product) else (f,))]
 
 
-def _product(factors, box: ExponentBox) -> dict:
+def _product(factors, box: ExponentBox, memo: dict) -> dict:
     """Finite factors multiplied out over their full support into one table.
     Each key f of that table, with coefficient c, then scatters c times the
     one infinite factor `support_bounds` allows, evaluated on the box shifted
     by -f: its keys k land at k + f inside `box`, and every coefficient is
     exact."""
-    bounds = [support_bounds(f) for f in factors]
+    bounds = [support_bounds(f, memo) for f in factors]
     finite = [(f, b) for f, b in zip(factors, bounds) if _finite_bounds(b)]
     infinite = [f for f, b in zip(factors, bounds) if not _finite_bounds(b)]
     table = {(0,) * len(box.variables): 1}
     for f, b in finite:
         full = ExponentBox(box.variables, tuple(b.get(v, (0, 0)) for v in box.variables))
-        table = _convolve(table, _table(f, full))
+        table = _convolve(table, _table(f, full, memo))
     if not infinite:
         return {k: v for k, v in table.items() if box.contains(k)}
     out = {}
     for f, c in table.items():  # a zero finite part leaves the infinite factor unread
-        for k, v in _table(infinite[0], box.shifted(f)).items():
+        for k, v in _table(infinite[0], box.shifted(f), memo).items():
             _add(out, tuple(map(add, k, f)), c * v)
     return out
 
 
-def _table(expr: Expr, box: ExponentBox) -> dict:
+def _table(expr: Expr, box: ExponentBox, memo: dict) -> dict:
     """Exact nonzero coefficients of `expr` inside `box`; `expr` has passed
-    `support_bounds`."""
+    `support_bounds`, whose bounds of its nodes `memo` keeps."""
     if isinstance(expr, Monomial):
         key = tuple(dict(expr.exps).get(v, 0) for v in box.variables)
         c = expr.coeff.numerator if expr.coeff.denominator == 1 else expr.coeff
@@ -384,17 +384,17 @@ def _table(expr: Expr, box: ExponentBox) -> dict:
     if isinstance(expr, (IotaPow, DeltaAtom)):
         return _atom(expr, box)
     if isinstance(expr, Product):
-        return _product(_factors(expr), box)
+        return _product(_factors(expr), box, memo)
     acc = {}
     if isinstance(expr, Sum):
         for t in expr.terms:
-            for key, val in _table(t, box).items():
+            for key, val in _table(t, box, memo).items():
                 _add(acc, key, val)
     else:
         # d/dv takes v^e to e v^(e-1): read the body on the box moved up one in v
         i = box.index(expr.var)
         up = box.shifted(tuple(-1 if v == expr.var else 0 for v in box.variables))
-        for key, val in _table(expr.body, up).items():
+        for key, val in _table(expr.body, up, memo).items():
             if key[i]:
                 acc[key[:i] + (key[i] - 1,) + key[i + 1 :]] = key[i] * val
     return acc
@@ -402,10 +402,11 @@ def _table(expr: Expr, box: ExponentBox) -> dict:
 
 def expand(expr: Expr, box: ExponentBox) -> LaurentWindow:
     """Exact coefficients of `expr` on `box`; untracked outside."""
-    extra = set(support_bounds(expr)) - set(box.variables)
+    memo: dict = {}
+    extra = set(support_bounds(expr, memo)) - set(box.variables)
     if extra:
         raise ContractError(f"expression uses variables {sorted(extra)} not in the box")
-    return LaurentWindow(box, _table(expr, box))
+    return LaurentWindow(box, _table(expr, box, memo))
 
 
 def iota_expand(first: str, second: str, n: int, box: ExponentBox) -> LaurentWindow:
@@ -457,7 +458,7 @@ def fundamental_delta_property(
 
     def times_delta(table: dict) -> LaurentWindow:
         x = Sum(tuple(mono({"x1": a, "x2": b}, val) for (a, b), val in table.items()))
-        return LaurentWindow(box, _table(Product((x, delta_ratio("x1", "x2"))), box))
+        return LaurentWindow(box, _table(Product((x, delta_ratio("x1", "x2"))), box, {}))
 
     return _report(times_delta(x_coeffs.coeffs), times_delta(diag), "fundamental delta property")
 

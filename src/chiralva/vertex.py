@@ -42,10 +42,10 @@ gives, on any table, J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1) for
 lhs - rhs = J, so every point with m < hi and n < hi is carried from the
 slice before, and only the top edge m = hi or n = hi of a slice is
 computed: at most two points of each entry with p + q - l >= lo + hi, the
-prefix of one list of entries sorted by p + q, each binomial computed where
-it is read.  The carry starts from an empty slice, one that no entry
-reaches inside the window, at or below lo.  Every instance still gets its
-exact integer value.
+prefix of one list of entries sorted by p + q, each added to a point in
+one multiply-add of an integer that packs every triple.  The carry starts
+from an empty slice, one that no entry reaches inside the window, at or
+below lo.  Every instance still gets its exact integer value.
 
 Each basis triple has one iterated-mode table, kept in integers.  Each
 iterated mode is a sum of products of two structure scalars, so with L the
@@ -60,6 +60,8 @@ chiral compositions, whose values are printed, multiply by 1/L^2.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from collections import defaultdict
 
@@ -94,8 +96,7 @@ def unit(i: int) -> Vector:
 
 def vadd(x: Vector, y: Vector) -> Vector:
     out = dict(x)
-    for k, b in y.items():
-        out[k] = out.get(k, 0) + b
+    _add_product(out, 1, 0, y)
     return _clean(out)
 
 def vscale(c, x: Vector) -> Vector:
@@ -107,11 +108,8 @@ def contract(x: Vector, entries: dict) -> Vector:
     absent from the sparse map `entries` contributes zero."""
     acc: dict = {}
     for (p, d), c in x.items():
-        e = entries.get(p)
-        if e:
-            for (q, f), y in e.items():
-                k = (q, f + d)
-                acc[k] = acc.get(k, 0) + c * y
+        if e := entries.get(p):
+            _add_product(acc, c, d, e)
     return _clean(acc)
 
 
@@ -186,10 +184,9 @@ class VAData:
         self._cache = {} if _cache is None else _cache
         # L: the lcm of the scalars' denominators
         self._scale = L = math.lcm(*(x.denominator for vec in clean.values() for x in vec.values()))
-        self._pairs = {}  # (i, j) -> [(n, L * entry)], the one entry index
+        self._pairs = {}  # (i, j) -> [(n, L * entry in ints)], the one entry index
         for (i, n, j), val in clean.items():
-            self._pairs.setdefault((i, j), []).append(
-                (n, val if L == 1 else {cd: int(L * x) for cd, x in val.items()}))
+            self._pairs.setdefault((i, j), []).append((n, {cd: int(L * x) for cd, x in val.items()}))
         self._triples = _index_triples(self._pairs)  # indexed_triples()
         self._dmap = {j: col for j, col in enumerate(d_cols) if col}  # nonzero D(e_j) only
         if coeff_ring == "Q" and self.max_degree() > 0:
@@ -277,7 +274,7 @@ def apply_d(V: VAData, u: Vector) -> Vector:
     derivative sends (c, d) to (c, d-1) times d; over Q every degree is 0
     and the derivative term vanishes."""
     derivative = {(p, d - 1): d * c for (p, d), c in u.items() if d}
-    return vadd(derivative, contract(u, V._dmap))
+    return vadd(derivative, contract(u, V._dmap)) if derivative else contract(u, V._dmap)
 
 
 def d_orbits(V: VAData) -> dict:
@@ -433,19 +430,20 @@ def integer_modes(V: VAData, iu: int, iv: int, iw: int) -> tuple[dict, dict]:
         for (c, d), x in vw.items():
             for p, uc in pairs.get((iu, c), ()):
                 _add_product(right.setdefault((p, q), {}), x, d, uc)
-    V._cache[key] = hit = tuple({pq: vec for pq, acc in table.items() if (vec := _clean(acc))}
-                                for table in (left, right))
+    V._cache[key] = hit = tuple({pq: vec for pq, acc in table.items()
+                                 if (vec := {k: x for k, x in acc.items() if x})} for table in (left, right))
     return hit
 
 
 def _add_product(acc: dict, x, d: int, vec: Vector) -> None:
     """acc += x z^d vec, uncleaned."""
-    for (r, f), y in vec.items():
-        k = (r, f + d)
+    if d:
+        vec = {(r, f + d): y for (r, f), y in vec.items()}
+    for k, y in vec.items():
         acc[k] = acc.get(k, 0) + x * y
 
 
-def _jacobi_edge(l: int, lo: int, hi: int, entries: list) -> dict:
+def _jacobi_edge(l: int, lo: int, hi: int, entries: list, pack) -> dict:
     """The top edge of the slice l of lhs - rhs of the component Jacobi
     identity
 
@@ -454,78 +452,109 @@ def _jacobi_edge(l: int, lo: int, hi: int, entries: list) -> dict:
             - (-1)^l sum_i (-1)^i binom(l, i) v_{n+l-i} (u_{m+i} w)
 
     over (m, n) in [lo..hi]^2: its points with m = hi or n = hi, as
-    {(m, n, t, (coord, deg)): scalar}.  A table entry at (p, q) reaches the
-    points with l+m+n = p+q, so an edge point, whose other index is at
-    least lo, has s = m + n = p + q - l >= lo + hi.  `entries` holds the
-    entries as ((p + q, table, p, q), [(t, xs), ...]), table 0, 1, 2 for
-    (u_p v)_q w, u_p (v_q w) and v_p (u_q w), by p + q descending, and the
-    walk stops at the first key below lo + hi + l.  For s >= lo + hi, the
-    points one entry reaches form the range [s - hi .. top] of the loop
-    index x (m for table 0, n for table 1, m for table 2; the other index is
-    s - x), with top = hi for table 0 and min(hi, q) for the others.  Its
-    edge points are its ends: x = s - hi, where the other index is hi, and
-    x = hi when top = hi.  Each binomial is computed where it is read:
-    binom(x, p - l) for table 0, which no point reads when p < l, and
-    (-1)^i binom(l, i) at i = q - x for the others, negated for table 1
-    and times (-1)^l for table 2.  The points and binomials depend on
-    (table, p, q) only, so they are found once for all the triples that
-    hold an entry there."""
+    {(m, n): packed integer}.  An entry at (p, q) reaches the points with
+    l+m+n = p+q, so an edge point has s = m + n = p + q - l >= lo + hi.
+    `entries` lists the keys (p + q, table, p, q), table 0, 1, 2 for
+    (u_p v)_q w, u_p (v_q w) and v_p (u_q w), by p + q descending, walked
+    down to lo + hi + l.  An entry reaches the range [s - hi .. top] of the
+    loop index x (m for tables 0 and 2, n for table 1; the other index is
+    s - x), top = hi for table 0 and min(hi, q) for the others, whose ends
+    x = s - hi and, when top = hi, x = hi are its edge points.  Binomials
+    are computed where read: binom(x, p - l) for table 0, read only when
+    p >= l, and (-1)^i binom(l, i) at i = q - x, kept for the slice, negated
+    for table 1 and times (-1)^l for table 2.  One multiply-add of pack(key)
+    adds them for every triple with an entry at the key."""
     acc: dict = defaultdict(int)
-    for (s, table, p, q), held in entries:
+    row: dict = {}  # i -> (-1)^i binom(l, i), which tables 1 and 2 share
+    for key in entries:
+        s, table, p, q = key
         s -= l
         if s < lo + hi:
             break
-        x0 = s - hi
-        top = hi if table == 0 else min(hi, q)
-        if x0 > top:
+        x0, top = s - hi, hi if table == 0 else min(hi, q)
+        if x0 > top or table == 0 and p < l:
             continue
-        ends = (x0, hi) if x0 < top == hi else (x0,)
-        if table == 0:
-            if p < l:
-                continue
-            points = [(binom(x, p - l), x, s - x) for x in ends]
-        elif table == 1:  # -(-1)^i binom(l, i), i = q - x
-            points = [(binom(l, q - x) * (1 if (q - x) % 2 else -1), s - x, x) for x in ends]
-        else:  # (-1)^(l+i) binom(l, i)
-            points = [(binom(l, q - x) * (-1 if (l + q - x) % 2 else 1), x, s - x) for x in ends]
-        for c, m, n in points:
+        for x in ((x0, hi) if x0 < top == hi else (x0,)):
+            if table == 0:
+                c, m, n = binom(x, p - l), x, s - x
+            else:  # (-1)^i binom(l, i), i = q - x, negated for table 1, times (-1)^l for table 2
+                if (i := q - x) not in row:
+                    row[i] = -binom(l, i) if i % 2 else binom(l, i)
+                c, m, n = (-row[i], s - x, x) if table == 1 else (-row[i] if l % 2 else row[i], x, s - x)
             if c:
-                for t, xs in held:
-                    for cd, y in xs.items():
-                        acc[m, n, t, cd] += c * y
+                acc[m, n] += c * pack(key)
     return acc
 
 
-def _jacobi_slices(lo: int, hi: int, a: int, reach: list):
-    """Yield (l, the nonzero entries of the slice l of lhs - rhs) for l in
-    lo..hi, for tables supported from a up; `reach` lists (triple, its
-    three tables) in triple order, so keys order like (m, n, triple).
-    Every slice is carried by Pascal's rule, J(l, m, n) = J(l-1, m+1, n) -
-    J(l-1, m, n+1), which holds on any table: it fills every point with
-    m < hi and n < hi from the previous slice, and only the top edge
-    (m = hi or n = hi) is computed, by `_jacobi_edge` from one list of the
-    entries sorted once per sweep.  The carry starts at l = 2a - 2hi from an
-    empty slice: every entry has p, q >= a, so on any slice below it reaches
-    only m + n = p + q - l > 2hi, outside the window.  Slices from lo up to
-    that start are yielded empty, unscattered; slices below lo are carried,
-    not yielded."""
-    held: dict = {}
-    for t, (_, *tables) in enumerate(reach):
-        for table, modes in enumerate(tables):
+def _jacobi_layout(V: VAData, a: int, b: int, hi: int) -> tuple[int, list, list, dict]:
+    """(w, starts, fields, keys): the field width `_jacobi_slices` proves, in
+    whole bytes; fields[t], each (coord, deg) of indexed triple t's tables to
+    its field, numbered from starts[t] on first sight; per key, [t, entry, ...]."""
+    vecs = [vec for entries in V._pairs.values() for _, vec in entries]
+    e = max((max(map(abs, vec.values())) for vec in vecs), default=0)
+    bound = 6 * (b - a + 1) * max(map(len, vecs), default=0) * e * e << max(0, hi, hi - a - 1)
+    starts, fields, keys = [0], [], {}
+    for t, (iu, iv, iw) in enumerate(V.indexed_triples()):
+        seen: dict = {}
+        for table, modes in enumerate((*integer_modes(V, iu, iv, iw), integer_modes(V, iv, iu, iw)[1])):
             for (p, q), xs in modes.items():
-                held.setdefault((p + q, table, p, q), []).append((t, xs))
-    entries = sorted(held.items(), reverse=True)
+                seen.update(xs)
+                keys.setdefault((p + q, table, p, q), []).extend((t, xs))  # flat: no tuple kept
+        fields.append(dict(zip(seen, range(starts[-1], starts[-1] + len(seen)))))
+        starts.append(starts[-1] + len(seen))
+    return (bound.bit_length() + 8) // 8 * 8, starts, fields, keys
+
+
+def _jacobi_slices(lo: int, hi: int, a: int, layout: tuple):
+    """Yield (l, the nonzero points of the slice l of lhs - rhs) for l in
+    lo..hi, for tables supported in [a..b] laid out by `_jacobi_layout`.  A
+    point (m, n) holds X = sum_k v_k 2^(w k), v_k its value at field k.  A
+    key's X is built when first read, its values offset by 2^(w-1) as the
+    w-bit digits of one byte string.  The width: a value held is a
+    J(l, m, n), lo <= m, n <= hi, of at most 3 span terms (span = b - a + 1:
+    each sum runs over p or q in [a..b]), each a binomial times a
+    coordinate, which sums one product of two `VAData._pairs` scalars per
+    coordinate of one entry: at most N E^2, N the most coordinates of an
+    entry, E the largest scalar.  binom(x, i) <= 2^hi for 0 <= x <= hi, and
+    for x < 0, |binom(x, i)| = binom(i-x-1, i) <= 2^(hi-a-1) as a nonzero
+    term has i <= x + hi - a (q >= a in table 0, x = m; p >= a in tables 1
+    and 2, x = l).  So w > bits(6 span N E^2 2^max(0, hi, hi-a-1)) makes
+    every |v_k| < 2^(w-2): X is 0 exactly when every v_k is, and its lowest
+    set bit is in its least nonzero field.
+
+    Pascal's rule J(l, m, n) = J(l-1, m+1, n) - J(l-1, m, n+1), true on any
+    table, carries every point with m, n < hi from the slice before;
+    `_jacobi_edge` computes the top edge.  The carry starts at l = 2a - 2hi
+    from an empty slice: an entry (p, q >= a) reaches there only m + n >
+    2hi.  Slices from lo up to there are yielded empty, unscattered; slices
+    below lo are carried, not yielded."""
+    w, starts, fields, keys = layout
+    size, half = w // 8, 1 << (w - 1)
+    pad = half.to_bytes(size, "little")
+
+    @functools.cache  # a failing sweep stops before it reads every key
+    def pack(key) -> int:
+        held = keys[key]
+        k0, n = starts[held[0]], starts[held[-2] + 1] - starts[held[0]]
+        digits = [pad] * n
+        for t, xs in zip(held[::2], held[1::2]):
+            f = fields[t]
+            for cd, y in xs.items():
+                digits[f[cd] - k0] = (y + half).to_bytes(size, "little")
+        return int.from_bytes(b"".join(digits), "little") - int.from_bytes(pad * n, "little") << w * k0
+
+    entries = sorted(keys, reverse=True)
     start = 2 * a - 2 * hi
     for l in range(lo, min(start, hi + 1)):
         yield l, {}
     prev: dict = {}
     for l in range(start, hi + 1):
-        acc = _jacobi_edge(l, lo, hi, entries)
-        for (m, n, t, cd), x in prev.items():
+        acc = _jacobi_edge(l, lo, hi, entries, pack)
+        for (m, n), x in prev.items():
             if m > lo and n < hi:
-                acc[m - 1, n, t, cd] += x
+                acc[m - 1, n] += x
             if n > lo and m < hi:
-                acc[m, n - 1, t, cd] -= x
+                acc[m, n - 1] -= x
         prev = {key: x for key, x in acc.items() if x}
         if l >= lo:
             yield l, prev
@@ -616,14 +645,14 @@ def check_jacobi(V: VAData, window: tuple[int, int] | None = None) -> CheckRepor
     a, b = rng if rng else (0, -1)
     span = b - a + 1
     lo, hi = merge_window(a - span - 1, b + span + 1, window)
-    reach = [(t, *tables) for t in V.indexed_triples()  # empty triples reach nothing
-             if any(tables := (*integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]))]
-    for l, failing in _jacobi_slices(lo, hi, a, reach):
+    w, starts, *_ = layout = _jacobi_layout(V, a, b, hi)
+    for l, failing in _jacobi_slices(lo, hi, a, layout):
         if failing:  # the first failing instance in (l, m, n, triple) order
-            m, n, t, _ = min(failing)
+            (m, n), x = min(failing.items())
+            t = bisect.bisect(starts, ((x & -x).bit_length() - 1) // w) - 1  # the least nonzero field's
             return CheckReport(
                 name, label, False, f"window (l,m,n) in [{lo}..{hi}]^3",
-                f"({triple_name(V, *reach[t][0])}, l={l}, m={m}, n={n})",
+                f"({triple_name(V, *V.indexed_triples()[t])}, l={l}, m={m}, n={n})",
             )
     witness = closure_witness(V, a, b)
     if witness is not None:

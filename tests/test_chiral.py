@@ -1423,3 +1423,20 @@ def test_windowed_checks_cost_what_the_entries_reach(monkeypatch):
             seen.append(dict(counts))
         assert seen[0] == seen[1], (check.__name__, seen)
         assert sum(seen[0].values()) > 0
+
+
+def test_a_far_explicit_layer_computes_its_factorial_once(monkeypatch):
+    # The layer m = 3000 on a3's stored B^{-1}_0 is its recursion closed form,
+    # (-1)^m B^{n+m}_0 / m!: loading compares m! times it with the closed
+    # form, and the checks read that product from the cache.
+    A = serialize.load_path(Path(__file__).parent.parent / "fixtures" / "a3_chiral.json")
+    m, n = 3000, -3001
+    overrides = {(0, n, 0, m): vscale(inv_factorial(m), A._closed_form(0, n, 0, m))}
+    assert overrides[0, n, 0, m]
+    want = check_all_chiral(ChiralData(A.va, dict(overrides)))
+    calls = Counter()
+    factorial = chiral.factorial
+    monkeypatch.setattr(chiral, "factorial", lambda k: calls.update((k,)) or factorial(k))
+    got = check_all_chiral(ChiralData(A.va, dict(overrides)))
+    assert got == want and all(report.passed for report in got)
+    assert calls[m] == 1

@@ -430,6 +430,27 @@ def test_expand_matches_reference_on_delta_window_templates(hi):
             assert expand(expr, box).coeffs == reference_expand(expr, box), (expr, hi)
 
 
+def test_support_bounds_computed_once_per_node_per_expand(monkeypatch):
+    # expand bounds its expression once and hands the bounds of every node
+    # to the products inside it, nested ones included; no bound outlives
+    # the call, so each expand computes each node's bounds again
+    from chiralva import formal
+    from chiralva.deltaparse import parse_expression
+
+    computed = []
+    node_bounds = formal._node_bounds
+    monkeypatch.setattr(formal, "_node_bounds", lambda e, memo: computed.append(e) or node_bounds(e, memo))
+    exprs = [parse_expression(side) for pair in _load_delta_templates() for side in pair]
+    for expr in exprs:
+        nodes = []
+        for box in (box3(-4, 4), box3(-8, 8)):
+            computed.clear()
+            expand(expr, box)
+            assert len(computed) == len({id(node) for node in computed}), expr
+            nodes.append(len(computed))
+        assert nodes[0] == nodes[1] > 0
+
+
 def _random_any_expression(rng, depth):
     """Atoms, sums, products and derivatives over x0, x1, x2, ill-formed ones
     included: products may hold several deltas or infinite factors."""

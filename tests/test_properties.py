@@ -43,11 +43,13 @@ from chiralva.vertex import (
 from test_vertex import (
     PASCAL_WINDOWS,
     SCATTER_WINDOWS,
+    WIDTH_WINDOWS,
     all_ints,
     assert_index_and_tables_match_reference,
     assert_scatters_match_window_loops,
     assert_slices_match_full_scatter,
     bump_by,
+    max_held_ratio,
     reference_iterated_modes,
     scaled_tables,
 )
@@ -180,6 +182,19 @@ def test_pascal_slices_match_full_scatter_on_generated_algebras(V0, pick, bump, 
         i, n, j, coord = sites[pick % len(sites)]
         V = bump_by(V, (i, n, j), coord, bump)
     assert_slices_match_full_scatter(V, window)
+
+
+@SETTINGS
+@given(ALGEBRAS, st.integers(0, 59), st.one_of(st.none(), _RATIONAL), st.sampled_from(WIDTH_WINDOWS))
+def test_packed_values_fit_their_fields_on_generated_algebras(V0, pick, bump, window):
+    # every value the reference slices hold fits the packed field width, on
+    # generated algebras and on mutants bumped by a rational
+    V = tensor_with_ox(V0)
+    sites = mutation_sites(V, 60)
+    if bump and sites:
+        i, n, j, coord = sites[pick % len(sites)]
+        V = bump_by(V, (i, n, j), coord, bump)
+    assert max_held_ratio(V, window) < 1
 
 
 @SETTINGS

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from collections import defaultdict
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -23,6 +24,7 @@ from chiralva.vertex import (
     VAData,
     Vector,
     _associativity_witness,
+    _jacobi_layout,
     _jacobi_slices,
     _locality_witness,
     _slice_points,
@@ -647,19 +649,56 @@ def _sweep_window(V, window):
     return (*merge_window(a - span - 1, b + span + 1, window), a, b)
 
 
-def assert_slices_match_full_scatter(V, window):
-    """Every slice `_jacobi_slices` yields, the first one, failing slices and
-    the ones after them included, is the nonzero part of the full
-    `reference_jacobi_slice`, in ints.  Returns the number of slices carried
-    from a nonzero slice."""
+def unpack_slice(points: dict, fields: list, w: int) -> dict:
+    """A packed slice {(m, n): X} as {(m, n, t, (coord, deg)): value}, its
+    nonzero values only: with F fields in all, X plus the offset sum of
+    2^(w-1) 2^(w k) over k < F has the base-2^w digits v_k + 2^(w-1), v_k
+    the value at field k, when every |v_k| < 2^(w-1)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    offset = sum(half << w * k for f in fields for k in f.values())
+    out = {}
+    for (m, n), x in points.items():
+        x += offset
+        out.update(((m, n, t, cd), v) for t, f in enumerate(fields) for cd, k in f.items()
+                   if (v := (x >> w * k & mask) - half))
+    return out
+
+
+def _packed_sweep(V, window, width=None):
+    """(lo, hi, a, b, reach, fields, w, the slices) of check_jacobi's packed
+    sweep of V, at the field width w of its layout unless `width` is given.
+    `reach` lists every indexed triple, as the layout does, and its nonempty
+    triples are those of `_reach`."""
     lo, hi, a, b = _sweep_window(V, window)
-    reach = _reach(V)
-    slices = list(_jacobi_slices(lo, hi, a, reach))
+    w, starts, fields, keys = _jacobi_layout(V, a, b, hi)
+    w = width or w
+    reach = [(t, *integer_modes(V, *t), integer_modes(V, t[1], t[0], t[2])[1]) for t in V.indexed_triples()]
+    assert [t for t, *tables in reach if any(tables)] == [t for t, *_ in _reach(V)]
+    return lo, hi, a, b, reach, fields, w, list(_jacobi_slices(lo, hi, a, (w, starts, fields, keys)))
+
+
+def assert_slices_match_full_scatter(V, window, width=None):
+    """Every slice `_jacobi_slices` yields, the first one, failing slices and
+    the ones after them included, unpacks to the nonzero part of the full
+    `reference_jacobi_slice`, and holds its nonzero points only.  Returns
+    the number of slices carried from a nonzero slice."""
+    lo, hi, a, b, reach, fields, w, slices = _packed_sweep(V, window, width)
     assert [l for l, _ in slices] == list(range(lo, hi + 1))
     for l, got in slices:
-        assert got == {key: x for key, x in reference_jacobi_slice(l, lo, hi, a, b, reach).items() if x}, l
-        assert all(type(x) is int for x in got.values()), l
+        want = {key: x for key, x in reference_jacobi_slice(l, lo, hi, a, b, reach).items() if x}
+        assert unpack_slice(got, fields, w) == want, l
+        assert all(got.values()) and {(m, n) for m, n, *_ in want} == got.keys(), l
     return sum(bool(prev) for (_, prev), _ in zip(slices, slices[1:]))
+
+
+def max_held_ratio(V, window) -> Fraction:
+    """The largest |value| of the reference slices of V's sweep over
+    2^(w-1), w the packed field width: below 1 when every value fits its
+    field."""
+    lo, hi, a, b, reach, _, w, _ = _packed_sweep(V, window)
+    top = max((abs(x) for l in range(2 * a - 2 * hi, hi + 1)
+               for x in reference_jacobi_slice(l, lo, hi, a, b, reach).values()), default=0)
+    return Fraction(top, 1 << (w - 1))
 
 
 @pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
@@ -681,6 +720,43 @@ def test_pascal_slices_match_full_scatter_on_a_wide_window():
     mutant = bump_structure_constant(a3_va(), *mutation_sites(a3_va(), 30)[0])
     assert assert_slices_match_full_scatter(a3_va(), (-60, 0)) == 0
     assert assert_slices_match_full_scatter(mutant, (-60, 0)) > 0
+
+
+# The packed sweep's field width w is proved to hold every value of a slice
+# (`vertex._jacobi_slices`); the family below checks the bound and shows that
+# a width too small for its values changes reports.
+
+WIDTH_WINDOWS = (None, (-9, 4), (-20, 0), (-3, 30))
+
+
+def width_family():
+    yield from (V for _, V in corpus())
+    yield from _criterion_7_mutants(30)
+    yield from (tensor_with_ox(truncated_poly_va(k, [Q(0), Q(0), Q(1), Q(1, 2)])) for k in range(4, 9))
+
+
+def test_packed_values_fit_their_fields():
+    ratios = [max_held_ratio(V, w) for V in width_family() for w in WIDTH_WINDOWS]
+    assert len(ratios) == 4 * (8 + 211 + 5)
+    assert max(ratios) < 1, max(ratios)
+
+
+def test_a_field_width_too_small_is_noticed():
+    # With 8-bit fields an entry too wide for its field cannot be packed, and
+    # a value that overflows carries into the fields above it, which the
+    # exact unpacking notices.  The verdict and witness read the least
+    # nonzero field only, which a carry changes only when that value is a
+    # multiple of 2^w, so the unpacking, not the report, is the witness here.
+    noticed = set()
+    for V in width_family():
+        for w in WIDTH_WINDOWS:
+            try:
+                assert_slices_match_full_scatter(V, w, width=8)
+            except (AssertionError, OverflowError) as exc:
+                noticed.add(type(exc))
+        if len(noticed) == 2:
+            return
+    pytest.fail(f"only {noticed} noticed")
 
 
 @pytest.mark.parametrize("name,V,window", SCATTER_CASES, ids=SCATTER_IDS)
