@@ -15,13 +15,15 @@ layer, which ChiralData stores as the mode table it is, a VAData over Q[z]
 controls, files with full layers) are kept beside it, as given.  A
 composition such as mu(mu(u, v), w) is mu applied to the section mu(u, v):
 it reads iterated modes of the m = 0 layer, is never cached, and is defined
-on the recursion only, where mu is O-linear.
+on the recursion only, where mu is O-linear.  The three checks share that
+gate: off the recursion each fails before any section is built, naming the
+layer `o_linearity_witness` finds.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from itertools import accumulate as scan, chain
+from itertools import accumulate as scan, chain, product
 
 from .errors import ContractError
 from .exact import Q, binom, factorial, inv_factorial
@@ -283,8 +285,9 @@ def compose_right(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector
 
 def o_linearity_witness(A: ChiralData) -> str | None:
     """None on the recursion.  Off it mu is not O-linear, hence no D-module
-    morphism, and chiral skew, chiral-Jacobi and the compositions are not
-    defined: the text names the layer `off_recursion()` finds."""
+    morphism, and the D-module check's parts, chiral skew, chiral-Jacobi and
+    the compositions are not defined: the text names the layer
+    `off_recursion()` finds."""
     key = A.off_recursion()
     if key is None:
         return None
@@ -296,28 +299,21 @@ def o_linearity_witness(A: ChiralData) -> str | None:
 NOT_SWEPT = "not swept: off the recursion, mu is not a D-module morphism"
 
 
-def _sweep_ns(A: ChiralData, lo: int, hi: int) -> list[int]:
-    """The exponents n at which skew and the D-module check compare sections:
-    the window and the neighbours of every explicit layer, all of them only
-    for the D-module check off the recursion.  On the recursion,
-    layer j of each difference section at n is a sign times one quantity
-    of the key n + j, so the section at the least n compares every
-    key a later n would, and is the only one compared."""
-    ns = {n + d for (_, n, _, _) in A.overrides for d in (-1, 0, 1)}
-    if A.off_recursion():
-        return sorted(ns.union(range(lo, hi + 1)))
-    return sorted(ns.union(range(lo, hi + 1)[:1]))[:1]
-
-
 def dmodule_parts(A: ChiralData, window=None) -> dict:
-    """Sub-verdicts of the D-module-morphism check.
+    """Sub-verdicts of the D-module-morphism check, on the recursion only
+    (ContractError off it).
 
-    (a) multiplication by (z1-z2) matches the layer recursion;
+    (a) multiplication by (z1-z2) matches the layer recursion: it sends
+        layer k + 1 of the section at n, (-1)^(k+1) B^{n+k+1}_0, to its
+        negative, which is layer k of the section at n + 1, so (a) holds;
     (b) d1 satisfies the Leibniz identity against the exponent;
     (c) d2, rewritten through the diagonal, satisfies its analogue.
-    Outside the swept range the stored family is the recursion closed form,
-    for which all three identities hold by layer algebra.
+    Divided layer j of the (b) and (c) differences at n is (-1)^j times a
+    quantity of the key n + j, so the one section per pair at the window's
+    lo compares every key a later n would.
     """
+    if (off := o_linearity_witness(A)) is not None:
+        raise ContractError(off)
     parts = {
         "a": {"label": "expl-exp4", "passed": True, "witness": None},
         "b": {"label": "l-1-1", "passed": True, "witness": None},
@@ -327,37 +323,24 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
     if rng is None and window is None:
         return parts
     lo, hi = rng if rng else (0, -1)
-    lo, hi = merge_window(lo - 2, hi + 1, window)
-    va = A.va
-    ns = _sweep_ns(A, lo, hi)
-    for i in range(va.rank):
-        for j in range(va.rank):
-            for n in ns:
-                s_n = A.basis_section(i, n, j)
-                s_n1 = A.basis_section(i, n + 1, j)
-                where = f"({pair_name(va, i, j)}, n={n})"
-                if parts["a"]["passed"] and s_n1 != diag_mul_z12(s_n):
-                    parts["a"].update(passed=False, witness=where)
-                if parts["b"]["passed"]:
-                    lhs = diag_apply_d1(s_n1)
-                    rhs = diag_add(
-                        diag_scale(n + 1, s_n),
-                        diag_contract(va.d_cols[i], lambda p: A.basis_section(p, n + 1, j)),
-                    )
-                    if lhs != rhs:
-                        parts["b"].update(passed=False, witness=where)
-                if parts["c"]["passed"]:
-                    lhs = diag_apply_d2(A, s_n1)
-                    rhs = diag_add(
-                        diag_scale(-(n + 1), s_n),
-                        diag_contract(va.d_cols[j], lambda p: A.basis_section(i, n + 1, p)),
-                    )
-                    if lhs != rhs:
-                        parts["c"].update(passed=False, witness=where)
+    n, _ = merge_window(lo - 2, hi + 1, window)
+    va, sec = A.va, A.basis_section
+    for i, j in product(range(va.rank), repeat=2):
+        s_n, s_n1 = sec(i, n, j), sec(i, n + 1, j)
+        where = f"({pair_name(va, i, j)}, n={n})"
+        if parts["b"]["passed"] and diag_apply_d1(s_n1) != diag_add(
+                diag_scale(n + 1, s_n), diag_contract(va.d_cols[i], lambda p: sec(p, n + 1, j))):
+            parts["b"].update(passed=False, witness=where)
+        if parts["c"]["passed"] and diag_apply_d2(A, s_n1) != diag_add(
+                diag_scale(-(n + 1), s_n), diag_contract(va.d_cols[j], lambda p: sec(i, n + 1, p))):
+            parts["c"].update(passed=False, witness=where)
     return parts
 
 
 def check_dmodule_morphism(A: ChiralData, window=None) -> CheckReport:
+    name, label = "d-module-morphism", "expl-exp1"
+    if (off := o_linearity_witness(A)) is not None:
+        return CheckReport(name, label, False, NOT_SWEPT, off)
     parts = dmodule_parts(A, window)
     passed = all(p["passed"] for p in parts.values())
     witness = None
@@ -373,7 +356,7 @@ def check_dmodule_morphism(A: ChiralData, window=None) -> CheckReport:
         f"window n around support [{rng[0]}..{rng[1]}]; outside, the family "
         "is the recursion closed form and the identities hold layerwise"
     )
-    return CheckReport("d-module-morphism", "expl-exp1", passed, win, witness, tuple(details))
+    return CheckReport(name, label, passed, win, witness, tuple(details))
 
 
 def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
@@ -385,7 +368,10 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     of B^n(v, u), is (-1)^j sum_t D^t b_{j+t} / t!.  Each b_m is a stored value
     up to sign, killed by D^K (the D-kill bound), so it is summed times (K-1)!.
     Degree 0 is the m = 0 extraction identity (-1)^(n+1) sum_m D^m B^n_m(v, u)
-    = B^n_0(u, v)."""
+    = B^n_0(u, v).  Off the recursion the check stops at the O-linearity
+    gate.  On it, divided layer j of the difference at n is (-1)^n times a
+    quantity of the key n + j, so one section per pair, at the window's lo,
+    compares every key a later n would."""
     name, label = "chiral-skew", "sigma12"
     if (off := o_linearity_witness(A)) is not None:
         return CheckReport(name, label, False, NOT_SWEPT, off)
@@ -395,18 +381,17 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     lo0, hi0 = rng if rng else (0, -1)
     kill = d_kill_bound(A.va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
-    n, = _sweep_ns(A, lo, hi)  # on the recursion, one section per pair
+    n = lo
     scale = factorial(kill - 1)
-    for i in range(A.va.rank):
-        for j in range(A.va.rank):
-            swapped: DiagSection = {}
-            for m, b in A.basis_section(j, n, i).items():
-                for t in range(min(kill, m + 1)):  # layer m - t: (-1)^(m-t) (K-1)!/t! D^t b
-                    accumulate(swapped, m - t, vscale((-scale if (m - t) % 2 else scale) // factorial(t), b))
-                    b = apply_d(A.va, b)
-            if swapped != diag_scale(scale if n % 2 else -scale, A.basis_section(i, n, j)):
-                return CheckReport(name, label, False, f"window n in [{lo}..{hi}]",
-                                   f"({pair_name(A.va, i, j)}, n={n})")
+    for i, j in product(range(A.va.rank), repeat=2):
+        swapped: DiagSection = {}
+        for m, b in A.basis_section(j, n, i).items():
+            for t in range(min(kill, m + 1)):  # layer m - t: (-1)^(m-t) (K-1)!/t! D^t b
+                accumulate(swapped, m - t, vscale((-scale if (m - t) % 2 else scale) // factorial(t), b))
+                b = apply_d(A.va, b)
+        if swapped != diag_scale(scale if n % 2 else -scale, A.basis_section(i, n, j)):
+            return CheckReport(name, label, False, f"window n in [{lo}..{hi}]",
+                               f"({pair_name(A.va, i, j)}, n={n})")
     return CheckReport(
         name, label, True,
         f"window n in [{lo}..{hi}]; every generator bundles the component "

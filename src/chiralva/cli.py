@@ -218,10 +218,11 @@ def _cmd_delta_suite(args) -> int:
             raise ContractError("custom identities need both --lhs and --rhs")
         lhs = parse_expression(args.lhs)
         rhs = parse_expression(args.rhs)
-        used = support_bounds(lhs).keys() | support_bounds(rhs).keys()
+        memo: dict = {}  # each node bounded once per command
+        used = support_bounds(lhs, memo).keys() | support_bounds(rhs, memo).keys()
         variables = tuple(v for v in ("x0", "x1", "x2") if v in used) or ("x0", "x1", "x2")
         box = ExponentBox.cube(variables, lo, hi)
-        rep = check_identity(lhs, rhs, box)
+        rep = check_identity(lhs, rhs, box, _memo=memo)
         check = _identity_check("custom-identity", "user", rep, box.describe())
         lines.append(f"lhs: {args.lhs}")
         lines.append(f"rhs: {args.rhs}")

@@ -400,9 +400,10 @@ def _table(expr: Expr, box: ExponentBox, memo: dict) -> dict:
     return acc
 
 
-def expand(expr: Expr, box: ExponentBox) -> LaurentWindow:
-    """Exact coefficients of `expr` on `box`; untracked outside."""
-    memo: dict = {}
+def expand(expr: Expr, box: ExponentBox, _memo: dict | None = None) -> LaurentWindow:
+    """Exact coefficients of `expr` on `box`; untracked outside.  `_memo` is
+    a `support_bounds` memo the caller already filled for this expression."""
+    memo = {} if _memo is None else _memo
     extra = set(support_bounds(expr, memo)) - set(box.variables)
     if extra:
         raise ContractError(f"expression uses variables {sorted(extra)} not in the box")
@@ -433,9 +434,10 @@ def _report(lw: LaurentWindow, rw: LaurentWindow, note: str) -> IdentityReport:
     return IdentityReport(not diffs, lw.box, diffs, note)
 
 
-def check_identity(lhs: Expr, rhs: Expr, box: ExponentBox, note: str = "") -> IdentityReport:
-    """Compare two expansions coefficient-wise on a box."""
-    return _report(expand(lhs, box), expand(rhs, box), note)
+def check_identity(lhs: Expr, rhs: Expr, box: ExponentBox, note: str = "",
+                   _memo: dict | None = None) -> IdentityReport:
+    """Compare two expansions coefficient-wise on a box; `_memo` as in `expand`."""
+    return _report(expand(lhs, box, _memo), expand(rhs, box, _memo), note)
 
 
 def fundamental_delta_property(

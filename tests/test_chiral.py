@@ -2,7 +2,7 @@ import io
 import random
 from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -227,12 +227,17 @@ def test_dmodule_morphism_passes_on_a3():
 
 
 def test_dmodule_morphism_detects_broken_recursion():
+    # The full sweep fails part (a); the check stops at the O-linearity gate,
+    # and its parts are not defined there.
     A = bump_b_entry(a3_chiral(), 1, -1, 0, 1, 0)  # bump B^{-1}_1(t, 1)
-    parts = dmodule_parts(A)
-    assert not parts["a"]["passed"]
+    part_a = reference_dmodule_parts(A)["a"]
+    assert part_a == {"label": "expl-exp4", "passed": False, "witness": "(u=t, v=1, n=-2)"}
+    witness = "mu is not O-linear: explicit layer (u=t, v=1, n=-1, m=1) disagrees with the recursion"
+    with pytest.raises(ContractError, match=r"explicit layer \(u=t, v=1, n=-1, m=1\)"):
+        dmodule_parts(A)
     rep = check_dmodule_morphism(A)
-    assert not rep.passed
-    assert "part (a)" in rep.witness
+    assert rep == CheckReport("d-module-morphism", "expl-exp1", False, NOT_SWEPT, witness)
+    assert rep.details == ()
 
 
 def test_dmodule_morphism_empty_algebra():
@@ -1058,7 +1063,7 @@ def layer_grid():
 
 def explicit_layer_mutants():
     # one bumped explicit layer on the grid: the family is off the recursion,
-    # and the D-module check also visits n - 1, n, n + 1
+    # and the full sweep also visits n - 1, n, n + 1
     for name, A, (i, n, j, m) in layer_grid():
         yield (name, i, n, j, m), bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank)
 
@@ -1103,8 +1108,8 @@ def test_horner_skew_matches_reference_on_explicit_layer_mutants():
 
 
 def test_off_the_recursion_skew_and_jacobi_fail_by_name():
-    # On every explicit-layer mutant both checks fail before any sweep, with
-    # the layer `off_recursion()` names; the D-module check sweeps as before.
+    # On every explicit-layer mutant all three checks fail before any sweep,
+    # with the layer `off_recursion()` names.
     reports = 0
     for (name, i, n, j, m), B in explicit_layer_mutants():
         names = B.va.basis_names
@@ -1113,8 +1118,8 @@ def test_off_the_recursion_skew_and_jacobi_fail_by_name():
         skew, jacobi = check_chiral_skew(B), check_chiral_jacobi(B)
         assert skew == CheckReport("chiral-skew", "sigma12", False, NOT_SWEPT, witness)
         assert jacobi == CheckReport("chiral-jacobi", "comp-jac", False, NOT_SWEPT, witness)
-        assert check_all_chiral(B)[1:] == [skew, jacobi]
-        assert check_dmodule_morphism(B) == reference_check_dmodule_morphism(B)
+        dmodule = CheckReport("d-module-morphism", "expl-exp1", False, NOT_SWEPT, witness)
+        assert check_all_chiral(B) == [dmodule, skew, jacobi]
         reports += 1
     assert reports == 150
 
@@ -1135,8 +1140,11 @@ def test_dmodule_matches_full_sweep_on_corpus(name, window):
 
 
 def test_dmodule_matches_full_sweep_on_mutants():
+    # on the recursion: the criterion-7 mutants and the 150 explicit layers
+    # at their closed form (the bumped ones stop at the gate, see
+    # `test_dmodule_part_a_fails_exactly_off_the_recursion`)
     verdicts = Counter()
-    for family in (criterion_7_mutants(), explicit_layer_mutants()):
+    for family in (criterion_7_mutants(), redundant_layer_families()):
         for where, A in family:
             verdicts[assert_dmodule_matches_full_sweep(A, where=where)] += 1
     assert sum(verdicts.values()) == 361 and verdicts[False] > 0
@@ -1234,26 +1242,35 @@ def test_no_composition_is_stored_on_the_object():
     t = unit(1)
     for B in (a3_chiral(), redundant_layer("a3"), bump_b_entry(a3_chiral(), 1, -3, 1, 1, 2)):
         assert axiom_suite(B) == tuple(check_all_chiral(B))
+        on = B.off_recursion() is None
         for core in (compose_left, compose_right):
-            if B.off_recursion() is None:
+            if on:
                 core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
             else:
                 with pytest.raises(ContractError):
                     core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
         kinds = {key if key == "suite" else key[0] for key in B._cache}
-        assert kinds == {"b", "sec", "suite"}, kinds
+        # off the recursion every check stops at the gate before any section
+        assert kinds == ({"b", "sec", "suite"} if on else {"suite"}), kinds
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["a3", "trivial-rank1", "random-1", "a3-basis-change"])
 def test_one_section_checks_match_full_sweep_on_redundant_layers(name, m):
-    # at m >= 3 the explicit layer's n - 1 lies below the D-module window, so
-    # the one section compared is below its lo
+    # Each check compares the one section at its window's lo, also where the
+    # explicit layer's n - 1, which the full sweep visits, lies below the
+    # D-module window (at every m >= 3): the D-module check reads sections at
+    # lo and lo + 1 only, skew at lo only.
     R = redundant_layer(name, m)
     assert R.off_recursion() is None
     lo0 = R.effective_support()[0]
     (_, n, _, _), = R.overrides
-    assert chiral._sweep_ns(R, lo0 - 2, 0) == [min(n - 1, lo0 - 2)]
+    assert m < 3 or n - 1 < lo0 - 2
+    for check, ns in ((check_dmodule_morphism, {lo0 - 2, lo0 - 1}),
+                      (check_chiral_skew, {lo0 - d_kill_bound(R.va) - 1})):
+        fresh = ChiralData(R.va, dict(R.overrides))
+        check(fresh)
+        assert {key[2] for key in fresh._cache if key[0] == "sec"} == ns, check.__name__
     assert check_chiral_skew(R) == reference_check_chiral_skew(R)
     assert check_chiral_skew(R).passed
     assert assert_dmodule_matches_full_sweep(R)
@@ -1321,20 +1338,26 @@ def test_difference_layers_depend_only_on_the_key():
 
 
 def test_dmodule_part_a_fails_exactly_off_the_recursion():
-    # On the grid above, each bumped layer puts the family off the recursion
-    # and fails part (a); the same layer set to its closed form does neither.
+    # The full sweep's part (a) fails on each bumped layer of the grid, where
+    # all three checks stop at the gate with one witness; it passes on the
+    # same layers at their closed form and on every lemma family, where the
+    # D-module report, part (a) PASS included, is the full sweep's.
     verdicts = Counter()
-    for name in ("a3", "trivial-rank1", "a3-basis-change"):
-        A = va_to_chiral(dict(corpus())[name], checked=False)
-        lo, hi = A.effective_support()
-        for i, j, n, m in product(range(A.va.rank), range(A.va.rank), range(lo - 2, hi + 1), (1, 2)):
-            redundant = ChiralData(A.va, {(i, n, j, m): ordinary_b_layer(A, i, n, j, m)})
-            for B in (bump_b_entry(A, i, n, j, m, (i + j) % A.va.rank), redundant):
-                off = B.off_recursion()
-                assert off in (None, (i, n, j, m))
-                assert dmodule_parts(B)["a"]["passed"] == (off is None), (name, i, n, j, m)
-                verdicts[off is None] += 1
-    assert verdicts == {False: 150, True: 150}
+    for (name, i, n, j, m), B in explicit_layer_mutants():
+        assert B.off_recursion() == (i, n, j, m)
+        assert not reference_dmodule_parts(B)["a"]["passed"], (name, i, n, j, m)
+        reports = check_all_chiral(B)
+        gate = (False, NOT_SWEPT, chiral.o_linearity_witness(B))
+        assert {(r.passed, r.window, r.witness) for r in reports} == {gate}
+        verdicts[False] += 1
+    for where, A in chain(redundant_layer_families(), lemma_families()):
+        assert A.off_recursion() is None
+        assert reference_dmodule_parts(A)["a"]["passed"], where
+        report = check_dmodule_morphism(A)
+        assert report == reference_check_dmodule_morphism(A), where
+        assert report.details[0] == "part (a) [expl-exp4]: PASS"
+        verdicts[True] += 1
+    assert verdicts[False] == 150 and verdicts[True] > 150
 
 
 def test_compose_diff_prints_a_redundant_layer_like_the_plain_file(tmp_path):
@@ -1439,4 +1462,23 @@ def test_a_far_explicit_layer_computes_its_factorial_once(monkeypatch):
     monkeypatch.setattr(chiral, "factorial", lambda k: calls.update((k,)) or factorial(k))
     got = check_all_chiral(ChiralData(A.va, dict(overrides)))
     assert got == want and all(report.passed for report in got)
+    assert calls[m] == 1
+
+
+def test_the_gate_comes_before_any_section(monkeypatch):
+    # The same far layer bumped off its closed form: every check stops at the
+    # O-linearity gate, so no section is built and m! is computed once, when
+    # the family is loaded and compared with the closed form.
+    A = serialize.load_path(Path(__file__).parent.parent / "fixtures" / "a3_chiral.json")
+    m, n = 3000, -3001
+    layer = vadd(vscale(inv_factorial(m), A._closed_form(0, n, 0, m)), {(0, 0): 1})
+    calls = Counter()
+    factorial = chiral.factorial
+    monkeypatch.setattr(chiral, "factorial", lambda k: calls.update((k,)) or factorial(k))
+    B = ChiralData(A.va, {(0, n, 0, m): layer})
+    assert B.off_recursion() == (0, n, 0, m)
+    reports = check_all_chiral(B)
+    assert [(r.passed, r.window, r.witness) for r in reports] == [(False, NOT_SWEPT, (
+        f"mu is not O-linear: explicit layer (u=1, v=1, n={n}, m={m}) disagrees with the recursion"))] * 3
+    assert not [key for key in B._cache if key[0] == "sec"]
     assert calls[m] == 1

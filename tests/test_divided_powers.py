@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chiralva.chiral import (
+    NOT_SWEPT,
     ChiralData,
     bump_b_entry,
     check_all_chiral,
@@ -50,23 +51,24 @@ def corpus_families():
 @pytest.mark.parametrize("window", [None, (-9, 4), (-20, 0)], ids=["default", "window-9:4", "window-20:0"])
 def test_checks_report_as_in_ordinary_powers(window):
     # Skew and the D-module check on the corpus, the 211 criterion-7 mutants
-    # and the 150 explicit layers at their closed form (on the recursion),
-    # and the D-module check on the 150 explicit-layer mutants (off it, where
-    # skew stops before any sweep).
-    reports = failing = 0
+    # and the 150 explicit layers at their closed form (on the recursion);
+    # on the 150 explicit-layer mutants (off it) both stop at the gate.
+    reports = failing = gated = 0
     for family in (corpus_families(), criterion_7_mutants(), redundant_layer_families(),
                    explicit_layer_mutants()):
         for where, A in family:
             for check, oracle in ((check_chiral_skew, ordinary_check_chiral_skew),
                                   (check_dmodule_morphism, ordinary_check_dmodule_morphism)):
-                if A.off_recursion() is not None and check is check_chiral_skew:
-                    assert not check(A, window).passed, where
+                if A.off_recursion() is not None:
+                    report = check(A, window)
+                    assert not report.passed and report.window == NOT_SWEPT, where
+                    gated += 1
                     continue
                 want = oracle(A, window)
                 assert check(A, window) == want, (where, check.__name__)
                 reports += 1
                 failing += not want.passed
-    assert reports == 2 * (8 + 211 + 150) + 150 and failing > 0
+    assert reports == 2 * (8 + 211 + 150) and gated == 2 * 150 and failing > 0
 
 
 def assert_divided_matches_ordinary(A: ChiralData, gens, ms) -> int:

@@ -451,6 +451,30 @@ def test_support_bounds_computed_once_per_node_per_expand(monkeypatch):
         assert nodes[0] == nodes[1] > 0
 
 
+
+def test_delta_suite_bounds_each_node_once_per_command(monkeypatch):
+    # `delta-suite --lhs/--rhs` takes its variables from the bounds it hands
+    # to `check_identity`, so each node of both sides is bounded once per
+    # command, on the delta-window identities as stated and sign-flipped
+    import io
+    from contextlib import redirect_stdout
+
+    from chiralva import formal
+    from chiralva.cli import main
+
+    computed = []
+    node_bounds = formal._node_bounds
+    monkeypatch.setattr(formal, "_node_bounds", lambda e, memo: computed.append(e) or node_bounds(e, memo))
+    commands = 0
+    for lhs, rhs in _load_delta_templates():
+        for rhs, want in ((rhs, 0), (f"-1 * ({rhs})", 1)):
+            computed.clear()
+            with redirect_stdout(io.StringIO()):
+                assert main(["delta-suite", "--box=-4:4", "--lhs", lhs, "--rhs", rhs]) == want
+            assert computed and len(computed) == len({id(node) for node in computed}), (lhs, rhs)
+            commands += 1
+    assert commands == 30
+
 def _random_any_expression(rng, depth):
     """Atoms, sums, products and derivatives over x0, x1, x2, ill-formed ones
     included: products may hold several deltas or infinite factors."""
