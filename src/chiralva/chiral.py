@@ -12,12 +12,12 @@ The recursion B^{n+1}_k = -(k+1) B^n_{k+1}, in divided powers
 m! B^n_m = (-1)^m B^{n+m}_0, determines the whole family from its m = 0
 layer, which ChiralData stores as the mode table it is, a VAData over Q[z]
 (u_n v = B^n_0(u, v), with the same D); explicit layers m >= 1 (negative
-controls, files with full layers) are kept beside it, as given.  A
-composition such as mu(mu(u, v), w) is mu applied to the section mu(u, v):
-it reads iterated modes of the m = 0 layer, is never cached, and is defined
-on the recursion only, where mu is O-linear.  The three checks share that
-gate: off the recursion each fails before any section is built, naming the
-layer `o_linearity_witness` finds.
+controls, files with full layers) are kept beside it, as given, and read
+once, by the O-linearity gate, when the family is built.  Past the gate each
+is its closed form; off it, the section mu(u, v), compositions such as
+mu(mu(u, v), w) (iterated modes of the m = 0 layer, never cached) and the
+three checks all stop at the gate, each check failing before any section is
+built and naming the layer `o_linearity_witness` finds.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .vertex import (
     check_table_shape,
     closure_witness,
     d_kill_bound,
+    d_orbits,
     integer_modes,
     merge_window,
     pair_name,
@@ -61,8 +62,8 @@ class ChiralGenerator(namedtuple("ChiralGenerator", "n u v")):
 
 class ChiralData:
     """B-coefficient family on basis pairs: the m = 0 layer B^n_0(e_i, e_j)
-    is the mode table `va` (basis, rank and D are its own), and explicit
-    layers m >= 1 are the overrides, (i, n, j, m) -> Vector."""
+    is the mode table `va` (basis, rank and D are its own); explicit layers
+    m >= 1, (i, n, j, m) -> Vector, are the overrides, which only the gate reads."""
 
     def __init__(self, va: VAData, overrides: dict | None = None, _cache: dict | None = None):
         self.va = va  # over Q[z]
@@ -76,9 +77,9 @@ class ChiralData:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
         points = [*(va.global_support() or ()), *(n + m for (_, n, _, m) in overrides)]
         self._span = (min(points), max(points)) if points else None  # effective_support()
-        # m! val against the closed form, computed only where B^{m+n}_0 is stored; kept for b_layer
-        off = (key for key, val in overrides.items() if (closed := self._closed_form(*key))
-               != (self._cache.setdefault(("b", *key), vscale(factorial(key[3]), val)) if closed else val))
+        # m! val against the closed form, m! computed only where B^{m+n}_0 is stored
+        off = (key for key, val in overrides.items()
+               if (closed := self.b_layer(*key)) != (vscale(factorial(key[3]), val) if closed else val))
         self._off = min(off, default=None)  # off_recursion()
 
     def effective_support(self) -> tuple[int, int] | None:
@@ -91,24 +92,15 @@ class ChiralData:
         its m = 0 layer, explicit layers or not."""
         return self._off
 
-    def _closed_form(self, i: int, n: int, j: int, m: int) -> Vector:
-        """(-1)^m B^{m+n}_0(e_i, e_j), the divided layer m! B^n_m that the
-        recursion gives."""
+    def b_layer(self, i: int, n: int, j: int, m: int) -> Vector:
+        """m! B^n_m(e_i, e_j) = (-1)^m B^{m+n}_0(e_i, e_j), the closed form the
+        recursion gives, read as such off it too, where the gate stops mu."""
         val = self.va.structure.get((i, m + n, j))
         return (vscale(-1, val) if m % 2 else val) if val else {}
 
-    def b_layer(self, i: int, n: int, j: int, m: int) -> Vector:
-        """m! B^n_m(e_i, e_j): m! times the explicit override if present, else the closed form."""
-        key = ("b", i, n, j, m)
-        if key not in self._cache:
-            val = self.overrides.get((i, n, j, m))
-            self._cache[key] = (self._closed_form(i, n, j, m) if val is None
-                                else vscale(factorial(m), val))
-        return self._cache[key]
-
     def basis_section(self, i: int, n: int, j: int) -> DiagSection:
-        """Every nonzero divided layer of B^n(e_i, e_j); the support range
-        covers each override's n + m, so explicit layers are read here too."""
+        """Every nonzero divided layer `b_layer` of B^n(e_i, e_j), over the
+        support range, which covers each override's n + m."""
         key = ("sec", i, n, j)
         if key not in self._cache:
             lo, hi = self.effective_support() or (0, -1)
@@ -183,7 +175,9 @@ def diag3_transpose(s: Diag3Section) -> Diag3Section:
 
 
 def mu_eval(A: ChiralData, g: ChiralGenerator) -> DiagSection:
-    """The section mu((z1-z2)^n (u (x) v)) in divided powers, bilinear over Q[z]."""
+    """mu((z1-z2)^n (u (x) v)) in divided powers, bilinear over Q[z]; off the recursion, ContractError."""
+    if (off := o_linearity_witness(A)) is not None:
+        raise ContractError(off)
     return diag_contract(g.u, lambda i: diag_contract(g.v, lambda j: A.basis_section(i, g.n, j)))
 
 
@@ -365,13 +359,13 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
 
     d1 and d2 = D - d1 commute, so d2^m/m! = sum_{j+t=m} ((-d1)^j/j!)(D^t/t!):
     divided layer j of the swapped section sum_m (d2^m/m!) b_m, b_m the layers
-    of B^n(v, u), is (-1)^j sum_t D^t b_{j+t} / t!.  Each b_m is a stored value
-    up to sign, killed by D^K (the D-kill bound), so it is summed times (K-1)!.
-    Degree 0 is the m = 0 extraction identity (-1)^(n+1) sum_m D^m B^n_m(v, u)
-    = B^n_0(u, v).  Off the recursion the check stops at the O-linearity
-    gate.  On it, divided layer j of the difference at n is (-1)^n times a
-    quantity of the key n + j, so one section per pair, at the window's lo,
-    compares every key a later n would."""
+    of B^n(v, u), is (-1)^j sum_t D^t b_{j+t} / t!.  Each b_m is (-1)^m times a
+    stored value, whose D^t is read from the D-orbits; D^K kills it (the D-kill
+    bound), so the sum is taken times (K-1)!.  Degree 0 is the m = 0 extraction
+    identity (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v).  Off the recursion
+    the check stops at the O-linearity gate.  On it, divided layer j of the
+    difference at n is (-1)^n times a quantity of the key n + j, so one section
+    per pair, at the window's lo, compares every key a later n would."""
     name, label = "chiral-skew", "sigma12"
     if (off := o_linearity_witness(A)) is not None:
         return CheckReport(name, label, False, NOT_SWEPT, off)
@@ -382,13 +376,12 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     kill = d_kill_bound(A.va)
     lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     n = lo
-    scale = factorial(kill - 1)
+    scale, orbits = factorial(kill - 1), d_orbits(A.va)
     for i, j in product(range(A.va.rank), repeat=2):
         swapped: DiagSection = {}
-        for m, b in A.basis_section(j, n, i).items():
-            for t in range(min(kill, m + 1)):  # layer m - t: (-1)^(m-t) (K-1)!/t! D^t b
-                accumulate(swapped, m - t, vscale((-scale if (m - t) % 2 else scale) // factorial(t), b))
-                b = apply_d(A.va, b)
+        for m in A.basis_section(j, n, i):  # layer m - t: (-1)^t (K-1)!/t! D^t B^{n+m}_0(v, u)
+            for t, w in enumerate(orbits[j, n + m, i][:m + 1]):
+                accumulate(swapped, m - t, vscale((-scale if t % 2 else scale) // factorial(t), w))
         if swapped != diag_scale(scale if n % 2 else -scale, A.basis_section(i, n, j)):
             return CheckReport(name, label, False, f"window n in [{lo}..{hi}]",
                                f"({pair_name(A.va, i, j)}, n={n})")

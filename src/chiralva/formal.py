@@ -236,38 +236,50 @@ def _merge_bounds(maps: list[dict], combine) -> dict:
 def support_bounds(expr: Expr, memo: dict | None = None) -> dict:
     """Per-variable (lo, hi) exponent bounds; entries may be +-inf.  Raises
     IllFormedProduct at any product with two or more infinite factors.
-    `memo`, local to one evaluation, keeps each node's bounds by identity."""
-    memo = {} if memo is None else memo
+    `memo`, local to one evaluation, keeps each node's bounds and degree by identity."""
+    return _bounded(expr, {} if memo is None else memo)[0]
+
+
+def _bounded(expr: Expr, memo: dict) -> tuple[dict, int | None]:
     return memo[expr] if expr in memo else memo.setdefault(expr, _node_bounds(expr, memo))
 
 
-def _node_bounds(expr: Expr, memo: dict) -> dict:
+def _node_bounds(expr: Expr, memo: dict) -> tuple[dict, int | None]:
+    """`expr`'s bounds and degree, the exponent sum of each of its keys:
+    an iota's n, a delta's 0, one less under d/dv, None for a Sum of mixed
+    degrees and for a product with such a factor."""
     if isinstance(expr, Monomial):
-        return {v: (e, e) for v, e in expr.exps}
+        return {v: (e, e) for v, e in expr.exps}, sum(dict(expr.exps).values())
     if isinstance(expr, IotaPow):
         if expr.n >= 0:
-            return {expr.first: (0, expr.n), expr.second: (0, expr.n)}
-        return {expr.first: (_NEG, expr.n), expr.second: (0, _POS)}
+            return {expr.first: (0, expr.n), expr.second: (0, expr.n)}, expr.n
+        return {expr.first: (_NEG, expr.n), expr.second: (0, _POS)}, expr.n
     if isinstance(expr, DeltaAtom):
         out = {self_var: (_NEG, _POS) for _, self_var in (*expr.num, expr.den)}
         if len(expr.num) == 2:
             out[expr.num[1][1]] = (0, _POS)
-        return out
+        return out, 0
     if isinstance(expr, Sum):
+        parts = [_bounded(t, memo) for t in expr.terms]
+        degrees = {d for _, d in parts}
         return _merge_bounds(
-            [support_bounds(t, memo) for t in expr.terms],
+            [b for b, _ in parts],
             lambda bs: (min(b[0] for b in bs), max(b[1] for b in bs)),
-        )
+        ), degrees.pop() if len(degrees) == 1 else None
     if isinstance(expr, Product):
-        bounds = [support_bounds(f, memo) for f in expr.factors]
-        if sum(not _finite_bounds(b) for b in bounds) > 1:
+        parts = [_bounded(f, memo) for f in expr.factors]
+        if sum(not _finite_bounds(b) for b, _ in parts) > 1:
             raise IllFormedProduct("a product may contain at most one factor of infinite support")
-        return _merge_bounds(bounds, lambda bs: (sum(b[0] for b in bs), sum(b[1] for b in bs)))
+        degrees = [d for _, d in parts]
+        return _merge_bounds(
+            [b for b, _ in parts], lambda bs: (sum(b[0] for b in bs), sum(b[1] for b in bs))
+        ), None if None in degrees else sum(degrees)
     if isinstance(expr, Deriv):
-        out = dict(support_bounds(expr.body, memo))
+        body, degree = _bounded(expr.body, memo)
+        out = dict(body)
         lo, hi = out.get(expr.var, (0, 0))
         out[expr.var] = (lo - 1, hi - 1)
-        return out
+        return out, None if degree is None else degree - 1
     raise ContractError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -358,7 +370,7 @@ def _product(factors, box: ExponentBox, memo: dict) -> dict:
     one infinite factor `support_bounds` allows, evaluated on the box shifted
     by -f: its keys k land at k + f inside `box`, and every coefficient is
     exact."""
-    bounds = [support_bounds(f, memo) for f in factors]
+    bounds = [_bounded(f, memo)[0] for f in factors]
     finite = [(f, b) for f, b in zip(factors, bounds) if _finite_bounds(b)]
     infinite = [f for f, b in zip(factors, bounds) if not _finite_bounds(b)]
     table = {(0,) * len(box.variables): 1}
@@ -376,14 +388,17 @@ def _product(factors, box: ExponentBox, memo: dict) -> dict:
 
 def _table(expr: Expr, box: ExponentBox, memo: dict) -> dict:
     """Exact nonzero coefficients of `expr` inside `box`; `expr` has passed
-    `support_bounds`, whose bounds of its nodes `memo` keeps."""
+    `support_bounds`, whose bounds and degrees of its nodes `memo` keeps."""
     if isinstance(expr, Monomial):
         key = tuple(dict(expr.exps).get(v, 0) for v in box.variables)
         c = expr.coeff.numerator if expr.coeff.denominator == 1 else expr.coeff
         return {key: c} if c and box.contains(key) else {}
     if isinstance(expr, (IotaPow, DeltaAtom)):
         return _atom(expr, box)
-    if isinstance(expr, Product):
+    if isinstance(expr, Product):  # zero on the box when no key there has its one degree
+        d = _bounded(expr, memo)[1]
+        if d is not None and not sum([lo for lo, _ in box.bounds]) <= d <= sum([hi for _, hi in box.bounds]):
+            return {}
         return _product(_factors(expr), box, memo)
     acc = {}
     if isinstance(expr, Sum):

@@ -1,3 +1,4 @@
+import functools
 import io
 import random
 from collections import Counter, defaultdict
@@ -256,6 +257,70 @@ def test_chiral_skew_passes_and_extraction_example():
     for k in range(0, 4):
         rhs = vadd(rhs, vscale(Q(-1), d_power(va, ordinary_b_layer(A, 0, -2, 1, k), k)))
     assert b0 == rhs == unit(2)
+
+
+def test_mu_eval_stops_at_the_gate_off_the_recursion():
+    # Off the recursion mu is no D-module morphism: mu_eval refuses with the
+    # gate's text, as the compositions do, before any section is built.
+    B = bump_b_entry(a3_chiral(), 1, -1, 0, 1, 0)
+    with pytest.raises(ContractError) as err:
+        mu_eval(B, ChiralGenerator(-1, unit(1), unit(0)))
+    assert str(err.value) == ("mu is not O-linear: explicit layer (u=t, v=1, n=-1, m=1) "
+                              "disagrees with the recursion")
+    assert not [key for key in B._cache if key[0] == "sec"]
+
+
+def test_chiral_skew_reads_every_power_of_d_from_the_orbits(monkeypatch):
+    # Layer m of the swapped section is (-1)^m times a stored value, whose
+    # powers of D the D-orbits already hold: skew applies D itself nowhere.
+    path = Path(__file__).parent.parent / "fixtures" / "a3_chiral.json"
+    calls = Counter()
+    monkeypatch.setattr(chiral, "apply_d", lambda V, u: calls.update(["apply_d"]) or apply_d(V, u))
+    for window in (None, (-3000, 0)):
+        assert check_chiral_skew(serialize.load_path(path), window).passed
+        assert not calls, window
+
+
+def jacobi_difference(V: VAData, u, v, w, l: int, m: int, n: int, top: int = 10) -> dict:
+    """lhs - rhs of the component Jacobi identity, from its definition
+
+        sum_i binom(m, i) (u_{l+i} v)_{m+n-i} w
+          = sum_i (-1)^i binom(l, i) (u_{m+l-i} (v_{n+i} w) - (-1)^l v_{n+l-i} (u_{m+i} w)),
+
+    with every mode read by `vertex_coeff`; the i-sums stop below `top`,
+    which must pass every mode's support."""
+    c = functools.partial(vertex.vertex_coeff, V)
+    sign_l = -1 if l % 2 else 1
+    out: dict = {}
+    for i in range(top):
+        out = vadd(out, vscale(binom(m, i), c(c(u, l + i, v), m + n - i, w)))
+        rhs = vadd(c(u, m + l - i, c(v, n + i, w)), vscale(-sign_l, c(v, n + l - i, c(u, m + i, w))))
+        out = vadd(out, vscale(-(-1) ** i * binom(l, i), rhs))
+    return out
+
+
+def test_a_table_only_the_closure_certificates_decide():
+    # b_2 a = a alone (rank 2 over Q, D = 0) fails Jacobi first at
+    # J(-1, 1, 4)(b, b, a) = -a, outside both default windows: there every
+    # swept instance holds and only the composition certificate fails it,
+    # and a window reaching l = m1 = -1 sweeps the failing instances.
+    fixtures = Path(__file__).parent.parent / "fixtures"
+    V = serialize.load_path(fixtures / "high_support.json")
+    A = serialize.load_path(fixtures / "high_support_chiral.json")
+    assert V.basis_names == ("a", "b") and V.structure == {(1, 2, 0): unit(0)} and not any(V.d_cols)
+    assert serialize.dumps(va_to_chiral(V, checked=False)) == (fixtures / "high_support_chiral.json").read_text()
+    a, b = unit(0), unit(1)
+    assert jacobi_difference(V, b, b, a, -1, 1, 4) == vscale(-1, a)
+    assert jacobi_difference(V, b, b, a, -1, 1, 4, top=40) == vscale(-1, a)
+    closure = "composition identity at exponents (0, -3) for (u=b, v=b, w=a)"
+    va, ch = check_jacobi(V), check_chiral_jacobi(A)
+    assert (va.passed, va.window, va.witness) == (False, "window (l,m,n) in [0..4]^3 plus closure certificates",
+                                                  closure)
+    assert (ch.passed, ch.window, ch.witness) == (
+        False, "window (m1,m2,m3) in [1..3]^3 plus closure certificates", f"m=0 layer {closure}")
+    va, ch = check_jacobi(V, (-1, 4)), check_chiral_jacobi(A, (-1, 4))
+    assert (va.passed, va.witness) == (False, "(u=b, v=b, w=a, l=-1, m=1, n=4)")
+    assert (ch.passed, ch.witness) == (False, "(u=b, v=b, w=a, m1=-1, m2=-1, m3=-1)")
 
 
 def test_chiral_skew_sign_flip_fails():
@@ -1251,7 +1316,7 @@ def test_no_composition_is_stored_on_the_object():
                     core(B, -1, -2, -1, t, unit(0), vadd(t, unit(2)))
         kinds = {key if key == "suite" else key[0] for key in B._cache}
         # off the recursion every check stops at the gate before any section
-        assert kinds == ({"b", "sec", "suite"} if on else {"suite"}), kinds
+        assert kinds == ({"sec", "suite"} if on else {"suite"}), kinds
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -1451,10 +1516,10 @@ def test_windowed_checks_cost_what_the_entries_reach(monkeypatch):
 def test_a_far_explicit_layer_computes_its_factorial_once(monkeypatch):
     # The layer m = 3000 on a3's stored B^{-1}_0 is its recursion closed form,
     # (-1)^m B^{n+m}_0 / m!: loading compares m! times it with the closed
-    # form, and the checks read that product from the cache.
+    # form, and the checks read the closed form, never the layer again.
     A = serialize.load_path(Path(__file__).parent.parent / "fixtures" / "a3_chiral.json")
     m, n = 3000, -3001
-    overrides = {(0, n, 0, m): vscale(inv_factorial(m), A._closed_form(0, n, 0, m))}
+    overrides = {(0, n, 0, m): vscale(inv_factorial(m), A.b_layer(0, n, 0, m))}
     assert overrides[0, n, 0, m]
     want = check_all_chiral(ChiralData(A.va, dict(overrides)))
     calls = Counter()
@@ -1471,7 +1536,7 @@ def test_the_gate_comes_before_any_section(monkeypatch):
     # the family is loaded and compared with the closed form.
     A = serialize.load_path(Path(__file__).parent.parent / "fixtures" / "a3_chiral.json")
     m, n = 3000, -3001
-    layer = vadd(vscale(inv_factorial(m), A._closed_form(0, n, 0, m)), {(0, 0): 1})
+    layer = vadd(vscale(inv_factorial(m), A.b_layer(0, n, 0, m)), {(0, 0): 1})
     calls = Counter()
     factorial = chiral.factorial
     monkeypatch.setattr(chiral, "factorial", lambda k: calls.update((k,)) or factorial(k))

@@ -5,8 +5,9 @@ Fails when a module-level import of a package module (other than
 when a module-level `_private` function or class is referenced nowhere in
 the package besides its own definition.  Also keeps the checkers on the
 one sparse vector type: the modules that compute with vectors never name
-`Poly`, and the dense-vector helpers stay gone; and keeps `dataclasses`
-(which imports `inspect`) off the import path of the CLI.
+`Poly`, and the dense-vector helpers stay gone; keeps the explicit chiral
+layers read only where a family is built, copied or written; and keeps
+`dataclasses` (which imports `inspect`) off the import path of the CLI.
 """
 
 import ast
@@ -92,6 +93,32 @@ def test_dense_vector_helpers_are_gone():
                 defined.append((name, node.id))
     gone = [f"{name}: {x}" for name, x in defined if x in ("vzero", "vconst", "_scalars")]
     assert not gone, gone
+
+
+def _attribute_readers(attr: str) -> set:
+    """The scopes, as module.Class.function, that load the attribute `attr`."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name, tree in MODULES.items():
+        visit(tree, name[:-3])
+    return found
+
+
+def test_explicit_layers_are_read_only_by_the_gate():
+    # Past the O-linearity gate every layer is its closed form, so the
+    # explicit layers are read where the family is built and compared with
+    # it, copied by the mutation helper and written to a file: nowhere else.
+    readers = _attribute_readers("overrides")
+    allowed = {"chiral.ChiralData.__init__", "chiral.bump_b_entry", "serialize.chiral_to_obj"}
+    assert readers and readers <= allowed, readers - allowed
 
 
 def test_no_module_imports_dataclasses():

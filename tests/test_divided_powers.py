@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from chiralva.chiral import (
     NOT_SWEPT,
     ChiralData,
+    ChiralGenerator,
     bump_b_entry,
     check_all_chiral,
     check_chiral_skew,
     check_dmodule_morphism,
     compose_left,
     compose_right,
+    mu_eval,
+    o_linearity_witness,
 )
 from chiralva.equivalence import va_to_chiral
 from chiralva.errors import ContractError
@@ -72,10 +75,11 @@ def test_checks_report_as_in_ordinary_powers(window):
 
 
 def assert_divided_matches_ordinary(A: ChiralData, gens, ms) -> int:
-    """Every basis section around the support is the oracle's with layer m
-    times m!, and both compositions at each generator of `gens` x `ms` are the
-    oracle's with entry (k, l) times k! l!, or refused off the recursion.
-    Returns the nonzero entries seen."""
+    """On the recursion, every basis section around the support is the
+    oracle's with layer m times m!, and both compositions at each generator of
+    `gens` x `ms` are the oracle's with entry (k, l) times k! l!.  Returns the
+    nonzero entries seen."""
+    assert A.off_recursion() is None
     lo, hi = A.effective_support() or (0, -1)
     seen = 0
     for i, j in product(range(A.va.rank), repeat=2):
@@ -85,14 +89,28 @@ def assert_divided_matches_ordinary(A: ChiralData, gens, ms) -> int:
             seen += len(ref)
     for (u, v, w), (m1, m2, m3) in product(gens, ms):
         for core, oracle in ((compose_left, ordinary_compose_left), (compose_right, ordinary_compose_right)):
-            if A.off_recursion() is not None:
-                with pytest.raises(ContractError):
-                    core(A, m1, m2, m3, u, v, w)
-                continue
             ref = oracle(A, m1, m2, m3, u, v, w)
             assert core(A, m1, m2, m3, u, v, w) == divided3(ref), (core.__name__, m1, m2, m3)
             seen += len(ref)
     return seen
+
+
+def assert_gated_to_closed_forms(A: ChiralData, gens, ms) -> None:
+    """Off the recursion, every basis section around the support is the
+    closed form, the oracle's section of the m = 0 layer alone rescaled, and
+    mu_eval and both compositions at each generator stop at the gate."""
+    closed, gate = ChiralData(A.va), o_linearity_witness(A)
+    assert gate is not None
+    lo, hi = A.effective_support()
+    for i, j in product(range(A.va.rank), repeat=2):
+        for n in range(lo - 3, hi + 2):
+            assert A.basis_section(i, n, j) == divided(ordinary_basis_section(closed, i, n, j)), (i, n, j)
+    for (u, v, w), (m1, m2, m3) in product(gens, ms):
+        for call in (lambda: mu_eval(A, ChiralGenerator(m1, u, v)),
+                     lambda: compose_left(A, m1, m2, m3, u, v, w), lambda: compose_right(A, m1, m2, m3, u, v, w)):
+            with pytest.raises(ContractError) as err:
+                call()
+            assert str(err.value) == gate
 
 
 def _vectors(rank: int):
@@ -128,7 +146,10 @@ LADDER_6 = va_to_chiral(tensor_with_ox(truncated_poly_va(6, [0, 0, 1, Q(1, 2)]))
 @example((LADDER_6, [(unit(1), unit(2), unit(0))]), (-3, -2, -1))
 def test_divided_sections_are_the_ordinary_ones_rescaled(family, ms):
     A, gens = family
-    assert_divided_matches_ordinary(A, gens, [ms])
+    if A.off_recursion() is None:
+        assert_divided_matches_ordinary(A, gens, [ms])
+    else:
+        assert_gated_to_closed_forms(A, gens, [ms])
 
 
 @pytest.mark.parametrize("name", ["random-2", "ladder-6"])
@@ -136,7 +157,8 @@ def test_divided_sections_are_the_ordinary_ones_rescaled(family, ms):
 def test_rational_tables_rescale_alike_on_and_off_the_recursion(name, layer):
     # random-2 (L = 9) and ladder order 6 (L = 24), whose compositions carry
     # 1/L^2, on the recursion, also with one explicit layer at its closed
-    # form, and with that layer bumped off it (sections only)
+    # form; with that layer bumped off it, the sections are the closed forms
+    # and the gate refuses mu_eval and the compositions
     A = RANDOM_2 if name == "random-2" else LADDER_6
     assert A.va._scale == (9 if name == "random-2" else 24)
     families = [A]
@@ -147,8 +169,9 @@ def test_rational_tables_rescale_alike_on_and_off_the_recursion(name, layer):
         assert [B.off_recursion() for B in families] == [None, key]
     gens = [(unit(1), unit(2), unit(0)), (unit(0), vadd(unit(1), unit(2)), unit(1))]
     box = list(product(range(-3, 0), repeat=3))
-    for B in families:
-        assert assert_divided_matches_ordinary(B, gens, box) > 0
+    assert assert_divided_matches_ordinary(families[0], gens, box) > 0
+    for B in families[1:]:
+        assert_gated_to_closed_forms(B, gens, box)
 
 
 def _all_ints(vectors) -> bool:
@@ -159,8 +182,9 @@ def _all_ints(vectors) -> bool:
 def test_integral_tables_keep_every_section_layer_an_int(name):
     # The closed form m! B^n_m = (-1)^m B^{n+m}_0 carries no 1/m!, so on an
     # integral table the checkers and the compositions stay on ints: every
-    # cached layer and section, and every composition entry, on the plain
-    # family and with a redundant explicit layer, which the layers read.
+    # layer of every cached section, the explicit layer read as its closed
+    # form, and every composition entry, on the plain family and with a
+    # redundant explicit layer.
     for A in (va_to_chiral(dict(corpus())[name], checked=False), redundant_layer(name)):
         assert A.va._scale == 1
         assert all(r.passed for r in check_all_chiral(A))
@@ -169,7 +193,7 @@ def test_integral_tables_keep_every_section_layer_an_int(name):
             for core in (compose_left, compose_right):
                 entries += core(A, -2, -2, -1, *map(unit, gens)).values()
         assert entries and _all_ints(entries)
-        layers = [val for key, val in A._cache.items() if key[0] == "b"]
-        sections = [vec for key, sec in A._cache.items() if key[0] == "sec" for vec in sec.values()]
-        assert layers and sections and _all_ints(layers + sections)
+        layers = [vec for key, sec in A._cache.items() if key[0] == "sec" for vec in sec.values()]
+        layers += [A.b_layer(*key) for key in A.overrides]
+        assert layers and _all_ints(layers)
 

@@ -766,6 +766,7 @@ def test_atoms_emit_only_keys_inside_their_box(monkeypatch):
 
     from chiralva import formal
     from chiralva.cli import main
+    from chiralva.deltaparse import parse_expression
 
     emitted = []
     atom = formal._atom
@@ -789,24 +790,59 @@ def test_atoms_emit_only_keys_inside_their_box(monkeypatch):
             expand(Product((_random_finite(rng, box.variables), _random_infinite(rng, box.variables, 2))), box)
     assert sum(n for _, n in emitted) > 1000
 
-    # the finite part is the iota's 8001 keys; the delta, evaluated on the box
-    # shifted by each of them, emits no key (the hull evaluator read it on a
-    # box 8000 wide)
+    # every key of the product has the exponent sum N - 1, which no key of
+    # the box has, so it is zero there and no atom is read, at any N (the
+    # hull evaluator read the delta on a box N wide, the finite part on its
+    # N + 1 keys)
+    for lhs in (IOTA_8000, IOTA_8000.replace("8000", "80000")):
+        emitted.clear()
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["delta-suite", "--box=-4:4", "--lhs", lhs, "--rhs", "x1"])
+        assert code == 1
+        assert buf.getvalue() == (
+            "delta-suite: exponent box [-4..4] per variable\n"
+            f"lhs: {lhs}\n"
+            "rhs: x1\n"
+            "custom-identity (user): FAIL, x1 in [-4..4], x2 in [-4..4]; "
+            "first witness: coefficient at (1, 0): 0 != 1\n"
+            "result: FAIL\n"
+        )
+        assert not emitted
+
+    # a Sum of mixed degrees has none, so this product is scattered: the
+    # finite part is the iota's 8001 keys and x1^9000, and the delta,
+    # evaluated on the box shifted by each of them, emits no key.  Every key
+    # of either term has the exponent sum 7999 or 8999, so the value is zero
     emitted.clear()
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(["delta-suite", "--box=-4:4", "--lhs", IOTA_8000, "--rhs", "x1"])
-    assert code == 1
-    assert buf.getvalue() == (
-        "delta-suite: exponent box [-4..4] per variable\n"
-        f"lhs: {IOTA_8000}\n"
-        "rhs: x1\n"
-        "custom-identity (user): FAIL, x1 in [-4..4], x2 in [-4..4]; "
-        "first witness: coefficient at (1, 0): 0 != 1\n"
-        "result: FAIL\n"
-    )
+    mixed = parse_expression("(iota(x1,x2)^8000 + x1^9000) * x2^-1 * delta(x1/x2)")
+    assert expand(mixed, box2(-4, 4)).coeffs == {}
     assert sum(n for expr, n in emitted if isinstance(expr, DeltaAtom)) == 0
     assert sum(n for _, n in emitted) == 8001
+
+
+def test_a_product_whose_degree_misses_the_box_reads_no_atom(monkeypatch):
+    # A product of atoms has one total degree, and where no key of the box
+    # has it the product is zero there and no atom is read.  A Sum of mixed
+    # degrees has none, and iota^N * x1^-N keeps its genuine N-term sums.
+    from chiralva import formal
+    from chiralva.deltaparse import parse_expression
+
+    emitted = []
+    atom = formal._atom
+    monkeypatch.setattr(formal, "_atom", lambda expr, box: emitted.append(expr) or atom(expr, box))
+    box = box2(-4, 4)
+    for text, skipped in (("iota(x1,x2)^40 * x1^-40 * x2^-1 * delta(x1/x2)", False),
+                          ("iota(x1,x2)^40 * x2^-1 * delta(x1/x2)", True),
+                          ("(iota(x1,x2)^40 + x1^60) * x2^-1 * delta(x1/x2)", False),
+                          ("(iota(x1,x2)^3 + x1^40) * x2^-1 * delta(x1/x2)", False),
+                          ("(x1^20 + x1) * delta(x1/x2)", False),
+                          ("(x1^20 + x2^20) * delta(x1/x2)", True),
+                          ("deriv(x1, x1^12 * x2^-2) * delta(x1/x2)", True),
+                          ("deriv(x1, x1^7 * x2^-2) * delta(x1/x2)", False)):
+        expr = parse_expression(text)
+        emitted.clear()
+        assert expand(expr, box).coeffs == reference_expand(expr, box) and (not emitted) == skipped, text
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ CASES = (
     + [(f"to-va__{f}", ["to-va", f"fixtures/{f}.json"], 0) for f in CHIRAL_FILES]
     + [("compose-diff__readme",
         ["compose-diff", "fixtures/a3_chiral.json", "-1", "-1", "-1", "1", "t", "1"], 0)]
+    # b_2 a = a: at the default windows only the closure certificates fail it
+    + [(f"{cmd}__{f}{tag}", [cmd, f"fixtures/{f}.json", *window], 1)
+       for cmd, f in (("check-va", "high_support"), ("check-chiral", "high_support_chiral"))
+       for tag, window in (("", []), ("__window_-1_4", ["--window=-1:4"]))]
 )
 
 # One criterion-7 mutant per corpus algebra, as (algebra, mutation site): the
