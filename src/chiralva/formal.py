@@ -5,10 +5,10 @@ declared finite exponent box; coefficients outside the box are untracked,
 never assumed zero.  Every tracked coefficient is computed exactly: finite
 factors of a product are expanded over their full (finite) support, and
 each key f of that support scatters the single allowed infinite factor,
-evaluated on the box shifted by -f, into the box, so no convolution is ever
-truncated, no key outside the box is formed, and no product is multiplied
-out over its sums.  Delta and iota atoms enumerate their own support inside
-a box, with integer binomial coefficients.
+times x^f, into the box, so no convolution is ever truncated, no key
+outside the box is formed, and no product is multiplied out over its sums.
+Delta and iota atoms enumerate their own support, times x^f, inside a box,
+with integer binomial coefficients.
 
 Expression atoms:
 
@@ -83,7 +83,7 @@ class ExponentBox:
         return self.variables.index(var)
 
     def contains(self, key: tuple[int, ...]) -> bool:
-        return all(map(contains, self._ranges, key))
+        return len(key) == len(self._ranges) and all(map(contains, self._ranges, key))
 
     def keys(self):
         return itertools.product(*self._ranges)
@@ -129,6 +129,8 @@ class LaurentWindow:
     def diff_keys(self, other: "LaurentWindow") -> list[tuple[int, ...]]:
         if self.box != other.box:
             raise ContractError("windows compare only on equal boxes")
+        if self.coeffs == other.coeffs:
+            return []
         keys = set(self.coeffs) | set(other.coeffs)
         return sorted(k for k in keys if self.coeffs.get(k, QZERO) != other.coeffs.get(k, QZERO))
 
@@ -291,24 +293,17 @@ def _finite_bounds(bounds: dict) -> bool:
 # exact evaluation
 
 
-def _add(acc: dict, key, val) -> None:
-    """acc[key] += val, dropping the key when the sum is zero."""
-    new = acc.get(key, 0) + val
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
-
-
-def _atom(expr: Expr, box: ExponentBox) -> dict:
-    """Support of a delta or iota atom inside `box`, with exact int coefficients.
+def _atom(expr: Expr, box: ExponentBox, f: tuple[int, ...]) -> dict:
+    """Support of x^f times a delta or iota atom inside `box`, with exact int
+    coefficients.
 
     Both atoms are sums over n of (s1*v1 + s2*v2)^n (s3*v3)^-n expanded in
     nonnegative powers m of v2: the coefficient at v1^(n-m) v2^m v3^-n is
     s1^(n-m) s2^m s3^n binom(n, m).  An iota has the one n and no v3, a delta
     ratio has no v2 and so m = 0; every other variable of the box has
-    exponent 0.  The m range of each n is clipped to the box in closed form,
-    and binom(n, m+1) = binom(n, m) (n-m)/(m+1), an exact division, carries
+    exponent 0.  The m range of each n is clipped to the box moved by -f in
+    closed form, each key column is then moved by its variable's f, and
+    binom(n, m+1) = binom(n, m) (n-m)/(m+1), an exact division, carries
     each next coefficient from the one before.
     """
     if isinstance(expr, IotaPow):
@@ -316,21 +311,24 @@ def _atom(expr: Expr, box: ExponentBox) -> dict:
     else:
         (s1, v1), (s2, v2) = expr.num if len(expr.num) == 2 else (expr.num[0], (1, None))
         s3, v3 = expr.den
-    bounds = dict(zip(box.variables, box.bounds))
+    bounds = {v: (lo - e, hi - e) for v, (lo, hi), e in zip(box.variables, box.bounds, f)}
     lo1, hi1 = bounds.pop(v1)
     lo2, hi2 = bounds.pop(v2, (0, 0))
     lo3, hi3 = bounds.pop(v3) if v3 else (-expr.n, -expr.n)  # an iota's one n
     if any(not lo <= 0 <= hi for lo, hi in bounds.values()):
         return {}
     slots = (v1, v2, v3)
-    where = [slots.index(v) if v in slots else 3 for v in box.variables]
-    zero = itertools.repeat(0)
+    where = [(slots.index(v) if v in slots else 3, e) for v, e in zip(box.variables, f)]
+
+    def keys(cols):  # a range column moves by e, a constant one becomes repeat(c + e)
+        return zip(*[range(c.start + e, c.stop + e, c.step) if type(c) is range
+                     else itertools.repeat(c + e) for c, e in ((cols[j], e) for j, e in where)])
+
     if v2 is None:
         ns = range(max(lo1, -hi3), min(hi1, -lo3) + 1)
-        cols = (ns, zero, range(-ns.start, -ns.stop, -1), zero)
         flip = s1 != s3
-        keys = zip(*[cols[j] for j in where])
-        return {key: -1 if flip and n % 2 else 1 for key, n in zip(keys, ns)}
+        return {key: -1 if flip and n % 2 else 1
+                for key, n in zip(keys((ns, 0, range(-ns.start, -ns.stop, -1), 0)), ns)}
     ratio = s1 * s2
     out = {}
     for n in range(-hi3, -lo3 + 1):
@@ -345,8 +343,7 @@ def _atom(expr: Expr, box: ExponentBox) -> dict:
         for m in range(mlo, mhi):
             val = ratio * val * (n - m) // (m + 1)
             vals.append(val)
-        cols = (range(n - mlo, n - mhi - 1, -1), range(mlo, mhi + 1), itertools.repeat(-n), zero)
-        out.update(zip(zip(*[cols[j] for j in where]), vals))
+        out.update(zip(keys((range(n - mlo, n - mhi - 1, -1), range(mlo, mhi + 1), -n, 0)), vals))
     return out
 
 
@@ -355,8 +352,9 @@ def _convolve(a: dict, b: dict) -> dict:
     out = {}
     for k1, v1 in a.items():
         for k2, v2 in b.items():
-            _add(out, tuple(map(add, k1, k2)), v1 * v2)
-    return out
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
 
 
 def _factors(expr: Product) -> list:
@@ -364,55 +362,70 @@ def _factors(expr: Product) -> list:
     return [g for f in expr.factors for g in (_factors(f) if isinstance(f, Product) else (f,))]
 
 
-def _product(factors, box: ExponentBox, memo: dict) -> dict:
-    """Finite factors multiplied out over their full support into one table.
-    Each key f of that table, with coefficient c, then scatters c times the
-    one infinite factor `support_bounds` allows, evaluated on the box shifted
-    by -f: its keys k land at k + f inside `box`, and every coefficient is
-    exact."""
-    bounds = [_bounded(f, memo)[0] for f in factors]
-    finite = [(f, b) for f, b in zip(factors, bounds) if _finite_bounds(b)]
-    infinite = [f for f, b in zip(factors, bounds) if not _finite_bounds(b)]
-    table = {(0,) * len(box.variables): 1}
-    for f, b in finite:
+def _gather(parts) -> dict:
+    """The sum of `parts`, (c, table) pairs: the first table is adopted, or
+    scaled by its c, the rest are added in, and zeros are dropped once."""
+    out = None
+    for c, table in parts:
+        if out is None:
+            out = table if c == 1 else {k: c * v for k, v in table.items()}
+            continue
+        for k, v in table.items():
+            out[k] = out.get(k, 0) + c * v
+    return {} if out is None else {k: v for k, v in out.items() if v}
+
+
+def _product(factors, box: ExponentBox, memo: dict, f: tuple[int, ...]) -> dict:
+    """x^f times the finite factors, multiplied out over their full support
+    into one table.  Each key g of that table, with coefficient c, then
+    scatters c times the one infinite factor `support_bounds` allows, times
+    x^g, into `box`, and every coefficient is exact."""
+    bounds = [_bounded(g, memo)[0] for g in factors]
+    finite = [(g, b) for g, b in zip(factors, bounds) if _finite_bounds(b)]
+    infinite = [g for g, b in zip(factors, bounds) if not _finite_bounds(b)]
+    table = {f: 1}
+    zero = (0,) * len(f)
+    for g, b in finite:
         full = ExponentBox(box.variables, tuple(b.get(v, (0, 0)) for v in box.variables))
-        table = _convolve(table, _table(f, full, memo))
+        table = _convolve(table, _table(g, full, memo, zero))
     if not infinite:
         return {k: v for k, v in table.items() if box.contains(k)}
-    out = {}
-    for f, c in table.items():  # a zero finite part leaves the infinite factor unread
-        for k, v in _table(infinite[0], box.shifted(f), memo).items():
-            _add(out, tuple(map(add, k, f)), c * v)
-    return out
+    # a zero finite part leaves the infinite factor unread
+    return _gather((c, _table(infinite[0], box, memo, g)) for g, c in table.items())
 
 
-def _table(expr: Expr, box: ExponentBox, memo: dict) -> dict:
-    """Exact nonzero coefficients of `expr` inside `box`; `expr` has passed
-    `support_bounds`, whose bounds and degrees of its nodes `memo` keeps."""
+def _table(expr: Expr, box: ExponentBox, memo: dict, f: tuple[int, ...]) -> dict:
+    """Exact nonzero coefficients of x^f times `expr` inside `box`; `expr`
+    has passed `support_bounds`, whose bounds and degrees of its nodes
+    `memo` keeps."""
     if isinstance(expr, Monomial):
-        key = tuple(dict(expr.exps).get(v, 0) for v in box.variables)
+        exps = dict(expr.exps)
+        key = tuple(exps.get(v, 0) + e for v, e in zip(box.variables, f))
         c = expr.coeff.numerator if expr.coeff.denominator == 1 else expr.coeff
         return {key: c} if c and box.contains(key) else {}
     if isinstance(expr, (IotaPow, DeltaAtom)):
-        return _atom(expr, box)
+        return _atom(expr, box, f)
     if isinstance(expr, Product):  # zero on the box when no key there has its one degree
         d = _bounded(expr, memo)[1]
-        if d is not None and not sum([lo for lo, _ in box.bounds]) <= d <= sum([hi for _, hi in box.bounds]):
+        if d is not None and not sum([lo for lo, _ in box.bounds]) <= d + sum(f) <= sum([hi for _, hi in box.bounds]):
             return {}
-        return _product(_factors(expr), box, memo)
-    acc = {}
+        return _product(_factors(expr), box, memo, f)
     if isinstance(expr, Sum):
-        for t in expr.terms:
-            for key, val in _table(t, box, memo).items():
-                _add(acc, key, val)
-    else:
-        # d/dv takes v^e to e v^(e-1): read the body on the box moved up one in v
-        i = box.index(expr.var)
-        up = box.shifted(tuple(-1 if v == expr.var else 0 for v in box.variables))
-        for key, val in _table(expr.body, up, memo).items():
-            if key[i]:
-                acc[key[:i] + (key[i] - 1,) + key[i + 1 :]] = key[i] * val
-    return acc
+        return _gather((1, _table(t, box, memo, f)) for t in expr.terms)
+    # d/dv takes v^e to e v^(e-1): read the body at the offset one lower in v,
+    # so x^f d/dv(x^k) = k_v x^(k+f-1_v) lands on the body's own key
+    i = box.index(expr.var)
+    g = f[:i] + (f[i] - 1,) + f[i + 1 :]
+    return {k: (k[i] - g[i]) * v for k, v in _table(expr.body, box, memo, g).items() if k[i] != g[i]}
+
+
+def _window(expr: Expr, box: ExponentBox, memo: dict) -> LaurentWindow:
+    """The window of `expr` on `box`, filled with `_table`'s keys, which lie
+    in the box and carry nonzero values by construction; `memo` is a
+    `support_bounds` memo filled for `expr`."""
+    window = LaurentWindow(box)
+    window.coeffs = _table(expr, box, memo, (0,) * len(box.variables))
+    return window
 
 
 def expand(expr: Expr, box: ExponentBox, _memo: dict | None = None) -> LaurentWindow:
@@ -422,7 +435,7 @@ def expand(expr: Expr, box: ExponentBox, _memo: dict | None = None) -> LaurentWi
     extra = set(support_bounds(expr, memo)) - set(box.variables)
     if extra:
         raise ContractError(f"expression uses variables {sorted(extra)} not in the box")
-    return LaurentWindow(box, _table(expr, box, memo))
+    return _window(expr, box, memo)
 
 
 def iota_expand(first: str, second: str, n: int, box: ExponentBox) -> LaurentWindow:
@@ -471,11 +484,13 @@ def fundamental_delta_property(
         raise ContractError("fundamental property is stated for variables (x1, x2)")
     diag = {}
     for (a, b), val in x_coeffs.coeffs.items():
-        _add(diag, (0, a + b), val)
+        diag[0, a + b] = diag.get((0, a + b), 0) + val
 
     def times_delta(table: dict) -> LaurentWindow:
-        x = Sum(tuple(mono({"x1": a, "x2": b}, val) for (a, b), val in table.items()))
-        return LaurentWindow(box, _table(Product((x, delta_ratio("x1", "x2"))), box, {}))
+        x = Sum(tuple(mono({"x1": a, "x2": b}, val) for (a, b), val in table.items() if val))
+        product, memo = Product((x, delta_ratio("x1", "x2"))), {}
+        support_bounds(product, memo)
+        return _window(product, box, memo)
 
     return _report(times_delta(x_coeffs.coeffs), times_delta(diag), "fundamental delta property")
 

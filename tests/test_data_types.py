@@ -45,6 +45,7 @@ def test_boxes_compare_and_hash_by_variables_and_bounds():
     lw = LaurentWindow(box, {(0, 0): Q(1)})
     assert lw == LaurentWindow(same, {(0, 0): Q(1)})
     assert lw.diff_keys(LaurentWindow(same, {(1, 0): Q(1)})) == [(0, 0), (1, 0)]
+    assert lw.diff_keys(LaurentWindow(same, {(0, 0): Q(1)})) == []
 
 
 BOX = ExponentBox(("x1",), ((0, 1),))

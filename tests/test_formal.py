@@ -204,6 +204,17 @@ def test_box_validation():
         expand(mono({"x0": 1}), box2())  # x0 outside the box's variable set
 
 
+def test_a_key_of_another_length_is_outside_the_box():
+    b = box2()
+    assert b.contains((0, 0)) and b.contains((-5, 5)) and not b.contains((0, 6))
+    for key in ((0,), (), (0, 0, 99), (1,), (0, 0, 0)):
+        assert not b.contains(key), key
+    with pytest.raises(ContractError, match="outside box"):
+        LaurentWindow(b, {(1,): 3})
+    with pytest.raises(ContractError, match="untracked"):
+        LaurentWindow(b, {(1, 0): 3}).coeff((1,))
+
+
 def _random_expression(rng, depth):
     def atom():
         kind = rng.randrange(4)
@@ -501,13 +512,35 @@ def _random_any_expression(rng, depth):
     return Deriv(rng.choice(names), _random_any_expression(rng, depth - 1))
 
 
+def _trusted(expr, box):
+    """`expand`'s coefficients, after checking that the window it filled
+    without validation is the one the validating constructor builds: every
+    key inside the box and no zero value."""
+    w = expand(expr, box)
+    assert LaurentWindow(w.box, w.coeffs) == w and all(w.coeffs.values()), expr
+    return w.coeffs
+
+
+def test_a_cancelled_finite_key_is_dropped_and_scatters_nothing(monkeypatch):
+    from chiralva import formal
+    from chiralva.deltaparse import parse_expression
+
+    calls = []
+    atom = formal._atom
+    monkeypatch.setattr(formal, "_atom", lambda expr, box, f: calls.append(f) or atom(expr, box, f))
+    assert _trusted(parse_expression("(x1 + x2) * (x1 - x2)"), box2()) == {(2, 0): 1, (0, 2): -1}
+    # the finite part's x1*x2 cancels, so the delta is read at its two other keys only
+    got = _trusted(parse_expression("(x1 + x2) * (x1 - x2) * delta(x1/x2)"), box2())
+    assert got == {} and sorted(calls) == [(0, 2), (2, 0)]
+
+
 def test_expand_matches_reference_on_random_expressions():
     rng = random.Random(7)
     box = box3(-3, 3)
     kinds = {}
     for _ in range(2000):
         expr = _random_any_expression(rng, rng.randint(0, 3))
-        got = _outcome(lambda e, b: expand(e, b).coeffs, expr, box)
+        got = _outcome(_trusted, expr, box)
         want = _outcome(reference_expand, expr, box)
         assert got == want, expr
         kind = want[1] if isinstance(want, tuple) else bool(want)
@@ -746,7 +779,7 @@ def test_expand_matches_reference_on_asymmetric_boxes():
             factors = [finite, infinite]
             rng.shuffle(factors)
             expr = Product(tuple(factors))
-            got = expand(expr, box).coeffs
+            got = _trusted(expr, box)
             assert got == reference_expand(expr, box), (expr, box)
             several = len(_ref_complete_table(finite, box.variables)) > 1
             kind = (type(infinite).__name__, several, bool(got))
@@ -755,6 +788,46 @@ def test_expand_matches_reference_on_asymmetric_boxes():
     # products that are nonzero on the box
     for name in ("IotaPow", "DeltaAtom", "Sum", "Product", "Deriv"):
         assert seen.get((name, True, True), 0) >= 3, seen
+
+
+def test_a_table_at_an_offset_is_the_moved_reference():
+    # _table(expr, box, memo, f) holds x^f * expr inside the box: the
+    # coefficients of expr on the box moved by -f, each key moved by f
+    from operator import add
+
+    from chiralva import formal
+
+    def check(expr, box, f):
+        memo = {}
+        support_bounds(expr, memo)
+        got = formal._table(expr, box, memo, f)
+        want = reference_expand(expr, box.shifted(f))
+        assert got == {tuple(map(add, k, f)): v for k, v in want.items()}, (expr, box, f)
+        return got
+
+    rng = random.Random(23)
+    seen = {}
+    for box in ASYMMETRIC_BOXES:
+        names = box.variables
+        for _ in range(30):
+            f = tuple(rng.randint(-4, 4) for _ in names)
+            finite = _random_finite(rng, names)
+            infinite = _random_infinite(rng, names, rng.randint(0, 2))
+            kind = rng.choice(("deriv", "nested", "flat"))
+            if kind == "deriv":  # a derivative under a product whose finite factor has several keys
+                inner = Deriv(rng.choice(names), Product((_random_finite(rng, names, False), infinite)))
+            elif kind == "nested":
+                inner = Product((_random_finite(rng, names, False), infinite))
+            else:
+                inner = infinite
+            got = check(Product((finite, inner)), box, f)
+            several = len(_ref_complete_table(finite, names)) > 1
+            seen[kind, several, bool(got)] = seen.get((kind, several, bool(got)), 0) + 1
+            # the atoms and monomials at an offset, alone and under a derivative
+            for expr in (infinite, finite, Deriv(names[0], infinite)):
+                check(expr, box, f)
+    for kind in ("deriv", "nested", "flat"):
+        assert seen.get((kind, True, True), 0) >= 5, seen
 
 
 IOTA_8000 = "iota(x1,x2)^8000 * x2^-1 * delta(x1/x2)"
@@ -771,8 +844,8 @@ def test_atoms_emit_only_keys_inside_their_box(monkeypatch):
     emitted = []
     atom = formal._atom
 
-    def checked(expr, box):
-        out = atom(expr, box)
+    def checked(expr, box, f):
+        out = atom(expr, box, f)
         for key, val in out.items():
             assert box.contains(key) and type(val) is int, (expr, box, key, val)
         emitted.append((expr, len(out)))
@@ -811,9 +884,9 @@ def test_atoms_emit_only_keys_inside_their_box(monkeypatch):
         assert not emitted
 
     # a Sum of mixed degrees has none, so this product is scattered: the
-    # finite part is the iota's 8001 keys and x1^9000, and the delta,
-    # evaluated on the box shifted by each of them, emits no key.  Every key
-    # of either term has the exponent sum 7999 or 8999, so the value is zero
+    # finite part is the iota's 8001 keys and x1^9000, and the delta, times
+    # each of them, emits no key into the box.  Every key of either term has
+    # the exponent sum 7999 or 8999, so the value is zero
     emitted.clear()
     mixed = parse_expression("(iota(x1,x2)^8000 + x1^9000) * x2^-1 * delta(x1/x2)")
     assert expand(mixed, box2(-4, 4)).coeffs == {}
@@ -830,7 +903,7 @@ def test_a_product_whose_degree_misses_the_box_reads_no_atom(monkeypatch):
 
     emitted = []
     atom = formal._atom
-    monkeypatch.setattr(formal, "_atom", lambda expr, box: emitted.append(expr) or atom(expr, box))
+    monkeypatch.setattr(formal, "_atom", lambda expr, box, f: emitted.append(expr) or atom(expr, box, f))
     box = box2(-4, 4)
     for text, skipped in (("iota(x1,x2)^40 * x1^-40 * x2^-1 * delta(x1/x2)", False),
                           ("iota(x1,x2)^40 * x2^-1 * delta(x1/x2)", True),
