@@ -31,12 +31,13 @@ from .report import CheckReport
 from .vertex import (
     VAData,
     Vector,
+    _add_product,
     _clean,
     _slice_points,
     accumulate,
     apply_d,
     bump_structure_constant,
-    check_table_shape,
+    check_entry_shape,
     closure_witness,
     d_kill_bound,
     d_orbits,
@@ -71,7 +72,7 @@ class ChiralData:
         self._cache = {} if _cache is None else _cache
         if va.coeff_ring != "Q[z]":
             raise ContractError(f"the m = 0 layer must be a table over Q[z], got {va.coeff_ring}")
-        check_table_shape(va.rank, va.basis_names, va.d_cols, overrides)
+        check_entry_shape(va.rank, overrides)  # va has checked its basis and D
         for key in overrides:
             if key[3] < 1:
                 raise ContractError(f"explicit B layer needs m >= 1, got m = {key[3]} at {key}")
@@ -125,23 +126,38 @@ def diag_scale(c, s: DiagSection) -> DiagSection:
 
 
 def diag_contract(x: Vector, section) -> dict:
-    """sum_p x_p * section(p): `contract` lifted to sections of either kind.
-    section(p) is computed once per coordinate p with x_p != 0, and every
-    product is summed into one accumulator keyed (section key, coord, deg)."""
+    """sum_p x_p * section(p): `contract` lifted to sections of either kind."""
+    return _multilinear(section, (x,))
+
+
+def _multilinear(section, xs: tuple) -> dict:
+    """The sum, over coordinate tuples ps, of the product of the x_p and
+    section(*ps), for sections of either kind: one contraction of every
+    vector at once.  The vectors' product is multiplied out into terms
+    {(ps, degree): scalar}, section(*ps) is computed once per tuple ps, and
+    every product is summed into one accumulator per section key, cleaned
+    once."""
+    tensor = {((), 0): 1}
+    for x in xs:
+        out: dict = {}
+        for (ps, d), c in tensor.items():
+            for (p, e), b in x.items():
+                key = (*ps, p), d + e
+                out[key] = out[key] + c * b if key in out else c * b
+        tensor = out
     coords: dict = {}
-    for (p, d), c in x.items():
-        coords.setdefault(p, []).append((d, c))
+    for (ps, d), c in tensor.items():
+        if c:
+            coords.setdefault(ps, []).append((d, c))
     acc: dict = {}
-    for p, terms in coords.items():
-        for k, v in section(p).items():
-            for (q, f), y in v.items():
-                for d, c in terms:
-                    key = (k, q, f + d)  # stored as is at first: 0 + a Fraction costs an add
-                    acc[key] = acc[key] + c * y if key in acc else c * y
-    out: dict = {}
-    for (k, q, f), c in _clean(acc).items():
-        out.setdefault(k, {})[q, f] = c
-    return out
+    for ps, terms in coords.items():
+        for k, v in section(*ps).items():
+            row = acc.setdefault(k, {})
+            for d, c in terms:
+                for (q, f), y in v.items():
+                    key = (q, f + d)  # stored as is at first: 0 + a Fraction costs an add
+                    row[key] = row[key] + c * y if key in row else c * y
+    return {k: vec for k, row in acc.items() if (vec := _clean(row))}
 
 
 def diag_mul_z12(s: DiagSection) -> DiagSection:
@@ -175,10 +191,12 @@ def diag3_transpose(s: Diag3Section) -> Diag3Section:
 
 
 def mu_eval(A: ChiralData, g: ChiralGenerator) -> DiagSection:
-    """mu((z1-z2)^n (u (x) v)) in divided powers, bilinear over Q[z]; off the recursion, ContractError."""
+    """mu((z1-z2)^n (u (x) v)) in divided powers, bilinear over Q[z]: the
+    basis sections contracted with u and v in one pass; off the recursion,
+    ContractError."""
     if (off := o_linearity_witness(A)) is not None:
         raise ContractError(off)
-    return diag_contract(g.u, lambda i: diag_contract(g.v, lambda j: A.basis_section(i, g.n, j)))
+    return _multilinear(lambda i, j: A.basis_section(i, g.n, j), (g.u, g.v))
 
 
 def sigma12_triple(m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector):
@@ -193,7 +211,8 @@ def sigma12_triple(m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector):
 
 def _unscale(va: VAData):
     """1/L^2, which takes `integer_modes` back to the iterated modes; the int
-    1 on an integral table, so its compositions stay on int arithmetic."""
+    1 on an integral table.  The compositions sum in ints and multiply each
+    summed entry by it once."""
     return Q(1, va._scale ** 2) if va._scale > 1 else 1
 
 
@@ -209,19 +228,19 @@ def _compose_left_basis(
         return {}
     lo, hi = rng
     modes = integer_modes(A.va, iu, iv, iw)[0]
-    unscale = _unscale(A.va)
-    out: Diag3Section = {}
+    out: dict = {}
     for i in range(max(0, lo - m1), hi - m1 + 1):
         top = hi - m2 - m3 + i
         # binom(m3 + k, i) vanishes exactly for 0 <= m3 + k < i: skip that gap
         for k in chain(range(min(top, -m3 - 1) + 1), range(max(0, i - m3), top + 1)):
             n2 = m2 + m3 + k - i
-            c = binom(m3 + k, i) * (-unscale if k % 2 else unscale)
+            c = -binom(m3 + k, i) if k % 2 else binom(m3 + k, i)
             for l in range(max(0, lo - n2), hi - n2 + 1):
                 dbl = modes.get((m1 + i, n2 + l))
                 if dbl is not None:
-                    accumulate(out, (k, l), vscale(-c if l % 2 else c, dbl))
-    return out
+                    _add_product(out.setdefault((k, l), {}), -c if l % 2 else c, 0, dbl)
+    unscale = _unscale(A.va)
+    return {kl: vec for kl, acc in out.items() if (vec := vscale(unscale, acc))}
 
 
 def _compose_right_basis(
@@ -236,8 +255,7 @@ def _compose_right_basis(
         return {}
     lo, hi = rng
     modes = integer_modes(A.va, iu, iv, iw)[1]
-    unscale = _unscale(A.va)
-    out: Diag3Section = {}
+    out: dict = {}
     for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
         c = (-1) ** i * binom(m1, i)
         if not c:
@@ -245,19 +263,24 @@ def _compose_right_basis(
         n1 = m1 + m3 - i
         n2 = m2 + i
         for l in range(max(0, lo - n2), hi - n2 + 1):
-            cl = c * (-unscale if l % 2 else unscale)
+            cl = -c if l % 2 else c
             for k in range(max(0, lo - n1), hi - n1 + 1):
                 dbl = modes.get((n1 + k, n2 + l))
                 if dbl is not None:
-                    accumulate(out, (k, l), vscale(-cl if k % 2 else cl, dbl))
-    return out
+                    _add_product(out.setdefault((k, l), {}), -cl if k % 2 else cl, 0, dbl)
+    unscale = _unscale(A.va)
+    return {kl: vec for kl, acc in out.items() if (vec := vscale(unscale, acc))}
 
 
 def _bilinear3(A: ChiralData, core, m1, m2, m3, u: Vector, v: Vector, w: Vector) -> Diag3Section:
+    """`core` extended trilinearly over Q[z] in one contraction: the basis
+    core runs once per coordinate triple of (u, v, w) whose iterated-mode
+    tables are not both empty (else its composition is), and every term
+    goes into one accumulator, cleaned once."""
     if (off := o_linearity_witness(A)) is not None:
         raise ContractError(off)
-    return diag_contract(u, lambda iu: diag_contract(v, lambda iv: diag_contract(
-        w, lambda iw: core(A, m1, m2, m3, iu, iv, iw))))
+    return _multilinear(lambda iu, iv, iw: core(A, m1, m2, m3, iu, iv, iw)
+                        if any(integer_modes(A.va, iu, iv, iw)) else {}, (u, v, w))
 
 
 def compose_left(A: ChiralData, m1: int, m2: int, m3: int, u: Vector, v: Vector, w: Vector) -> Diag3Section:
@@ -301,7 +324,9 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
         layer k + 1 of the section at n, (-1)^(k+1) B^{n+k+1}_0, to its
         negative, which is layer k of the section at n + 1, so (a) holds;
     (b) d1 satisfies the Leibniz identity against the exponent;
-    (c) d2, rewritten through the diagonal, satisfies its analogue.
+    (c) d2, rewritten through the diagonal, satisfies its analogue; the D
+        image of each section layer, a stored value up to sign, is read
+        from its D-orbit.
     Divided layer j of the (b) and (c) differences at n is (-1)^j times a
     quantity of the key n + j, so the one section per pair at the window's
     lo compares every key a later n would.
@@ -318,15 +343,23 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
         return parts
     lo, hi = rng if rng else (0, -1)
     n, _ = merge_window(lo - 2, hi + 1, window)
-    va, sec = A.va, A.basis_section
+    va, sec, orbits = A.va, A.basis_section, d_orbits(A.va)
     for i, j in product(range(va.rank), repeat=2):
         s_n, s_n1 = sec(i, n, j), sec(i, n + 1, j)
+        d1 = diag_apply_d1(s_n1)
         where = f"({pair_name(va, i, j)}, n={n})"
-        if parts["b"]["passed"] and diag_apply_d1(s_n1) != diag_add(
+        if parts["b"]["passed"] and d1 != diag_add(
                 diag_scale(n + 1, s_n), diag_contract(va.d_cols[i], lambda p: sec(p, n + 1, j))):
             parts["b"].update(passed=False, witness=where)
-        if parts["c"]["passed"] and diag_apply_d2(A, s_n1) != diag_add(
-                diag_scale(-(n + 1), s_n), diag_contract(va.d_cols[j], lambda p: sec(i, n + 1, p))):
+        if not parts["c"]["passed"]:
+            continue
+        # d2 = D - d1 layerwise, so D s_n1 is compared with d1 s_n1 plus the
+        # right side; layer m of s_n1 is (-1)^m B^{n+1+m}_0, whose D image is
+        # entry 1 of its D-orbit
+        d_layers = {m: vscale(-1, orbit[1]) if m % 2 else orbit[1]
+                    for m in s_n1 if len(orbit := orbits[i, n + 1 + m, j]) > 1}
+        if d_layers != diag_add(d1, diag_add(
+                diag_scale(-(n + 1), s_n), diag_contract(va.d_cols[j], lambda p: sec(i, n + 1, p)))):
             parts["c"].update(passed=False, witness=where)
     return parts
 

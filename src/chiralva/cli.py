@@ -5,6 +5,11 @@ delta-suite, compose-diff.  Exit status 0 means every check passed, 1 means
 an axiom or identity failed (the report names the first witness), 2 means
 the input could not be parsed or violated a precondition.  Reports contain
 no timestamps: identical inputs give byte-identical output.
+
+`main` parses a command with its subcommand's own parser, which yields the
+namespace the full parser would; any argument it leaves over, and any argv
+that does not start with a subcommand (none, -h, an unknown command), goes
+through the full parser, so usage errors, help and exit codes are its own.
 """
 
 from __future__ import annotations
@@ -253,8 +258,10 @@ def _format_diag3(section, names) -> list[str]:
     entry (k, l) over k! l!."""
     out = []
     for key in sorted(section):
-        weight = inv_factorial(key[0]) * inv_factorial(key[1])
-        out.append(f"  (k,l)={key}: {format_vector(vscale(weight, section[key]), names)}")
+        vec = section[key]
+        if key[0] > 1 or key[1] > 1:  # the weight is 1 below
+            vec = vscale(inv_factorial(key[0]) * inv_factorial(key[1]), vec)
+        out.append(f"  (k,l)={key}: {format_vector(vec, names)}")
     return out or ["  (empty)"]
 
 
@@ -358,15 +365,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused for the life of
-    the process: parsing never changes it, and each call parses into a
-    fresh namespace."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command name, built on the first
+    `main` call and reused for the life of the process: parsing never
+    changes them, and each call parses into a fresh namespace."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -354,7 +354,7 @@ def _convolve(a: dict, b: dict) -> dict:
         for k2, v2 in b.items():
             k = tuple(map(add, k1, k2))
             out[k] = out.get(k, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v}
+    return _drop_zeros(out)
 
 
 def _factors(expr: Product) -> list:
@@ -372,7 +372,15 @@ def _gather(parts) -> dict:
             continue
         for k, v in table.items():
             out[k] = out.get(k, 0) + c * v
-    return {} if out is None else {k: v for k, v in out.items() if v}
+    return {} if out is None else _drop_zeros(out)
+
+
+def _drop_zeros(table: dict) -> dict:
+    """`table` with its zero coefficients deleted in place, so no second
+    copy of a large table is held."""
+    for k in [k for k, v in table.items() if not v]:
+        del table[k]
+    return table
 
 
 def _product(factors, box: ExponentBox, memo: dict, f: tuple[int, ...]) -> dict:

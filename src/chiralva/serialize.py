@@ -29,10 +29,10 @@ def str_to_rational(s) -> int | Fraction:
     """A strict coefficient literal: an int when integral, else a Fraction."""
     if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise ParseError(f"bad rational literal {s!r}: expected a string p or p/q in ASCII digits")
-    p, _, q = s.partition("/")
     try:
-        if not q:
-            return int(p)
+        if "/" not in s:
+            return int(s)
+        p, _, q = s.partition("/")
         x = Q(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
@@ -44,8 +44,7 @@ def _read_poly(items, coord: int, out: Vector) -> None:
     if not isinstance(items, list):
         raise ParseError(f"polynomial must be a coefficient list, got {type(items).__name__}")
     for deg, item in enumerate(items):
-        x = str_to_rational(item)
-        if x:
+        if item != "0" and (x := str_to_rational(item)):
             out[(coord, deg)] = x
 
 
@@ -63,7 +62,8 @@ def list_to_vector(items, rank: int) -> Vector:
         raise ParseError(f"vector must be a list of {rank} polynomials")
     out: Vector = {}
     for coord, poly in enumerate(items):
-        _read_poly(poly, coord, out)
+        if poly != []:  # an empty coefficient list adds nothing
+            _read_poly(poly, coord, out)
     return out
 
 
@@ -81,7 +81,8 @@ def _obj_to_matrix(obj, rank: int) -> tuple[Vector, ...]:
     cols: list[Vector] = [{} for _ in range(rank)]
     for i, row in enumerate(obj):
         for j, entry in enumerate(row):
-            _read_poly(entry, i, cols[j])
+            if entry != []:
+                _read_poly(entry, i, cols[j])
     return tuple(cols)
 
 
@@ -89,7 +90,7 @@ def _int_field(entry, key: str) -> int:
     """A field that must be a JSON integer: floats, booleans and strings are
     rejected, never coerced."""
     val = entry[key]
-    if isinstance(val, bool) or not isinstance(val, int):
+    if type(val) is not int:
         raise ParseError(f"field {key!r} must be an integer, got {val!r}")
     return val
 
@@ -108,9 +109,11 @@ def _put_new(table: dict, key, value, what: str) -> None:
 
 
 def _unique_members(pairs) -> dict:
-    obj: dict = {}
-    for key, val in pairs:
-        _put_new(obj, key, val, "JSON member")
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # walk the pairs only to name the duplicate
+        obj = {}
+        for key, val in pairs:
+            _put_new(obj, key, val, "JSON member")
     return obj
 
 
@@ -200,7 +203,8 @@ def obj_to_chiral(obj) -> ChiralData:
         m0 = {}
         overrides = {}
         for entry in obj["B"]:
-            i, j, n, m = (_int_field(entry, k) for k in ("i", "j", "n", "m"))
+            i, j = _int_field(entry, "i"), _int_field(entry, "j")
+            n, m = _int_field(entry, "n"), _int_field(entry, "m")
             value = list_to_vector(entry["value"], rank)
             if m == 0:
                 _put_new(m0, (i, n, j), value, "B")

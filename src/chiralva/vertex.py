@@ -27,8 +27,9 @@ symbolically:
   the argument over all of Z^3.
 
 Each table carries one index, built once from its stored entries: the
-entries of each basis pair, and the sorted basis triples whose iterated
-modes can be nonzero (`VAData.indexed_triples`).  `integer_modes`
+entries of each basis pair, at construction, and the sorted basis triples
+whose iterated modes can be nonzero (`VAData.indexed_triples`), on first
+read.  `integer_modes`
 multiplies only entries that meet, and every loop over basis triples, in
 the sweeps and certificates of both sides, walks the index; a triple off it
 has empty tables, so it can be neither a witness nor a term.
@@ -145,20 +146,28 @@ def format_vector(x: Vector, basis: tuple[str, ...]) -> str:
 def _off_shape(vec: Vector, rank: int):
     """The first key of `vec` off the coordinates 0..rank-1 or at a negative
     degree; None when every key fits."""
-    return next(((c, d) for c, d in vec if not (0 <= c < rank and d >= 0)), None)
+    for c, d in vec:
+        if not (0 <= c < rank and d >= 0):
+            return c, d
+    return None
 
 
 def check_table_shape(rank: int, basis_names, d_cols, entries: dict) -> None:
     """Reject a table that does not fit its rank: distinct basis names, a
-    rank x rank D, and stored vectors with keys (coord, deg), 0 <= coord <
-    rank and deg >= 0, at keys (i, n, j, ...) whose basis indices i and j
-    are in range.  Shared by both table kinds."""
+    rank x rank D, and entries that fit (`check_entry_shape`)."""
     if len(basis_names) != rank or len(d_cols) != rank:
         raise ContractError("basis names and D columns must match the rank")
     if len(set(basis_names)) != rank:
         raise ContractError(f"basis names must be distinct, got {list(basis_names)}")
     if any(_off_shape(col, rank) for col in d_cols):
         raise ContractError("D must be a rank x rank matrix")
+    check_entry_shape(rank, entries)
+
+
+def check_entry_shape(rank: int, entries: dict) -> None:
+    """Reject stored vectors off the keys (coord, deg), 0 <= coord < rank
+    and deg >= 0, or at keys (i, n, j, ...) whose basis indices i and j are
+    out of range.  Shared by both table kinds."""
     for key, val in entries.items():
         if not (0 <= key[0] < rank and 0 <= key[2] < rank):
             raise ContractError(f"structure index out of range: {key}")
@@ -182,12 +191,15 @@ class VAData:
         self.rank, self.coeff_ring, self.basis_names, self.d_cols = rank, coeff_ring, basis_names, d_cols
         self.structure = clean = {k: v for k, v in structure.items() if v}
         self._cache = {} if _cache is None else _cache
-        # L: the lcm of the scalars' denominators
-        self._scale = L = math.lcm(*(x.denominator for vec in clean.values() for x in vec.values()))
+        # L: the lcm of the scalars' denominators; an all-int table shares its entries
+        fracs = [x for vec in clean.values() for x in vec.values() if type(x) is not int]
+        self._scale = L = math.lcm(*(x.denominator for x in fracs))
         self._pairs = {}  # (i, j) -> [(n, L * entry in ints)], the one entry index
         for (i, n, j), val in clean.items():
-            self._pairs.setdefault((i, j), []).append((n, {cd: int(L * x) for cd, x in val.items()}))
-        self._triples = _index_triples(self._pairs)  # indexed_triples()
+            if fracs:
+                val = {cd: int(L * x) for cd, x in val.items()}
+            self._pairs.setdefault((i, j), []).append((n, val))
+        self._triples = None  # indexed_triples(), built on its first read
         self._dmap = {j: col for j, col in enumerate(d_cols) if col}  # nonzero D(e_j) only
         if coeff_ring == "Q" and self.max_degree() > 0:
             raise ContractError("coeff_ring Q admits constant coordinates only")
@@ -210,6 +222,8 @@ class VAData:
         """The basis triples, in order, whose iterated-mode tables can be
         nonzero; every other triple's tables are empty.  Closed under swapping
         u and v."""
+        if self._triples is None:
+            self._triples = _index_triples(self._pairs)
         return self._triples
 
 

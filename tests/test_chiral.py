@@ -1547,3 +1547,77 @@ def test_the_gate_comes_before_any_section(monkeypatch):
         f"mu is not O-linear: explicit layer (u=1, v=1, n={n}, m={m}) disagrees with the recursion"))] * 3
     assert not [key for key in B._cache if key[0] == "sec"]
     assert calls[m] == 1
+
+
+def test_check_chiral_applies_no_d(monkeypatch):
+    # part (c) of the D-module check and chiral skew read every D image of a
+    # stored value from the D-orbits; `chiral` itself never applies D
+    calls = []
+    monkeypatch.setattr(chiral, "apply_d", lambda *args: calls.append(args) or apply_d(*args))
+    path = str(Path(__file__).parent.parent / "fixtures" / "a3_chiral.json")
+    for window in ((), ("--window=-3000:0",)):
+        with redirect_stdout(io.StringIO()):
+            assert main(["check-chiral", path, *window]) == 0
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the one-pass contraction against the nested contractions it replaced
+
+
+def nested_diag_contract(x, section) -> dict:
+    """sum_p x_p * section(p), one coordinate of x at a time, cleaned per
+    contraction: nested once per vector, this was `mu_eval` and `_bilinear3`."""
+    coords: dict = {}
+    for (p, d), c in x.items():
+        coords.setdefault(p, []).append((d, c))
+    acc: dict = {}
+    for p, terms in coords.items():
+        for k, v in section(p).items():
+            for (q, f), y in v.items():
+                for d, c in terms:
+                    key = (k, q, f + d)
+                    acc[key] = acc[key] + c * y if key in acc else c * y
+    out: dict = {}
+    for (k, q, f), c in vertex._clean(acc).items():
+        out.setdefault(k, {})[q, f] = c
+    return out
+
+
+def _random_vector(rng: random.Random, rank: int) -> dict:
+    raw = {(rng.randrange(rank), rng.randrange(3)): Q(rng.randint(-3, 3), rng.randint(1, 3))
+           for _ in range(rng.randint(1, 4))}
+    return vadd({}, raw)  # cleaned: no zeros, integral scalars as int
+
+
+@pytest.mark.parametrize("name", ["a3", "a3-basis-change", "random-2"])
+def test_one_pass_contraction_matches_the_nested_form(name):
+    A = va_to_chiral(dict(corpus())[name], checked=False)
+    lo, hi = A.effective_support()
+    rng = random.Random(5400 + len(name))
+    typed = lambda s: {k: {cd: (type(c), c) for cd, c in v.items()} for k, v in s.items()}  # noqa: E731
+    nonzero = Counter()
+    for _ in range(12):
+        u, v, w = (_random_vector(rng, A.va.rank) for _ in range(3))
+        ms = [rng.randint(lo - 1, hi + 1) for _ in range(3)]
+        for core, one_pass in ((_compose_left_basis, compose_left), (_compose_right_basis, compose_right)):
+            want = nested_diag_contract(u, lambda iu: nested_diag_contract(v, lambda iv: nested_diag_contract(
+                w, lambda iw: core(A, *ms, iu, iv, iw))))
+            assert typed(one_pass(A, *ms, u, v, w)) == typed(want), (ms, u, v, w)
+            nonzero[core.__name__] += bool(want)
+        n = rng.randint(lo - 2, hi + 1)
+        want = nested_diag_contract(u, lambda i: nested_diag_contract(v, lambda j: A.basis_section(i, n, j)))
+        assert typed(mu_eval(A, ChiralGenerator(n, u, v))) == typed(want), (n, u, v)
+        nonzero["mu"] += bool(want)
+    assert min(nonzero.values()) >= 3, nonzero
+
+
+def test_dmodule_check_rejects_a_table_d_does_not_kill_as_skew_does():
+    # part (c) reads the D-orbits, so an out-of-scope table (D not nilpotent
+    # on its entries) is rejected by the D-module check with the error chiral
+    # skew raises, and the suite's outcome does not depend on which check
+    # reads the orbits first
+    A = ChiralData(VAData(1, "Q[z]", ("e",), {(0, -1, 0): unit(0)}, (unit(0),)))
+    for check in (check_dmodule_morphism, check_chiral_skew, check_all_chiral):
+        with pytest.raises(vertex.UnsupportedAlgebra, match=r"survives D\^6"):
+            check(A)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chiralva import serialize
+from chiralva import cli, serialize, vertex
 from chiralva.cli import build_parser, main
 from chiralva.equivalence import va_to_chiral
 from chiralva.fixtures import a3_va
@@ -420,3 +420,64 @@ def test_window_does_not_outlive_its_command():
     code, widened = run_cli("check-va", path, "--window=-3:2")
     assert code == 0 and "[-3..2]" in widened and widened != plain
     assert run_cli("check-va", path) == (0, plain)
+
+
+# `main` parses with the subcommand's own parser and falls back to the full
+# parser: every argv must end as it does through a freshly built full parser
+
+A3 = str(FIXTURES / "a3.json")
+A3_CHIRAL = str(FIXTURES / "a3_chiral.json")
+PARSE_CASES = {
+    "no command": [],
+    "unknown command": ["nosuch"],
+    "top-level help": ["-h"],
+    "subcommand help": ["compose-diff", "--help"],
+    "non-int m1": ["compose-diff", A3_CHIRAL, "x", "-1", "-1", "1", "t", "1"],
+    "unknown flag after a subcommand": ["compose-diff", A3_CHIRAL, "-1", "-1", "-1", "1", "t", "1", "--bogus"],
+    "unknown flag before the positionals": ["check-va", "--bogus", A3],
+    "missing positional": ["compose-diff", A3_CHIRAL, "-1"],
+    "-- before negative exponents": ["compose-diff", A3_CHIRAL, "--", "-1", "-1", "-1", "1", "t", "1"],
+    "window with a negative bound": ["check-chiral", A3_CHIRAL, "--window=-3:0"],
+    "json format": ["compose-diff", A3_CHIRAL, "-1", "0", "-1", "t", "t", "1", "--format", "json"],
+    "json format before the positionals": ["check-va", "--format", "json", A3],
+}
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_each_argv_ends_as_through_a_fresh_full_parser(monkeypatch, argv):
+    got = _outcome(list(argv))
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        want = _outcome(list(argv))
+    assert got == want
+    assert got[0] in (0, 2) and (got[0] == 0) == (not got[2])
+
+
+def test_compose_diff_builds_no_triple_index_and_check_va_one(monkeypatch):
+    calls = []
+    real = vertex._index_triples
+    monkeypatch.setattr(vertex, "_index_triples", lambda pairs: calls.append(1) or real(pairs))
+    assert run_cli("compose-diff", A3_CHIRAL, "-1", "0", "-1", "t", "t", "1")[0] == 0
+    assert calls == []
+    assert run_cli("check-va", A3)[0] == 0
+    assert calls == [1]
+
+
+def test_duplicate_json_member_stderr_is_exact(tmp_path, capsys):
+    text = (FIXTURES / "a3.json").read_text(encoding="utf-8")
+    twice = _write(tmp_path, "twice.json", text.replace('"rank": 3', '"rank": 3, "rank": 3, "rank": 4', 1))
+    assert _run_cli_err(capsys, "check-va", twice) == (2, "parse error: duplicate JSON member entry 'rank'\n")
+    doc = json.loads(Path(A3_CHIRAL).read_text(encoding="utf-8"))
+    entry = json.dumps(doc["B"][0])
+    nested = _write(tmp_path, "nested.json", json.dumps(doc).replace(entry, entry.replace('"i": ', '"j": 0, "i": '), 1))
+    assert _run_cli_err(capsys, "check-chiral", nested) == (2, "parse error: duplicate JSON member entry 'j'\n")
