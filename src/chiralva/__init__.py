@@ -42,9 +42,6 @@ from .chiral import (
     check_dmodule_morphism,
     compose_left,
     compose_right,
-    diag_apply_d1,
-    diag_apply_d2,
-    diag_mul_z12,
     mu_eval,
     sigma12_triple,
 )
@@ -58,8 +55,7 @@ __all__ = [
     "VAData", "apply_d", "check_d_derivative", "check_jacobi", "check_skew_symmetry",
     "check_truncation", "make_commutative_va", "tensor_with_ox", "vertex_coeff",
     "ChiralData", "ChiralGenerator", "check_chiral_jacobi", "check_chiral_skew",
-    "check_dmodule_morphism", "compose_left", "compose_right", "diag_apply_d1",
-    "diag_apply_d2", "diag_mul_z12", "mu_eval", "sigma12_triple",
+    "check_dmodule_morphism", "compose_left", "compose_right", "mu_eval", "sigma12_triple",
     "chiral_to_va", "roundtrip_check", "va_to_chiral",
 ]
 

@@ -7,23 +7,22 @@ as the derivation D of the module of global sections Q[z]^r.  Triple-diagonal
 sections carry two derivative indices, (k, l) -> k! l! a_{k,l}; checks
 compare sections with ==, which these weights do not change.
 
-The multiplication data is the coefficient family B^n_m on basis pairs.
-The recursion B^{n+1}_k = -(k+1) B^n_{k+1}, in divided powers
-m! B^n_m = (-1)^m B^{n+m}_0, determines the whole family from its m = 0
-layer, which ChiralData stores as the mode table it is, a VAData over Q[z]
-(u_n v = B^n_0(u, v), with the same D); explicit layers m >= 1 (negative
-controls, files with full layers) are kept beside it, as given, and read
-once, by the O-linearity gate, when the family is built.  Past the gate each
-is its closed form; off it, the section mu(u, v), compositions such as
-mu(mu(u, v), w) (iterated modes of the m = 0 layer, never cached) and the
-three checks all stop at the gate, each check failing before any section is
-built and naming the layer `o_linearity_witness` finds.
+The multiplication data is the coefficient family B^n_m on basis pairs.  The
+recursion B^{n+1}_k = -(k+1) B^n_{k+1}, in divided powers m! B^n_m =
+(-1)^m B^{n+m}_0, determines it from its m = 0 layer, which ChiralData
+stores as the mode table it is, a VAData over Q[z] (u_n v = B^n_0(u, v),
+with the same D).  So a nonzero layer is a stored entry up to sign, and the
+sections, checks and compositions walk stored entries, not the support.
+Explicit layers m >= 1 (negative controls, files with full layers) are kept
+as given and read once, by the O-linearity gate, when the family is built;
+off the recursion mu, the compositions (never cached) and the three checks
+stop at the gate before any section is built, naming the layer it finds.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from itertools import accumulate as scan, chain, product
+from itertools import accumulate as scan, chain
 
 from .errors import ContractError
 from .exact import Q, binom, factorial, inv_factorial
@@ -35,7 +34,6 @@ from .vertex import (
     _clean,
     _slice_points,
     accumulate,
-    apply_d,
     bump_structure_constant,
     check_entry_shape,
     closure_witness,
@@ -100,13 +98,14 @@ class ChiralData:
         return (vscale(-1, val) if m % 2 else val) if val else {}
 
     def basis_section(self, i: int, n: int, j: int) -> DiagSection:
-        """Every nonzero divided layer `b_layer` of B^n(e_i, e_j), over the
-        support range, which covers each override's n + m."""
+        """Every nonzero divided layer `b_layer` of B^n(e_i, e_j).  Layer m is
+        (-1)^m times the pair's stored entry at n + m, so the section is read
+        off the stored exponents p >= n of the pair, as layer p - n, in
+        ascending p; a pair without entries has the empty section."""
         key = ("sec", i, n, j)
         if key not in self._cache:
-            lo, hi = self.effective_support() or (0, -1)
-            layers = ((m, self.b_layer(i, n, j, m)) for m in range(max(0, lo - n), hi - n + 1))
-            self._cache[key] = {m: val for m, val in layers if val}
+            ps = sorted(p for p, _ in self.va._pairs.get((i, j), ()) if p >= n)
+            self._cache[key] = {p - n: self.b_layer(i, n, j, p - n) for p in ps}
         return self._cache[key]
 
 
@@ -160,26 +159,6 @@ def _multilinear(section, xs: tuple) -> dict:
     return {k: vec for k, row in acc.items() if (vec := _clean(row))}
 
 
-def diag_mul_z12(s: DiagSection) -> DiagSection:
-    """Multiplication by (z1 - z2): layer k - 1 receives -layer k."""
-    return {k - 1: vscale(-1, v) for k, v in s.items() if k}
-
-
-def diag_apply_d1(s: DiagSection) -> DiagSection:
-    """Left derivative d1: layer k + 1 receives (k + 1) layer k."""
-    return {k + 1: vscale(k + 1, v) for k, v in s.items()}
-
-
-def diag_apply_d2(A: ChiralData, s: DiagSection) -> DiagSection:
-    """Right derivative d2 = (d1 + d2) - d1, d1 + d2 acting layerwise as D
-    through the diagonal: layer k becomes D(layer k) - k layer (k - 1)."""
-    out: DiagSection = {}
-    for k, v in s.items():
-        accumulate(out, k, apply_d(A.va, v))
-        accumulate(out, k + 1, vscale(-(k + 1), v))
-    return out
-
-
 def diag3_transpose(s: Diag3Section) -> Diag3Section:
     """Swap the two derivative indices: sections produced in swapped
     coordinates carry their d1/d2 degrees in exchanged positions."""
@@ -216,58 +195,43 @@ def _unscale(va: VAData):
     return Q(1, va._scale ** 2) if va._scale > 1 else 1
 
 
-def _compose_left_basis(
-    A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int
-) -> Diag3Section:
+def _compose_left_basis(A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int) -> Diag3Section:
     """mu(mu(u, v), w) on basis vectors: the (z1-z3)^{m3} expansion reads
     binom(m3 + k, i) times B^{n2}(B^{m1+i-k}_k(u, v), w), n2 = m2 + m3 + k - i,
     whose divided layer l is (-1)^(k+l) (u_{m1+i} v)_{n2+l} w, from the
-    triple's `integer_modes` times 1/L^2."""
-    rng = A.effective_support()
-    if rng is None:
-        return {}
-    lo, hi = rng
-    modes = integer_modes(A.va, iu, iv, iw)[0]
+    triple's `integer_modes` times 1/L^2.  So each entry (p, q) of the table
+    is scattered to the layers that read it: i = p - m1 >= 0, and each k >= 0
+    with l = q - n2 >= 0, that is k + l = q - m2 - m3 + i, every term with
+    the sign (-1)^(k+l); binom(m3 + k, i) vanishes exactly for
+    0 <= m3 + k < i, a gap the k range skips."""
     out: dict = {}
-    for i in range(max(0, lo - m1), hi - m1 + 1):
-        top = hi - m2 - m3 + i
-        # binom(m3 + k, i) vanishes exactly for 0 <= m3 + k < i: skip that gap
-        for k in chain(range(min(top, -m3 - 1) + 1), range(max(0, i - m3), top + 1)):
-            n2 = m2 + m3 + k - i
-            c = -binom(m3 + k, i) if k % 2 else binom(m3 + k, i)
-            for l in range(max(0, lo - n2), hi - n2 + 1):
-                dbl = modes.get((m1 + i, n2 + l))
-                if dbl is not None:
-                    _add_product(out.setdefault((k, l), {}), -c if l % 2 else c, 0, dbl)
+    for (p, q), dbl in integer_modes(A.va, iu, iv, iw)[0].items():
+        i = p - m1
+        if i < 0:
+            continue
+        s = q - m2 - m3 + i
+        for k in chain(range(min(s, -m3 - 1) + 1), range(max(0, i - m3), s + 1)):
+            c = binom(m3 + k, i)
+            _add_product(out.setdefault((k, s - k), {}), -c if s % 2 else c, 0, dbl)
     unscale = _unscale(A.va)
     return {kl: vec for kl, acc in out.items() if (vec := vscale(unscale, acc))}
 
 
-def _compose_right_basis(
-    A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int
-) -> Diag3Section:
+def _compose_right_basis(A: ChiralData, m1: int, m2: int, m3: int, iu: int, iv: int, iw: int) -> Diag3Section:
     """mu(u, mu(v, w)) on basis vectors: the (z1-z2)^{m1} expansion reads
     (-1)^i binom(m1, i) times B^{n1}(u, B^{n2}(v, w)), n1 = m1 + m3 - i and
     n2 = m2 + i, whose divided layer (k, l) is (-1)^(k+l) u_{n1+k} (v_{n2+l} w),
-    from the triple's `integer_modes` times 1/L^2."""
-    rng = A.effective_support()
-    if rng is None:
-        return {}
-    lo, hi = rng
-    modes = integer_modes(A.va, iu, iv, iw)[1]
+    from the triple's `integer_modes` times 1/L^2.  So each entry (p, q) of
+    the table is scattered to the layers k = p - n1 and l = q - n2, over the
+    i with binom(m1, i) != 0 that make both >= 0, i in [max(0, m1 + m3 - p)
+    .. q - m2]; k + l = p + q - m1 - m2 - m3 is the same for every i."""
     out: dict = {}
-    for i in range(max(0, m1 + m3 - hi), hi - m2 + 1):
-        c = (-1) ** i * binom(m1, i)
-        if not c:
-            continue
-        n1 = m1 + m3 - i
-        n2 = m2 + i
-        for l in range(max(0, lo - n2), hi - n2 + 1):
-            cl = -c if l % 2 else c
-            for k in range(max(0, lo - n1), hi - n1 + 1):
-                dbl = modes.get((n1 + k, n2 + l))
-                if dbl is not None:
-                    _add_product(out.setdefault((k, l), {}), -cl if k % 2 else cl, 0, dbl)
+    for (p, q), dbl in integer_modes(A.va, iu, iv, iw)[1].items():
+        s = p + q - m1 - m2 - m3
+        for i in range(max(0, m1 + m3 - p), q - m2 + 1):
+            if c := binom(m1, i):
+                _add_product(out.setdefault((p - m1 - m3 + i, q - m2 - i), {}),
+                             -c if (s + i) % 2 else c, 0, dbl)
     unscale = _unscale(A.va)
     return {kl: vec for kl, acc in out.items() if (vec := vscale(unscale, acc))}
 
@@ -330,6 +294,13 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
     Divided layer j of the (b) and (c) differences at n is (-1)^j times a
     quantity of the key n + j, so the one section per pair at the window's
     lo compares every key a later n would.
+
+    The pairs are visited in sorted order: those that hold an entry, and
+    those D reaches from a held (p, q), (i, q) for i in into[p] by the
+    contraction of D(e_i) in (b) and (p, j) for j in into[q] by that of
+    D(e_j) in (c), into[c] being the i whose D(e_i) has a coordinate at c.
+    Any other pair compares two empty sections in both parts, so each part's
+    first witness is that of the whole rank^2.
     """
     if (off := o_linearity_witness(A)) is not None:
         raise ContractError(off)
@@ -344,13 +315,16 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
     lo, hi = rng if rng else (0, -1)
     n, _ = merge_window(lo - 2, hi + 1, window)
     va, sec, orbits = A.va, A.basis_section, d_orbits(A.va)
-    for i, j in product(range(va.rank), repeat=2):
+    into: dict = defaultdict(set)
+    for i, c in ((i, c) for i, col in va._dmap.items() for c, _ in col):
+        into[c].add(i)
+    for i, j in sorted({*va._pairs, *((i, q) for p, q in va._pairs for i in into[p]),
+                        *((p, j) for p, q in va._pairs for j in into[q])}):
         s_n, s_n1 = sec(i, n, j), sec(i, n + 1, j)
-        d1 = diag_apply_d1(s_n1)
-        where = f"({pair_name(va, i, j)}, n={n})"
+        d1 = {k + 1: vscale(k + 1, v) for k, v in s_n1.items()}  # d1 d1^(k) = (k+1) d1^(k+1)
         if parts["b"]["passed"] and d1 != diag_add(
                 diag_scale(n + 1, s_n), diag_contract(va.d_cols[i], lambda p: sec(p, n + 1, j))):
-            parts["b"].update(passed=False, witness=where)
+            parts["b"].update(passed=False, witness=f"({pair_name(va, i, j)}, n={n})")
         if not parts["c"]["passed"]:
             continue
         # d2 = D - d1 layerwise, so D s_n1 is compared with d1 s_n1 plus the
@@ -360,7 +334,7 @@ def dmodule_parts(A: ChiralData, window=None) -> dict:
                     for m in s_n1 if len(orbit := orbits[i, n + 1 + m, j]) > 1}
         if d_layers != diag_add(d1, diag_add(
                 diag_scale(-(n + 1), s_n), diag_contract(va.d_cols[j], lambda p: sec(i, n + 1, p)))):
-            parts["c"].update(passed=False, witness=where)
+            parts["c"].update(passed=False, witness=f"({pair_name(va, i, j)}, n={n})")
     return parts
 
 
@@ -370,20 +344,15 @@ def check_dmodule_morphism(A: ChiralData, window=None) -> CheckReport:
         return CheckReport(name, label, False, NOT_SWEPT, off)
     parts = dmodule_parts(A, window)
     passed = all(p["passed"] for p in parts.values())
-    witness = None
-    details = []
-    for key in ("a", "b", "c"):
-        p = parts[key]
-        status = "PASS" if p["passed"] else f"FAIL at {p['witness']}"
-        details.append(f"part ({key}) [{p['label']}]: {status}")
-        if witness is None and not p["passed"]:
-            witness = f"part ({key}) at {p['witness']}"
+    details = tuple(f"part ({key}) [{p['label']}]: " + ("PASS" if p["passed"] else f"FAIL at {p['witness']}")
+                    for key, p in parts.items())
+    witness = next((f"part ({key}) at {p['witness']}" for key, p in parts.items() if not p["passed"]), None)
     rng = A.effective_support()
     win = "empty table, vacuous" if rng is None else (
         f"window n around support [{rng[0]}..{rng[1]}]; outside, the family "
         "is the recursion closed form and the identities hold layerwise"
     )
-    return CheckReport(name, label, passed, win, witness, tuple(details))
+    return CheckReport(name, label, passed, win, witness, details)
 
 
 def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
@@ -398,7 +367,10 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
     identity (-1)^(n+1) sum_m D^m B^n_m(v, u) = B^n_0(u, v).  Off the recursion
     the check stops at the O-linearity gate.  On it, divided layer j of the
     difference at n is (-1)^n times a quantity of the key n + j, so one section
-    per pair, at the window's lo, compares every key a later n would."""
+    per pair, at the window's lo, compares every key a later n would.  It
+    visits, in sorted order, the pairs that hold an entry and their swaps:
+    any other pair compares two empty sections, so the first witness is that
+    of the whole rank^2."""
     name, label = "chiral-skew", "sigma12"
     if (off := o_linearity_witness(A)) is not None:
         return CheckReport(name, label, False, NOT_SWEPT, off)
@@ -407,23 +379,27 @@ def check_chiral_skew(A: ChiralData, window=None) -> CheckReport:
         return CheckReport(name, label, True, "empty table, vacuous")
     lo0, hi0 = rng if rng else (0, -1)
     kill = d_kill_bound(A.va)
-    lo, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
-    n = lo
+    n, hi = merge_window(lo0 - kill - 1, hi0 + 1, window)
     scale, orbits = factorial(kill - 1), d_orbits(A.va)
-    for i, j in product(range(A.va.rank), repeat=2):
+    for i, j in sorted({*A.va._pairs, *((j, i) for i, j in A.va._pairs)}):
         swapped: DiagSection = {}
         for m in A.basis_section(j, n, i):  # layer m - t: (-1)^t (K-1)!/t! D^t B^{n+m}_0(v, u)
             for t, w in enumerate(orbits[j, n + m, i][:m + 1]):
                 accumulate(swapped, m - t, vscale((-scale if t % 2 else scale) // factorial(t), w))
         if swapped != diag_scale(scale if n % 2 else -scale, A.basis_section(i, n, j)):
-            return CheckReport(name, label, False, f"window n in [{lo}..{hi}]",
+            return CheckReport(name, label, False, f"window n in [{n}..{hi}]",
                                f"({pair_name(A.va, i, j)}, n={n})")
     return CheckReport(
         name, label, True,
-        f"window n in [{lo}..{hi}]; every generator bundles the component "
+        f"window n in [{n}..{hi}]; every generator bundles the component "
         f"identities at m >= n, and terms vanish below the window "
         f"(support [{lo0}..{hi0}], D-kill bound {kill})",
     )
+
+
+# The most bits of binomials the keyed sweep may build for its one slice, 256 MiB;
+# check-chiral on fixtures/a3_chiral.json is refused from --window=-13379:0 on.
+SLICE_BITS_LIMIT = 2 ** 31
 
 
 def _binom_row(x: int, top: int) -> list:
@@ -520,6 +496,10 @@ def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
     lo, hi = rng if rng else (0, -1)
     span = hi - lo + 1
     blo, bhi = merge_window(lo - span, hi + span, window)
+    # `_scatter_binoms` at m1 = blo: span columns of 2hi - 3blo + 1 binomials of about 2(hi - blo) bits
+    if (bits := span * (2 * hi - 3 * blo + 1) * 2 * (hi - blo)) > SLICE_BITS_LIMIT:
+        raise ContractError(f"chiral-Jacobi's bottom slice needs about 2^{bits.bit_length() - 1} "
+                            f"bits of binomials, over the limit of 2^{SLICE_BITS_LIMIT.bit_length() - 1}")
     witness = _keyed_sweep(A, blo, lo, hi)
     if witness is not None:
         return CheckReport(name, label, False, f"window (m1,m2,m3) in [{blo}..{bhi}]^3", witness)
@@ -537,11 +517,7 @@ def check_chiral_jacobi(A: ChiralData, window=None) -> CheckReport:
 
 
 def check_all_chiral(A: ChiralData, window=None) -> list[CheckReport]:
-    return [
-        check_dmodule_morphism(A, window),
-        check_chiral_skew(A, window),
-        check_chiral_jacobi(A, window),
-    ]
+    return [check(A, window) for check in (check_dmodule_morphism, check_chiral_skew, check_chiral_jacobi)]
 
 
 # ---------------------------------------------------------------------------

@@ -252,4 +252,6 @@ def load_path(path) -> VAData | ChiralData:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     return loads(text)

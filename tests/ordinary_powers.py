@@ -8,7 +8,10 @@ The functions are the ones the package ran before its sections moved to
 divided powers: the layers B^n_m = ((-1)^m/m!) B^{n+m}_0, the operators
 z1 - z2, d1 and d2 on them, the D-module check, the Horner skew check and
 both compositions.  `divided` and `divided3` rescale their sections to the
-package's, which must then be equal.
+package's, which must then be equal.  Beside each operator is its twin on
+divided-power sections (`diag_mul_z12`, `diag_apply_d1`, `diag_apply_d2`),
+which the package carried until its checks came to read stored entries and
+their D-orbits.
 """
 
 from __future__ import annotations
@@ -81,9 +84,21 @@ def mul_z12(s: dict) -> dict:
     return out
 
 
+def diag_mul_z12(s: dict) -> dict:
+    """Multiplication by (z1 - z2) in divided powers: layer k - 1 receives
+    -layer k."""
+    return {k - 1: vscale(-1, v) for k, v in s.items() if k}
+
+
 def apply_d1(s: dict) -> dict:
     """Left derivative d1: shifts the derivative degree up by one."""
     return {k + 1: v for k, v in s.items()}
+
+
+def diag_apply_d1(s: dict) -> dict:
+    """Left derivative d1 in divided powers: layer k + 1 receives (k + 1)
+    layer k."""
+    return {k + 1: vscale(k + 1, v) for k, v in s.items()}
 
 
 def apply_d2(A: ChiralData, s: dict) -> dict:
@@ -92,6 +107,16 @@ def apply_d2(A: ChiralData, s: dict) -> dict:
     for k, v in s.items():
         accumulate(out, k, apply_d(A.va, v))
         accumulate(out, k + 1, vscale(-1, v))
+    return out
+
+
+def diag_apply_d2(A: ChiralData, s: dict) -> dict:
+    """Right derivative d2 in divided powers, through the diagonal: layer k
+    becomes D(layer k) - k layer (k - 1)."""
+    out: dict = {}
+    for k, v in s.items():
+        accumulate(out, k, apply_d(A.va, v))
+        accumulate(out, k + 1, vscale(-(k + 1), v))
     return out
 
 

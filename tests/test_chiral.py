@@ -27,10 +27,7 @@ from chiralva.chiral import (
     compose_right,
     diag3_transpose,
     diag_add,
-    diag_apply_d1,
-    diag_apply_d2,
     diag_contract,
-    diag_mul_z12,
     diag_scale,
     dmodule_parts,
     mu_eval,
@@ -66,7 +63,11 @@ from test_vertex import d_power, lcm_scale, reference_iterated_modes
 from ordinary_powers import (
     apply_d1,
     apply_d2,
+    diag_apply_d1,
+    diag_apply_d2,
+    diag_mul_z12,
     divided,
+    divided3,
     mul_z12,
     ordinary_b_layer,
     ordinary_basis_section,
@@ -270,15 +271,27 @@ def test_mu_eval_stops_at_the_gate_off_the_recursion():
     assert not [key for key in B._cache if key[0] == "sec"]
 
 
+def orbit_applications(monkeypatch, build) -> Counter:
+    """Counts `vertex.apply_d` calls, patched, after storing in it those that
+    `d_orbits` alone makes on a fresh object, under the key "orbits"."""
+    calls = Counter()
+    monkeypatch.setattr(vertex, "apply_d", lambda V, u: calls.update(["apply_d"]) or apply_d(V, u))
+    vertex.d_orbits(build().va)
+    calls["orbits"] = calls.pop("apply_d")
+    return calls
+
+
 def test_chiral_skew_reads_every_power_of_d_from_the_orbits(monkeypatch):
     # Layer m of the swapped section is (-1)^m times a stored value, whose
-    # powers of D the D-orbits already hold: skew applies D itself nowhere.
+    # powers of D the D-orbits already hold: skew applies D only where
+    # `d_orbits` builds them, and `chiral` has no `apply_d` of its own.
     path = Path(__file__).parent.parent / "fixtures" / "a3_chiral.json"
-    calls = Counter()
-    monkeypatch.setattr(chiral, "apply_d", lambda V, u: calls.update(["apply_d"]) or apply_d(V, u))
+    assert not hasattr(chiral, "apply_d")
+    calls = orbit_applications(monkeypatch, lambda: serialize.load_path(path))
     for window in (None, (-3000, 0)):
+        calls["apply_d"] = 0
         assert check_chiral_skew(serialize.load_path(path), window).passed
-        assert not calls, window
+        assert calls["apply_d"] == calls["orbits"] > 0, window
 
 
 def jacobi_difference(V: VAData, u, v, w, l: int, m: int, n: int, top: int = 10) -> dict:
@@ -465,28 +478,38 @@ def test_compositions_refuse_a_family_off_the_recursion(tmp_path):
 
 def test_compose_left_binomials_do_not_grow_with_m1(monkeypatch):
     # compose-diff at m1 = -10^6 used to walk about 10^6 values of k per i,
-    # on (u, v, w) = (1, t, t) as here.  The terms are left out (a nonempty
-    # section at m1 = -10^6 is large): the stubs count what the loop reads,
-    # the iterated-mode table entries, and return zero.
+    # on (u, v, w) = (1, t, t) as here.  The stub table holds an entry at
+    # every (p, q) of the support; what the core reads (entries, binomials)
+    # and the terms it adds do not grow with |m1|.
     calls = Counter()
+    add_product = chiral._add_product
 
     def counting(n, m):
         calls[m1, "binom"] += 1
         return binom(n, m)
 
-    class NoEntries(dict):
-        def get(self, key, default=None):
-            calls[m1, "term"] += 1
-            return default
+    def adding(*args):
+        calls[m1, "term"] += 1
+        return add_product(*args)
 
-    monkeypatch.setattr(chiral, "binom", counting)
-    monkeypatch.setattr(chiral, "integer_modes", lambda va, *triple: (NoEntries(), NoEntries()))
+    class Entries(dict):
+        def items(self):
+            for item in super().items():
+                calls[m1, "entry"] += 1
+                yield item
+
     A = a3_chiral()
+    lo, hi = A.effective_support()
+    table = Entries({pq: {(2, 0): 1} for pq in product(range(lo, hi + 1), repeat=2)})
+    monkeypatch.setattr(chiral, "binom", counting)
+    monkeypatch.setattr(chiral, "_add_product", adding)
+    monkeypatch.setattr(chiral, "integer_modes", lambda va, *triple: (table, table))
     for m2, m3 in ((0, 0), (-2, 0), (-1, -3), (-3, 1)):
         for m1 in (-10, -10 ** 6):
             _compose_left_basis(A, m1, m2, m3, 0, 1, 1)
-        for what in ("binom", "term"):
+        for what in ("entry", "binom", "term"):
             assert calls[-10 ** 6, what] == calls[-10, what] <= 100, (m2, m3, what)
+        assert calls[-10, "entry"] == len(table)
         assert calls[-10, "term"] > 0 or (m2, m3) == (0, 0)
         calls.clear()
 
@@ -1492,8 +1515,7 @@ def test_windowed_checks_cost_what_the_entries_reach(monkeypatch):
         monkeypatch.setattr(module, fn, wrapper)
 
     for module, fn in ((vertex, "contract"), (vertex, "_add_product"), (vertex, "apply_d"),
-                       (vertex, "vadd"), (vertex, "vscale"), (chiral, "apply_d"),
-                       (chiral, "vadd"), (chiral, "vscale"), (chiral, "diag_apply_d2")):
+                       (vertex, "vadd"), (vertex, "vscale"), (chiral, "vadd"), (chiral, "vscale")):
         counted(module, fn)
     fixture = Path(__file__).parent.parent / "fixtures" / "a3_chiral.json"
     checks = [
@@ -1551,14 +1573,16 @@ def test_the_gate_comes_before_any_section(monkeypatch):
 
 def test_check_chiral_applies_no_d(monkeypatch):
     # part (c) of the D-module check and chiral skew read every D image of a
-    # stored value from the D-orbits; `chiral` itself never applies D
-    calls = []
-    monkeypatch.setattr(chiral, "apply_d", lambda *args: calls.append(args) or apply_d(*args))
+    # stored value from the D-orbits; `chiral` itself never applies D, so the
+    # command applies it only where `d_orbits` builds the orbits
     path = str(Path(__file__).parent.parent / "fixtures" / "a3_chiral.json")
+    assert not hasattr(chiral, "apply_d")
+    calls = orbit_applications(monkeypatch, lambda: serialize.load_path(path))
     for window in ((), ("--window=-3000:0",)):
+        calls["apply_d"] = 0
         with redirect_stdout(io.StringIO()):
             assert main(["check-chiral", path, *window]) == 0
-    assert calls == []
+        assert calls["apply_d"] == calls["orbits"] > 0, window
 
 
 # ---------------------------------------------------------------------------
@@ -1621,3 +1645,116 @@ def test_dmodule_check_rejects_a_table_d_does_not_kill_as_skew_does():
     for check in (check_dmodule_morphism, check_chiral_skew, check_all_chiral):
         with pytest.raises(vertex.UnsupportedAlgebra, match=r"survives D\^6"):
             check(A)
+
+
+# ---------------------------------------------------------------------------
+# the chiral side reads stored entries: sections from the pair's exponents, the
+# one-section checks over the held and D-reached pairs, and the composition
+# cores scattering each iterated-mode entry
+
+
+def far_entry_family(n: int) -> ChiralData:
+    """ideal_t3's chiral algebra with its entry t_{-2} t moved to n."""
+    A = serialize.load_path(Path(__file__).parent.parent / "fixtures" / "ideal_t3_chiral.json")
+    structure = dict(A.va.structure)
+    structure[0, n, 0] = structure.pop((0, -2, 0))
+    return ChiralData(VAData(A.va.rank, "Q[z]", A.va.basis_names, structure, A.va.d_cols))
+
+
+def test_basis_section_reads_only_the_stored_exponents(monkeypatch):
+    # Layer m of the section at n is read once, and only where the pair stores
+    # an entry at n + m; the section is the ordinary-power one rescaled, and on
+    # a table with an entry at n = +-10^30 it is read off that entry directly
+    # (a walk over the support would stop at the hundredth read).
+    reads = []
+    b_layer = ChiralData.b_layer
+
+    def counted(self, *key):
+        reads.append(key)
+        assert len(reads) < 100, key
+        return b_layer(self, *key)
+
+    monkeypatch.setattr(ChiralData, "b_layer", counted)
+    families = chain(((name, va_to_chiral(V, checked=False)) for name, V in corpus()),
+                     list(criterion_7_mutants())[::10], ((far, far_entry_family(far)) for far in (10 ** 30, -10 ** 30)))
+    layers = 0
+    for where, A in families:
+        lo, hi = A.effective_support()
+        distant = abs(lo) > 100 or abs(hi) > 100
+        for i, j in product(range(A.va.rank), repeat=2):
+            for n in sorted({lo - 2, -3, -1, hi + 1}) if distant else range(lo - 3, hi + 2):
+                stored = sorted(p for (a, p, b) in A.va.structure if (a, b) == (i, j) and p >= n)
+                reads.clear()
+                sec = A.basis_section(i, n, j)
+                assert reads == [(i, n, j, p - n) for p in stored], (where, i, n, j)
+                assert list(sec) == [p - n for p in stored], (where, i, n, j)
+                if not distant:
+                    assert sec == divided(ordinary_basis_section(A, i, n, j)), (where, i, n, j)
+                layers += len(sec)
+    assert layers > 1000
+
+
+def seeded_qz_families(count: int):
+    """Seeded tables over Q[z] with Fraction scalars, z-degrees and no D."""
+    rng = random.Random(5601)
+    for _ in range(count):
+        rank = rng.randint(2, 3)
+        structure = {}
+        for _ in range(rng.randint(3, 7)):
+            vec = {(rng.randrange(rank), rng.randrange(3)): Q(rng.randint(-3, 3), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 3))}
+            structure[rng.randrange(rank), rng.randint(-3, 0), rng.randrange(rank)] = vadd({}, vec)
+        names = tuple(f"e{i}" for i in range(rank))
+        yield ChiralData(VAData(rank, "Q[z]", names, structure, ({},) * rank))
+
+
+def core_exponents(A: ChiralData, rng: random.Random, count: int) -> list:
+    """`count` seeded exponent triples around the support, then triples at
+    m1 = +-10^6 whose m2 + m3 brings the terms back to the support."""
+    lo, hi = A.effective_support()
+    span = hi - lo + 1
+    ms = [tuple(rng.randint(lo - span - 1, hi + 1) for _ in range(3)) for _ in range(count)]
+    for m1 in (-10 ** 6, 10 ** 6):
+        ms += [(m1, m2, lo + hi - m1 - m2) for m2 in (lo - 1, hi)]
+    return ms
+
+
+def test_scattering_cores_match_the_ordinary_oracle():
+    # Every basis composition, on the triples the index holds, is the
+    # ordinary-power oracle's rescaled: on the corpus, the criterion-7
+    # mutants, seeded Q[z] tables with Fraction scalars, and at m1 = +-10^6.
+    rng = random.Random(5600)
+    seen = Counter()
+    families = chain(((16, va_to_chiral(V, checked=False)) for _, V in corpus()),
+                     ((2, A) for _, A in criterion_7_mutants()), ((16, A) for A in seeded_qz_families(12)))
+    for count, A in families:
+        for ms in core_exponents(A, rng, count):
+            for triple in A.va.indexed_triples():
+                for core, oracle in ((_compose_left_basis, ordinary_compose_left_basis),
+                                     (_compose_right_basis, ordinary_compose_right_basis)):
+                    want = divided3(oracle(A, *ms, *triple))
+                    assert core(A, *ms, *triple) == want, (A.va.structure, ms, triple, core.__name__)
+                    seen[core.__name__, abs(ms[0]) == 10 ** 6] += bool(want)
+                    seen["fraction"] += any(type(x) is not int for vec in want.values() for x in vec.values())
+    assert min(seen.values()) > 20, seen
+
+
+def test_one_section_checks_match_full_sweep_where_most_pairs_hold_nothing():
+    # a3 (x) a3 holds entries at 36 of its 81 pairs; its mutants, bumped at
+    # held pairs and at pairs that held nothing, fail skew and the D-module
+    # check with the full sweep's witnesses, which visits every pair
+    V = tensor_product(a3_va(), a3_va())
+    assert V.rank == 9 and 2 * len(V._pairs) < V.rank ** 2
+    rng = random.Random(5602)
+    unheld = [(i, n, j, c) for i, j in product(range(V.rank), repeat=2) if (i, j) not in V._pairs
+              for n in (-2, -1) for c in range(V.rank)]
+    failing = Counter()
+    for site in (*rng.sample(mutation_sites(V, 400), 6), *rng.sample(unheld, 6)):
+        A = va_to_chiral(bump_structure_constant(V, *site), checked=False)
+        skew = reference_check_chiral_skew(A)
+        assert check_chiral_skew(A) == skew, site
+        parts = reference_dmodule_parts(A)
+        assert dmodule_parts(A) == parts, site
+        failing["skew"] += not skew.passed
+        failing["d-module"] += not all(p["passed"] for p in parts.values())
+    assert failing["skew"] >= 6 and failing["d-module"] >= 6, failing

@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -481,3 +483,47 @@ def test_duplicate_json_member_stderr_is_exact(tmp_path, capsys):
     entry = json.dumps(doc["B"][0])
     nested = _write(tmp_path, "nested.json", json.dumps(doc).replace(entry, entry.replace('"i": ', '"j": 0, "i": '), 1))
     assert _run_cli_err(capsys, "check-chiral", nested) == (2, "parse error: duplicate JSON member entry 'j'\n")
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    for command in ("check-va", "check-chiral", "roundtrip"):
+        assert _run_cli_err(capsys, command, str(path)) == (
+            2, f"parse error: cannot read {path}: not UTF-8 text (byte 0)\n"), command
+
+
+def test_far_entries_and_wide_slices_exit_2_in_bounded_time_and_memory(tmp_path):
+    # One entry of ideal_t3_chiral at n = +-10^30 puts chiral-Jacobi's slice
+    # at m1 ~ -10^30: its binomials are counted before any is built, and the
+    # command is refused, as is a3's chiral algebra at --window=-13379:0.  All
+    # seven run in one child process, under an address-space limit and a
+    # timeout of its own.
+    paths = []
+    for n in (10 ** 30, -10 ** 30):
+        doc = json.loads((FIXTURES / "ideal_t3_chiral.json").read_text(encoding="utf-8"))
+        doc["B"][0]["n"] = n
+        paths.append(_write(tmp_path, f"far_{n > 0}.json", json.dumps(doc)))
+    runs = [[command, path] for path in paths for command in ("check-chiral", "to-va", "roundtrip")]
+    runs.append(["check-chiral", A3_CHIRAL, "--window=-13379:0"])
+    code = f"""
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, ({3 << 29}, {3 << 29}))
+from chiralva.cli import main
+out = []
+for argv in {runs!r}:
+    err, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    out.append((status, err.getvalue(), time.perf_counter() - start))
+print(json.dumps(out))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    for argv, (status, err, seconds) in zip(runs, json.loads(proc.stdout)):
+        assert status == 2 and seconds < 1, (argv, status, seconds)
+        assert err.startswith("contract error: chiral-Jacobi's bottom slice needs about 2^"), (argv, err)
+        assert err.endswith(" bits of binomials, over the limit of 2^31\n"), (argv, err)
